@@ -10,6 +10,10 @@ samples is rejected rather than interpolated.
 The first max(delay) output samples are filter warm-up (zero history) and
 should be excluded from sounding statistics.
 
+``apply_channel`` filters an in-memory stream and is the reference for
+``emulate_blocks``, which streams a repeated sounding reference through a
+link as bounded complex64 blocks: the exact contents of a capture.
+
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
 sample, no header) with a JSON sidecar carrying the sample rate.
 """
@@ -20,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "read_iq_sidecar",
     "iq_file_sample_count",
     "IqFileWriter",
+    "emulate_blocks",
     "emulate_repeated_reference_to_file",
 ]
 
@@ -45,6 +50,7 @@ DEFAULT_BASE_LOSS_DB = 57.55
 DEFAULT_BASE_LOSS_SD_DB = 1.23
 DEFAULT_DYNAMIC_RANGE_DB = 43.0
 MIN_TAP_UPDATE_INTERVAL_S = 0.001
+DEFAULT_BLOCK_SAMPLES = 1 << 18
 
 _GRID_TOL = 1e-6
 
@@ -125,8 +131,7 @@ def make_noise(length: int, floor_db_rel: Optional[float], seed) -> np.ndarray:
 def _complex_normal(rng: np.random.Generator, length: int) -> np.ndarray:
     # Interleaved I/Q draws keep chunked generation identical to one bulk
     # draw from the same generator state.
-    z = rng.standard_normal(2 * length)
-    return z[0::2] + 1j * z[1::2]
+    return rng.standard_normal(2 * length).view(np.complex128)
 
 
 def noise_floor_db_for_dynamic_range(
@@ -226,18 +231,8 @@ def _sidecar_path(path) -> Path:
 
 def write_iq_file(stream: IqStream, path) -> None:
     """Raw interleaved float32 I/Q plus a JSON sidecar with the sample rate."""
-    interleaved = np.empty(2 * len(stream.samples), dtype="<f4")
-    interleaved[0::2] = stream.samples.real
-    interleaved[1::2] = stream.samples.imag
-    interleaved.tofile(path)
-    _sidecar_path(path).write_text(
-        json.dumps(
-            {
-                "sample_rate_hz": stream.sample_rate_hz,
-                "origin_time_s": stream.origin_time_s,
-            }
-        )
-    )
+    with IqFileWriter(path, stream.sample_rate_hz, stream.origin_time_s) as writer:
+        writer.append(stream.samples)
 
 
 def read_iq_sidecar(path) -> dict:
@@ -248,7 +243,14 @@ def read_iq_sidecar(path) -> dict:
 
 
 def iq_file_sample_count(path) -> int:
-    return Path(path).stat().st_size // 8
+    """Samples in a capture; a byte count that is not whole samples is an error."""
+    size = Path(path).stat().st_size
+    if size % 8:
+        raise ValueError(
+            f"IQ capture {path} holds {size} bytes, not a whole number of "
+            "8-byte samples (truncated?)"
+        )
+    return size // 8
 
 
 def read_iq_file(path, start_sample: int = 0, count: Optional[int] = None) -> IqStream:
@@ -259,13 +261,16 @@ def read_iq_file(path, start_sample: int = 0, count: Optional[int] = None) -> Iq
     total = iq_file_sample_count(path)
     if count is None:
         count = total - start_sample
-    raw = np.fromfile(path, dtype="<f4", count=2 * count, offset=8 * start_sample)
-    samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    samples = np.fromfile(path, dtype="<c8", count=count, offset=8 * start_sample)
     return IqStream(samples, fs, origin + start_sample / fs)
 
 
 class IqFileWriter:
-    """Streaming capture writer: append sample blocks, sidecar on close."""
+    """Streaming capture writer: append sample blocks, sidecar on close.
+
+    If the ``with`` block raises, the partial capture is deleted and no
+    sidecar is written, so a truncated capture never looks valid.
+    """
 
     def __init__(self, path, sample_rate_hz: float, origin_time_s: float = 0.0):
         self.path = Path(path)
@@ -275,11 +280,7 @@ class IqFileWriter:
         self.samples_written = 0
 
     def append(self, samples: np.ndarray) -> None:
-        samples = np.asarray(samples, dtype=np.complex128)
-        interleaved = np.empty(2 * len(samples), dtype="<f4")
-        interleaved[0::2] = samples.real
-        interleaved[1::2] = samples.imag
-        interleaved.tofile(self._fh)
+        np.asarray(samples).astype("<c8").tofile(self._fh)
         self.samples_written += len(samples)
 
     def close(self) -> None:
@@ -296,8 +297,78 @@ class IqFileWriter:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            self.path.unlink(missing_ok=True)
+
+
+def emulate_blocks(
+    taps: TapFile,
+    pair: tuple[int, int],
+    config: EmulatorConfig,
+    reference: np.ndarray,
+    fs: float,
+    total_samples: int,
+    block_samples: int = DEFAULT_BLOCK_SAMPLES,
+) -> Iterator[np.ndarray]:
+    """Yield a repeated reference sent through one link, as complex64 blocks.
+
+    The blocks concatenate to apply_channel on the infinitely repeated
+    reference, truncated to ``total_samples`` and cast to complex64: the
+    exact bytes of a capture. Every block holds ``block_samples`` samples
+    but the last. The input is tiled on the fly and filter history is
+    carried across block edges; noise is drawn per block from the one
+    seeded generator stream, so the output does not depend on the block
+    size.
+    """
+    tx, rx = pair
+    if pair not in taps.pairs():
+        raise ValueError(f"pair {pair} not present in tap file")
+    if block_samples < 1:
+        raise ValueError("block_samples must be >= 1")
+    step = _grid_step_samples(taps.grid_dt_s, fs)
+    ref = np.asarray(reference, dtype=np.complex128)
+    frame = len(ref)
+    max_idx = max((i for key in taps.records for i, _ in taps.records[key].taps
+                   if key[1] == tx and key[2] == rx), default=0)
+    d_max = max_idx * step
+    scale = 10.0 ** (-pair_base_loss_db(config, tx, rx) / 20.0)
+    rng = np.random.default_rng((config.seed, tx, rx))
+    sigma = None
+    if config.noise_floor_db is not None and config.noise_floor_db != float("-inf"):
+        sigma = math.sqrt(10.0 ** (config.noise_floor_db / 10.0) / 2.0)
+
+    interval = config.tap_update_interval_s
+    history = np.zeros(d_max, dtype=np.complex128)
+    pos = 0
+    while pos < total_samples:
+        count = min(block_samples, total_samples - pos)
+        xp = np.concatenate([history, ref[(pos + np.arange(count)) % frame]])
+        y = np.empty(count, dtype=np.complex128)
+        m0 = int(math.floor(pos / (interval * fs) + 1e-9))
+        m1 = int(math.ceil((pos + count) / (interval * fs) - 1e-9))
+        for m in range(m0, m1):
+            n0 = max(int(round(m * interval * fs)), pos)
+            n1 = min(int(round((m + 1) * interval * fs)), pos + count)
+            if n0 >= n1:
+                continue
+            ts = taps.active_tapset(n0 / fs, tx, rx)
+            delays, coeffs = _tapset_delays_coeffs(ts, step)
+            block = np.zeros(n1 - n0, dtype=np.complex128)
+            for d, c in zip(delays, coeffs):
+                a = d_max + (n0 - pos) - d
+                block += c * xp[a : a + (n1 - n0)]
+            y[n0 - pos : n1 - pos] = block
+        y *= scale
+        if sigma is not None:
+            y += sigma * _complex_normal(rng, count)
+        yield y.astype(np.complex64)
+        if d_max:
+            history = xp[len(xp) - d_max :].copy()
+        pos += count
 
 
 def emulate_repeated_reference_to_file(
@@ -308,63 +379,11 @@ def emulate_repeated_reference_to_file(
     sample_rate_hz: float,
     total_samples: int,
     out_path,
-    chunk_samples: int = 1 << 22,
+    chunk_samples: int = DEFAULT_BLOCK_SAMPLES,
 ) -> None:
-    """Stream a repeated reference sequence through the channel to disk.
-
-    Equivalent to apply_channel on the infinitely repeated reference,
-    truncated to ``total_samples``, but with bounded memory: input chunks
-    are tiled on the fly and filter history is carried across chunk edges.
-    """
-    tx, rx = pair
-    if pair not in taps.pairs():
-        raise ValueError(f"pair {pair} not present in tap file")
-    fs = sample_rate_hz
-    step = _grid_step_samples(taps.grid_dt_s, fs)
-    ref = np.asarray(reference, dtype=np.complex128)
-    frame = len(ref)
-    max_idx = max((i for key in taps.records for i, _ in taps.records[key].taps
-                   if key[1] == tx and key[2] == rx), default=0)
-    d_max = max_idx * step
-    loss = pair_base_loss_db(config, tx, rx)
-    scale = 10.0 ** (-loss / 20.0)
-    rng = np.random.default_rng((config.seed, tx, rx))
-    sigma = None
-    if config.noise_floor_db is not None and config.noise_floor_db != float("-inf"):
-        sigma = math.sqrt(10.0 ** (config.noise_floor_db / 10.0) / 2.0)
-
-    interval = config.tap_update_interval_s
-    history = np.zeros(d_max, dtype=np.complex128)
-
-    def input_chunk(start: int, count: int) -> np.ndarray:
-        idx = (start + np.arange(count)) % frame
-        return ref[idx]
-
-    with IqFileWriter(out_path, fs, 0.0) as writer:
-        pos = 0
-        while pos < total_samples:
-            count = min(chunk_samples, total_samples - pos)
-            x = input_chunk(pos, count)
-            xp = np.concatenate([history, x])
-            y = np.empty(count, dtype=np.complex128)
-            m0 = int(math.floor(pos / (interval * fs) + 1e-9))
-            m1 = int(math.ceil((pos + count) / (interval * fs) - 1e-9))
-            for m in range(m0, m1):
-                n0 = max(int(round(m * interval * fs)), pos)
-                n1 = min(int(round((m + 1) * interval * fs)), pos + count)
-                if n0 >= n1:
-                    continue
-                ts = taps.active_tapset(n0 / fs, tx, rx)
-                delays, coeffs = _tapset_delays_coeffs(ts, step)
-                block = np.zeros(n1 - n0, dtype=np.complex128)
-                for d, c in zip(delays, coeffs):
-                    a = d_max + (n0 - pos) - d
-                    block += c * xp[a : a + (n1 - n0)]
-                y[n0 - pos : n1 - pos] = block
-            y *= scale
-            if sigma is not None:
-                y += sigma * _complex_normal(rng, count)
-            writer.append(y)
-            if d_max:
-                history = xp[len(xp) - d_max :].copy()
-            pos += count
+    """Write :func:`emulate_blocks` to a capture file with its sidecar."""
+    with IqFileWriter(out_path, sample_rate_hz, 0.0) as writer:
+        for block in emulate_blocks(
+            taps, pair, config, reference, sample_rate_hz, total_samples, chunk_samples
+        ):
+            writer.append(block)

@@ -24,6 +24,7 @@ from . import sequences as seq
 from .channel_model import link_path_loss_db, noise_floor_dbm, prune_paths
 from .emulator import (
     EmulatorConfig,
+    emulate_blocks,
     emulate_repeated_reference_to_file,
     noise_floor_db_for_dynamic_range,
     pair_base_loss_db,
@@ -31,6 +32,7 @@ from .emulator import (
 from .sounder import (
     SoundingConfig,
     SoundingReport,
+    sound_blocks,
     sound_chunked,
     write_report_csv,
     write_report_json,
@@ -314,7 +316,9 @@ def pathloss_heatmap(
 
     Each link gets a unit tap at delay zero; the cell value is the mean
     strongest-tap loss over ``window_s`` of reception, so an ideal chain
-    reproduces the configured base loss in every cell.
+    reproduces the configured base loss in every cell. Links are emulated
+    and sounded in memory; ``out_dir`` is accepted for compatibility and
+    unused.
     """
     node_ids = list(node_ids)
     if len(node_ids) < 2:
@@ -329,15 +333,7 @@ def pathloss_heatmap(
 
     n = len(node_ids)
     matrix = np.full((n, n), np.nan)
-    sconfig = SoundingConfig(
-        sample_rate_hz=sample_rate_hz,
-        chunk_duration_s=max(1.0, window_s),
-        discard_frames=1,
-    )
-    import tempfile
-
-    workdir = Path(out_dir) if out_dir else Path(tempfile.mkdtemp(prefix="heatmap_"))
-    workdir.mkdir(parents=True, exist_ok=True)
+    sconfig = SoundingConfig(sample_rate_hz=sample_rate_hz, discard_frames=1)
     for r, tx in enumerate(node_ids):
         for c, rx in enumerate(node_ids):
             if tx == rx:
@@ -346,17 +342,15 @@ def pathloss_heatmap(
                 [0.0], [0.0], grid_dt_s, duration_ms, pair=(tx, rx),
                 n_nodes=n,
             )
-            capture = workdir / f"heatmap_{tx}_{rx}.iq"
-            emulate_repeated_reference_to_file(
-                taps, (tx, rx), emulator_config, ref, sample_rate_hz,
-                total_samples, capture,
+            blocks = emulate_blocks(
+                taps, (tx, rx), emulator_config, ref, sample_rate_hz, total_samples
             )
-            report = sound_chunked(capture, sconfig, sequence, samples_per_chip)
+            report = sound_blocks(
+                blocks, sconfig, sequence, sample_rate_hz, samples_per_chip
+            )
             _, _, gains = report.strongest_tap_series()
             valid = ~np.isnan(gains)
             matrix[r, c] = -float(np.mean(gains[valid]))
-            capture.unlink()
-            Path(str(capture) + ".json").unlink()
 
     off_diag = matrix[~np.isnan(matrix)]
     return PathLossHeatmap(

@@ -7,9 +7,10 @@ by the reference inner product, so a frame containing exactly the reference
 has a correlation peak of 1.0. Correlation runs over FFTs; tests hold it to
 the direct-sum definition at 1e-9 relative.
 
-Long captures are processed in chunks of whole frames, so chunked and
-single-pass runs produce identical detections while peak memory stays
-bounded by one chunk.
+Every sounding path runs through one block consumer, ``sound_blocks``:
+long streams arrive in blocks of any size, and chunked and single-pass
+runs produce identical detections while peak memory stays bounded by one
+block.
 """
 
 from __future__ import annotations
@@ -18,11 +19,17 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .emulator import IqStream, iq_file_sample_count, read_iq_file, read_iq_sidecar
+from .emulator import (
+    DEFAULT_BLOCK_SAMPLES,
+    IqStream,
+    iq_file_sample_count,
+    read_iq_file,
+    read_iq_sidecar,
+)
 from .sequences import CodeSequence
 
 __all__ = [
@@ -34,6 +41,7 @@ __all__ = [
     "path_gains_db",
     "estimate_noise_floor_gain_db",
     "detect_taps",
+    "sound_blocks",
     "sound_stream",
     "sound_chunked",
     "write_report_json",
@@ -76,7 +84,8 @@ class SoundingConfig:
 
     p_t_db / g_t_db / g_r_db are the transmit power and amplifier gains
     subtracted from correlation magnitudes when forming path gains; all are
-    dB-relative quantities. ``chunk_duration_s`` bounds per-chunk memory.
+    dB-relative quantities. ``chunk_duration_s`` caps the block length
+    :func:`sound_chunked` reads from a capture, which bounds its memory.
     """
 
     p_t_db: float = 0.0
@@ -284,79 +293,42 @@ def detect_taps(
     )
 
 
-def sound_stream(
-    received: IqStream,
+def sound_blocks(
+    blocks: Iterable[np.ndarray],
     config: SoundingConfig,
     sequence: CodeSequence,
+    fs: float,
     samples_per_chip: int = 1,
 ) -> SoundingReport:
-    """Single-pass sounding of an in-memory stream."""
-    ref = _reference(sequence, samples_per_chip)
-    h = _cir_matrix(received.samples, ref)
-    fs = received.sample_rate_hz
-    first = CirFrame(
-        0, np.arange(h.shape[1]) / fs, h[0].real, h[0].imag, np.abs(h[0])
-    )
-    anchor = int(np.argmax(first.h_abs))
-    floor = estimate_noise_floor_gain_db(first, config)
-    gains = _gains_from_abs(np.abs(h), config)
-    detections = _detect_in_gain_matrix(
-        gains, anchor, floor, config.detection_threshold_db,
-        config.guard_samples, fs, 0,
-    )
-    detections = detections[config.discard_frames :]
-    return SoundingReport(
-        detections=detections,
-        frame_duration_s=len(ref) / fs,
-        sample_rate_hz=fs,
-        noise_floor_gain_db=floor,
-        anchor_lag=anchor,
-        n_frames=len(detections),
-        first_frame_index=config.discard_frames,
-    )
+    """Sound a received stream delivered as consecutive sample blocks.
 
-
-def sound_chunked(
-    capture_path,
-    config: SoundingConfig,
-    sequence: CodeSequence,
-    samples_per_chip: int = 1,
-) -> SoundingReport:
-    """Chunked sounding of a capture file.
-
-    The capture is split into chunks of whole frames no longer than
-    chunk_duration_s each; chunk results concatenate to exactly the
-    single-pass output (no duplicated or dropped frames at boundaries).
+    Blocks may have any length: a partial frame is carried into the next
+    block, and a trailing partial frame is dropped. Each block is upcast to
+    complex128 before correlation. The anchor lag and noise floor come from
+    frame 0 and hold for every frame, so delays stay on one reference and
+    the detections do not depend on how the stream was split.
     """
-    meta = read_iq_sidecar(capture_path)
-    fs = float(meta["sample_rate_hz"])
-    if config.sample_rate_hz and abs(config.sample_rate_hz - fs) > 1e-6 * fs:
-        raise ValueError(
-            f"capture sample rate {fs} differs from configured "
-            f"{config.sample_rate_hz}"
-        )
     ref = _reference(sequence, samples_per_chip)
     frame_len = len(ref)
-    total = iq_file_sample_count(capture_path)
-    n_frames = total // frame_len
-    if n_frames == 0:
-        raise ValueError(f"capture shorter than one frame ({frame_len} samples)")
-    frames_per_chunk = max(1, int(config.chunk_duration_s * fs // frame_len))
-
-    # Anchor and noise floor come from the first full frame and are reused
-    # by every chunk so delays stay on one reference.
-    first_stream = read_iq_file(capture_path, 0, frame_len)
-    h0 = _cir_matrix(first_stream.samples, ref)[0]
-    first = CirFrame(0, np.arange(frame_len) / fs, h0.real, h0.imag, np.abs(h0))
-    anchor = int(np.argmax(first.h_abs))
-    floor = estimate_noise_floor_gain_db(first, config)
-
+    carry = np.empty(0, dtype=np.complex128)
+    anchor = floor = None
     detections: list = []
     f0 = 0
-    while f0 < n_frames:
-        count = min(frames_per_chunk, n_frames - f0)
-        chunk = read_iq_file(capture_path, f0 * frame_len, count * frame_len)
-        h = _cir_matrix(chunk.samples, ref)
+    for block in blocks:
+        x = np.asarray(block, dtype=np.complex128)
+        if carry.size:
+            x = np.concatenate([carry, x])
+        n_frames = len(x) // frame_len
+        carry = x[n_frames * frame_len :].copy()
+        if n_frames == 0:
+            continue
+        h = _cir_matrix(x[: n_frames * frame_len], ref)
+        if anchor is None:
+            first = CirFrame(
+                0, np.arange(frame_len) / fs, h[0].real, h[0].imag, np.abs(h[0])
+            )
+            anchor = int(np.argmax(first.h_abs))
+            floor = estimate_noise_floor_gain_db(first, config)
         gains = _gains_from_abs(np.abs(h), config)
         detections.extend(
             _detect_in_gain_matrix(
@@ -364,7 +336,11 @@ def sound_chunked(
                 config.guard_samples, fs, f0,
             )
         )
-        f0 += count
+        f0 += n_frames
+    if anchor is None:
+        raise ValueError(
+            f"received stream shorter than one frame ({frame_len} samples)"
+        )
     detections = detections[config.discard_frames :]
     return SoundingReport(
         detections=detections,
@@ -375,6 +351,47 @@ def sound_chunked(
         n_frames=len(detections),
         first_frame_index=config.discard_frames,
     )
+
+
+def sound_stream(
+    received: IqStream,
+    config: SoundingConfig,
+    sequence: CodeSequence,
+    samples_per_chip: int = 1,
+) -> SoundingReport:
+    """Single-pass sounding of an in-memory stream."""
+    return sound_blocks(
+        [received.samples], config, sequence, received.sample_rate_hz,
+        samples_per_chip,
+    )
+
+
+def sound_chunked(
+    capture_path,
+    config: SoundingConfig,
+    sequence: CodeSequence,
+    samples_per_chip: int = 1,
+) -> SoundingReport:
+    """Sound a capture file read in blocks.
+
+    A block is ``chunk_duration_s`` long but at most ``DEFAULT_BLOCK_SAMPLES``
+    samples. Gives exactly the detections of single-pass sounding while peak
+    memory stays bounded by one block.
+    """
+    meta = read_iq_sidecar(capture_path)
+    fs = float(meta["sample_rate_hz"])
+    if config.sample_rate_hz and abs(config.sample_rate_hz - fs) > 1e-6 * fs:
+        raise ValueError(
+            f"capture sample rate {fs} differs from configured "
+            f"{config.sample_rate_hz}"
+        )
+    total = iq_file_sample_count(capture_path)
+    block = max(1, min(int(config.chunk_duration_s * fs), DEFAULT_BLOCK_SAMPLES))
+    blocks = (
+        read_iq_file(capture_path, start, min(block, total - start)).samples
+        for start in range(0, total, block)
+    )
+    return sound_blocks(blocks, config, sequence, fs, samples_per_chip)
 
 
 def write_report_json(report: SoundingReport, path) -> None:

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder.emulator import (
     EmulatorConfig,
     IqFileWriter,
     IqStream,
     apply_channel,
+    emulate_blocks,
     emulate_repeated_reference_to_file,
     iq_file_sample_count,
     make_noise,
@@ -169,6 +172,14 @@ class TestMakeNoise:
         assert np.all(make_noise(100, None, 1) == 0)
         assert np.all(make_noise(100, float("-inf"), 1) == 0)
 
+    def test_equals_interleaved_draws_exactly(self):
+        power_db = -17.0
+        z = np.random.default_rng(5).standard_normal(2 * 1001)
+        sigma = math.sqrt(10 ** (power_db / 10) / 2)
+        old = sigma * (z[0::2] + 1j * z[1::2])
+        new = make_noise(1001, power_db, 5)
+        assert new.tobytes() == old.tobytes()
+
     def test_empirical_power_within_one_percent(self):
         power_db = -17.0
         n = make_noise(1_000_000, power_db, 11)
@@ -239,6 +250,31 @@ class TestIqFiles:
         assert bulk.read_bytes() == streamed.read_bytes()
         assert iq_file_sample_count(streamed) == 1000
 
+    def test_aborted_writer_leaves_nothing(self, tmp_path):
+        path = tmp_path / "capture.iq"
+        with pytest.raises(RuntimeError, match="emulation failed"):
+            with IqFileWriter(path, FS) as w:
+                w.append(rand_stream(100).samples)
+                raise RuntimeError("emulation failed")
+        assert not path.exists()
+        assert not (tmp_path / "capture.iq.json").exists()
+
+    def test_partial_sample_is_an_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "torn.iq"
+        write_iq_file(rand_stream(3), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0\0\0\0")  # half of a sample
+        with pytest.raises(ValueError, match="torn.iq"):
+            iq_file_sample_count(path)
+        with pytest.raises(ValueError, match="torn.iq"):
+            read_iq_file(path)
+
+
+def emulate_oracle(taps, cfg, ref, total, fs=FS):
+    """apply_channel on the repeated reference, as the capture stores it."""
+    tiled = IqStream(np.tile(ref, math.ceil(total / len(ref)))[:total], fs)
+    return apply_channel(tiled, taps, (1, 2), cfg).samples.astype(np.complex64)
+
 
 class TestStreamingEmulation:
     def test_matches_in_memory_apply_channel(self, tmp_path):
@@ -259,10 +295,54 @@ class TestStreamingEmulation:
         emulate_repeated_reference_to_file(
             taps, (1, 2), cfg, ref, FS, total, out, chunk_samples=611
         )
-        tiled = IqStream(np.tile(ref, math.ceil(total / 255))[:total], FS)
-        expected = apply_channel(tiled, taps, (1, 2), cfg)
-        got = read_iq_file(out)
-        assert np.allclose(got.samples, expected.samples, atol=2e-6)
+        assert out.read_bytes() == emulate_oracle(taps, cfg, ref, total).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frame=st.integers(3, 40),
+        samples_per_ms=st.integers(5, 60),
+        pool=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 90),
+                    st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+                ),
+                max_size=4,
+                unique_by=lambda t: t[0],
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        total_frac=st.floats(0.0, 1.0),
+        block=st.integers(1, 400),
+        noise=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    def test_blocks_equal_oracle_for_any_split(
+        self, frame, samples_per_ms, pool, picks, total_frac, block, noise, seed
+    ):
+        # consecutive equal picks make runs of identical records; the update
+        # interval is rarely a multiple of the frame, so taps change
+        # mid-frame; delays up to 90 samples exceed short frames
+        fs = samples_per_ms * 1000.0
+        records = [sorted(pool[i % len(pool)]) for i in picks]
+        taps = tap_file_from(records, grid_dt_s=1.0 / fs)
+        ref = np.sign(np.random.default_rng(seed).standard_normal(frame) + 0.1)
+        total = max(1, int(total_frac * len(records) * samples_per_ms))
+        cfg = quiet_config(
+            base_loss_db=3.0, noise_floor_db=-20.0 if noise else None, seed=seed
+        )
+        blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, fs, total, block))
+        assert all(b.dtype == np.complex64 for b in blocks)
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        expected = emulate_oracle(taps, cfg, ref, total, fs)
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    def test_stream_beyond_tap_file_is_an_error(self):
+        taps = tap_file_from([[(0, 1 + 0j)]])
+        with pytest.raises(KeyError, match="duration"):
+            list(emulate_blocks(taps, (1, 2), quiet_config(), np.ones(7), FS, 1500))
 
 
 class TestNoiseCalibration:

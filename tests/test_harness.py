@@ -2,6 +2,7 @@
 
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -151,6 +152,14 @@ class TestPathlossHeatmap:
                 if i != j:
                     assert abs(m[i, j] - m[j, i]) <= 0.2
 
+    def test_leaves_no_temporary_directory(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        config = EmulatorConfig(base_loss_db=10.0, noise_floor_db=None)
+        pathloss_heatmap([1, 2], 0.004, config, CODE, FS)
+        assert list(scratch.iterdir()) == []
+
     def test_csv_export(self, tmp_path):
         config = EmulatorConfig(base_loss_db=10.0, noise_floor_db=None)
         heatmap = pathloss_heatmap([1, 2], 0.004, config, CODE, FS, out_dir=tmp_path)
@@ -223,6 +232,15 @@ class TestPipeline:
         assert validation.max_abs_delay_error_s() <= 1e-6
         for key in ("tap_file", "capture_1-2", "sounding_1-2", "validation_1-2"):
             assert key in result.artifacts
+
+    def test_emulate_failure_names_stage(self, tmp_path):
+        cfg = json.loads(synthetic_config(tmp_path).read_text())
+        cfg["taps"]["grid_dt_s"] = 0.5e-6  # taps fine, but off the 1 MS/s samples
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(PipelineError, match="stage 'emulate'"):
+            run_scenario_pipeline(path, tmp_path / "out")
+        assert not list((tmp_path / "out").glob("*.iq*"))
 
     def test_mobility_loop_small_rmse(self, tmp_path):
         result = run_scenario_pipeline(mobility_config(tmp_path), tmp_path / "out")

@@ -17,6 +17,7 @@ from chansounder.sounder import (
     detect_taps,
     estimate_noise_floor_gain_db,
     path_gains_db,
+    sound_blocks,
     sound_chunked,
     sound_stream,
 )
@@ -229,6 +230,33 @@ class TestSoundChunked:
         assert chunked.anchor_lag == single.anchor_lag
         for a, b in zip(chunked.detections, single.detections):
             assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 40 * N + 100), max_size=12),
+        extra=st.integers(0, N - 1),
+        seed=st.integers(0, 5),
+    )
+    def test_any_block_split_equals_single_pass(self, cuts, extra, seed):
+        # multipath plus noise so frames carry several detections; ``extra``
+        # leaves a trailing partial frame
+        x = np.tile(REF, 41)[: 40 * N + extra].astype(complex)
+        rx = 0.8 * x + (0.2 - 0.1j) * np.roll(x, 9) + 0.05j * np.roll(x, 40)
+        rx += make_noise(len(rx), -40.0, seed)
+        rx = rx.astype(np.complex64)
+        edges = [0, *sorted(c for c in cuts if c < len(rx)), len(rx)]
+        blocks = [rx[a:b] for a, b in zip(edges, edges[1:])]
+        cfg = SoundingConfig(discard_frames=1)
+        split = sound_blocks(blocks, cfg, CODE, FS, 1)
+        single = sound_stream(stream(rx), cfg, CODE, 1)
+        assert split.detections == single.detections
+        assert split.n_frames == single.n_frames == 39
+        assert split.anchor_lag == single.anchor_lag
+        assert split.noise_floor_gain_db == single.noise_floor_gain_db
+
+    def test_stream_shorter_than_one_frame_is_an_error(self):
+        with pytest.raises(ValueError, match="shorter than one frame"):
+            sound_blocks([REF[:100], REF[100:200]], SoundingConfig(), CODE, FS, 1)
 
     def test_capture_shorter_than_chunk(self, tmp_path):
         path, _ = self.build_capture(tmp_path, n_frames=3)
