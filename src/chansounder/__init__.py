@@ -41,11 +41,10 @@ from .sequences import (
 )
 from .sounder import (
     CirFrame,
-    DetectedTap,
+    Detections,
     SoundingConfig,
     SoundingReport,
     compute_cir_frames,
-    detect_taps,
     path_gains_db,
     sound_chunked,
 )

@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 
+_WRITE_BATCH_ROWS = 1 << 16
+
+
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage and cause."""
 
@@ -135,16 +138,47 @@ class PathLossHeatmap:
                 fh.write(f"{tx}," + ",".join(cells) + "\n")
 
 
-def _truth_taps_at(
-    taps: TapFile, pair: tuple[int, int], time_s: float, offset_db: float
-) -> list[tuple[float, float]]:
-    """Ground-truth (delay_s, original gain_db) list active at a time."""
-    ts = taps.active_tapset(time_s, pair[0], pair[1])
-    return [
-        (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
-        for idx, c in ts.taps
-        if abs(c) > 0
-    ]
+def _truth_runs(
+    taps: TapFile,
+    pair: tuple[int, int],
+    times_s: np.ndarray,
+    offset_db: float,
+) -> tuple[np.ndarray, list]:
+    """Ground truth at each frame time, built once per run of equal records.
+
+    Returns each frame's run number and, per run, the sorted (delay_s,
+    original gain_db) list of its nonzero taps. Frames map to milliseconds
+    by the rule of ``TapFile.active_tapset``, which also reports a time
+    outside the file.
+    """
+    ms = np.floor(times_s * 1000.0 + 1e-9)
+    starts = np.r_[True, ms[1:] != ms[:-1]]  # times ascend, so ms never falls
+    runs: list = []
+    run_of_ms = []
+    prev = None
+    for t in times_s[starts].tolist():
+        ts = taps.active_tapset(t, pair[0], pair[1])
+        if prev is None or ts.taps != prev:
+            runs.append(
+                sorted(
+                    (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
+                    for idx, c in ts.taps
+                    if abs(c) > 0
+                )
+            )
+            prev = ts.taps
+        run_of_ms.append(len(runs) - 1)
+    return np.asarray(run_of_ms, dtype=np.intp)[np.cumsum(starts) - 1], runs
+
+
+def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write each row of a 2-D float table through one printf-style format.
+
+    Rows are formatted in batches, one ``%`` per batch, which bounds memory.
+    """
+    for a in range(0, len(table), _WRITE_BATCH_ROWS):
+        rows = table[a : a + _WRITE_BATCH_ROWS]
+        fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def compare_to_ground_truth(
@@ -177,68 +211,62 @@ def compare_to_ground_truth(
         delay_tol_s = taps.grid_dt_s
     duration_s = taps.duration_ms / 1000.0
 
-    per_slot: dict[int, list[tuple[float, float, float, float]]] = {}
-    spurious = 0
-    missed = 0
-    n_frames = 0
-    frame_times = []
-    strongest = []
-    truth_strongest = []
-
-    for i, detections in enumerate(report.detections):
-        t = report.frame_time_s(report.first_frame_index + i)
-        if t >= duration_s:
-            break
-        truth = sorted(_truth_taps_at(taps, pair, t, offset_db))
-        n_frames += 1
-        frame_times.append(t)
-        corrected = [
-            (d.delay_s, d.gain_db + base_loss_db - offset_db) for d in detections
-        ]
-        if corrected:
-            strongest.append(-max(g for _, g in corrected))
-        else:
-            strongest.append(float("nan"))
-        if truth:
-            truth_strongest.append(-max(g for _, g in truth))
-        else:
-            truth_strongest.append(float("nan"))
-
-        matched_truth = set()
-        for delay, gain in corrected:
-            best = None
-            for slot, (td, tg) in enumerate(truth):
-                err = abs(delay - td)
-                if err <= delay_tol_s + 1e-15 and (best is None or err < best[0]):
-                    best = (err, slot, td, tg)
-            if best is None:
-                spurious += 1
-                continue
-            _, slot, td, tg = best
-            matched_truth.add(slot)
-            per_slot.setdefault(slot, []).append((delay - td, gain - tg, td, tg))
-        missed += len(truth) - len(matched_truth)
-
+    # frames are in time order, so the ones inside the tap file are a prefix
+    times = report.frame_times_s()
+    n_frames = int(np.count_nonzero(times < duration_s))
     if n_frames == 0:
         raise ValueError("no frames overlap the tap file time axis")
+    times = times[:n_frames]
+    det = report.detections.frames(0, n_frames)
+    frame_run, runs = _truth_runs(taps, pair, times, offset_db)
+
+    k = max(1, *(len(r) for r in runs))  # one empty slot keeps argmin defined
+    truth_delay = np.full((len(runs), k), np.nan)
+    truth_gain = np.full((len(runs), k), np.nan)
+    for r, truth in enumerate(runs):
+        if truth:
+            truth_delay[r, : len(truth)], truth_gain[r, : len(truth)] = zip(*truth)
+    n_truth = np.array([len(r) for r in runs])
+
+    frame = det.frame_of_rows()
+    delay = det.delay_s
+    gain = det.gain_db + base_loss_db - offset_db
+
+    # nearest truth slot within tolerance; argmin takes the lowest slot on ties
+    run = frame_run[frame]
+    err = np.abs(delay[:, None] - truth_delay[run])
+    in_tol = err <= delay_tol_s + 1e-15
+    matched = in_tol.any(axis=1)
+    slot = np.argmin(np.where(in_tol, err, np.inf), axis=1)[matched]
+    spurious = int(delay.size - np.count_nonzero(matched))
+    run = run[matched]
+    td = truth_delay[run, slot]
+    tg = truth_gain[run, slot]
+    d_err = delay[matched] - td
+    g_err = gain[matched] - tg
+    hit = np.zeros((n_frames, k), dtype=bool)
+    hit[frame[matched], slot] = True
+    missed = int(np.sum(n_truth[frame_run]) - np.count_nonzero(hit))
+
+    strongest = np.full(n_frames, np.nan)
+    strongest[np.diff(det.offsets) > 0] = -gain[det.strongest_rows()]
+    run_strongest = np.array([-max(g for _, g in r) if r else np.nan for r in runs])
 
     tap_stats = []
-    for slot in sorted(per_slot):
-        rows = per_slot[slot]
-        d_err = np.array([r[0] for r in rows])
-        g_err = np.array([r[1] for r in rows])
+    for s in np.flatnonzero(np.bincount(slot, minlength=k)).tolist():
+        rows = slot == s
         tap_stats.append(
             TapErrorStats(
-                slot=slot,
-                truth_delay_s=float(np.mean([r[2] for r in rows])),
-                truth_gain_db=float(np.mean([r[3] for r in rows])),
-                n_matched=len(rows),
-                delay_error_mean_s=float(np.mean(d_err)),
-                delay_error_sd_s=float(np.std(d_err)),
-                delay_error_max_s=float(np.max(np.abs(d_err))),
-                gain_error_mean_db=float(np.mean(g_err)),
-                gain_error_sd_db=float(np.std(g_err)),
-                gain_error_max_db=float(np.max(np.abs(g_err))),
+                slot=s,
+                truth_delay_s=float(np.mean(td[rows])),
+                truth_gain_db=float(np.mean(tg[rows])),
+                n_matched=int(np.count_nonzero(rows)),
+                delay_error_mean_s=float(np.mean(d_err[rows])),
+                delay_error_sd_s=float(np.std(d_err[rows])),
+                delay_error_max_s=float(np.max(np.abs(d_err[rows]))),
+                gain_error_mean_db=float(np.mean(g_err[rows])),
+                gain_error_sd_db=float(np.std(g_err[rows])),
+                gain_error_max_db=float(np.max(np.abs(g_err[rows]))),
             )
         )
 
@@ -255,9 +283,9 @@ def compare_to_ground_truth(
         spurious=spurious,
         missed=missed,
         n_frames=n_frames,
-        frame_times_s=np.asarray(frame_times),
-        strongest_loss_db=np.asarray(strongest),
-        truth_strongest_loss_db=np.asarray(truth_strongest),
+        frame_times_s=times,
+        strongest_loss_db=strongest,
+        truth_strongest_loss_db=run_strongest[frame_run],
         delay_tol_s=delay_tol_s,
         gain_tol_db=gain_tol_db,
         strict=strict,
@@ -571,8 +599,10 @@ def run_scenario_pipeline(
         series_path = out_dir / f"pathloss_series_{tag}.csv"
         with open(series_path, "w") as fh:
             fh.write("time_s,truth_loss_db,sounded_loss_db\n")
-            for t, lt, ls in zip(validation.frame_times_s, truth, sounded):
-                fh.write(f"{t:.9f},{lt:.6f},{ls:.6f}\n")
+            _write_rows(
+                fh, "%.9f,%.6f,%.6f\n",
+                np.column_stack((validation.frame_times_s, truth, sounded)),
+            )
         artifacts[f"pathloss_series_{tag}"] = str(series_path)
 
         vpath = out_dir / f"validation_{tag}.json"

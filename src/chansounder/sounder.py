@@ -15,11 +15,10 @@ block.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +33,12 @@ from .sequences import CodeSequence
 
 __all__ = [
     "CirFrame",
-    "DetectedTap",
+    "Detections",
     "SoundingConfig",
     "SoundingReport",
     "compute_cir_frames",
     "path_gains_db",
     "estimate_noise_floor_gain_db",
-    "detect_taps",
     "sound_blocks",
     "sound_stream",
     "sound_chunked",
@@ -52,6 +50,7 @@ DEFAULT_DETECTION_THRESHOLD_DB = 6.0
 DEFAULT_GUARD_SAMPLES = 2
 
 _MIN_GAIN_DB = -400.0  # stands in for -inf when taking log of zero
+_WRITE_BATCH_ROWS = 1 << 16  # frames per formatting batch; bounds writer memory
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,6 @@ class CirFrame:
     h_i: np.ndarray
     h_q: np.ndarray
     h_abs: np.ndarray
-
-
-@dataclass(frozen=True)
-class DetectedTap:
-    """A detected channel tap: delay relative to the anchor peak, gain."""
-
-    delay_s: float
-    gain_db: float
-    frame_index: int
-
-    def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,13 +86,84 @@ class SoundingConfig:
     def __post_init__(self):
         if self.chunk_duration_s <= 0:
             raise ValueError("chunk_duration_s must be > 0")
+        if self.detection_threshold_db <= 0:
+            raise ValueError("detection_threshold_db must be > 0")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detected taps of consecutive frames, stored as CSR columns.
+
+    Frame ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of ``delay_s`` (delay
+    relative to the anchor peak) and ``gain_db``, in increasing delay order.
+    Iterating yields one ``(n, 2)`` array of (delay_s, gain_db) rows per
+    frame; two containers are equal only if all three columns are.
+    """
+
+    offsets: np.ndarray
+    delay_s: np.ndarray
+    gain_db: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        rows = np.column_stack((self.delay_s, self.gain_db))
+        bounds = self.offsets.tolist()
+        return (rows[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return (
+            np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.delay_s, other.delay_s)
+            and np.array_equal(self.gain_db, other.gain_db)
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Detections"]) -> "Detections":
+        """Frames of ``parts`` one after another."""
+        counts = [np.diff(p.offsets) for p in parts]
+        return cls(
+            np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+            np.concatenate([p.delay_s for p in parts]),
+            np.concatenate([p.gain_db for p in parts]),
+        )
+
+    def frames(self, start: int, stop: int | None = None) -> "Detections":
+        """Frames ``start:stop`` as a container of their own."""
+        stop = len(self) if stop is None else min(stop, len(self))
+        start = min(start, stop)
+        a, b = self.offsets[start], self.offsets[stop]
+        return Detections(
+            self.offsets[start : stop + 1] - a, self.delay_s[a:b], self.gain_db[a:b]
+        )
+
+    def frame_of_rows(self) -> np.ndarray:
+        """Frame position (0-based) of every row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def strongest_rows(self) -> np.ndarray:
+        """Row of the strongest tap of each non-empty frame, in frame order.
+
+        Among equal gains the first row, the smallest delay, wins.
+        """
+        counts = np.diff(self.offsets)
+        starts = self.offsets[:-1][counts > 0]
+        if starts.size == 0:
+            return starts
+        peak = np.maximum.reduceat(self.gain_db, starts)
+        at_peak = self.gain_db == np.repeat(peak, counts[counts > 0])
+        n = self.gain_db.size
+        return np.minimum.reduceat(np.where(at_peak, np.arange(n), n), starts)
 
 
 @dataclass
 class SoundingReport:
     """Detections and statistics for one sounded capture."""
 
-    detections: list
+    detections: Detections
     frame_duration_s: float
     sample_rate_hz: float
     noise_floor_gain_db: float
@@ -114,24 +171,25 @@ class SoundingReport:
     n_frames: int
     first_frame_index: int = 0
 
-    def frame_time_s(self, frame_index: int) -> float:
-        return frame_index * self.frame_duration_s
+    def frame_times_s(self) -> np.ndarray:
+        """Start time of every kept frame."""
+        first = self.first_frame_index
+        return np.arange(first, first + len(self.detections)) * self.frame_duration_s
 
     def strongest_tap_series(self):
         """(times, delays, gains) of the strongest detected tap per frame.
 
-        Frames with no detection carry NaN entries.
+        Frames with no detection carry NaN entries; among equal gains the
+        first (smallest delay) wins.
         """
-        times = np.empty(len(self.detections))
-        delays = np.full(len(self.detections), np.nan)
-        gains = np.full(len(self.detections), np.nan)
-        for i, taps in enumerate(self.detections):
-            times[i] = self.frame_time_s(self.first_frame_index + i)
-            if taps:
-                best = max(taps, key=lambda t: t.gain_db)
-                delays[i] = best.delay_s
-                gains[i] = best.gain_db
-        return times, delays, gains
+        det = self.detections
+        delays = np.full(len(det), np.nan)
+        gains = np.full(len(det), np.nan)
+        best = det.strongest_rows()
+        frames = np.flatnonzero(np.diff(det.offsets))
+        delays[frames] = det.delay_s[best]
+        gains[frames] = det.gain_db[best]
+        return self.frame_times_s(), delays, gains
 
 
 def _reference(sequence: CodeSequence, samples_per_chip: int) -> np.ndarray:
@@ -153,8 +211,11 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
         )
     frames = samples[: n_frames * frame_len].reshape(n_frames, frame_len)
     energy = float(np.sum(ref * ref))
-    ref_fft = np.fft.fft(ref)
-    return np.fft.ifft(np.fft.fft(frames, axis=1) * np.conj(ref_fft), axis=1) / energy
+    spectra = np.fft.fft(frames, axis=1)
+    spectra *= np.conj(np.fft.fft(ref))
+    h = np.fft.ifft(spectra, axis=1)
+    h /= energy
+    return h
 
 
 def compute_cir_frames(
@@ -178,9 +239,13 @@ def compute_cir_frames(
 
 def _gains_from_abs(h_abs: np.ndarray, config: SoundingConfig) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        g = 20.0 * np.log10(h_abs)
-    g = np.where(np.isfinite(g), g, _MIN_GAIN_DB)
-    return g - config.p_t_db - config.g_t_db - config.g_r_db
+        g = np.log10(h_abs)
+    g *= 20.0
+    g[~np.isfinite(g)] = _MIN_GAIN_DB
+    g -= config.p_t_db
+    g -= config.g_t_db
+    g -= config.g_r_db
+    return g
 
 
 def path_gains_db(frame: CirFrame, config: SoundingConfig) -> np.ndarray:
@@ -208,6 +273,24 @@ def estimate_noise_floor_gain_db(frame: CirFrame, config: SoundingConfig) -> flo
     )
 
 
+def _clash_frames(
+    frame: np.ndarray, lag: np.ndarray, guard: int, frame_len: int
+) -> np.ndarray:
+    """Frames holding two candidate peaks less than ``guard`` lags apart.
+
+    ``frame`` and ``lag`` are in row-major order, so the closest pair of a
+    frame is two neighbours in lag order, or its first and last lag around
+    the circle.
+    """
+    d = np.diff(lag)
+    close = (np.diff(frame) == 0) & (np.minimum(d, frame_len - d) < guard)
+    starts = np.flatnonzero(np.r_[True, np.diff(frame) != 0])
+    ends = np.r_[starts[1:], len(frame)] - 1
+    span = lag[ends] - lag[starts]
+    wrap = (ends > starts) & (np.minimum(span, frame_len - span) < guard)
+    return np.union1d(frame[1:][close], frame[starts[wrap]])
+
+
 def _detect_in_gain_matrix(
     gains: np.ndarray,
     anchor: int,
@@ -215,82 +298,53 @@ def _detect_in_gain_matrix(
     threshold_db: float,
     guard: int,
     sample_rate_hz: float,
-    first_frame_index: int,
-) -> list:
-    """Vectorized local-maxima detection over a (frames, lags) gain matrix."""
-    level = floor_db + threshold_db
-    is_max = (
-        (gains > np.roll(gains, 1, axis=1))
-        & (gains > np.roll(gains, -1, axis=1))
-        & (gains >= level)
-    )
-    n_frames, frame_len = gains.shape
-    detections: list = [[] for _ in range(n_frames)]
-    frame_idx, lag_idx = np.nonzero(is_max)
-    boundaries = np.searchsorted(frame_idx, np.arange(n_frames + 1))
-    for f in range(n_frames):
-        lags = lag_idx[boundaries[f] : boundaries[f + 1]]
-        if lags.size == 0:
-            continue
-        g = gains[f, lags]
-        order = np.argsort(g)[::-1]
-        kept: list[int] = []
-        for o in order:
-            lag = int(lags[o])
-            clash = any(
-                min((lag - kl) % frame_len, (kl - lag) % frame_len) < guard
-                for kl in kept
-            )
-            if not clash:
-                kept.append(lag)
-        taps = [
-            DetectedTap(
-                delay_s=((lag - anchor) % frame_len) / sample_rate_hz,
-                gain_db=float(gains[f, lag]),
-                frame_index=first_frame_index + f,
-            )
-            for lag in sorted(kept, key=lambda l: (l - anchor) % frame_len)
-        ]
-        detections[f] = taps
-    return detections
+) -> Detections:
+    """Local maxima above the detection level over a (frames, lags) matrix.
 
-
-def detect_taps(
-    frames: Sequence[CirFrame],
-    noise_floor_db: float,
-    threshold_db: float,
-    guard: int = DEFAULT_GUARD_SAMPLES,
-    config: Optional[SoundingConfig] = None,
-    sample_rate_hz: Optional[float] = None,
-    anchor: Optional[int] = None,
-) -> list:
-    """Local maxima above the detection level, per frame.
-
-    Peaks must clear noise_floor_db + threshold_db and be separated by at
-    least ``guard`` samples (the stronger of a clashing pair wins). Delays
-    are reported relative to the strongest peak of the first frame, which
-    defines lag zero for the whole capture.
+    A peak is a strict circular local maximum at or above floor_db +
+    threshold_db. Peaks closer than ``guard`` lags clash and the stronger
+    wins, greedily from the strongest down; two strict local maxima are
+    never adjacent, so only ``guard > 2`` can drop one, and only frames with
+    such a pair run the greedy pass. Delays are taken relative to ``anchor``.
     """
-    if threshold_db <= 0:
-        raise ValueError("threshold_db must be > 0")
-    if not frames:
-        return []
-    config = config or SoundingConfig()
-    if sample_rate_hz is None:
-        lag = frames[0].lag_axis_s
-        sample_rate_hz = 1.0 / (lag[1] - lag[0]) if len(lag) > 1 else 1.0
-    if anchor is None:
-        anchor = int(np.argmax(frames[0].h_abs))
-    gains = np.stack([_gains_from_abs(f.h_abs, config) for f in frames])
-    return _detect_in_gain_matrix(
-        gains,
-        anchor,
-        noise_floor_db,
-        threshold_db,
-        guard,
-        sample_rate_hz,
-        frames[0].frame_index,
+    is_max = gains >= floor_db + threshold_db
+    is_max[:, 1:] &= gains[:, 1:] > gains[:, :-1]
+    is_max[:, 0] &= gains[:, 0] > gains[:, -1]
+    is_max[:, :-1] &= gains[:, :-1] > gains[:, 1:]
+    is_max[:, -1] &= gains[:, -1] > gains[:, 0]
+    n_frames, frame_len = gains.shape
+    frame, lag = np.nonzero(is_max)
+    if guard > 2 and frame.size:
+        keep = np.ones(frame.size, dtype=bool)
+        clash = _clash_frames(frame, lag, guard, frame_len)
+        lo = np.searchsorted(frame, clash).tolist()
+        hi = np.searchsorted(frame, clash, side="right").tolist()
+        for f, a, b in zip(clash.tolist(), lo, hi):
+            keep[a:b] = _greedy_guard(lag[a:b], gains[f, lag[a:b]], guard, frame_len)
+        frame, lag = frame[keep], lag[keep]
+    rel = (lag - anchor) % frame_len
+    order = np.lexsort((rel, frame))
+    frame, lag, rel = frame[order], lag[order], rel[order]
+    return Detections(
+        offsets=np.searchsorted(frame, np.arange(n_frames + 1)),
+        delay_s=rel / sample_rate_hz,
+        gain_db=gains[frame, lag],
     )
+
+
+def _greedy_guard(
+    lags: np.ndarray, g: np.ndarray, guard: int, frame_len: int
+) -> np.ndarray:
+    """Keep mask of one frame's peaks: strongest first, skip any within guard."""
+    kept: list[int] = []
+    for o in np.argsort(g)[::-1]:
+        lag = int(lags[o])
+        if not any(
+            min((lag - kl) % frame_len, (kl - lag) % frame_len) < guard
+            for kl in kept
+        ):
+            kept.append(lag)
+    return np.isin(lags, kept)
 
 
 def sound_blocks(
@@ -312,8 +366,7 @@ def sound_blocks(
     frame_len = len(ref)
     carry = np.empty(0, dtype=np.complex128)
     anchor = floor = None
-    detections: list = []
-    f0 = 0
+    parts: list[Detections] = []
     for block in blocks:
         x = np.asarray(block, dtype=np.complex128)
         if carry.size:
@@ -330,18 +383,17 @@ def sound_blocks(
             anchor = int(np.argmax(first.h_abs))
             floor = estimate_noise_floor_gain_db(first, config)
         gains = _gains_from_abs(np.abs(h), config)
-        detections.extend(
+        parts.append(
             _detect_in_gain_matrix(
                 gains, anchor, floor, config.detection_threshold_db,
-                config.guard_samples, fs, f0,
+                config.guard_samples, fs,
             )
         )
-        f0 += n_frames
     if anchor is None:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"
         )
-    detections = detections[config.discard_frames :]
+    detections = Detections.concatenate(parts).frames(config.discard_frames)
     return SoundingReport(
         detections=detections,
         frame_duration_s=frame_len / fs,
@@ -416,12 +468,28 @@ def write_report_json(report: SoundingReport, path) -> None:
 
 
 def write_report_csv(report: SoundingReport, path) -> None:
-    """Per-frame CSV: frame_index, time_s, then (delay_s, gain_db) per tap."""
+    """Per-frame CSV: frame_index, time_s, then (delay_s, gain_db) per tap.
+
+    Lines end in CRLF, as the csv module writes them. Frames are formatted
+    in batches, each with one ``%`` over a template built from the columns;
+    the frame index travels as a float, exact below 2**53.
+    """
+    det = report.detections
+    times = report.frame_times_s()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, taps in enumerate(report.detections):
-            frame_index = report.first_frame_index + i
-            row = [frame_index, f"{report.frame_time_s(frame_index):.9f}"]
-            for tap in taps:
-                row += [f"{tap.delay_s:.12g}", f"{tap.gain_db:.6f}"]
-            writer.writerow(row)
+        for a in range(0, len(det), _WRITE_BATCH_ROWS):
+            b = min(a + _WRITE_BATCH_ROWS, len(det))
+            lo, hi = int(det.offsets[a]), int(det.offsets[b])
+            heads = np.arange(b - a) + det.offsets[a:b] - lo
+            is_head = np.zeros(b - a + hi - lo, dtype=bool)
+            is_head[heads] = True
+            cells = np.flatnonzero(~is_head)
+            values = np.empty(2 * is_head.size)
+            values[2 * heads] = np.arange(a, b) + report.first_frame_index
+            values[2 * heads + 1] = times[a:b]
+            values[2 * cells] = det.delay_s[lo:hi]
+            values[2 * cells + 1] = det.gain_db[lo:hi]
+            template = "".join(
+                np.where(is_head, "\r\n%d,%.9f", ",%.12g,%.6f").tolist()
+            )
+            fh.write((template % tuple(values.tolist()))[2:] + "\r\n")

@@ -115,7 +115,11 @@ class TapFile:
 def _weighted_kmeans_1d(
     delays: np.ndarray, weights: np.ndarray, k: int, tol: float
 ) -> list[np.ndarray]:
-    """Cluster delays into <= k groups; returns index arrays per cluster."""
+    """Cluster delays into <= k groups; returns nonempty index arrays.
+
+    A centroid can end with no members (no delay is nearest to it, e.g.
+    with subnormal delays); such clusters are dropped.
+    """
     # seed with the k strongest paths' delays; ties break on delay so the
     # seeding is invariant under uniform power scaling
     order = np.lexsort((delays, -weights))
@@ -137,7 +141,8 @@ def _weighted_kmeans_1d(
             break
         centroids = new_centroids
     assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
-    return [np.flatnonzero(assign == ci) for ci in range(len(centroids))]
+    clusters = [np.flatnonzero(assign == ci) for ci in range(len(centroids))]
+    return [members for members in clusters if members.size]
 
 
 def approximate_taps(

@@ -2,7 +2,8 @@
 
 Each test prints one `ACCEPTANCE n (<name>): PASS/FAIL` line (visible with
 `pytest -s`). The mobility criterion runs the bundled out-and-back config at
-desk scale (30 s at 10 MS/s) and is the long pole of the suite.
+desk scale (30 s at 10 MS/s) and is the long pole of the suite; it is marked
+``slow``, so ``pytest -m "not slow"`` skips it for a quick loop.
 """
 
 import json
@@ -118,14 +119,13 @@ class TestCriterion2GainStability:
             out / "capture_1-2.iq", SoundingConfig(discard_frames=1), code, 1
         )
         fs = 5e7
-        strongest, weakest = [], []
-        for taps in rep.detections:
-            by_lag = {round(t.delay_s * fs): t.gain_db for t in taps}
-            if 0 in by_lag and 64 in by_lag:
-                strongest.append(by_lag[0])
-                weakest.append(by_lag[64])
-        strongest = np.array(strongest)
-        weakest = np.array(weakest)
+        det = rep.detections
+        lag = np.round(det.delay_s * fs)
+        frame = det.frame_of_rows()
+        at0, at64 = lag == 0, lag == 64
+        both = np.intersect1d(frame[at0], frame[at64])
+        strongest = det.gain_db[at0 & np.isin(frame, both)]
+        weakest = det.gain_db[at64 & np.isin(frame, both)]
         spread_err = abs(np.mean(strongest - weakest) - 17.0)
         ok = (
             len(strongest) >= 1000
@@ -221,6 +221,7 @@ class TestCriterion4SequenceOrdering:
 
 
 class TestCriterion5MobilityScenario:
+    @pytest.mark.slow
     def test_u_shape_rmse_and_comoving_stability(self, mobility_run):
         result, runtime, _ = mobility_run
 
@@ -378,7 +379,10 @@ class TestCriterion7OracleEquivalences:
             read_iq_file(capture),
             SoundingConfig(discard_frames=1), code, 1,
         )
-        chunk_ok = chunky.detections == single.detections
+        chunk_ok = chunky.n_frames == single.n_frames > 0 and all(
+            np.array_equal(getattr(chunky.detections, c), getattr(single.detections, c))
+            for c in ("offsets", "delay_s", "gain_db")
+        )
 
         # receiver noise floor from the bandwidth/noise-density budget
         floor = noise_floor_dbm(

@@ -4,7 +4,10 @@ import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansounder.emulator import (
     EmulatorConfig,
@@ -19,7 +22,14 @@ from chansounder.harness import (
     run_scenario_pipeline,
 )
 from chansounder.sequences import bpsk_modulate, generate_glfsr
-from chansounder.sounder import DetectedTap, SoundingConfig, SoundingReport, sound_chunked
+from chansounder.sounder import (
+    Detections,
+    SoundingConfig,
+    SoundingReport,
+    sound_chunked,
+)
+from chansounder.tap_approx import TapFile, TapSet
+from oracles import compare_per_frame
 
 CODE = generate_glfsr(8)
 REF = bpsk_modulate(CODE, 1).samples.real
@@ -81,20 +91,26 @@ class TestCompareToGroundTruth:
     def test_spurious_detection_fails_strict_mode(self, tmp_path):
         taps = build_synthetic_tap_file([0.0], [0.0], GRID, 12)
         report = run_loop(tmp_path, taps)
-        # inject a detection far from any ground-truth tap
-        doctored = list(report.detections)
-        doctored[0] = doctored[0] + [
-            DetectedTap(delay_s=50e-6, gain_db=-3.0, frame_index=1)
-        ]
-        report.detections = doctored
+        clean = compare_to_ground_truth(report, taps, 0.0, 0.0)
+        assert clean.spurious == 0 and clean.passed
+        # inject a detection far from any ground-truth tap at the end of the
+        # first frame
+        det = report.detections
+        end = det.offsets[1]
+        report.detections = Detections(
+            np.r_[0, det.offsets[1:] + 1],
+            np.insert(det.delay_s, end, 50e-6),
+            np.insert(det.gain_db, end, -3.0),
+        )
         validation = compare_to_ground_truth(report, taps, 0.0, 0.0)
         assert validation.spurious == 1
+        assert validation.missed == 0
         assert not validation.passed
 
     def test_no_overlapping_frames_is_an_error(self):
         taps = build_synthetic_tap_file([0.0], [0.0], GRID, 1)
         report = SoundingReport(
-            detections=[[]],
+            detections=Detections(np.array([0, 0]), np.empty(0), np.empty(0)),
             frame_duration_s=0.5,
             sample_rate_hz=FS,
             noise_floor_gain_db=-60,
@@ -106,8 +122,6 @@ class TestCompareToGroundTruth:
             compare_to_ground_truth(report, taps, 0.0, 0.0)
 
     def test_multi_pair_file_needs_explicit_pair(self, tmp_path):
-        from chansounder.tap_approx import TapFile, TapSet
-
         records = {}
         for ms in range(2):
             for pair in ((1, 2), (2, 1)):
@@ -118,6 +132,89 @@ class TestCompareToGroundTruth:
             compare_to_ground_truth(report, taps, 0.0, 0.0)
         validation = compare_to_ground_truth(report, taps, 0.0, 0.0, pair=(1, 2))
         assert validation.passed
+
+
+@st.composite
+def scored_reports(draw):
+    """A report and a tap file whose truth changes every millisecond.
+
+    On a grid of 1 s every delay is exact, so detections land exactly on
+    the tolerance or halfway between two truth taps. Records may be empty or
+    hold zero taps, repeat the previous record, and frames may run past the
+    end of the file.
+    """
+    grid = 1.0
+    duration_ms = draw(st.integers(1, 5))
+    coefs = st.sampled_from([0j, 1 + 0j, 0.5j, -0.25 + 0j, 2 + 2j, 1e-3 + 0j])
+    records = {}
+    prev = ()
+    for ms in range(duration_ms):
+        if ms and draw(st.booleans()):
+            taps = prev
+        else:
+            idx = draw(st.lists(st.integers(0, 6), max_size=4, unique=True))
+            taps = tuple((i, draw(coefs)) for i in sorted(idx))
+        records[(ms, 1, 2)] = TapSet(taps, grid, ms)
+        prev = taps
+    tap_file = TapFile(2, grid, 4, duration_ms, 0.0, records)
+
+    n_frames = draw(st.integers(1, 16))
+    counts = draw(st.lists(st.integers(0, 5), min_size=n_frames, max_size=n_frames))
+    n = sum(counts)
+    steps = st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.25, 1.5, 3.0])
+    delays = [
+        max(0.0, draw(st.integers(0, 7)) + draw(steps)) for _ in range(n)
+    ]
+    gains = draw(
+        st.lists(
+            st.sampled_from([-3.0, -6.0, 0.0, 2.5]) | st.floats(-60, 10),
+            min_size=n, max_size=n,
+        )
+    )
+    report = SoundingReport(
+        detections=Detections(
+            np.r_[0, np.cumsum(counts)].astype(np.intp),
+            np.array(delays, dtype=float),
+            np.array(gains, dtype=float),
+        ),
+        frame_duration_s=draw(st.sampled_from([2.5e-4, 1e-3, 1.5e-3, 2.55e-5])),
+        sample_rate_hz=1e6,
+        noise_floor_gain_db=-60.0,
+        anchor_lag=0,
+        n_frames=n_frames,
+        first_frame_index=draw(st.sampled_from([0, 1, 2, 400])),
+    )
+    return report, tap_file
+
+
+class TestValidationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=scored_reports(),
+        base=st.sampled_from([0.0, 57.55]),
+        offset=st.sampled_from([0.0, 45.0]),
+        tol=st.sampled_from([None, 0.5, 2.0]),
+        strict=st.booleans(),
+    )
+    def test_equals_per_frame_oracle(self, case, base, offset, tol, strict):
+        report, taps = case
+        args = (report, taps, base, offset)
+        kwargs = dict(delay_tol_s=tol, gain_tol_db=1.0, strict=strict)
+        try:
+            expected = compare_per_frame(*args, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                compare_to_ground_truth(*args, **kwargs)
+            return
+        got = compare_to_ground_truth(*args, **kwargs)
+        for name in ("frame_times_s", "strongest_loss_db", "truth_strongest_loss_db"):
+            assert np.array_equal(
+                getattr(got, name), getattr(expected, name), equal_nan=True
+            ), name
+        assert got.tap_stats == expected.tap_stats
+        for name in ("spurious", "missed", "n_frames", "delay_tol_s",
+                     "gain_tol_db", "strict", "passed"):
+            assert getattr(got, name) == getattr(expected, name), name
 
 
 class TestPathlossHeatmap:

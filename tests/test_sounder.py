@@ -11,16 +11,19 @@ from chansounder.emulator import IqStream, make_noise, write_iq_file
 from chansounder.sequences import bpsk_modulate, generate_glfsr
 from chansounder.sounder import (
     CirFrame,
-    DetectedTap,
+    Detections,
     SoundingConfig,
+    SoundingReport,
+    _detect_in_gain_matrix,
     compute_cir_frames,
-    detect_taps,
     estimate_noise_floor_gain_db,
     path_gains_db,
     sound_blocks,
     sound_chunked,
     sound_stream,
+    write_report_csv,
 )
+from oracles import detect_per_frame, per_frame_lists, write_csv_per_frame
 
 CODE = generate_glfsr(8)
 REF = bpsk_modulate(CODE, 1).samples.real
@@ -129,6 +132,13 @@ class TestPathGains:
         assert np.argmax(f1.h_abs) == np.argmax(f2.h_abs)
 
 
+def detect(frames, floor, guard=2, config=SoundingConfig(), fs=FS):
+    """Columnar detections of CIR frames, anchored on frame 0's peak."""
+    gains = np.stack([path_gains_db(f, config) for f in frames])
+    anchor = int(np.argmax(frames[0].h_abs))
+    return _detect_in_gain_matrix(gains, anchor, floor, 6.0, guard, fs)
+
+
 class TestDetectTaps:
     def make_frames(self, peaks, n_frames=2, noise=1e-4, seed=0):
         """Frames whose CIR has given (lag, amplitude) peaks over weak noise."""
@@ -160,11 +170,11 @@ class TestDetectTaps:
         ]
         config = SoundingConfig()
         floor = estimate_noise_floor_gain_db(frames[0], config)
-        detections = detect_taps(
-            frames, floor, 6.0, guard=2, config=config, sample_rate_hz=fs
-        )
-        delays = [t.delay_s for t in detections[0]]
-        assert delays == pytest.approx([0.0, 1.28e-6, 2e-6, 4e-6])
+        det = detect(frames, floor, config=config, fs=fs)
+        assert det.offsets.tolist() == [0, 4, 8]
+        delays = det.delay_s[: det.offsets[1]]
+        assert delays.tolist() == pytest.approx([0.0, 1.28e-6, 2e-6, 4e-6])
+        assert np.array_equal(det.delay_s[4:], delays)
 
     def test_noise_only_frame_detects_nothing(self):
         rng = np.random.default_rng(3)
@@ -172,32 +182,33 @@ class TestDetectTaps:
         frame = CirFrame(0, np.arange(N) / FS, h, np.zeros(N), h)
         config = SoundingConfig()
         floor = estimate_noise_floor_gain_db(frame, config)
-        detections = detect_taps([frame], floor, 6.0, config=config)
-        assert detections[0] == []
+        det = detect([frame], floor, config=config)
+        assert det.offsets.tolist() == [0, 0]
+        assert det.delay_s.size == det.gain_db.size == 0
 
     def test_guard_suppresses_close_weaker_peak(self):
         frames = self.make_frames([(100, 1.0), (103, 0.5)], 1)
         config = SoundingConfig()
         floor = estimate_noise_floor_gain_db(frames[0], config)
-        detections = detect_taps([frame := frames[0]], floor, 6.0, guard=4,
-                                 config=config)
-        lags = [round(t.delay_s * FS) for t in detections[0]]
-        assert lags == [0]  # only the anchor peak survives the guard
+        det = detect(frames, floor, guard=4, config=config)
+        lags = np.round(det.delay_s * FS)
+        assert lags.tolist() == [0]  # only the anchor peak survives the guard
 
-        detections = detect_taps([frame], floor, 6.0, guard=2, config=config)
-        lags = [round(t.delay_s * FS + 100) % N for t in detections[0]]
-        assert lags == [100, 103]
+        det = detect(frames, floor, guard=2, config=config)
+        lags = np.round(det.delay_s * FS + 100) % N
+        assert lags.tolist() == [100, 103]
 
     def test_adjacent_weaker_sample_is_not_a_local_maximum(self):
         frames = self.make_frames([(100, 1.0), (101, 0.8)], 1)
         config = SoundingConfig()
         floor = estimate_noise_floor_gain_db(frames[0], config)
-        detections = detect_taps(frames[:1], floor, 6.0, guard=4, config=config)
-        assert len(detections[0]) == 1
+        det = detect(frames, floor, guard=4, config=config)
+        assert det.offsets.tolist() == [0, 1]
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            detect_taps([], -50.0, 0.0)
+        for threshold in (0.0, -6.0):
+            with pytest.raises(ValueError, match="detection_threshold_db"):
+                SoundingConfig(detection_threshold_db=threshold)
 
     def test_delay_covariance_under_stream_delay(self):
         d = 17
@@ -228,8 +239,7 @@ class TestSoundChunked:
         single = sound_stream(read_iq_file(path), cfg, CODE, 1)
         assert chunked.n_frames == single.n_frames == 686
         assert chunked.anchor_lag == single.anchor_lag
-        for a, b in zip(chunked.detections, single.detections):
-            assert a == b
+        assert chunked.detections == single.detections
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -283,3 +293,80 @@ class TestSoundChunked:
         assert np.std(gains) < 1e-6
         # absolute level limited by float32 capture quantization
         assert np.mean(gains) == pytest.approx(-20.0, abs=1e-5)
+
+
+@st.composite
+def gain_matrices(draw):
+    """Small gain matrices with plateaus, equal neighbours and empty frames."""
+    n_frames = draw(st.integers(0, 6))
+    frame_len = draw(st.integers(3, 24))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0, 5.0]),
+            min_size=n_frames * frame_len,
+            max_size=n_frames * frame_len,
+        )
+    )
+    return np.array(values).reshape(n_frames, frame_len)
+
+
+class TestColumnarDetections:
+    @settings(max_examples=200, deadline=None)
+    @given(gains=gain_matrices(), data=st.data())
+    def test_detector_equals_per_frame_oracle(self, gains, data):
+        anchor = data.draw(st.integers(0, gains.shape[1] - 1))
+        guard = data.draw(st.integers(1, 6))
+        floor = data.draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.5]))
+        threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        fs = data.draw(st.sampled_from([1.0, 1e6, 3e7]))
+        det = _detect_in_gain_matrix(gains, anchor, floor, threshold, guard, fs)
+        expected = detect_per_frame(gains, anchor, floor, threshold, guard, fs)
+        assert per_frame_lists(det) == expected
+
+        # the strongest tap per frame is the first maximum, as max() picks it
+        report = SoundingReport(det, 1e-3, fs, floor, anchor, len(det))
+        _, delays, strongest = report.strongest_tap_series()
+        for taps, d, g in zip(expected, delays, strongest):
+            if taps:
+                assert (d, g) == max(taps, key=lambda t: t[1])
+            else:
+                assert math.isnan(d) and math.isnan(g)
+
+    def test_guard_clash_across_the_frame_wrap(self):
+        # lags 10 and 1 are 3 apart around the circle; no neighbours in lag
+        # order are closer than the guard of 4
+        gains = np.zeros((2, 12))
+        gains[1, [1, 5, 10]] = [5.0, 4.0, 3.0]
+        det = _detect_in_gain_matrix(gains, 0, 0.0, 1.0, 4, 1.0)
+        assert det.offsets.tolist() == [0, 0, 2]
+        assert det.delay_s.tolist() == [1.0, 5.0]
+        assert per_frame_lists(det) == detect_per_frame(gains, 0, 0.0, 1.0, 4, 1.0)
+
+    def test_container_iterates_frames_and_compares_columns(self):
+        det = Detections(
+            np.array([0, 2, 2, 3]), np.array([0.0, 1e-6, 0.0]),
+            np.array([-1.0, -9.0, -2.0]),
+        )
+        assert [len(rows) for rows in det] == [2, 0, 1]
+        assert [rows.tolist() for rows in det][2] == [[0.0, -2.0]]
+        assert det.frames(1) == Detections(
+            np.array([0, 0, 1]), np.array([0.0]), np.array([-2.0])
+        )
+        assert Detections.concatenate([det.frames(0, 1), det.frames(1)]) == det
+        moved = Detections(det.offsets, det.delay_s, det.gain_db + 1e-12)
+        assert det != moved
+
+    def test_csv_writer_equals_per_frame_writer(self, tmp_path):
+        # more frames than one formatting batch, some of them empty
+        rng = np.random.default_rng(11)
+        counts = rng.integers(0, 4, 70_000)
+        n = int(counts.sum())
+        det = Detections(
+            np.r_[0, np.cumsum(counts)],
+            rng.integers(0, 255, n) / 1e7,
+            rng.normal(-60.0, 20.0, n),
+        )
+        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, len(det), 1)
+        write_report_csv(report, tmp_path / "new.csv")
+        write_csv_per_frame(report, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

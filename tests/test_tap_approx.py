@@ -126,6 +126,21 @@ class TestApproximateTaps:
             return
         assert abs(20 * math.log10(abs(got) / abs(truth))) <= 1.0
 
+    def test_cluster_left_empty_by_kmeans_is_dropped(self):
+        # k-means ends with a centroid that no path is nearest to; the empty
+        # cluster used to become a NaN delay
+        snap = snapshot_from(
+            RayPath(p, 0.0, d)
+            for p, d in zip(
+                (20.0, 20.0, 20.0, 18.0, 18.125), (0.0, 0.0, 0.0, 0.0, 5e-324)
+            )
+        )
+        ts = approximate_taps(
+            snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf
+        )
+        assert ts.delay_indices == [0]
+        assert ts.coefficients[0] == pytest.approx(coherent_path_sum(snap))
+
     @settings(max_examples=40, deadline=None)
     @given(
         delay=st.floats(min_value=0.0, max_value=1e-6),
