@@ -32,6 +32,7 @@ from .emulator import (
 from .sounder import (
     SoundingConfig,
     SoundingReport,
+    _write_rows,
     sound_blocks,
     sound_chunked,
     write_report_csv,
@@ -56,8 +57,6 @@ __all__ = [
     "run_scenario_pipeline",
 ]
 
-
-_WRITE_BATCH_ROWS = 1 << 16
 
 
 class PipelineError(RuntimeError):
@@ -169,16 +168,6 @@ def _truth_runs(
             prev = ts.taps
         run_of_ms.append(len(runs) - 1)
     return np.asarray(run_of_ms, dtype=np.intp)[np.cumsum(starts) - 1], runs
-
-
-def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
-    """Write each row of a 2-D float table through one printf-style format.
-
-    Rows are formatted in batches, one ``%`` per batch, which bounds memory.
-    """
-    for a in range(0, len(table), _WRITE_BATCH_ROWS):
-        rows = table[a : a + _WRITE_BATCH_ROWS]
-        fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def compare_to_ground_truth(

@@ -168,8 +168,12 @@ class SoundingReport:
     sample_rate_hz: float
     noise_floor_gain_db: float
     anchor_lag: int
-    n_frames: int
     first_frame_index: int = 0
+
+    @property
+    def n_frames(self) -> int:
+        """Number of kept frames."""
+        return len(self.detections)
 
     def frame_times_s(self) -> np.ndarray:
         """Start time of every kept frame."""
@@ -273,24 +277,6 @@ def estimate_noise_floor_gain_db(frame: CirFrame, config: SoundingConfig) -> flo
     )
 
 
-def _clash_frames(
-    frame: np.ndarray, lag: np.ndarray, guard: int, frame_len: int
-) -> np.ndarray:
-    """Frames holding two candidate peaks less than ``guard`` lags apart.
-
-    ``frame`` and ``lag`` are in row-major order, so the closest pair of a
-    frame is two neighbours in lag order, or its first and last lag around
-    the circle.
-    """
-    d = np.diff(lag)
-    close = (np.diff(frame) == 0) & (np.minimum(d, frame_len - d) < guard)
-    starts = np.flatnonzero(np.r_[True, np.diff(frame) != 0])
-    ends = np.r_[starts[1:], len(frame)] - 1
-    span = lag[ends] - lag[starts]
-    wrap = (ends > starts) & (np.minimum(span, frame_len - span) < guard)
-    return np.union1d(frame[1:][close], frame[starts[wrap]])
-
-
 def _detect_in_gain_matrix(
     gains: np.ndarray,
     anchor: int,
@@ -304,8 +290,8 @@ def _detect_in_gain_matrix(
     A peak is a strict circular local maximum at or above floor_db +
     threshold_db. Peaks closer than ``guard`` lags clash and the stronger
     wins, greedily from the strongest down; two strict local maxima are
-    never adjacent, so only ``guard > 2`` can drop one, and only frames with
-    such a pair run the greedy pass. Delays are taken relative to ``anchor``.
+    never adjacent, so only ``guard > 2`` can drop one and run the greedy
+    pass. Delays are taken relative to ``anchor``.
     """
     is_max = gains >= floor_db + threshold_db
     is_max[:, 1:] &= gains[:, 1:] > gains[:, :-1]
@@ -314,12 +300,10 @@ def _detect_in_gain_matrix(
     is_max[:, -1] &= gains[:, -1] > gains[:, 0]
     n_frames, frame_len = gains.shape
     frame, lag = np.nonzero(is_max)
-    if guard > 2 and frame.size:
+    if guard > 2:
         keep = np.ones(frame.size, dtype=bool)
-        clash = _clash_frames(frame, lag, guard, frame_len)
-        lo = np.searchsorted(frame, clash).tolist()
-        hi = np.searchsorted(frame, clash, side="right").tolist()
-        for f, a, b in zip(clash.tolist(), lo, hi):
+        bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
+        for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
             keep[a:b] = _greedy_guard(lag[a:b], gains[f, lag[a:b]], guard, frame_len)
         frame, lag = frame[keep], lag[keep]
     rel = (lag - anchor) % frame_len
@@ -400,7 +384,6 @@ def sound_blocks(
         sample_rate_hz=fs,
         noise_floor_gain_db=floor,
         anchor_lag=anchor,
-        n_frames=len(detections),
         first_frame_index=config.discard_frames,
     )
 
@@ -444,6 +427,16 @@ def sound_chunked(
         for start in range(0, total, block)
     )
     return sound_blocks(blocks, config, sequence, fs, samples_per_chip)
+
+
+def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write each row of a 2-D float table through one printf-style format.
+
+    Rows are formatted in batches, one ``%`` per batch, which bounds memory.
+    """
+    for a in range(0, len(table), _WRITE_BATCH_ROWS):
+        rows = table[a : a + _WRITE_BATCH_ROWS]
+        fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_report_json(report: SoundingReport, path) -> None:

@@ -115,7 +115,6 @@ class TestCompareToGroundTruth:
             sample_rate_hz=FS,
             noise_floor_gain_db=-60,
             anchor_lag=0,
-            n_frames=1,
             first_frame_index=10,  # first frame starts at 5 s, file is 1 ms
         )
         with pytest.raises(ValueError, match="overlap"):
@@ -181,7 +180,6 @@ def scored_reports(draw):
         sample_rate_hz=1e6,
         noise_floor_gain_db=-60.0,
         anchor_lag=0,
-        n_frames=n_frames,
         first_frame_index=draw(st.sampled_from([0, 1, 2, 400])),
     )
     return report, tap_file

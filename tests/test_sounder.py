@@ -324,7 +324,7 @@ class TestColumnarDetections:
         assert per_frame_lists(det) == expected
 
         # the strongest tap per frame is the first maximum, as max() picks it
-        report = SoundingReport(det, 1e-3, fs, floor, anchor, len(det))
+        report = SoundingReport(det, 1e-3, fs, floor, anchor)
         _, delays, strongest = report.strongest_tap_series()
         for taps, d, g in zip(expected, delays, strongest):
             if taps:
@@ -366,7 +366,7 @@ class TestColumnarDetections:
             rng.integers(0, 255, n) / 1e7,
             rng.normal(-60.0, 20.0, n),
         )
-        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, len(det), 1)
+        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, 1)
         write_report_csv(report, tmp_path / "new.csv")
         write_csv_per_frame(report, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
