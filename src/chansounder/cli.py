@@ -179,7 +179,7 @@ def _emulator_config(cfg: dict, tap_file, sequence, spc: int, seed) -> EmulatorC
     noise_floor = None
     if emu.get("noise", True):
         peak = max(
-            (abs(c) for ts in tap_file.records.values() for _, c in ts.taps),
+            (abs(c) for taps in tap_file.used_tap_lists() for _, c in taps),
             default=0.0,
         )
         if peak > 0:

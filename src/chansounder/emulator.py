@@ -195,8 +195,7 @@ def apply_channel(
         return IqStream(x.copy(), fs, input_stream.origin_time_s)
 
     interval = config.tap_update_interval_s
-    max_idx = max((i for key in taps.records for i, _ in taps.records[key].taps
-                   if key[1] == tx and key[2] == rx), default=0)
+    max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
     xp = np.concatenate([np.zeros(d_max, dtype=complex), x])
     y = np.empty(n, dtype=np.complex128)
@@ -332,8 +331,7 @@ def emulate_blocks(
     step = _grid_step_samples(taps.grid_dt_s, fs)
     ref = np.asarray(reference, dtype=np.complex128)
     frame = len(ref)
-    max_idx = max((i for key in taps.records for i, _ in taps.records[key].taps
-                   if key[1] == tx and key[2] == rx), default=0)
+    max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
     scale = 10.0 ** (-pair_base_loss_db(config, tx, rx) / 20.0)
     rng = np.random.default_rng((config.seed, tx, rx))

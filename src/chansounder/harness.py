@@ -40,7 +40,6 @@ from .sounder import (
 )
 from .tap_approx import (
     TapFile,
-    TapSet,
     build_tap_file_from_matrix,
     write_tap_file,
 )
@@ -143,29 +142,28 @@ def _truth_runs(
     times_s: np.ndarray,
     offset_db: float,
 ) -> tuple[np.ndarray, list]:
-    """Ground truth at each frame time, built once per run of equal records.
+    """Ground truth at each frame time, built once per run of one tap list.
 
     Returns each frame's run number and, per run, the sorted (delay_s,
     original gain_db) list of its nonzero taps. Frames map to milliseconds
-    by the rule of ``TapFile.active_tapset``, which also reports a time
-    outside the file.
+    by the rule of ``TapFile.active_tapset``, and ``TapFile.tap_ids``
+    reports a time outside the file as it does.
     """
     ms = np.floor(times_s * 1000.0 + 1e-9)
     starts = np.r_[True, ms[1:] != ms[:-1]]  # times ascend, so ms never falls
     runs: list = []
     run_of_ms = []
     prev = None
-    for t in times_s[starts].tolist():
-        ts = taps.active_tapset(t, pair[0], pair[1])
-        if prev is None or ts.taps != prev:
+    for tid in taps.tap_ids(times_s[starts], pair[0], pair[1]).tolist():
+        if tid != prev:
             runs.append(
                 sorted(
                     (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
-                    for idx, c in ts.taps
+                    for idx, c in taps.tap_lists[tid]
                     if abs(c) > 0
                 )
             )
-            prev = ts.taps
+            prev = tid
         run_of_ms.append(len(runs) - 1)
     return np.asarray(run_of_ms, dtype=np.intp)[np.cumsum(starts) - 1], runs
 
@@ -307,16 +305,14 @@ def build_synthetic_tap_file(
         mag = 10.0 ** (-loss / 20.0) * scale
         taps.append((idx, mag * complex(math.cos(ph), math.sin(ph))))
     taps.sort()
-    records = {}
-    for ms in range(duration_ms):
-        records[(ms, pair[0], pair[1])] = TapSet(tuple(taps), grid_dt_s, ms)
     return TapFile(
         n_nodes=n_nodes,
         grid_dt_s=grid_dt_s,
         k=k,
         duration_ms=duration_ms,
         offset_db=offset_db,
-        records=records,
+        tap_lists=[taps],
+        index={pair: np.zeros(duration_ms, dtype=np.int32)},
     )
 
 
@@ -513,7 +509,7 @@ def run_scenario_pipeline(
     noise_floor = None
     if emu_cfg.get("noise", True):
         peak_amp = max(
-            (abs(c) for ts in tap_file.records.values() for _, c in ts.taps),
+            (abs(c) for taps in tap_file.used_tap_lists() for _, c in taps),
             default=0.0,
         )
         if peak_amp > 0:
@@ -610,21 +606,27 @@ def run_scenario_pipeline(
 
 
 def _truth_series_from_matrix(matrix, scenario, pair, frame_times):
-    """Coherent link path loss at each frame time, from the channel matrix."""
+    """Coherent link path loss at each frame time, from the channel matrix.
+
+    A frame at time t uses channel sample floor(t / T_s) + 1, clipped to the
+    last sample; the loss is computed once per distinct sample, in sample
+    order.
+    """
     tx_power = {n.node_id: n.radio.tx_power_dbm for n in scenario.nodes}
-    floors = {n.node_id: noise_floor_dbm(n.radio) for n in scenario.nodes}
-    t_s = matrix.sample_interval_s
-    losses = np.empty(len(frame_times))
-    cache: dict[int, float] = {}
-    for i, t in enumerate(frame_times):
-        s = min(int(math.floor(t / t_s)) + 1, matrix.n_samples)
-        if s not in cache:
-            snap = matrix.snapshot(pair[0], pair[1], s)
-            snap = prune_paths(snap, min(floors.values()))
-            cache[s] = (
-                link_path_loss_db(snap, tx_power[pair[0]])
-                if snap.paths
-                else float("nan")
-            )
-        losses[i] = cache[s]
-    return losses
+    floor_dbm = min(noise_floor_dbm(n.radio) for n in scenario.nodes)
+    sample_of_frame = np.minimum(
+        np.floor(np.asarray(frame_times, dtype=float) / matrix.sample_interval_s)
+        .astype(np.int64) + 1,
+        matrix.n_samples,
+    )
+    first = sample_of_frame.min(initial=matrix.n_samples)
+    frames_per_sample = np.bincount(sample_of_frame - first)
+    samples = np.flatnonzero(frames_per_sample) + first
+    losses = np.empty(len(samples))
+    for i, s in enumerate(samples.tolist()):
+        snap = prune_paths(matrix.snapshot(pair[0], pair[1], s), floor_dbm)
+        losses[i] = (
+            link_path_loss_db(snap, tx_power[pair[0]]) if snap.paths else float("nan")
+        )
+    loss_of_sample = np.cumsum(frames_per_sample > 0) - 1
+    return losses[loss_of_sample[sample_of_frame - first]]

@@ -174,9 +174,6 @@ class ChannelMatrix:
             raise IndexError(f"sample index {s} outside 1..{self.n_samples}")
         return self.entries[(tx_id, rx_id)][s - 1]
 
-    def pair_series(self, tx_id: int, rx_id: int) -> list[ChannelSnapshot]:
-        return list(self.entries[(tx_id, rx_id)])
-
 
 def num_samples(total_duration_s: float, sample_interval_s: float) -> int:
     """Sample count over a scenario: floor((T_total - 1)/T_s) + 1."""

@@ -6,13 +6,17 @@ paths at arbitrary delays. Paths are clustered along the delay axis with a
 power-weighted 1-D k-means, each cluster is merged coherently (complex sum,
 so the link path loss of the snapshot is preserved), and cluster delays are
 snapped to the nearest grid index. Tap files carry one record per node pair
-per millisecond.
+per millisecond; in memory a :class:`TapFile` holds each distinct tap list
+once and one index array per pair that points every millisecond at one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import MutableMapping
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +40,17 @@ TAP_RECORD_INTERVAL_MS = 1
 _KMEANS_MAX_ITER = 50
 
 
+def _checked_taps(taps) -> tuple[tuple[int, complex], ...]:
+    """A tap list as (int, complex) pairs; delay indices must be >= 0 and rise."""
+    taps = tuple((int(i), complex(c)) for i, c in taps)
+    indices = [i for i, _ in taps]
+    if any(i < 0 for i in indices):
+        raise ValueError("delay indices must be >= 0")
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError("delay indices must be strictly increasing")
+    return taps
+
+
 @dataclass(frozen=True)
 class TapSet:
     """Grid-aligned complex FIR taps for one pair at one millisecond."""
@@ -45,15 +60,19 @@ class TapSet:
     timestamp_ms: int = 0
 
     def __post_init__(self):
-        taps = tuple((int(i), complex(c)) for i, c in self.taps)
-        indices = [i for i, _ in taps]
-        if any(i < 0 for i in indices):
-            raise ValueError("delay indices must be >= 0")
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("delay indices must be strictly increasing")
+        taps = _checked_taps(self.taps)
         if self.grid_dt_s <= 0:
             raise ValueError("grid_dt_s must be > 0")
         object.__setattr__(self, "taps", taps)
+
+    @classmethod
+    def _of_checked(cls, taps, grid_dt_s: float, timestamp_ms: int) -> "TapSet":
+        """A record of a TapFile, whose tap lists and grid are checked already."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "taps", taps)
+        object.__setattr__(ts, "grid_dt_s", grid_dt_s)
+        object.__setattr__(ts, "timestamp_ms", timestamp_ms)
+        return ts
 
     @property
     def delay_indices(self) -> list[int]:
@@ -67,19 +86,61 @@ class TapSet:
         return sum((c for _, c in self.taps), 0j)
 
 
-@dataclass
+@dataclass(eq=False)
 class TapFile:
-    """Per-millisecond tap records for every node pair in a scenario."""
+    """Per-millisecond tap records for every node pair, stored run-length.
+
+    ``tap_lists`` holds each tap list once, as checked (delay_idx, coef)
+    tuples. ``index[(tx, rx)]`` is an int32 array of length ``duration_ms``
+    whose entry at ``ms`` is the position in ``tap_lists`` of that pair's
+    record, or -1 where the pair has no record. ``records`` shows the same
+    data as a mapping (ms, tx, rx) -> TapSet.
+    """
 
     n_nodes: int
     grid_dt_s: float
     k: int
     duration_ms: int
     offset_db: float = 0.0
-    records: dict = field(default_factory=dict)
+    tap_lists: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.grid_dt_s <= 0:
+            raise ValueError("grid_dt_s must be > 0")
+        self.tap_lists = [_checked_taps(taps) for taps in self.tap_lists]
+        index = {}
+        for (tx, rx), ids in self.index.items():
+            ids = np.asarray(ids)
+            if ids.shape != (self.duration_ms,):
+                raise ValueError(
+                    f"index of pair ({tx},{rx}) has shape {ids.shape}, "
+                    f"not ({self.duration_ms},)"
+                )
+            if ids.size and (
+                ids.dtype.kind not in "iu"
+                or ids.min() < -1
+                or ids.max() >= len(self.tap_lists)
+            ):
+                raise ValueError(
+                    f"index of pair ({tx},{rx}) must hold integers from -1 to "
+                    f"{len(self.tap_lists) - 1}"
+                )
+            index[(int(tx), int(rx))] = ids.astype(np.int32)
+        self.index = index
+
+    @property
+    def records(self) -> "TapRecords":
+        return TapRecords(self)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted({(tx, rx) for (_, tx, rx) in self.records})
+        return sorted(p for p, ids in self.index.items() if (ids >= 0).any())
+
+    def used_tap_lists(self, pair: Optional[tuple[int, int]] = None) -> list:
+        """The tap lists that records point at (of one pair, or of all), once each."""
+        arrays = [self.index[pair]] if pair is not None else self.index.values()
+        used = set().union(*(ids.tolist() for ids in arrays)) - {-1}
+        return [self.tap_lists[i] for i in sorted(used)]
 
     def tapset(self, timestamp_ms: int, tx: int, rx: int) -> TapSet:
         try:
@@ -96,20 +157,98 @@ class TapFile:
             raise KeyError(f"time {time_s} s outside tap file duration")
         return self.tapset(ms, tx, rx)
 
+    def tap_ids(self, times_s: np.ndarray, tx: int, rx: int) -> np.ndarray:
+        """Position in ``tap_lists`` of the record active at each time.
+
+        Times map to milliseconds as in :meth:`active_tapset`, and the first
+        time without a record raises the KeyError that it would raise.
+        """
+        times_s = np.asarray(times_s, dtype=float)
+        ms = np.floor(times_s * 1000.0 + 1e-9)
+        inside = (ms >= 0) & (ms < self.duration_ms)
+        ids = np.full(len(times_s), -1, dtype=np.int32)
+        pair_ids = self.index.get((tx, rx))
+        if pair_ids is not None:
+            ids[inside] = pair_ids[ms[inside].astype(np.intp)]
+        bad = np.flatnonzero(ids < 0)
+        if bad.size:
+            i = bad[0]
+            if not inside[i]:
+                raise KeyError(f"time {float(times_s[i])} s outside tap file duration")
+            raise KeyError(f"no tap record for pair ({tx},{rx}) at {int(ms[i])} ms")
+        return ids
+
     def validate(self) -> None:
         """Check completeness (every pair, every millisecond) and tap bounds."""
-        pairs = self.pairs()
-        for (ms, tx, rx), ts in self.records.items():
-            if len(ts.taps) > self.k:
+        # a trailing 0 gives the -1 entries (no record) a tap count
+        n_taps = np.array([len(t) for t in self.tap_lists] + [0])
+        for tx, rx in sorted(self.index):
+            ids = self.index[(tx, rx)]
+            over = np.flatnonzero(n_taps[ids] > self.k)
+            if over.size:
+                ms = int(over[0])
                 raise ValueError(
-                    f"record ({ms},{tx},{rx}) has {len(ts.taps)} taps, max {self.k}"
+                    f"record ({ms},{tx},{rx}) has {n_taps[ids[ms]]} taps, max {self.k}"
                 )
-        for pair in pairs:
-            for ms in range(self.duration_ms):
-                if (ms, pair[0], pair[1]) not in self.records:
-                    raise ValueError(
-                        f"missing record for pair {pair} at {ms} ms"
-                    )
+        for pair in self.pairs():
+            missing = np.flatnonzero(self.index[pair] < 0)
+            if missing.size:
+                raise ValueError(
+                    f"missing record for pair {pair} at {int(missing[0])} ms"
+                )
+
+
+class TapRecords(MutableMapping):
+    """A TapFile's records as a mapping (ms, tx, rx) -> TapSet, in key order.
+
+    Each TapSet is built on access. Setting a record appends its tap list
+    to the file and points one index entry at it; deleting one sets the
+    entry to -1.
+    """
+
+    def __init__(self, tap_file: TapFile):
+        self._file = tap_file
+
+    def __getitem__(self, key) -> TapSet:
+        ms, tx, rx = key
+        ids = self._file.index.get((tx, rx))
+        if ids is None or not 0 <= ms < len(ids) or ids[ms] < 0:
+            raise KeyError(key)
+        return TapSet._of_checked(
+            self._file.tap_lists[ids[ms]], self._file.grid_dt_s, int(ms)
+        )
+
+    def __setitem__(self, key, ts: TapSet) -> None:
+        ms, tx, rx = key
+        f = self._file
+        if not 0 <= ms < f.duration_ms:
+            raise KeyError(f"record at {ms} ms outside 0..{f.duration_ms - 1} ms")
+        if ts.grid_dt_s != f.grid_dt_s:
+            raise ValueError(
+                f"record grid {ts.grid_dt_s} s differs from the file's {f.grid_dt_s} s"
+            )
+        ids = f.index.get((tx, rx))
+        if ids is None:
+            ids = f.index[(tx, rx)] = np.full(f.duration_ms, -1, dtype=np.int32)
+        f.tap_lists.append(ts.taps)
+        ids[ms] = len(f.tap_lists) - 1
+
+    def __delitem__(self, key) -> None:
+        if key not in self:
+            raise KeyError(key)
+        ms, tx, rx = key
+        self._file.index[(tx, rx)][ms] = -1
+
+    def __iter__(self):
+        pairs = sorted(self._file.index)
+        if not pairs:
+            return iter(())
+        ids = np.stack([self._file.index[p] for p in pairs], axis=1)
+        ms, col = np.nonzero(ids >= 0)
+        return ((m, *pairs[c]) for m, c in zip(ms.tolist(), col.tolist()))
+
+    def __len__(self) -> int:
+        return sum(int(np.count_nonzero(ids >= 0)) for ids in self._file.index.values())
 
 
 def _weighted_kmeans_1d(
@@ -206,109 +345,160 @@ def approximate_taps(
 def apply_offset(tap_file: TapFile, offset_db: float) -> TapFile:
     """Scale every tap magnitude by 10**(offset/20); header tracks the total."""
     scale = 10.0 ** (offset_db / 20.0)
-    records = {
-        key: replace(ts, taps=tuple((i, c * scale) for i, c in ts.taps))
-        for key, ts in tap_file.records.items()
-    }
     return TapFile(
         n_nodes=tap_file.n_nodes,
         grid_dt_s=tap_file.grid_dt_s,
         k=tap_file.k,
         duration_ms=tap_file.duration_ms,
         offset_db=tap_file.offset_db + offset_db,
-        records=records,
+        tap_lists=[
+            tuple((i, c * scale) for i, c in taps) for taps in tap_file.tap_lists
+        ],
+        index=tap_file.index,
     )
+
+
+def _row_body(taps, k: int) -> str:
+    """The cells of a row after timestamp_ms,tx,rx, each with its leading comma."""
+    cells = "".join(f",{i},{c.real!r},{c.imag!r}" for i, c in taps)
+    return cells + ",-1,0,0" * (k - len(taps))
 
 
 def write_tap_file(tap_file: TapFile, path) -> None:
     """CSV writer: '#key=value' header lines then one row per record.
 
     Row layout: timestamp_ms,tx,rx then K (delay_idx, re, im) triples with
-    unused slots as -1,0,0.
+    unused slots as -1,0,0. Rows run in (timestamp_ms, tx, rx) order; each
+    distinct tap list is formatted once.
     """
     tap_file.validate()
+    pairs = tap_file.pairs()
     with open(path, "w") as fh:
         fh.write(f"# n_nodes={tap_file.n_nodes}\n")
         fh.write(f"# grid_dt_s={tap_file.grid_dt_s!r}\n")
         fh.write(f"# k={tap_file.k}\n")
         fh.write(f"# duration_ms={tap_file.duration_ms}\n")
         fh.write(f"# offset_db={tap_file.offset_db!r}\n")
-        for (ms, tx, rx) in sorted(tap_file.records):
-            ts = tap_file.records[(ms, tx, rx)]
-            cells = [str(ms), str(tx), str(rx)]
-            for i, c in ts.taps:
-                cells += [str(i), repr(c.real), repr(c.imag)]
-            for _ in range(tap_file.k - len(ts.taps)):
-                cells += ["-1", "0", "0"]
-            fh.write(",".join(cells) + "\n")
+        if not pairs:
+            return
+        # validate() guarantees every listed pair a record at every ms
+        ids = np.stack([tap_file.index[p] for p in pairs], axis=1)
+        body = [_row_body(taps, tap_file.k) for taps in tap_file.tap_lists]
+        heads = [f",{tx},{rx}" for tx, rx in pairs]
+        for ms, row in enumerate(ids.tolist()):
+            fh.write("".join(f"{ms}{h}{body[i]}\n" for h, i in zip(heads, row)))
+
+
+def _parse_row_body(cells: list[str], k: int) -> tuple:
+    taps = []
+    for t in range(k):
+        idx = int(cells[3 * t])
+        re = float(cells[3 * t + 1])
+        im = float(cells[3 * t + 2])
+        if idx >= 0:
+            taps.append((idx, complex(re, im)))
+    return tuple(taps)
 
 
 def read_tap_file(path) -> TapFile:
-    """Parse a tap file; errors name the offending line."""
+    """Parse a tap file; errors name the file and the offending line.
+
+    Each distinct row body (the cells after timestamp_ms,tx,rx) is parsed
+    once. A row outside 0 <= timestamp_ms < duration_ms and a second row
+    for the same (timestamp_ms, tx, rx) are errors.
+    """
     header: dict[str, str] = {}
-    records: dict = {}
     with open(path) as fh:
-        lines = fh.readlines()
-    n_header = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        n_header += 1
-        body = line[1:].strip()
-        if "=" not in body:
-            raise ValueError(f"malformed header line {n_header}: {line.strip()!r}")
-        key, _, value = body.partition("=")
-        header[key.strip()] = value.strip()
-    required = ("n_nodes", "grid_dt_s", "k", "duration_ms", "offset_db")
-    missing = [k for k in required if k not in header]
-    if missing:
-        raise ValueError(f"malformed header: missing {missing}")
+        lines = enumerate(fh, start=1)
+        first_row = []
+        for lineno, line in lines:
+            if not line.startswith("#"):
+                first_row = [(lineno, line)]
+                break
+            body = line[1:].strip()
+            if "=" not in body:
+                raise ValueError(
+                    f"{path}: malformed header line {lineno}: {line.strip()!r}"
+                )
+            key, _, value = body.partition("=")
+            header[key.strip()] = value.strip()
+        required = ("n_nodes", "grid_dt_s", "k", "duration_ms", "offset_db")
+        missing = [k for k in required if k not in header]
+        if missing:
+            raise ValueError(f"{path}: malformed header: missing {missing}")
+        try:
+            n_nodes = int(header["n_nodes"])
+            grid_dt_s = float(header["grid_dt_s"])
+            k = int(header["k"])
+            duration_ms = int(header["duration_ms"])
+            offset_db = float(header["offset_db"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed header value: {exc}")
+
+        width = 3 + 3 * k
+        tap_lists: list = []
+        list_of_body: dict[str, int] = {}
+        # per pair: tap list of each ms (-1: none yet) and the line it came from
+        rows: dict[tuple[int, int], tuple[array, array]] = {}
+        for lineno, line in itertools.chain(first_row, lines):
+            line = line.strip()
+            if not line:
+                continue
+            n_cells = line.count(",") + 1
+            if n_cells > width:
+                raise ValueError(
+                    f"{path}: line {lineno}: {(n_cells - 3) // 3} taps exceed K={k}"
+                )
+            if n_cells < width:
+                raise ValueError(f"{path}: line {lineno}: truncated record")
+            cells = line.split(",", 3)
+            body = cells[3] if k > 0 else ""
+            try:
+                ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
+                tid = list_of_body.get(body)
+                if tid is None:
+                    taps = _parse_row_body(body.split(","), k)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad field: {exc}")
+            if tid is None:
+                try:
+                    tap_lists.append(_checked_taps(taps))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}")
+                tid = list_of_body[body] = len(tap_lists) - 1
+            if not 0 <= ms < duration_ms:
+                raise ValueError(
+                    f"{path}: line {lineno}: timestamp {ms} ms outside the "
+                    f"file's 0..{duration_ms - 1} ms"
+                )
+            pair_rows = rows.get((tx, rx))
+            if pair_rows is None:
+                pair_rows = rows[(tx, rx)] = (
+                    array("i", [-1]) * duration_ms,
+                    array("q", [0]) * duration_ms,
+                )
+            ids, from_line = pair_rows
+            if ids[ms] >= 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: second record for ({ms},{tx},{rx}), "
+                    f"the first is on line {from_line[ms]}"
+                )
+            ids[ms] = tid
+            from_line[ms] = lineno
+
     try:
-        n_nodes = int(header["n_nodes"])
-        grid_dt_s = float(header["grid_dt_s"])
-        k = int(header["k"])
-        duration_ms = int(header["duration_ms"])
-        offset_db = float(header["offset_db"])
+        tap_file = TapFile(
+            n_nodes=n_nodes,
+            grid_dt_s=grid_dt_s,
+            k=k,
+            duration_ms=duration_ms,
+            offset_db=offset_db,
+            tap_lists=tap_lists,
+            index={pair: ids for pair, (ids, _) in rows.items()},
+        )
+        tap_file.validate()
     except ValueError as exc:
-        raise ValueError(f"malformed header value: {exc}")
-
-    width = 3 + 3 * k
-    for lineno, line in enumerate(lines[n_header:], start=n_header + 1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) > width:
-            raise ValueError(
-                f"line {lineno}: {((len(cells) - 3) // 3)} taps exceed K={k}"
-            )
-        if len(cells) < width:
-            raise ValueError(f"line {lineno}: truncated record")
-        try:
-            ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
-            taps = []
-            for t in range(k):
-                idx = int(cells[3 + 3 * t])
-                re = float(cells[4 + 3 * t])
-                im = float(cells[5 + 3 * t])
-                if idx >= 0:
-                    taps.append((idx, complex(re, im)))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad field: {exc}")
-        try:
-            records[(ms, tx, rx)] = TapSet(tuple(taps), grid_dt_s, ms)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}")
-
-    tap_file = TapFile(
-        n_nodes=n_nodes,
-        grid_dt_s=grid_dt_s,
-        k=k,
-        duration_ms=duration_ms,
-        offset_db=offset_db,
-        records=records,
-    )
-    tap_file.validate()
+        raise ValueError(f"{path}: {exc}")
     return tap_file
 
 
@@ -326,7 +516,8 @@ def build_tap_file_from_matrix(
     """Expand a channel matrix into per-millisecond tap records.
 
     Each channel sample's tap set is held for the whole sample interval
-    (records at every millisecond repeat it until the next sample).
+    (records at every millisecond repeat it until the next sample), so
+    every (pair, sample) gets one tap list and the records point at it.
     ``tx_power_dbm`` is a single value or {node_id: dBm}.
     """
     from .channel_model import prune_paths
@@ -335,32 +526,40 @@ def build_tap_file_from_matrix(
         pairs = [
             (i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j
         ]
-    records = {}
     t_s = matrix.sample_interval_s
+    sample_of_ms = np.minimum(
+        np.floor(np.arange(duration_ms) / 1000.0 / t_s).astype(np.int64) + 1,
+        matrix.n_samples,
+    )
+    # ms ascend, so samples never fall; samples are >= 1, so ms 0 starts one
+    new_sample = np.diff(sample_of_ms, prepend=0) != 0
+    first_ms = np.flatnonzero(new_sample)
+    list_of_ms = np.cumsum(new_sample) - 1
+    tap_lists: list = []
+    index = {}
     for tx, rx in pairs:
         p_tx = tx_power_dbm[tx] if isinstance(tx_power_dbm, dict) else tx_power_dbm
-        per_sample: dict[int, TapSet] = {}
-        for ms in range(duration_ms):
-            s = min(int(math.floor(ms / 1000.0 / t_s)) + 1, matrix.n_samples)
-            if s not in per_sample:
-                snap = matrix.snapshot(tx, rx, s)
-                if prune_floor_dbm is not None:
-                    snap = prune_paths(snap, prune_floor_dbm)
-                per_sample[s] = approximate_taps(
-                    snap,
-                    p_tx,
-                    k=k,
-                    grid_dt_s=grid_dt_s,
-                    dyn_range_db=dyn_range_db,
-                    offset_db=offset_db,
-                    timestamp_ms=ms,
-                )
-            records[(ms, tx, rx)] = replace(per_sample[s], timestamp_ms=ms)
+        index[(tx, rx)] = len(tap_lists) + list_of_ms
+        for s, ms in zip(sample_of_ms[first_ms].tolist(), first_ms.tolist()):
+            snap = matrix.snapshot(tx, rx, s)
+            if prune_floor_dbm is not None:
+                snap = prune_paths(snap, prune_floor_dbm)
+            ts = approximate_taps(
+                snap,
+                p_tx,
+                k=k,
+                grid_dt_s=grid_dt_s,
+                dyn_range_db=dyn_range_db,
+                offset_db=offset_db,
+                timestamp_ms=ms,
+            )
+            tap_lists.append(ts.taps)
     return TapFile(
         n_nodes=matrix.n_nodes,
         grid_dt_s=grid_dt_s,
         k=k,
         duration_ms=duration_ms,
         offset_db=offset_db,
-        records=records,
+        tap_lists=tap_lists,
+        index=index,
     )

@@ -1,8 +1,9 @@
-"""Per-frame reference implementations of the columnar sounder and harness.
+"""Per-frame and per-record reference implementations.
 
-These are the Python loops that detection and validation ran before their
-results were stored as CSR columns. Tests hold the vectorized code to them
-exactly: same detections, same tie-breaking, same statistics bit for bit.
+These are the Python loops that detection, validation, the truth series and
+tap-file I/O ran before their data was stored as columns and run-length
+arrays. Tests hold the vectorized code to them exactly: same detections,
+same tie-breaking, same statistics bit for bit, same tap-file bytes.
 """
 
 import csv
@@ -10,7 +11,9 @@ import math
 
 import numpy as np
 
+from chansounder.channel_model import link_path_loss_db, noise_floor_dbm, prune_paths
 from chansounder.harness import TapErrorStats, ValidationReport
+from chansounder.tap_approx import TapFile, TapSet
 
 
 def detect_per_frame(gains, anchor, floor_db, threshold_db, guard, sample_rate_hz):
@@ -178,3 +181,85 @@ def compare_per_frame(
         strict=strict,
         passed=passed,
     )
+
+
+def truth_series_per_frame(matrix, scenario, pair, frame_times):
+    """``harness._truth_series_from_matrix`` as a loop over frames."""
+    tx_power = {n.node_id: n.radio.tx_power_dbm for n in scenario.nodes}
+    floors = {n.node_id: noise_floor_dbm(n.radio) for n in scenario.nodes}
+    t_s = matrix.sample_interval_s
+    losses = np.empty(len(frame_times))
+    cache = {}
+    for i, t in enumerate(frame_times):
+        s = min(int(math.floor(t / t_s)) + 1, matrix.n_samples)
+        if s not in cache:
+            snap = matrix.snapshot(pair[0], pair[1], s)
+            snap = prune_paths(snap, min(floors.values()))
+            cache[s] = (
+                link_path_loss_db(snap, tx_power[pair[0]])
+                if snap.paths
+                else float("nan")
+            )
+        losses[i] = cache[s]
+    return losses
+
+
+def write_tap_file_per_record(tap_file, path):
+    """``write_tap_file`` as one formatted row per record."""
+    tap_file.validate()
+    with open(path, "w") as fh:
+        fh.write(f"# n_nodes={tap_file.n_nodes}\n")
+        fh.write(f"# grid_dt_s={tap_file.grid_dt_s!r}\n")
+        fh.write(f"# k={tap_file.k}\n")
+        fh.write(f"# duration_ms={tap_file.duration_ms}\n")
+        fh.write(f"# offset_db={tap_file.offset_db!r}\n")
+        for (ms, tx, rx) in sorted(tap_file.records):
+            ts = tap_file.records[(ms, tx, rx)]
+            cells = [str(ms), str(tx), str(rx)]
+            for i, c in ts.taps:
+                cells += [str(i), repr(c.real), repr(c.imag)]
+            for _ in range(tap_file.k - len(ts.taps)):
+                cells += ["-1", "0", "0"]
+            fh.write(",".join(cells) + "\n")
+
+
+def read_tap_file_per_record(path):
+    """``read_tap_file`` as one TapSet per row, without the range and
+    duplicate checks."""
+    header = {}
+    records = {}
+    with open(path) as fh:
+        lines = fh.readlines()
+    n_header = 0
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        n_header += 1
+        key, _, value = line[1:].strip().partition("=")
+        header[key.strip()] = value.strip()
+    grid_dt_s = float(header["grid_dt_s"])
+    k = int(header["k"])
+    for line in lines[n_header:]:
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
+        taps = []
+        for t in range(k):
+            idx = int(cells[3 + 3 * t])
+            re = float(cells[4 + 3 * t])
+            im = float(cells[5 + 3 * t])
+            if idx >= 0:
+                taps.append((idx, complex(re, im)))
+        records[(ms, tx, rx)] = TapSet(tuple(taps), grid_dt_s, ms)
+    tap_file = TapFile(
+        n_nodes=int(header["n_nodes"]),
+        grid_dt_s=grid_dt_s,
+        k=k,
+        duration_ms=int(header["duration_ms"]),
+        offset_db=float(header["offset_db"]),
+    )
+    tap_file.records.update(records)
+    tap_file.validate()
+    return tap_file

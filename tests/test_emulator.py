@@ -23,7 +23,7 @@ from chansounder.emulator import (
     read_iq_sidecar,
     write_iq_file,
 )
-from chansounder.tap_approx import TapFile, TapSet
+from chansounder.tap_approx import TapFile
 
 FS = 1e6
 GRID = 1e-6  # one sample per grid step at FS
@@ -31,11 +31,8 @@ GRID = 1e-6  # one sample per grid step at FS
 
 def tap_file_from(taps_per_ms, grid_dt_s=GRID, k=4, pair=(1, 2)):
     """taps_per_ms: list of tap tuples, one entry per millisecond."""
-    records = {
-        (ms, *pair): TapSet(tuple(taps), grid_dt_s, ms)
-        for ms, taps in enumerate(taps_per_ms)
-    }
-    return TapFile(2, grid_dt_s, k, len(taps_per_ms), 0.0, records)
+    n = len(taps_per_ms)
+    return TapFile(2, grid_dt_s, k, n, 0.0, list(taps_per_ms), {pair: np.arange(n)})
 
 
 def quiet_config(**kwargs):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chansounder import mobility as mob
 from chansounder.emulator import (
     EmulatorConfig,
     emulate_repeated_reference_to_file,
@@ -16,6 +17,7 @@ from chansounder.emulator import (
 )
 from chansounder.harness import (
     PipelineError,
+    _truth_series_from_matrix,
     build_synthetic_tap_file,
     compare_to_ground_truth,
     pathloss_heatmap,
@@ -28,8 +30,8 @@ from chansounder.sounder import (
     SoundingReport,
     sound_chunked,
 )
-from chansounder.tap_approx import TapFile, TapSet
-from oracles import compare_per_frame
+from chansounder.tap_approx import TapFile
+from oracles import compare_per_frame, truth_series_per_frame
 
 CODE = generate_glfsr(8)
 REF = bpsk_modulate(CODE, 1).samples.real
@@ -121,11 +123,10 @@ class TestCompareToGroundTruth:
             compare_to_ground_truth(report, taps, 0.0, 0.0)
 
     def test_multi_pair_file_needs_explicit_pair(self, tmp_path):
-        records = {}
-        for ms in range(2):
-            for pair in ((1, 2), (2, 1)):
-                records[(ms, *pair)] = TapSet(((0, 1 + 0j),), GRID, ms)
-        taps = TapFile(2, GRID, 4, 2, 0.0, records)
+        taps = TapFile(
+            2, GRID, 4, 2, 0.0, [((0, 1 + 0j),)],
+            {(1, 2): [0, 0], (2, 1): [0, 0]},
+        )
         report = run_loop(tmp_path, taps, pair=(1, 2), duration_s=0.002)
         with pytest.raises(ValueError, match="pair"):
             compare_to_ground_truth(report, taps, 0.0, 0.0)
@@ -145,7 +146,8 @@ def scored_reports(draw):
     grid = 1.0
     duration_ms = draw(st.integers(1, 5))
     coefs = st.sampled_from([0j, 1 + 0j, 0.5j, -0.25 + 0j, 2 + 2j, 1e-3 + 0j])
-    records = {}
+    # one tap list per ms, so equal taps also sit in different lists
+    tap_lists = []
     prev = ()
     for ms in range(duration_ms):
         if ms and draw(st.booleans()):
@@ -153,9 +155,11 @@ def scored_reports(draw):
         else:
             idx = draw(st.lists(st.integers(0, 6), max_size=4, unique=True))
             taps = tuple((i, draw(coefs)) for i in sorted(idx))
-        records[(ms, 1, 2)] = TapSet(taps, grid, ms)
+        tap_lists.append(taps)
         prev = taps
-    tap_file = TapFile(2, grid, 4, duration_ms, 0.0, records)
+    tap_file = TapFile(
+        2, grid, 4, duration_ms, 0.0, tap_lists, {(1, 2): np.arange(duration_ms)}
+    )
 
     n_frames = draw(st.integers(1, 16))
     counts = draw(st.lists(st.integers(0, 5), min_size=n_frames, max_size=n_frames))
@@ -213,6 +217,40 @@ class TestValidationOracle:
         for name in ("spurious", "missed", "n_frames", "delay_tol_s",
                      "gain_tol_db", "strict", "passed"):
             assert getattr(got, name) == getattr(expected, name), name
+
+
+TRUTH_SCENARIO = mob.Scenario(
+    nodes=(
+        mob.NodeSpec(1, "OBU", 1.5, mob.Trajectory(((0, 0), (60, 0)), 20.0)),
+        mob.NodeSpec(2, "RSU", 4.0, mob.Trajectory(((30, 12),))),
+    ),
+    t_total_s=2.0,
+    sample_interval_s=0.1,
+)
+TRUTH_MATRIX = mob.assemble_channel_matrix(TRUTH_SCENARIO)
+
+
+class TestTruthSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edges=st.lists(st.integers(0, TRUTH_MATRIX.n_samples + 3), max_size=20),
+        others=st.lists(st.floats(0.0, 1.6), max_size=20),
+        pair=st.sampled_from([(1, 2), (2, 1)]),
+        ascending=st.booleans(),
+    )
+    def test_equals_per_frame_loop(self, edges, others, pair, ascending):
+        # times exactly on sample edges, between them and past the last sample
+        times = np.array([e * TRUTH_MATRIX.sample_interval_s for e in edges] + others)
+        if ascending:
+            times.sort()
+        got = _truth_series_from_matrix(TRUTH_MATRIX, TRUTH_SCENARIO, pair, times)
+        expected = truth_series_per_frame(TRUTH_MATRIX, TRUTH_SCENARIO, pair, times)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_series_varies_over_samples(self):
+        times = np.arange(0, 1.6, 0.05)
+        got = _truth_series_from_matrix(TRUTH_MATRIX, TRUTH_SCENARIO, (1, 2), times)
+        assert np.isfinite(got).all() and len(np.unique(got)) > 5
 
 
 class TestPathlossHeatmap:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chansounder.tap_approx import (
     read_tap_file,
     write_tap_file,
 )
+from oracles import read_tap_file_per_record, write_tap_file_per_record
 
 P_TX = 20.0
 
@@ -233,20 +235,14 @@ class TestApproximateTaps:
 
 
 def small_tap_file(offset_db=0.0):
-    grid = 2e-8
-    records = {}
-    for ms in range(3):
-        for pair in ((1, 2), (2, 1)):
-            records[(ms, *pair)] = TapSet(
-                ((0, 0.7 + 0j), (64, 0.1j)), grid, ms
-            )
     return TapFile(
         n_nodes=2,
-        grid_dt_s=grid,
+        grid_dt_s=2e-8,
         k=4,
         duration_ms=3,
         offset_db=offset_db,
-        records=records,
+        tap_lists=[((0, 0.7 + 0j), (64, 0.1j))],
+        index={(1, 2): [0, 0, 0], (2, 1): [0, 0, 0]},
     )
 
 
@@ -281,11 +277,10 @@ class TestTapFileIo:
         assert back.k == src.k
         assert back.duration_ms == src.duration_ms
         assert back.offset_db == src.offset_db
-        assert set(back.records) == set(src.records)
-        for key, ts in src.records.items():
-            got = back.records[key]
-            assert got.delay_indices == ts.delay_indices
-            assert np.allclose(got.coefficients, ts.coefficients, rtol=0, atol=0)
+        assert back.records == src.records
+        again = tmp_path / "again.csv"
+        write_tap_file(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_too_many_taps_rejected(self, tmp_path):
         path = tmp_path / "taps.csv"
@@ -295,7 +290,8 @@ class TestTapFileIo:
         )
         row = "0,1,2," + ",".join(f"{i},1.0,0.0" for i in range(5))
         path.write_text(header + row + "\n")
-        with pytest.raises(ValueError, match="exceed K"):
+        name = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{name}: line 6: 5 taps exceed K"):
             read_tap_file(path)
 
     def test_truncated_record_names_line(self, tmp_path):
@@ -305,32 +301,58 @@ class TestTapFileIo:
             "# duration_ms=1\n# offset_db=0.0\n"
         )
         path.write_text(header + "0,1,2,0,1.0\n")
-        with pytest.raises(ValueError, match="line 6.*truncated"):
+        name = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{name}: line 6.*truncated"):
             read_tap_file(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "taps.csv"
         path.write_text("# n_nodes=2\n0,1,2\n")
-        with pytest.raises(ValueError, match="header"):
+        name = re.escape(str(path))
+        with pytest.raises(ValueError, match=f"^{name}: malformed header"):
             read_tap_file(path)
 
     def test_empty_record_is_a_silent_millisecond(self, tmp_path):
-        grid = 2e-8
-        records = {
-            (0, 1, 2): TapSet(((0, 1 + 0j),), grid, 0),
-            (1, 1, 2): TapSet((), grid, 1),
-        }
-        src = TapFile(2, grid, 4, 2, 0.0, records)
+        src = TapFile(2, 2e-8, 4, 2, 0.0, [((0, 1 + 0j),), ()], {(1, 2): [0, 1]})
         path = tmp_path / "taps.csv"
         write_tap_file(src, path)
         back = read_tap_file(path)
         assert back.tapset(1, 1, 2).taps == ()
 
     def test_incomplete_coverage_rejected(self):
-        records = {(0, 1, 2): TapSet(((0, 1 + 0j),), 1e-8, 0)}
-        tf = TapFile(2, 1e-8, 4, 2, 0.0, records)
-        with pytest.raises(ValueError, match="missing record"):
+        tf = TapFile(2, 1e-8, 4, 2, 0.0, [((0, 1 + 0j),)], {(1, 2): [0, -1]})
+        with pytest.raises(ValueError, match="missing record for pair \\(1, 2\\) at 1"):
             tf.validate()
+
+    def test_too_many_taps_fail_validation(self):
+        tf = TapFile(
+            2, 1e-8, 1, 2, 0.0, [((0, 1j),), ((0, 1j), (3, 1j))], {(1, 2): [0, 1]}
+        )
+        with pytest.raises(ValueError, match="record \\(1,1,2\\) has 2 taps, max 1"):
+            tf.validate()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0", "0,1,2,0,2.0,0.0"],
+             "line 8: second record for \\(0,1,2\\), the first is on line 6"),
+            (["0,1,2,0,1.0,0.0", "2,1,2,0,1.0,0.0"],
+             "line 7: timestamp 2 ms outside the file's 0..1 ms"),
+            (["-1,1,2,0,1.0,0.0"], "line 6: timestamp -1 ms outside"),
+            (["0,1,2,0,1.0,0.0", "1,1,2,0,x,0.0"], "line 7: bad field"),
+            (["0,1,2,3,1.0,0.0"], "missing record for pair \\(1, 2\\) at 1 ms"),
+        ],
+    )
+    def test_reader_errors_name_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad_taps.csv"
+        header = (
+            "# n_nodes=2\n# grid_dt_s=2e-08\n# k=1\n"
+            "# duration_ms=2\n# offset_db=0.0\n"
+        )
+        path.write_text(header + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_tap_file(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestTapSetInvariants:
@@ -341,3 +363,100 @@ class TestTapSetInvariants:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             TapSet(((-1, 1 + 0j),), 1e-8, 0)
+
+
+class TestTapRecordsView:
+    def test_mapping_over_the_run_length_store(self):
+        tf = TapFile(
+            2, 1e-8, 2, 3, 0.0, [((0, 1j),), ((1, 2 + 0j),)],
+            {(2, 1): [1, 1, 0], (1, 2): [0, -1, 0]},
+        )
+        assert len(tf.records) == 5
+        assert list(tf.records) == [
+            (0, 1, 2), (0, 2, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1)
+        ]
+        assert tf.records[(1, 2, 1)] == TapSet(((1, 2 + 0j),), 1e-8, 1)
+        assert (1, 1, 2) not in tf.records and (3, 2, 1) not in tf.records
+        tf.records[(1, 1, 2)] = TapSet(((0, -1j),), 1e-8, 1)
+        assert tf.tapset(1, 1, 2).taps == ((0, -1j),)
+        assert tf.tapset(0, 1, 2).taps == ((0, 1j),)  # only one entry repointed
+        tf.validate()
+        del tf.records[(2, 2, 1)]
+        with pytest.raises(ValueError, match="missing record for pair \\(2, 1\\) at 2"):
+            tf.validate()
+        with pytest.raises(KeyError):
+            tf.records[(3, 1, 2)] = TapSet((), 1e-8, 3)
+
+    def test_lookups_by_time(self):
+        tf = TapFile(2, 1e-8, 2, 2, 0.0, [((0, 1j),), ((1, 2 + 0j),)], {(1, 2): [1, 0]})
+        assert tf.active_tapset(0.0015, 1, 2).taps == ((0, 1j),)
+        times = [0.0, 0.00099, 0.0009999999999, 0.001, 0.0019]  # 1e-9 ms of slack
+        ids = tf.tap_ids(np.array(times), 1, 2).tolist()
+        assert ids == [1, 1, 0, 0, 0]
+        assert [tf.tap_lists[i] for i in ids] == [
+            tf.active_tapset(t, 1, 2).taps for t in times
+        ]
+        with pytest.raises(KeyError, match="outside tap file duration"):
+            tf.tap_ids(np.array([0.0, 0.002]), 1, 2)
+        with pytest.raises(KeyError, match="no tap record for pair \\(2,1\\) at 0 ms"):
+            tf.tap_ids(np.array([0.0]), 2, 1)
+
+
+COEFS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tap_files(draw):
+    """Tap files whose records share tap lists across pairs and ms, with
+    empty records, one-ms runs, signed zeros, subnormal and huge values."""
+    k = draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 300), st.builds(complex, COEFS, COEFS)
+                ),
+                max_size=k,
+                unique_by=lambda t: t[0],
+            ).map(sorted),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    duration_ms = draw(st.integers(1, 8))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 12)),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    index = {
+        pair: draw(
+            st.lists(
+                st.integers(0, len(pool) - 1),
+                min_size=duration_ms, max_size=duration_ms,
+            )
+        )
+        for pair in pairs
+    }
+    offset = draw(st.sampled_from([0.0, -0.0, 12.5, 1e-300]))
+    grid = draw(st.sampled_from([1e-8, 2e-08, 1e-7 / 3]))
+    return TapFile(4, grid, k, duration_ms, offset, pool, index)
+
+
+class TestTapFileBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(tf=tap_files())
+    def test_writer_matches_per_record_writer_and_round_trips(
+        self, tf, tmp_path_factory
+    ):
+        d = tmp_path_factory.mktemp("taps")
+        write_tap_file(tf, d / "new.csv")
+        write_tap_file_per_record(tf, d / "old.csv")
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+        back = read_tap_file(d / "new.csv")
+        assert back.records == read_tap_file_per_record(d / "new.csv").records
+        write_tap_file(back, d / "again.csv")
+        assert (d / "again.csv").read_bytes() == (d / "new.csv").read_bytes()
