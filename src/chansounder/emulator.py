@@ -12,7 +12,11 @@ should be excluded from sounding statistics.
 
 ``apply_channel`` filters an in-memory stream and is the reference for
 ``emulate_blocks``, which streams a repeated sounding reference through a
-link as bounded complex64 blocks: the exact contents of a capture.
+link as bounded complex64 blocks: the exact contents of a capture. For
+blocks of at least ``helper.HANDOFF_SAMPLES`` samples, the helper thread
+draws each block's noise while the calling thread filters it; the draws
+come from the one seeded stream in block order, so the output is the same
+byte for byte whichever thread draws.
 
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
 sample, no header) with a JSON sidecar carrying the sample rate.
@@ -23,11 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
+from . import helper
 from .tap_approx import TapFile, TapSet
 
 __all__ = [
@@ -260,8 +266,13 @@ def read_iq_file(path, start_sample: int = 0, count: Optional[int] = None) -> Iq
     total = iq_file_sample_count(path)
     if count is None:
         count = total - start_sample
-    samples = np.fromfile(path, dtype="<c8", count=count, offset=8 * start_sample)
+    samples = _read_iq_samples(path, start_sample, count)
     return IqStream(samples, fs, origin + start_sample / fs)
+
+
+def _read_iq_samples(path, start_sample: int, count: int) -> np.ndarray:
+    """A sample range of a capture as stored: complex64, no metadata."""
+    return np.fromfile(path, dtype="<c8", count=count, offset=8 * start_sample)
 
 
 class IqFileWriter:
@@ -279,7 +290,7 @@ class IqFileWriter:
         self.samples_written = 0
 
     def append(self, samples: np.ndarray) -> None:
-        np.asarray(samples).astype("<c8").tofile(self._fh)
+        np.asarray(samples, dtype="<c8").tofile(self._fh)
         self.samples_written += len(samples)
 
     def close(self) -> None:
@@ -321,7 +332,9 @@ def emulate_blocks(
     but the last. The input is tiled on the fly and filter history is
     carried across block edges; noise is drawn per block from the one
     seeded generator stream, so the output does not depend on the block
-    size.
+    size. Large blocks have their noise drawn on the helper thread, the
+    next block's while the consumer handles this one; closing the
+    generator early waits for that draw.
     """
     tx, rx = pair
     if pair not in taps.pairs():
@@ -340,33 +353,70 @@ def emulate_blocks(
         sigma = math.sqrt(10.0 ** (config.noise_floor_db / 10.0) / 2.0)
 
     interval = config.tap_update_interval_s
-    history = np.zeros(d_max, dtype=np.complex128)
+    # buffers reused by every block: input with d_max samples of filter
+    # history in front, filtered output, interleaved noise draws
+    size = max(min(block_samples, total_samples), 0)
+    xp = np.zeros(d_max + size, dtype=np.complex128)
+    y = np.empty(size, dtype=np.complex128)
+    z = np.empty(2 * size)
+
+    def draw_noise(count):
+        rng.standard_normal(out=z[: 2 * count])
+        z[: 2 * count] *= sigma
+
+    def prefetch_noise(pos):
+        # the helper draws a large block's noise while the caller filters it
+        count = min(size, total_samples - pos)
+        if sigma is None or count < helper.HANDOFF_SAMPLES:
+            return None
+        return helper.submit(partial(draw_noise, count))
+
     pos = 0
-    while pos < total_samples:
-        count = min(block_samples, total_samples - pos)
-        xp = np.concatenate([history, ref[(pos + np.arange(count)) % frame]])
-        y = np.empty(count, dtype=np.complex128)
-        m0 = int(math.floor(pos / (interval * fs) + 1e-9))
-        m1 = int(math.ceil((pos + count) / (interval * fs) - 1e-9))
-        for m in range(m0, m1):
-            n0 = max(int(round(m * interval * fs)), pos)
-            n1 = min(int(round((m + 1) * interval * fs)), pos + count)
-            if n0 >= n1:
-                continue
-            ts = taps.active_tapset(n0 / fs, tx, rx)
-            delays, coeffs = _tapset_delays_coeffs(ts, step)
-            block = np.zeros(n1 - n0, dtype=np.complex128)
-            for d, c in zip(delays, coeffs):
-                a = d_max + (n0 - pos) - d
-                block += c * xp[a : a + (n1 - n0)]
-            y[n0 - pos : n1 - pos] = block
-        y *= scale
-        if sigma is not None:
-            y += sigma * _complex_normal(rng, count)
-        yield y.astype(np.complex64)
-        if d_max:
-            history = xp[len(xp) - d_max :].copy()
-        pos += count
+    drawing = prefetch_noise(0)
+    try:
+        while pos < total_samples:
+            count = min(size, total_samples - pos)
+            if pos and d_max:  # every block before this one held `size` samples
+                xp[:d_max] = xp[size : size + d_max]
+            _tile_into(xp[d_max : d_max + count], ref, pos % frame)
+            m0 = int(math.floor(pos / (interval * fs) + 1e-9))
+            m1 = int(math.ceil((pos + count) / (interval * fs) - 1e-9))
+            for m in range(m0, m1):
+                n0 = max(int(round(m * interval * fs)), pos)
+                n1 = min(int(round((m + 1) * interval * fs)), pos + count)
+                if n0 >= n1:
+                    continue
+                ts = taps.active_tapset(n0 / fs, tx, rx)
+                delays, coeffs = _tapset_delays_coeffs(ts, step)
+                seg = y[n0 - pos : n1 - pos]
+                seg[...] = 0
+                for d, c in zip(delays, coeffs):
+                    a = d_max + (n0 - pos) - d
+                    seg += c * xp[a : a + (n1 - n0)]
+            y[:count] *= scale
+            if sigma is not None:
+                if drawing is None:
+                    draw_noise(count)
+                else:
+                    drawing.result()
+                y[:count] += z[: 2 * count].view(np.complex128)
+                # z is free again: draw the next block's noise meanwhile
+                drawing = prefetch_noise(pos + count)
+            yield y[:count].astype(np.complex64)
+            pos += count
+    finally:  # also when the consumer stops early: leave nothing running
+        if drawing is not None:
+            drawing.wait()
+
+
+def _tile_into(out: np.ndarray, ref: np.ndarray, phase: int) -> None:
+    """Fill ``out`` with the reference repeated from ``phase`` on."""
+    frame = len(ref)
+    head = min(frame - phase, len(out))
+    out[:head] = ref[phase : phase + head]
+    periods, rest = divmod(len(out) - head, frame)
+    out[head : head + periods * frame].reshape(periods, frame)[...] = ref
+    out[head + periods * frame :] = ref[:rest]
 
 
 def emulate_repeated_reference_to_file(

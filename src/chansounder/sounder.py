@@ -10,7 +10,10 @@ the direct-sum definition at 1e-9 relative.
 Every sounding path runs through one block consumer, ``sound_blocks``:
 long streams arrive in blocks of any size, and chunked and single-pass
 runs produce identical detections while peak memory stays bounded by one
-block.
+block. After the first block, a block of at least ``helper.HANDOFF_SAMPLES``
+samples is sounded as two halves of whole frames, one on the helper thread
+and one on the calling thread; frames are independent once the anchor and
+floor are set, so the detections are identical to a single-threaded run.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import helper
 from .emulator import (
     DEFAULT_BLOCK_SAMPLES,
     IqStream,
+    _read_iq_samples,
     iq_file_sample_count,
-    read_iq_file,
     read_iq_sidecar,
 )
 from .sequences import CodeSequence
@@ -213,9 +218,10 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"
         )
-    frames = samples[: n_frames * frame_len].reshape(n_frames, frame_len)
+    frames = np.asarray(samples[: n_frames * frame_len], dtype=np.complex128)
     energy = float(np.sum(ref * ref))
-    spectra = np.fft.fft(frames, axis=1)
+    spectra = np.fft.fft(frames.reshape(n_frames, frame_len), axis=1)
+    del frames  # free the upcast before ifft allocates its output
     spectra *= np.conj(np.fft.fft(ref))
     h = np.fft.ifft(spectra, axis=1)
     h /= energy
@@ -341,38 +347,56 @@ def sound_blocks(
     """Sound a received stream delivered as consecutive sample blocks.
 
     Blocks may have any length: a partial frame is carried into the next
-    block, and a trailing partial frame is dropped. Each block is upcast to
+    block, and a trailing partial frame is dropped. Samples are upcast to
     complex128 before correlation. The anchor lag and noise floor come from
     frame 0 and hold for every frame, so delays stay on one reference and
-    the detections do not depend on how the stream was split.
+    the detections do not depend on how the stream was split, nor on which
+    thread sounded which half of a block.
     """
     ref = _reference(sequence, samples_per_chip)
     frame_len = len(ref)
-    carry = np.empty(0, dtype=np.complex128)
+    carry = np.empty(0, dtype=np.complex64)
     anchor = floor = None
     parts: list[Detections] = []
+
+    def detect(h):
+        return _detect_in_gain_matrix(
+            _gains_from_abs(np.abs(h), config), anchor, floor,
+            config.detection_threshold_db, config.guard_samples, fs,
+        )
+
+    def correlate_and_detect(samples):
+        return detect(_cir_matrix(samples, ref))
+
     for block in blocks:
-        x = np.asarray(block, dtype=np.complex128)
+        x = np.asarray(block)
         if carry.size:
             x = np.concatenate([carry, x])
         n_frames = len(x) // frame_len
-        carry = x[n_frames * frame_len :].copy()
+        end = n_frames * frame_len
+        carry = x[end:].copy()
         if n_frames == 0:
             continue
-        h = _cir_matrix(x[: n_frames * frame_len], ref)
         if anchor is None:
+            # the first frames stay on this thread: frame 0 sets the anchor
+            # and the floor that every later frame is detected against
+            h = _cir_matrix(x[:end], ref)
             first = CirFrame(
                 0, np.arange(frame_len) / fs, h[0].real, h[0].imag, np.abs(h[0])
             )
             anchor = int(np.argmax(first.h_abs))
             floor = estimate_noise_floor_gain_db(first, config)
-        gains = _gains_from_abs(np.abs(h), config)
-        parts.append(
-            _detect_in_gain_matrix(
-                gains, anchor, floor, config.detection_threshold_db,
-                config.guard_samples, fs,
-            )
-        )
+            parts.append(detect(h))
+        elif n_frames > 1 and end >= helper.HANDOFF_SAMPLES:
+            half = n_frames // 2 * frame_len
+            first_half = helper.submit(partial(correlate_and_detect, x[:half]))
+            try:
+                second_half = correlate_and_detect(x[half:end])
+            finally:
+                first_half.wait()
+            parts += [first_half.result(), second_half]
+        else:
+            parts.append(correlate_and_detect(x[:end]))
     if anchor is None:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"
@@ -423,7 +447,7 @@ def sound_chunked(
     total = iq_file_sample_count(capture_path)
     block = max(1, min(int(config.chunk_duration_s * fs), DEFAULT_BLOCK_SAMPLES))
     blocks = (
-        read_iq_file(capture_path, start, min(block, total - start)).samples
+        _read_iq_samples(capture_path, start, min(block, total - start))
         for start in range(0, total, block)
     )
     return sound_blocks(blocks, config, sequence, fs, samples_per_chip)

@@ -404,8 +404,10 @@ def read_tap_file(path) -> TapFile:
     """Parse a tap file; errors name the file and the offending line.
 
     Each distinct row body (the cells after timestamp_ms,tx,rx) is parsed
-    once. A row outside 0 <= timestamp_ms < duration_ms and a second row
-    for the same (timestamp_ms, tx, rx) are errors.
+    once. A row outside 0 <= timestamp_ms < duration_ms, a second row for
+    the same (timestamp_ms, tx, rx), a row with tx == rx and rows naming
+    more distinct node ids than n_nodes are errors. The ids themselves are
+    the scenario's and are not bounded by n_nodes.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -440,6 +442,7 @@ def read_tap_file(path) -> TapFile:
         list_of_body: dict[str, int] = {}
         # per pair: tap list of each ms (-1: none yet) and the line it came from
         rows: dict[tuple[int, int], tuple[array, array]] = {}
+        nodes: set[int] = set()  # distinct node ids of the pairs so far
         for lineno, line in itertools.chain(first_row, lines):
             line = line.strip()
             if not line:
@@ -473,6 +476,18 @@ def read_tap_file(path) -> TapFile:
                 )
             pair_rows = rows.get((tx, rx))
             if pair_rows is None:
+                if tx == rx:
+                    raise ValueError(
+                        f"{path}: line {lineno}: tx and rx are both node {tx}, "
+                        "not a node pair"
+                    )
+                nodes.update((tx, rx))
+                if len(nodes) > n_nodes:
+                    raise ValueError(
+                        f"{path}: line {lineno}: pair ({tx},{rx}) brings the "
+                        f"distinct node ids to {len(nodes)}, more than "
+                        f"n_nodes={n_nodes}"
+                    )
                 pair_rows = rows[(tx, rx)] = (
                     array("i", [-1]) * duration_ms,
                     array("q", [0]) * duration_ms,

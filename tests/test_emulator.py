@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chansounder import helper
 from chansounder.emulator import (
     EmulatorConfig,
     IqFileWriter,
@@ -315,13 +319,16 @@ class TestStreamingEmulation:
         block=st.integers(1, 400),
         noise=st.booleans(),
         seed=st.integers(0, 3),
+        handoff=st.sampled_from([1, 50, helper.HANDOFF_SAMPLES]),
     )
     def test_blocks_equal_oracle_for_any_split(
-        self, frame, samples_per_ms, pool, picks, total_frac, block, noise, seed
+        self, frame, samples_per_ms, pool, picks, total_frac, block, noise, seed,
+        handoff,
     ):
         # consecutive equal picks make runs of identical records; the update
         # interval is rarely a multiple of the frame, so taps change
-        # mid-frame; delays up to 90 samples exceed short frames
+        # mid-frame; delays up to 90 samples exceed short frames; a low
+        # hand-off size draws the noise of some or all blocks on the helper
         fs = samples_per_ms * 1000.0
         records = [sorted(pool[i % len(pool)]) for i in picks]
         taps = tap_file_from(records, grid_dt_s=1.0 / fs)
@@ -330,7 +337,9 @@ class TestStreamingEmulation:
         cfg = quiet_config(
             base_loss_db=3.0, noise_floor_db=-20.0 if noise else None, seed=seed
         )
-        blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, fs, total, block))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
+            blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, fs, total, block))
         assert all(b.dtype == np.complex64 for b in blocks)
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         expected = emulate_oracle(taps, cfg, ref, total, fs)
@@ -340,6 +349,102 @@ class TestStreamingEmulation:
         taps = tap_file_from([[(0, 1 + 0j)]])
         with pytest.raises(KeyError, match="duration"):
             list(emulate_blocks(taps, (1, 2), quiet_config(), np.ones(7), FS, 1500))
+
+
+def large_link(noise=True):
+    """Blocks past the hand-off size; the taps change inside blocks 2 and 3."""
+    rng = np.random.default_rng(11)
+    ref = np.sign(rng.standard_normal(255) + 0.1)
+    taps = tap_file_from(
+        [[(0, 0.7 + 0.1j), (64, 0.1j)]] * 40
+        + [[(3, 1.0 + 0j), (200, -0.2 + 0j)]] * 50
+        + [[(0, 0.5 - 0.5j)]] * 20
+    )
+    cfg = quiet_config(
+        base_loss_db=6.0, noise_floor_db=-30.0 if noise else None, seed=9
+    )
+    total = 3 * helper.HANDOFF_SAMPLES + 4321  # taps change at sample 40,000
+    return taps, cfg, ref, total
+
+
+def wait_or_fail(target, seconds=60.0):
+    """Run ``target`` on a thread; fail instead of hanging the suite."""
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(target()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return outcome[0]
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_large_blocks_equal_oracle(self, noise):
+        taps, cfg, ref, total = large_link(noise)
+        block = helper.HANDOFF_SAMPLES + 1000
+        blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block))
+        assert [len(b) for b in blocks] == [block] * 3 + [total - 3 * block]
+        expected = emulate_oracle(taps, cfg, ref, total)
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    def test_closing_early_leaves_next_call_unchanged(self):
+        taps, cfg, ref, total = large_link()
+        block = helper.HANDOFF_SAMPLES
+        expected = emulate_oracle(taps, cfg, ref, total)
+
+        def close_after_first_block():
+            blocks = emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block)
+            first = next(blocks)
+            blocks.close()  # the helper is drawing the second block's noise
+            return first
+
+        first = wait_or_fail(close_after_first_block)
+        assert first.tobytes() == expected[:block].tobytes()
+        again = wait_or_fail(
+            lambda: list(emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block))
+        )
+        assert np.concatenate(again).tobytes() == expected.tobytes()
+
+    def test_one_helper_for_all_calls(self, monkeypatch):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        taps = tap_file_from([[(0, 1 + 0j)]])
+        cfg = quiet_config(noise_floor_db=-20.0)
+
+        def emulate():
+            return list(emulate_blocks(taps, (1, 2), cfg, np.ones(7), FS, 500, 100))
+
+        first = np.concatenate(emulate()).tobytes()
+        threads = threading.active_count()
+        for _ in range(50):
+            assert np.concatenate(emulate()).tobytes() == first
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_helper(self, monkeypatch):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        taps, cfg, ref, total = large_link()
+        expected = emulate_oracle(taps, cfg, ref, total).tobytes()
+        emulate = lambda: np.concatenate(
+            list(emulate_blocks(taps, (1, 2), cfg, ref, FS, total, 5000))
+        ).tobytes()
+        assert emulate() == expected  # the parent's helper now exists
+        pid = os.fork()
+        if pid == 0:  # child: exit at once, never return into pytest
+            try:
+                os._exit(0 if emulate() == expected else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done, "the forked child hung"
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestNoiseCalibration:

@@ -1,12 +1,14 @@
 """Tests for CIR estimation, path gains, tap detection, and chunking."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chansounder import helper, sounder
 from chansounder.emulator import IqStream, make_noise, write_iq_file
 from chansounder.sequences import bpsk_modulate, generate_glfsr
 from chansounder.sounder import (
@@ -246,10 +248,13 @@ class TestSoundChunked:
         cuts=st.lists(st.integers(0, 40 * N + 100), max_size=12),
         extra=st.integers(0, N - 1),
         seed=st.integers(0, 5),
+        handoff=st.sampled_from([1, 3 * N, helper.HANDOFF_SAMPLES]),
     )
-    def test_any_block_split_equals_single_pass(self, cuts, extra, seed):
+    def test_any_block_split_equals_single_pass(self, cuts, extra, seed, handoff):
         # multipath plus noise so frames carry several detections; ``extra``
-        # leaves a trailing partial frame
+        # leaves a trailing partial frame; a low hand-off size sounds later
+        # blocks as two halves on two threads (one stream, one block, never
+        # leaves the calling thread)
         x = np.tile(REF, 41)[: 40 * N + extra].astype(complex)
         rx = 0.8 * x + (0.2 - 0.1j) * np.roll(x, 9) + 0.05j * np.roll(x, 40)
         rx += make_noise(len(rx), -40.0, seed)
@@ -257,12 +262,57 @@ class TestSoundChunked:
         edges = [0, *sorted(c for c in cuts if c < len(rx)), len(rx)]
         blocks = [rx[a:b] for a, b in zip(edges, edges[1:])]
         cfg = SoundingConfig(discard_frames=1)
-        split = sound_blocks(blocks, cfg, CODE, FS, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
+            split = sound_blocks(blocks, cfg, CODE, FS, 1)
         single = sound_stream(stream(rx), cfg, CODE, 1)
         assert split.detections == single.detections
         assert split.n_frames == single.n_frames == 39
         assert split.anchor_lag == single.anchor_lag
         assert split.noise_floor_gain_db == single.noise_floor_gain_db
+
+    def test_halves_on_two_threads_equal_single_pass(self, monkeypatch):
+        # blocks of odd and even frame counts, each split into two halves of
+        # whole frames (1 + 2, 2 + 2, 2 + 3, 3 + 4) after the first block
+        x = np.tile(REF, 24).astype(complex)
+        rx = 0.8 * x + (0.3 + 0.2j) * np.roll(x, 17) + 0.04 * np.roll(x, 90)
+        rx = (rx + make_noise(len(rx), -38.0, 7)).astype(np.complex64)
+        frames = [2, 3, 4, 5, 7]
+        edges = np.cumsum([0, *frames]) * N + 11  # partial frames carried
+        blocks = [rx[:11]] + [rx[a:b] for a, b in zip(edges, edges[1:])]
+        threads = []
+        detect = sounder._detect_in_gain_matrix
+
+        def recording(gains, *args):
+            threads.append((threading.current_thread().name, len(gains)))
+            return detect(gains, *args)
+
+        monkeypatch.setattr(sounder, "_detect_in_gain_matrix", recording)
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 2 * N)
+        cfg = SoundingConfig(discard_frames=1)
+        split = sound_blocks(blocks, cfg, CODE, FS, 1)
+        monkeypatch.undo()
+        single = sound_stream(stream(rx[: edges[-1]]), cfg, CODE, 1)
+        assert split.detections == single.detections
+        assert split.n_frames == single.n_frames == 20
+        assert split.anchor_lag == single.anchor_lag
+        assert split.noise_floor_gain_db == single.noise_floor_gain_db
+        on_helper = [n for name, n in threads if name == "chansounder-helper"]
+        assert on_helper == [1, 2, 2, 3]
+
+    def test_error_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        detect = sounder._detect_in_gain_matrix
+
+        def failing_on_helper(*args):
+            if threading.current_thread().name == "chansounder-helper":
+                raise FloatingPointError("raised on the helper")
+            return detect(*args)
+
+        monkeypatch.setattr(sounder, "_detect_in_gain_matrix", failing_on_helper)
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        blocks = [np.tile(REF, 2), np.tile(REF, 4)]
+        with pytest.raises(FloatingPointError, match="raised on the helper"):
+            sound_blocks(blocks, SoundingConfig(), CODE, FS, 1)
 
     def test_stream_shorter_than_one_frame_is_an_error(self):
         with pytest.raises(ValueError, match="shorter than one frame"):

@@ -266,6 +266,11 @@ class TestApplyOffset:
             assert np.allclose(got.coefficients, ts.coefficients, rtol=1e-12)
 
 
+TWO_MS_HEADER = (
+    "# n_nodes=2\n# grid_dt_s=2e-08\n# k=1\n# duration_ms=2\n# offset_db=0.0\n"
+)
+
+
 class TestTapFileIo:
     def test_round_trip(self, tmp_path):
         src = small_tap_file(offset_db=12.5)
@@ -341,18 +346,27 @@ class TestTapFileIo:
             (["-1,1,2,0,1.0,0.0"], "line 6: timestamp -1 ms outside"),
             (["0,1,2,0,1.0,0.0", "1,1,2,0,x,0.0"], "line 7: bad field"),
             (["0,1,2,3,1.0,0.0"], "missing record for pair \\(1, 2\\) at 1 ms"),
+            (["0,7,7,0,1.0,0.0"], "line 6: tx and rx are both node 7, not a node pair"),
+            (["0,9,7,0,1.0,0.0", "1,9,7,0,1.0,0.0", "0,7,9,0,1.0,0.0",
+              "0,7,3,0,1.0,0.0"],
+             "line 9: pair \\(7,3\\) brings the distinct node ids to 3, "
+             "more than n_nodes=2"),
         ],
     )
     def test_reader_errors_name_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "bad_taps.csv"
-        header = (
-            "# n_nodes=2\n# grid_dt_s=2e-08\n# k=1\n"
-            "# duration_ms=2\n# offset_db=0.0\n"
-        )
-        path.write_text(header + "\n".join(rows) + "\n")
+        path.write_text(TWO_MS_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=message) as info:
             read_tap_file(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_node_ids_are_not_bounded_by_the_node_count(self, tmp_path):
+        # ids come from the scenario: two nodes may be 7 and 9
+        path = tmp_path / "taps.csv"
+        rows = ["0,9,7,0,1.0,0.0", "0,7,9,0,1.0,0.0",
+                "1,9,7,0,1.0,0.0", "1,7,9,0,1.0,0.0"]
+        path.write_text(TWO_MS_HEADER + "\n".join(rows) + "\n")
+        assert sorted(read_tap_file(path).pairs()) == [(7, 9), (9, 7)]
 
 
 class TestTapSetInvariants:
@@ -426,12 +440,16 @@ def tap_files(draw):
         )
     )
     duration_ms = draw(st.integers(1, 8))
+    # node pairs: tx != rx, ids from the scenario (not bounded by n_nodes)
     pairs = draw(
         st.lists(
-            st.tuples(st.integers(1, 4), st.integers(1, 12)),
+            st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+                lambda p: p[0] != p[1]
+            ),
             min_size=1, max_size=4, unique=True,
         )
     )
+    n_nodes = len({i for p in pairs for i in p}) + draw(st.integers(0, 2))
     index = {
         pair: draw(
             st.lists(
@@ -443,7 +461,7 @@ def tap_files(draw):
     }
     offset = draw(st.sampled_from([0.0, -0.0, 12.5, 1e-300]))
     grid = draw(st.sampled_from([1e-8, 2e-08, 1e-7 / 3]))
-    return TapFile(4, grid, k, duration_ms, offset, pool, index)
+    return TapFile(n_nodes, grid, k, duration_ms, offset, pool, index)
 
 
 class TestTapFileBytes:
