@@ -2,12 +2,13 @@
 
 The emulator and the sounder spend nearly all their time in numpy calls that
 release the interpreter lock (seeded noise draws, FFTs, elementwise
-arithmetic), so a second thread can do half of a large block while the
-caller does the other half. There is one helper per process, started on
-first use and kept for the life of the process; a forked child starts its
-own. Blocks shorter than ``HANDOFF_SAMPLES`` are not worth the hand-off and
-stay on the calling thread. Which thread runs a step never changes its
-result: the callers hand off only steps that write disjoint outputs.
+arithmetic), so a second thread can take one part of a large block's work
+(its noise draw, or half of its frames) while the caller does the rest.
+There is one helper per process, started on first use and kept for the
+life of the process; a forked child starts its own. Blocks shorter than
+``HANDOFF_SAMPLES`` are not worth the hand-off and stay on the calling
+thread. Which thread runs a step never changes its result: the callers
+hand off only steps that write disjoint outputs.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from typing import Callable, TypeVar
+from typing import Callable
 
 __all__ = ["HANDOFF_SAMPLES", "Job", "submit"]
 
 HANDOFF_SAMPLES = 1 << 15  # smallest block (samples) worth handing off
-
-T = TypeVar("T")
 
 
 class Job:
@@ -58,10 +57,9 @@ class _Helper:
     def __init__(self):
         self._jobs: deque[Job] = deque()
         self._ready = threading.Semaphore(0)
-        self.thread = threading.Thread(
+        threading.Thread(
             target=self._serve, name="chansounder-helper", daemon=True
-        )
-        self.thread.start()
+        ).start()
 
     def _serve(self) -> None:
         while True:
@@ -97,6 +95,6 @@ def _get_helper() -> _Helper:
         return _helper
 
 
-def submit(fn: Callable[[], T]) -> Job:
+def submit(fn: Callable[[], object]) -> Job:
     """Start ``fn()`` on the helper thread; its job yields the result."""
     return _get_helper().submit(fn)

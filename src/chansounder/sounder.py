@@ -355,7 +355,7 @@ def sound_blocks(
     """
     ref = _reference(sequence, samples_per_chip)
     frame_len = len(ref)
-    carry = np.empty(0, dtype=np.complex64)
+    carry = np.empty(0, dtype=np.complex128)
     anchor = floor = None
     parts: list[Detections] = []
 

@@ -328,7 +328,10 @@ def approximate_taps(
     by_index: dict[int, complex] = {}
     for members in clusters:
         w = weights[members]
-        centroid = float(np.sum(w * delays[members]) / np.sum(w))
+        if members.size == 1:  # w * d / w can miss d by an ulp
+            centroid = float(delays[members[0]])
+        else:
+            centroid = float(np.sum(w * delays[members]) / np.sum(w))
         idx = int(round(centroid / grid_dt_s))
         by_index[idx] = by_index.get(idx, 0j) + complex(np.sum(coeffs[members]))
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import threading
 import time
 
@@ -418,6 +419,48 @@ class TestHelperThread:
         for _ in range(50):
             assert np.concatenate(emulate()).tobytes() == first
         assert threading.active_count() == threads
+
+    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        # more callers than cores, all handing blocks off at once, with the
+        # helper not yet started, so its creation races too
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        monkeypatch.setattr(helper, "_helper", None)
+        taps = tap_file_from([[(0, 1 + 0j), (3, 0.5j)], [(1, -0.5 + 0j)]] * 2)
+        ref = np.sign(np.random.default_rng(0).standard_normal(31) + 0.1)
+        configs = [quiet_config(noise_floor_db=-20.0, seed=s) for s in range(6)]
+        expected = [emulate_oracle(taps, c, ref, 3500).tobytes() for c in configs]
+        before = set(threading.enumerate())
+        correct = [None] * len(configs)
+
+        def caller(i):
+            correct[i] = all(
+                np.concatenate(
+                    list(emulate_blocks(taps, (1, 2), configs[i], ref, FS, 3500, 300))
+                ).tobytes()
+                == expected[i]
+                for _ in range(5)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(target=caller, args=(i,), daemon=True)
+                for i in range(len(configs))
+            ]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert correct == [True] * len(configs)
+        started = [
+            t for t in set(threading.enumerate()) - before
+            if t.name == "chansounder-helper"
+        ]
+        assert len(started) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_helper(self, monkeypatch):

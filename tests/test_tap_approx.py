@@ -143,6 +143,18 @@ class TestApproximateTaps:
         assert ts.delay_indices == [0]
         assert ts.coefficients[0] == pytest.approx(coherent_path_sum(snap))
 
+    @pytest.mark.parametrize("shift_db", [0.0, 0.5])
+    def test_one_path_cluster_snaps_its_own_delay(self, shift_db):
+        # a path half a grid step out lands on index 0 (round half to even)
+        # and merges with the path at 0; the power-weighted mean w * d / w
+        # used to miss 5e-9 s by an ulp, so the index followed the power
+        snap = snapshot_from(
+            RayPath(P_TX - loss + shift_db, 0.0, d)
+            for loss, d in ((0.5, 0.0), (19.5, 5e-9))
+        )
+        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf)
+        assert ts.delay_indices == [0]
+
     @settings(max_examples=40, deadline=None)
     @given(
         delay=st.floats(min_value=0.0, max_value=1e-6),
