@@ -24,7 +24,6 @@ from .mobility import (
     Scenario,
     Trajectory,
     assemble_channel_matrix,
-    load_scenario,
     num_samples,
     sample_trajectory,
     synthesize_paths,

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 from . import harness, mobility, sequences, sounder, tap_approx
+from .config import PipelineConfig
+from .config import load as load_config
 from .emulator import (
     EmulatorConfig,
     emulate_repeated_reference_to_file,
@@ -78,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taps", type=Path, required=True)
     p.add_argument("--pair", type=str, default=None)
     p.add_argument("--base-loss-db", type=float, default=None)
-    p.add_argument("--gain-tol-db", type=float, default=0.5)
 
     p = sub.add_parser("heatmap", help="all-pairs base-loss heatmap")
     _add_common(p)
@@ -94,28 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> dict:
-    if not args.config:
-        raise ValueError("this command needs --config")
-    return json.loads(Path(args.config).read_text())
-
-
-def _sounding_setup(cfg: dict):
-    snd = cfg.get("sounding", {})
-    fs = float(snd.get("sample_rate_hz", 1e6))
-    spc = int(snd.get("samples_per_chip", 1))
-    sequence = harness._sequence_from_config(snd.get("sequence", {}))
-    config = sounder.SoundingConfig(
-        sample_rate_hz=fs,
-        detection_threshold_db=float(snd.get("detection_threshold_db", 6.0)),
-        chunk_duration_s=float(snd.get("chunk_duration_s", 60.0)),
-        guard_samples=int(snd.get("guard_samples", 2)),
-        discard_frames=int(snd.get("discard_frames", 1)),
-    )
-    return fs, spc, sequence, config
-
-
-def _cmd_generate_sequence(args) -> int:
+def _cmd_generate_sequence(args, cfg=None) -> int:
     if args.family == "glfsr":
         code = sequences.generate_glfsr(args.degree, args.mask, args.lfsr_seed)
     elif args.family == "gold":
@@ -129,8 +109,8 @@ def _cmd_generate_sequence(args) -> int:
     return EXIT_OK
 
 
-def _cmd_build_scenario(args) -> int:
-    scenario = mobility.load_scenario(args.config)
+def _cmd_build_scenario(args, cfg: PipelineConfig) -> int:
+    scenario = cfg.require_scenario()
     matrix = mobility.assemble_channel_matrix(scenario)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths_path = args.out_dir / "paths.jsonl"
@@ -142,30 +122,10 @@ def _cmd_build_scenario(args) -> int:
     return EXIT_OK
 
 
-def _cmd_approximate_taps(args) -> int:
-    cfg = _load_cfg(args)
-    scenario = mobility.load_scenario(args.config)
-    if args.paths_file:
-        records = mobility.read_paths_records(args.paths_file)
-        matrix = mobility.assemble_channel_matrix(scenario, records)
-    else:
-        matrix = mobility.assemble_channel_matrix(scenario)
-    fs, spc, sequence, _ = _sounding_setup(cfg)
-    tap_cfg = cfg.get("taps", {})
-    duration_s = float(cfg.get("duration_s", cfg.get("t_total_s", 1.0)))
-    from .channel_model import noise_floor_dbm
-
-    tap_file = tap_approx.build_tap_file_from_matrix(
-        matrix,
-        {n.node_id: n.radio.tx_power_dbm for n in scenario.nodes},
-        int(round(duration_s * 1000)),
-        k=int(tap_cfg.get("k", 4)),
-        grid_dt_s=float(tap_cfg.get("grid_dt_s", 1.0 / fs)),
-        dyn_range_db=float(tap_cfg.get("dyn_range_db", 43.0)),
-        offset_db=float(tap_cfg.get("offset_db", 0.0)),
-        pairs=[tuple(p) for p in cfg.get("sounded_links", [])] or None,
-        prune_floor_dbm=min(noise_floor_dbm(n.radio) for n in scenario.nodes),
-    )
+def _cmd_approximate_taps(args, cfg: PipelineConfig) -> int:
+    records = mobility.read_paths_records(args.paths_file) if args.paths_file else None
+    matrix = mobility.assemble_channel_matrix(cfg.require_scenario(), records)
+    tap_file = cfg.build_tap_file(matrix)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     tap_path = args.out_dir / "taps.csv"
     tap_approx.write_tap_file(tap_file, tap_path)
@@ -173,51 +133,23 @@ def _cmd_approximate_taps(args) -> int:
     return EXIT_OK
 
 
-def _emulator_config(cfg: dict, tap_file, sequence, spc: int, seed) -> EmulatorConfig:
-    emu = cfg.get("emulator", {})
-    base = float(emu.get("base_loss_db", 57.55))
-    noise_floor = None
-    if emu.get("noise", True):
-        peak = max(
-            (abs(c) for taps in tap_file.used_tap_lists() for _, c in taps),
-            default=0.0,
-        )
-        if peak > 0:
-            noise_floor = noise_floor_db_for_dynamic_range(
-                peak * 10.0 ** (-base / 20.0),
-                sequence.length,
-                spc,
-                float(emu.get("dyn_range_db", 43.0)),
-            )
-    return EmulatorConfig(
-        base_loss_db=base,
-        base_loss_sd_db=float(emu.get("base_loss_sd_db", 0.0)),
-        noise_floor_db=noise_floor,
-        seed=seed if seed is not None else int(cfg.get("seed", 0)),
-    )
-
-
-def _cmd_emulate(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_emulate(args, cfg: PipelineConfig) -> int:
     tap_file = tap_approx.read_tap_file(args.taps)
-    fs, spc, sequence, _ = _sounding_setup(cfg)
     pair = tuple(int(x) for x in args.pair.split(","))
-    config = _emulator_config(cfg, tap_file, sequence, spc, args.seed)
-    duration_s = float(cfg.get("duration_s", cfg.get("t_total_s", 1.0)))
-    ref = sequences.bpsk_modulate(sequence, spc).samples.real
     args.out_dir.mkdir(parents=True, exist_ok=True)
     capture = args.out_dir / f"capture_{pair[0]}-{pair[1]}.iq"
     emulate_repeated_reference_to_file(
-        tap_file, pair, config, ref, fs, int(round(duration_s * fs)), capture
+        tap_file, pair, cfg.emulator_config(tap_file, args.seed), cfg.reference(),
+        cfg.sounding.sample_rate_hz, cfg.total_samples, capture,
     )
-    print(f"emulated {duration_s} s for pair {pair} -> {capture}")
+    print(f"emulated {cfg.duration_s} s for pair {pair} -> {capture}")
     return EXIT_OK
 
 
-def _cmd_sound(args) -> int:
-    cfg = _load_cfg(args)
-    _, spc, sequence, config = _sounding_setup(cfg)
-    report = sounder.sound_chunked(args.capture, config, sequence, spc)
+def _cmd_sound(args, cfg: PipelineConfig) -> int:
+    report = sounder.sound_chunked(
+        args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
+    )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.capture).stem
     sounder.write_report_json(report, args.out_dir / f"sounding_{stem}.json")
@@ -226,24 +158,20 @@ def _cmd_sound(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    cfg = _load_cfg(args)
-    _, spc, sequence, sconfig = _sounding_setup(cfg)
+def _cmd_validate(args, cfg: PipelineConfig) -> int:
     tap_file = tap_approx.read_tap_file(args.taps)
-    report = sounder.sound_chunked(args.capture, sconfig, sequence, spc)
+    report = sounder.sound_chunked(
+        args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
+    )
     pair = tuple(int(x) for x in args.pair.split(",")) if args.pair else None
-    econfig = _emulator_config(cfg, tap_file, sequence, spc, args.seed)
     base = args.base_loss_db
     if base is None:
-        p = pair or tap_file.pairs()[0]
-        base = pair_base_loss_db(econfig, *p)
+        base = pair_base_loss_db(
+            cfg.emulator_config(tap_file, args.seed), *(pair or tap_file.pairs()[0])
+        )
     validation = harness.compare_to_ground_truth(
-        report,
-        tap_file,
-        base_loss_db=base,
-        offset_db=tap_file.offset_db,
-        pair=pair,
-        gain_tol_db=args.gain_tol_db,
+        report, tap_file, base_loss_db=base, offset_db=tap_file.offset_db, pair=pair,
+        gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "validation.json"
@@ -257,7 +185,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if validation.passed else EXIT_TOLERANCE
 
 
-def _cmd_heatmap(args) -> int:
+def _cmd_heatmap(args, cfg=None) -> int:
     config = EmulatorConfig(
         base_loss_db=args.base_loss_db,
         base_loss_sd_db=args.base_loss_sd_db,
@@ -281,10 +209,8 @@ def _cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
-    if not args.config:
-        raise ValueError("pipeline needs --config")
-    result = harness.run_scenario_pipeline(args.config, args.out_dir, seed=args.seed)
+def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
+    result = harness.run_scenario_pipeline(cfg, args.out_dir, seed=args.seed)
     for pair, validation in result.validations.items():
         status = "PASS" if validation.passed else "FAIL"
         print(
@@ -311,7 +237,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = None  # every other command reads the config, parsed before any output
+        if args.command not in ("generate-sequence", "heatmap"):
+            if not args.config:
+                raise ValueError(f"{args.command} needs --config")
+            cfg = load_config(args.config)
+        return _COMMANDS[args.command](args, cfg)
     except (ValueError, OSError, KeyError, harness.PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,11 +23,12 @@ import numpy as np
 from . import mobility as mob
 from . import sequences as seq
 from .channel_model import link_path_loss_db, noise_floor_dbm, prune_paths
+from .config import PipelineConfig
+from .config import load as load_config
 from .emulator import (
     EmulatorConfig,
     emulate_blocks,
     emulate_repeated_reference_to_file,
-    noise_floor_db_for_dynamic_range,
     pair_base_loss_db,
 )
 from .sounder import (
@@ -38,11 +40,7 @@ from .sounder import (
     write_report_csv,
     write_report_json,
 )
-from .tap_approx import (
-    TapFile,
-    build_tap_file_from_matrix,
-    write_tap_file,
-)
+from .tap_approx import TapFile, write_tap_file
 
 __all__ = [
     "PipelineError",
@@ -385,195 +383,92 @@ class PipelineResult:
     passed: bool
 
 
+@contextmanager
 def _stage(name: str):
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(f"stage '{name}' failed: {exc}") from exc
-
-        return run
-
-    return wrap
+    """Re-raise a failure inside the block as a PipelineError naming ``name``."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"stage '{name}' failed: {exc}") from exc
 
 
-def _sequence_from_config(cfg: dict):
-    family = cfg.get("family", "GLFSR").upper()
-    if family == "GLFSR":
-        return seq.generate_glfsr(
-            cfg.get("degree", 8), cfg.get("mask", 0), cfg.get("seed", 1)
-        )
-    if family == "GOLD":
-        return seq.generate_gold(
-            cfg.get("degree", 8),
-            cfg.get("poly_a"),
-            cfg.get("poly_b"),
-            cfg.get("shift", 0),
-        )
-    if family == "GOLAY_A":
-        return seq.generate_golay_a(cfg.get("length", 128))
-    if family == "LS":
-        return seq.generate_ls(cfg.get("order", 5))
-    raise ValueError(f"unknown sequence family {family!r}")
-
-
-def run_scenario_pipeline(
-    config_path,
-    out_dir,
-    seed: Optional[int] = None,
-) -> PipelineResult:
+def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> PipelineResult:
     """Execute mobility -> taps -> emulate -> sound -> validate for a config.
 
-    Writes the paths file, tap file, IQ captures with sidecars, sounding
-    reports (JSON + per-frame CSV), validation reports, and a per-link
-    time-vs-path-loss CSV comparing ground truth with the sounded series.
-    Synthetic-tap configs (key "synthetic_taps") skip the mobility stage.
+    ``config_path`` is a scenario JSON, or the ``PipelineConfig`` parsed from
+    one; it is parsed before any output is made. Writes the paths file, tap
+    file, IQ captures with sidecars, sounding reports (JSON + per-frame CSV),
+    validation reports, and a per-link time-vs-path-loss CSV comparing ground
+    truth with the sounded series. Synthetic-tap configs (key
+    "synthetic_taps") skip the mobility stage.
     """
+    with _stage("load"):
+        cfg = config_path
+        if not isinstance(cfg, PipelineConfig):
+            cfg = load_config(config_path)
+        st = cfg.synthetic_taps
+        scenario = cfg.require_scenario() if st is None else None
+    matrix = None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_path = Path(config_path)
-    cfg = json.loads(config_path.read_text())
-    if not cfg.get("nodes") and "synthetic_taps" not in cfg:
-        raise PipelineError("stage 'load' failed: scenario declares no nodes")
-
-    snd_cfg = cfg.get("sounding", {})
-    emu_cfg = cfg.get("emulator", {})
-    tap_cfg = cfg.get("taps", {})
-    fs = float(snd_cfg.get("sample_rate_hz", 1e6))
-    spc = int(snd_cfg.get("samples_per_chip", 1))
-    sequence = _sequence_from_config(snd_cfg.get("sequence", {}))
-    ref = seq.bpsk_modulate(sequence, spc).samples.real
-    grid_dt_s = float(tap_cfg.get("grid_dt_s", 1.0 / fs))
-    offset_db = float(tap_cfg.get("offset_db", 0.0))
-    duration_s = float(cfg.get("duration_s", cfg.get("t_total_s", 1.0)))
-    duration_ms = int(round(duration_s * 1000.0))
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
-
     artifacts: dict = {}
 
-    matrix = None
-    scenario = None
-    if "synthetic_taps" in cfg:
-        st = cfg["synthetic_taps"]
-        build = _stage("taps")(build_synthetic_tap_file)
-        tap_file = build(
-            [d * 1e-6 for d in st["delays_us"]],
-            st["losses_db"],
-            grid_dt_s,
-            duration_ms,
-            pair=tuple(st.get("pair", (1, 2))),
-            phases_rad=st.get("phases_rad"),
-            k=int(tap_cfg.get("k", 4)),
-            offset_db=offset_db,
-        )
-        sounded_links = [tuple(st.get("pair", (1, 2)))]
-    else:
-        load = _stage("mobility")(lambda: mob.load_scenario(config_path))
-        scenario = load()
-        build_matrix = _stage("mobility")(mob.assemble_channel_matrix)
-        matrix = build_matrix(scenario)
+    if st is None:
         paths_path = out_dir / "paths.jsonl"
-        _stage("mobility")(mob.write_paths_file)(matrix, paths_path)
+        with _stage("mobility"):
+            matrix = mob.assemble_channel_matrix(scenario)
+            mob.write_paths_file(matrix, paths_path)
         artifacts["paths_file"] = str(paths_path)
-
-        sounded_links = [tuple(p) for p in cfg.get("sounded_links", [])]
-        if not sounded_links:
-            ids = scenario.node_ids
-            sounded_links = [(i, j) for i in ids for j in ids if i != j]
-        tx_power = {n.node_id: n.radio.tx_power_dbm for n in scenario.nodes}
-        floors = {
-            n.node_id: noise_floor_dbm(n.radio) for n in scenario.nodes
-        }
-        build = _stage("taps")(build_tap_file_from_matrix)
-        tap_file = build(
-            matrix,
-            tx_power,
-            duration_ms,
-            k=int(tap_cfg.get("k", 4)),
-            grid_dt_s=grid_dt_s,
-            dyn_range_db=float(tap_cfg.get("dyn_range_db", 43.0)),
-            offset_db=offset_db,
-            pairs=sounded_links,
-            prune_floor_dbm=min(floors.values()),
-        )
-
     tap_path = out_dir / "taps.csv"
-    _stage("taps")(write_tap_file)(tap_file, tap_path)
-    artifacts["tap_file"] = str(tap_path)
-
-    base_loss_db = float(emu_cfg.get("base_loss_db", 57.55))
-    noise_floor = None
-    if emu_cfg.get("noise", True):
-        peak_amp = max(
-            (abs(c) for taps in tap_file.used_tap_lists() for _, c in taps),
-            default=0.0,
-        )
-        if peak_amp > 0:
-            noise_floor = noise_floor_db_for_dynamic_range(
-                peak_amp * 10.0 ** (-base_loss_db / 20.0),
-                sequence.length,
-                spc,
-                float(emu_cfg.get("dyn_range_db", 43.0)),
+    with _stage("taps"):
+        if st is None:
+            tap_file = cfg.build_tap_file(matrix)
+        else:
+            tap_file = build_synthetic_tap_file(
+                [d * 1e-6 for d in st.delays_us], st.losses_db, cfg.taps.grid_dt_s,
+                cfg.duration_ms, pair=st.pair, phases_rad=st.phases_rad, k=cfg.taps.k,
+                offset_db=cfg.taps.offset_db,
             )
-    emulator_config = EmulatorConfig(
-        base_loss_db=base_loss_db,
-        base_loss_sd_db=float(emu_cfg.get("base_loss_sd_db", 0.0)),
-        noise_floor_db=noise_floor,
-        seed=seed,
-    )
-    total_samples = int(round(duration_s * fs))
-
-    sounding_config = SoundingConfig(
-        sample_rate_hz=fs,
-        detection_threshold_db=float(snd_cfg.get("detection_threshold_db", 6.0)),
-        chunk_duration_s=float(snd_cfg.get("chunk_duration_s", 60.0)),
-        guard_samples=int(snd_cfg.get("guard_samples", 2)),
-        discard_frames=int(snd_cfg.get("discard_frames", 1)),
-    )
+        write_tap_file(tap_file, tap_path)
+    artifacts["tap_file"] = str(tap_path)
+    emulator_config = cfg.emulator_config(tap_file, seed)
+    ref = cfg.reference()
 
     validations: dict = {}
     rmse: dict = {}
     passed = True
-    for pair in sounded_links:
+    for pair in cfg.sounded_links:
         tag = f"{pair[0]}-{pair[1]}"
         capture = out_dir / f"capture_{tag}.iq"
-        _stage("emulate")(emulate_repeated_reference_to_file)(
-            tap_file, pair, emulator_config, ref, fs, total_samples, capture
-        )
+        with _stage("emulate"):
+            emulate_repeated_reference_to_file(
+                tap_file, pair, emulator_config, ref, cfg.sounding.sample_rate_hz,
+                cfg.total_samples, capture,
+            )
         artifacts[f"capture_{tag}"] = str(capture)
 
-        report = _stage("sound")(sound_chunked)(
-            capture, sounding_config, sequence, spc
-        )
         report_json = out_dir / f"sounding_{tag}.json"
-        report_csv = out_dir / f"sounding_{tag}.csv"
-        _stage("sound")(write_report_json)(report, report_json)
-        _stage("sound")(write_report_csv)(report, report_csv)
+        with _stage("sound"):
+            report = sound_chunked(capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip)
+            write_report_json(report, report_json)
+            write_report_csv(report, out_dir / f"sounding_{tag}.csv")
         artifacts[f"sounding_{tag}"] = str(report_json)
 
-        validation = _stage("validate")(compare_to_ground_truth)(
-            report,
-            tap_file,
-            base_loss_db=pair_base_loss_db(emulator_config, *pair),
-            offset_db=offset_db,
-            pair=pair,
-            gain_tol_db=float(cfg.get("validation", {}).get("gain_tol_db", 0.5)),
-            strict=bool(cfg.get("validation", {}).get("strict", True)),
-        )
+        with _stage("validate"):
+            validation = compare_to_ground_truth(
+                report, tap_file, base_loss_db=pair_base_loss_db(emulator_config, *pair),
+                offset_db=cfg.taps.offset_db, pair=pair,
+                gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
+            )
         validations[pair] = validation
         passed = passed and validation.passed
 
         # Ground-truth coherent (all-path) loss series vs sounded strongest tap.
+        truth = validation.truth_strongest_loss_db
         if matrix is not None:
-            truth = _truth_series_from_matrix(
-                matrix, scenario, pair, validation.frame_times_s
-            )
-        else:
-            truth = validation.truth_strongest_loss_db
+            truth = _truth_series_from_matrix(matrix, scenario, pair, validation.frame_times_s)
         sounded = validation.strongest_loss_db
         ok = ~(np.isnan(truth) | np.isnan(sounded))
         rmse[pair] = (
@@ -596,13 +491,7 @@ def run_scenario_pipeline(
         vpath.write_text(json.dumps(payload, indent=2))
         artifacts[f"validation_{tag}"] = str(vpath)
 
-    return PipelineResult(
-        out_dir=out_dir,
-        artifacts=artifacts,
-        validations=validations,
-        rmse_db=rmse,
-        passed=passed,
-    )
+    return PipelineResult(out_dir, artifacts, validations, rmse, passed)
 
 
 def _truth_series_from_matrix(matrix, scenario, pair, frame_times):

@@ -16,7 +16,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "assemble_channel_matrix",
     "write_paths_file",
     "read_paths_records",
-    "load_scenario",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -135,8 +133,6 @@ class Scenario:
     max_bounces: int = 4
     coherence_distance_m: float = DEFAULT_COHERENCE_DISTANCE_M
     name: str = "scenario"
-    seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ids = [n.node_id for n in self.nodes]
@@ -474,76 +470,3 @@ def read_paths_records(path) -> dict:
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"malformed paths record at line {lineno}: {exc}")
     return records
-
-
-def _radio_from_dict(d: dict, base: Optional[RadioParams] = None) -> RadioParams:
-    base = base or RadioParams()
-    kwargs = {f.name: getattr(base, f.name) for f in dataclasses.fields(RadioParams)}
-    kwargs.update(d)
-    return RadioParams(**kwargs)
-
-
-def load_scenario(path) -> Scenario:
-    """Load a scenario config (JSON) into a Scenario.
-
-    Node speeds are meters/second via "speed_mps" or miles/hour via
-    "speed_mph". Keys not consumed here (emulation, sounding, validation
-    settings) are preserved in Scenario.extras for the pipeline.
-    """
-    path = Path(path)
-    cfg = json.loads(path.read_text())
-    base_radio = _radio_from_dict(cfg.get("radio", {}))
-    nodes = []
-    for nd in cfg["nodes"]:
-        speed = nd.get("speed_mps", 0.0)
-        if "speed_mph" in nd:
-            speed = nd["speed_mph"] * MPH_TO_MPS
-        if "waypoints" in nd:
-            waypoints = nd["waypoints"]
-        elif "position" in nd:
-            waypoints = [nd["position"]]
-        else:
-            raise ValueError(f"node {nd.get('id')}: needs waypoints or position")
-        traj = Trajectory(
-            waypoints=tuple(tuple(w) for w in waypoints),
-            speed_mps=speed,
-            loop_back=nd.get("loop_back", False),
-        )
-        nodes.append(
-            NodeSpec(
-                node_id=nd["id"],
-                kind=nd.get("kind", "STATIC"),
-                antenna_height_m=nd.get("antenna_height_m", 1.5),
-                trajectory=traj,
-                radio=_radio_from_dict(nd.get("radio", {}), base_radio),
-            )
-        )
-    reflectors = tuple(
-        ReflectorPlane(axis=r["axis"], offset=r.get("offset", 0.0))
-        for r in cfg.get("reflectors", [])
-    )
-    consumed = {
-        "nodes",
-        "radio",
-        "reflectors",
-        "t_total_s",
-        "sample_interval_s",
-        "reflection_loss_db",
-        "max_bounces",
-        "coherence_distance_m",
-        "name",
-        "seed",
-    }
-    extras = {k: v for k, v in cfg.items() if k not in consumed}
-    return Scenario(
-        nodes=tuple(nodes),
-        t_total_s=cfg["t_total_s"],
-        sample_interval_s=cfg["sample_interval_s"],
-        reflectors=reflectors,
-        reflection_loss_db=cfg.get("reflection_loss_db", 6.0),
-        max_bounces=cfg.get("max_bounces", 4),
-        coherence_distance_m=cfg.get("coherence_distance_m", DEFAULT_COHERENCE_DISTANCE_M),
-        name=cfg.get("name", path.stem),
-        seed=cfg.get("seed", 0),
-        extras=extras,
-    )

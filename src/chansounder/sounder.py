@@ -263,15 +263,15 @@ def path_gains_db(frame: CirFrame, config: SoundingConfig) -> np.ndarray:
     return _gains_from_abs(frame.h_abs, config)
 
 
-def estimate_noise_floor_gain_db(frame: CirFrame, config: SoundingConfig) -> float:
-    """Measured noise floor of a gain profile, as the top of the noise band.
+def estimate_noise_floor_gain_db(h_abs: np.ndarray, config: SoundingConfig) -> float:
+    """Measured noise floor of one frame's |h|, as the top of the noise band.
 
     The median of |h| estimates the Rayleigh noise scale robustly against a
     few strong taps; the band top is the expected maximum over the frame,
     sigma * sqrt(ln(frame_len)).
     """
-    frame_len = len(frame.h_abs)
-    sigma = float(np.median(frame.h_abs)) / math.sqrt(math.log(2.0))
+    frame_len = len(h_abs)
+    sigma = float(np.median(h_abs)) / math.sqrt(math.log(2.0))
     band_top = sigma * math.sqrt(math.log(frame_len))
     if band_top <= 0:
         return _MIN_GAIN_DB
@@ -381,11 +381,9 @@ def sound_blocks(
             # the first frames stay on this thread: frame 0 sets the anchor
             # and the floor that every later frame is detected against
             h = _cir_matrix(x[:end], ref)
-            first = CirFrame(
-                0, np.arange(frame_len) / fs, h[0].real, h[0].imag, np.abs(h[0])
-            )
-            anchor = int(np.argmax(first.h_abs))
-            floor = estimate_noise_floor_gain_db(first, config)
+            h_abs = np.abs(h[0])
+            anchor = int(np.argmax(h_abs))
+            floor = estimate_noise_floor_gain_db(h_abs, config)
             parts.append(detect(h))
         elif n_frames > 1 and end >= helper.HANDOFF_SAMPLES:
             half = n_frames // 2 * frame_len

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chansounder import config
 from chansounder import mobility as mob
 from chansounder.channel_model import (
     ChannelSnapshot,
@@ -228,7 +229,7 @@ class TestCriterion5MobilityScenario:
         # (a) ground-truth coherent loss series shows the U-shape in gain
         # terms: the 10-sample smoothed series decreases to the turnaround
         # and increases after it.
-        scenario = mob.load_scenario(CONFIG_DIR / "outandback.json")
+        scenario = config.load(CONFIG_DIR / "outandback.json").scenario
         matrix = mob.assemble_channel_matrix(scenario)
         floor = min(noise_floor_dbm(n.radio) for n in scenario.nodes)
         gain = -np.array(

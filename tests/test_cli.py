@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
+from chansounder.harness import build_synthetic_tap_file
+from chansounder.tap_approx import write_tap_file
 
 
 @pytest.fixture
@@ -139,6 +141,56 @@ class TestStageCommands:
                    "--base-loss-db", "15.0",
                    "--out-dir", str(out)])
         assert rc == EXIT_TOLERANCE
+
+
+class TestValidateReadsConfig:
+    """``validate`` judges by the config's ``validation`` section."""
+
+    def _validate(self, cfg_path, tmp_path, validation, *extra):
+        cfg = json.loads(cfg_path.read_text())
+        cfg["validation"] = validation
+        path = tmp_path / "validation.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        if not (out / "capture_1-2.iq").exists():
+            assert main(["pipeline", "--config", str(cfg_path),
+                         "--out-dir", str(out)]) == EXIT_OK
+        rc = main(["validate", "--config", str(path), "--taps", str(out / "taps.csv"),
+                   "--capture", str(out / "capture_1-2.iq"), "--out-dir", str(out),
+                   *extra])
+        return rc, json.loads((out / "validation.json").read_text())
+
+    @pytest.mark.parametrize("strict,expected", [(False, EXIT_OK), (True, EXIT_TOLERANCE)])
+    def test_strictness_decides_spurious_detections(self, synthetic_cfg, tmp_path,
+                                                    strict, expected):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(synthetic_cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        # truth without the 4 us tap: its detection in every frame is spurious
+        write_tap_file(
+            build_synthetic_tap_file([0.0], [3.0], 1e-6, 6, pair=(1, 2)),
+            out / "taps.csv",
+        )
+        rc, report = self._validate(
+            synthetic_cfg, tmp_path, {"gain_tol_db": 0.5, "strict": strict}
+        )
+        assert report["spurious"] > 0 and report["missed"] == 0
+        assert rc == expected
+
+    @pytest.mark.parametrize("tol,expected", [(1.0, EXIT_OK), (0.5, EXIT_TOLERANCE)])
+    def test_gain_tolerance_comes_from_config(self, synthetic_cfg, tmp_path, tol, expected):
+        # claiming 0.8 dB more base loss shifts every corrected gain by 0.8 dB
+        rc, report = self._validate(
+            synthetic_cfg, tmp_path, {"gain_tol_db": tol, "strict": True},
+            "--base-loss-db", "12.8",
+        )
+        assert report["gain_tol_db"] == tol
+        assert rc == expected
+
+    def test_gain_tol_flag_is_gone(self, synthetic_cfg, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["validate", "--config", str(synthetic_cfg), "--taps", "t.csv",
+                  "--capture", "c.iq", "--gain-tol-db", "2"])
 
 
 class TestHeatmapCommand:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chansounder import config
 from chansounder.channel_model import RadioParams
 from chansounder.mobility import (
     MPH_TO_MPS,
@@ -17,7 +18,6 @@ from chansounder.mobility import (
     Trajectory,
     assemble_channel_matrix,
     free_space_loss_db,
-    load_scenario,
     num_samples,
     read_paths_records,
     sample_trajectory,
@@ -332,12 +332,13 @@ class TestScenarioConfig:
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
-        scenario = load_scenario(path)
+        cfg = config.load(path)
+        scenario = cfg.scenario
         assert scenario.name == "demo"
         assert scenario.node(2).speed_mps == pytest.approx(25 * MPH_TO_MPS)
         assert scenario.node(1).radio.tx_power_dbm == 23.0
         assert scenario.reflectors == (ReflectorPlane("z", 0.0),)
-        assert scenario.extras["sounded_links"] == [[2, 1]]
+        assert cfg.sounded_links == ((2, 1),)
 
     def test_trajectory_speed_consistency_enforced(self):
         with pytest.raises(ValueError):

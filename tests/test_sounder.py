@@ -171,7 +171,7 @@ class TestDetectTaps:
             for i in range(2)
         ]
         config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0], config)
+        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
         det = detect(frames, floor, config=config, fs=fs)
         assert det.offsets.tolist() == [0, 4, 8]
         delays = det.delay_s[: det.offsets[1]]
@@ -183,7 +183,7 @@ class TestDetectTaps:
         h = 1e-3 * np.abs(rng.standard_normal(N) + 1j * rng.standard_normal(N))
         frame = CirFrame(0, np.arange(N) / FS, h, np.zeros(N), h)
         config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frame, config)
+        floor = estimate_noise_floor_gain_db(frame.h_abs, config)
         det = detect([frame], floor, config=config)
         assert det.offsets.tolist() == [0, 0]
         assert det.delay_s.size == det.gain_db.size == 0
@@ -191,7 +191,7 @@ class TestDetectTaps:
     def test_guard_suppresses_close_weaker_peak(self):
         frames = self.make_frames([(100, 1.0), (103, 0.5)], 1)
         config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0], config)
+        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
         det = detect(frames, floor, guard=4, config=config)
         lags = np.round(det.delay_s * FS)
         assert lags.tolist() == [0]  # only the anchor peak survives the guard
@@ -203,7 +203,7 @@ class TestDetectTaps:
     def test_adjacent_weaker_sample_is_not_a_local_maximum(self):
         frames = self.make_frames([(100, 1.0), (101, 0.8)], 1)
         config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0], config)
+        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
         det = detect(frames, floor, guard=4, config=config)
         assert det.offsets.tolist() == [0, 1]
 
