@@ -26,12 +26,17 @@ EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="scenario config (JSON)")
-    parser.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    parser.add_argument(
-        "--out-dir", type=Path, default=Path("out"), help="artifact directory"
-    )
+_COMMON = {
+    "--config": dict(type=Path, help="scenario config (JSON)"),
+    "--seed": dict(type=int, default=None, help="override RNG seed"),
+    "--out-dir": dict(type=Path, default=Path("out"), help="artifact directory"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give a command those of the shared flags that it reads."""
+    for flag in flags:
+        parser.add_argument(flag, **_COMMON[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-sequence", help="emit a sounding code sequence")
-    _add_common(p)
     p.add_argument(
         "--family",
         choices=["glfsr", "gold", "golay-a", "ls"],
@@ -59,30 +63,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-out", type=Path, required=True)
 
     p = sub.add_parser("build-scenario", help="sample mobility into a paths file")
-    _add_common(p)
+    _add_common(p, "--config", "--out-dir")
 
     p = sub.add_parser("approximate-taps", help="paths/matrix -> emulator tap file")
-    _add_common(p)
+    _add_common(p, "--config", "--out-dir")
     p.add_argument("--paths-file", type=Path, help="use an existing paths file")
 
     p = sub.add_parser("emulate", help="run one link's capture through the channel")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir")
     p.add_argument("--taps", type=Path, required=True)
     p.add_argument("--pair", type=str, required=True, help="tx,rx node ids")
 
     p = sub.add_parser("sound", help="estimate CIR taps from a capture")
-    _add_common(p)
+    _add_common(p, "--config", "--out-dir")
     p.add_argument("--capture", type=Path, required=True)
 
     p = sub.add_parser("validate", help="sound a capture and score vs tap file")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir")
     p.add_argument("--capture", type=Path, required=True)
     p.add_argument("--taps", type=Path, required=True)
     p.add_argument("--pair", type=str, default=None)
     p.add_argument("--base-loss-db", type=float, default=None)
 
     p = sub.add_parser("heatmap", help="all-pairs base-loss heatmap")
-    _add_common(p)
+    _add_common(p, "--seed", "--out-dir")
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--window-s", type=float, default=0.013)
     p.add_argument("--base-loss-db", type=float, default=57.55)
@@ -90,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate-hz", type=float, default=1e6)
 
     p = sub.add_parser("pipeline", help="full scenario run: mobility to validation")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out-dir")
 
     return parser
 
@@ -237,8 +241,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = None  # every other command reads the config, parsed before any output
-        if args.command not in ("generate-sequence", "heatmap"):
+        cfg = None  # a command with --config reads it, parsed before any output
+        if "config" in vars(args):
             if not args.config:
                 raise ValueError(f"{args.command} needs --config")
             cfg = load_config(args.config)

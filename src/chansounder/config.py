@@ -24,8 +24,8 @@ from .sounder import SoundingConfig
 
 __all__ = ["KEYS", "PipelineConfig", "load"]
 
-# Every accepted key and its default, by section; a value is cast to the type
-# of a bool, int, float or str default. None: absent unless given ("name" is
+# Every accepted key and its default, by section; a value must have the JSON
+# type of a bool, int, float or str default. None: absent unless given ("name" is
 # then the file stem, "duration_s" is "t_total_s" or 1.0, "taps.grid_dt_s" one
 # sample) or required where the section is used. A node's "radio" takes the
 # "radio" keys, over the top-level radio.
@@ -138,8 +138,18 @@ def load(path) -> PipelineConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
+# What a key with a default of each type accepts: the JSON types of the
+# default (an integer is a number too, a bool is neither), and their name.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _section(raw, where: str, table: dict) -> dict:
-    """``raw`` over the defaults in ``table``, cast to their types."""
+    """``raw`` over the defaults in ``table``; a value must have its default's type."""
     if not isinstance(raw, dict):
         raise ValueError(f"'{where or 'the config'}' must be a JSON object")
     out = dict(table)
@@ -147,10 +157,13 @@ def _section(raw, where: str, table: dict) -> dict:
         name = f"{where}.{key}" if where else key
         if key not in table:
             raise ValueError(f"unknown key '{name}'")
-        cast = type(table[key])
-        if cast is bool and not isinstance(value, bool):  # bool("false") is True
-            raise ValueError(f"'{name}' must be true or false")
-        out[key] = cast(value) if cast in (bool, int, float, str) else value
+        kind = type(table[key])
+        if kind in _JSON_TYPES:
+            accepted, what = _JSON_TYPES[kind]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ValueError(f"'{name}' must be {what}, not {json.dumps(value)}")
+            value = kind(value)
+        out[key] = value
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -34,7 +35,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import helper
-from .tap_approx import TapFile, TapSet
+from .tap_approx import TapFile
 
 __all__ = [
     "IqStream",
@@ -55,10 +56,10 @@ __all__ = [
 DEFAULT_BASE_LOSS_DB = 57.55
 DEFAULT_BASE_LOSS_SD_DB = 1.23
 DEFAULT_DYNAMIC_RANGE_DB = 43.0
-MIN_TAP_UPDATE_INTERVAL_S = 0.001
 DEFAULT_BLOCK_SAMPLES = 1 << 18
 
 _GRID_TOL = 1e-6
+_FILTER_SPAN = 1 << 13  # samples filtered per step: 128 KiB products
 
 
 @dataclass
@@ -97,14 +98,7 @@ class EmulatorConfig:
     base_loss_db: float = DEFAULT_BASE_LOSS_DB
     base_loss_sd_db: float = 0.0
     noise_floor_db: Optional[float] = None
-    tap_update_interval_s: float = MIN_TAP_UPDATE_INTERVAL_S
     seed: int = 0
-
-    def __post_init__(self):
-        if self.tap_update_interval_s < MIN_TAP_UPDATE_INTERVAL_S:
-            raise ValueError(
-                f"tap_update_interval_s must be >= {MIN_TAP_UPDATE_INTERVAL_S}"
-            )
 
 
 def pair_base_loss_db(config: EmulatorConfig, tx: int, rx: int) -> float:
@@ -173,12 +167,6 @@ def _grid_step_samples(grid_dt_s: float, sample_rate_hz: float) -> int:
     return int(round(step))
 
 
-def _tapset_delays_coeffs(ts: TapSet, step: int):
-    delays = np.array([i * step for i, _ in ts.taps], dtype=int)
-    coeffs = np.array([c for _, c in ts.taps], dtype=complex)
-    return delays, coeffs
-
-
 def apply_channel(
     input_stream: IqStream,
     taps: TapFile,
@@ -189,6 +177,8 @@ def apply_channel(
 
     output[n] = sum_k c_k(t_n) * input[n - d_k], with zero prefix history,
     scaled by the base loss, plus noise. Output length equals input length.
+    Sample n, at t_n = origin + n / fs, takes the record that
+    ``TapFile.tap_ids`` gives for t_n.
     """
     tx, rx = pair
     if pair not in taps.pairs():
@@ -200,27 +190,18 @@ def apply_channel(
     if n == 0:
         return IqStream(x.copy(), fs, input_stream.origin_time_s)
 
-    interval = config.tap_update_interval_s
     max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
     xp = np.concatenate([np.zeros(d_max, dtype=complex), x])
     y = np.empty(n, dtype=np.complex128)
 
-    # blocks follow the absolute update boundaries, so a stream starting
-    # mid-interval still switches taps at the file's millisecond edges
-    t0 = input_stream.origin_time_s
-    m0 = int(math.floor(t0 / interval + 1e-9))
-    m1 = int(math.ceil((t0 + n / fs) / interval - 1e-9))
-    for m in range(m0, m1):
-        n0 = max(int(round((m * interval - t0) * fs)), 0)
-        n1 = min(int(round(((m + 1) * interval - t0) * fs)), n)
-        if n0 >= n1:
-            continue
-        ts = taps.active_tapset(t0 + n0 / fs, tx, rx)
+    # each sample's record, looked up by its own time; filtered per run
+    ids = taps.tap_ids(input_stream.origin_time_s + np.arange(n) / fs, tx, rx)
+    starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
+    for n0, n1 in zip(starts, starts[1:] + [n]):
         block = np.zeros(n1 - n0, dtype=np.complex128)
-        delays, coeffs = _tapset_delays_coeffs(ts, step)
-        for d, c in zip(delays, coeffs):
-            block += c * xp[d_max + n0 - d : d_max + n1 - d]
+        for i, c in taps.tap_lists[ids[n0]]:
+            block += c * xp[d_max + n0 - i * step : d_max + n1 - i * step]
         y[n0:n1] = block
 
     loss = pair_base_loss_db(config, tx, rx)
@@ -330,10 +311,13 @@ def emulate_blocks(
     reference, truncated to ``total_samples`` and cast to complex64: the
     exact bytes of a capture. Every block holds ``block_samples`` samples
     but the last. The input is tiled on the fly and filter history is
-    carried across block edges; noise is drawn per block from the one
-    seeded generator stream, so the output does not depend on the block
-    size. Large blocks have their noise drawn on the helper thread, the
-    next block's while the consumer handles this one; closing the
+    carried across block edges. Each run of samples that one tap list
+    drives (``TapFile.sample_runs``) is filtered with that list's taps, in
+    spans of at most ``_FILTER_SPAN`` samples; a sample past the tap file
+    raises before the first block is made. Noise is drawn per block from
+    the one seeded generator stream, so the output does not depend on the
+    block size. Large blocks have their noise drawn on the helper thread,
+    the next block's while the consumer handles this one; closing the
     generator early waits for that draw.
     """
     tx, rx = pair
@@ -352,7 +336,12 @@ def emulate_blocks(
     if config.noise_floor_db is not None and config.noise_floor_db != float("-inf"):
         sigma = math.sqrt(10.0 ** (config.noise_floor_db / 10.0) / 2.0)
 
-    interval = config.tap_update_interval_s
+    edges, run_ids = taps.sample_runs(pair, fs, 0, total_samples)
+    edges, run_ids = edges.tolist(), run_ids.tolist()
+    # each tap list's (delay in samples, coefficient) pairs, built once
+    filters = {
+        tid: [(i * step, c) for i, c in taps.tap_lists[tid]] for tid in set(run_ids)
+    }
     # buffers reused by every block: input with d_max samples of filter
     # history in front, filtered output, interleaved noise draws
     size = max(min(block_samples, total_samples), 0)
@@ -379,20 +368,18 @@ def emulate_blocks(
             if pos and d_max:  # every block before this one held `size` samples
                 xp[:d_max] = xp[size : size + d_max]
             _tile_into(xp[d_max : d_max + count], ref, pos % frame)
-            m0 = int(math.floor(pos / (interval * fs) + 1e-9))
-            m1 = int(math.ceil((pos + count) / (interval * fs) - 1e-9))
-            for m in range(m0, m1):
-                n0 = max(int(round(m * interval * fs)), pos)
-                n1 = min(int(round((m + 1) * interval * fs)), pos + count)
-                if n0 >= n1:
-                    continue
-                ts = taps.active_tapset(n0 / fs, tx, rx)
-                delays, coeffs = _tapset_delays_coeffs(ts, step)
-                seg = y[n0 - pos : n1 - pos]
-                seg[...] = 0
-                for d, c in zip(delays, coeffs):
-                    a = d_max + (n0 - pos) - d
-                    seg += c * xp[a : a + (n1 - n0)]
+            end = pos + count
+            # the runs that meet this block, a span at a time: a product over
+            # a whole block would be a 4 MiB temporary per tap
+            for r in range(bisect_right(edges, pos) - 1, bisect_left(edges, end)):
+                stop = min(edges[r + 1], end)
+                for n0 in range(max(edges[r], pos), stop, _FILTER_SPAN):
+                    n1 = min(n0 + _FILTER_SPAN, stop)
+                    seg = y[n0 - pos : n1 - pos]
+                    seg[...] = 0
+                    for d, c in filters[run_ids[r]]:
+                        a = d_max + (n0 - pos) - d
+                        seg += c * xp[a : a + (n1 - n0)]
             y[:count] *= scale
             if sigma is not None:
                 if drawing is None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mobility as mob
 from . import sequences as seq
-from .channel_model import link_path_loss_db, noise_floor_dbm, prune_paths
+from .channel_model import link_path_loss_db, prune_paths
 from .config import PipelineConfig
 from .config import load as load_config
 from .emulator import (
@@ -143,27 +143,20 @@ def _truth_runs(
     """Ground truth at each frame time, built once per run of one tap list.
 
     Returns each frame's run number and, per run, the sorted (delay_s,
-    original gain_db) list of its nonzero taps. Frames map to milliseconds
-    by the rule of ``TapFile.active_tapset``, and ``TapFile.tap_ids``
-    reports a time outside the file as it does.
+    original gain_db) list of its nonzero taps. ``TapFile.tap_ids`` picks
+    each frame's record and reports a time outside the file.
     """
-    ms = np.floor(times_s * 1000.0 + 1e-9)
-    starts = np.r_[True, ms[1:] != ms[:-1]]  # times ascend, so ms never falls
-    runs: list = []
-    run_of_ms = []
-    prev = None
-    for tid in taps.tap_ids(times_s[starts], pair[0], pair[1]).tolist():
-        if tid != prev:
-            runs.append(
-                sorted(
-                    (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
-                    for idx, c in taps.tap_lists[tid]
-                    if abs(c) > 0
-                )
-            )
-            prev = tid
-        run_of_ms.append(len(runs) - 1)
-    return np.asarray(run_of_ms, dtype=np.intp)[np.cumsum(starts) - 1], runs
+    ids = taps.tap_ids(times_s, pair[0], pair[1])
+    starts = np.r_[True, ids[1:] != ids[:-1]]
+    runs = [
+        sorted(
+            (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
+            for idx, c in taps.tap_lists[tid]
+            if abs(c) > 0
+        )
+        for tid in ids[starts].tolist()
+    ]
+    return np.cumsum(starts) - 1, runs
 
 
 def compare_to_ground_truth(
@@ -468,7 +461,11 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
         # Ground-truth coherent (all-path) loss series vs sounded strongest tap.
         truth = validation.truth_strongest_loss_db
         if matrix is not None:
-            truth = _truth_series_from_matrix(matrix, scenario, pair, validation.frame_times_s)
+            build = cfg.tap_build_kwargs()  # prune as the tap build did
+            truth = _truth_series_from_matrix(
+                matrix, pair, validation.frame_times_s,
+                build["tx_power_dbm"], build["prune_floor_dbm"],
+            )
         sounded = validation.strongest_loss_db
         ok = ~(np.isnan(truth) | np.isnan(sounded))
         rmse[pair] = (
@@ -494,15 +491,14 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
     return PipelineResult(out_dir, artifacts, validations, rmse, passed)
 
 
-def _truth_series_from_matrix(matrix, scenario, pair, frame_times):
+def _truth_series_from_matrix(matrix, pair, frame_times, tx_power_dbm, prune_floor_dbm):
     """Coherent link path loss at each frame time, from the channel matrix.
 
     A frame at time t uses channel sample floor(t / T_s) + 1, clipped to the
-    last sample; the loss is computed once per distinct sample, in sample
-    order.
+    last sample; its paths below ``prune_floor_dbm`` are dropped and the
+    loss is computed once per distinct sample, in sample order.
+    ``tx_power_dbm`` maps node ids to transmit power.
     """
-    tx_power = {n.node_id: n.radio.tx_power_dbm for n in scenario.nodes}
-    floor_dbm = min(noise_floor_dbm(n.radio) for n in scenario.nodes)
     sample_of_frame = np.minimum(
         np.floor(np.asarray(frame_times, dtype=float) / matrix.sample_interval_s)
         .astype(np.int64) + 1,
@@ -513,9 +509,9 @@ def _truth_series_from_matrix(matrix, scenario, pair, frame_times):
     samples = np.flatnonzero(frames_per_sample) + first
     losses = np.empty(len(samples))
     for i, s in enumerate(samples.tolist()):
-        snap = prune_paths(matrix.snapshot(pair[0], pair[1], s), floor_dbm)
+        snap = prune_paths(matrix.snapshot(pair[0], pair[1], s), prune_floor_dbm)
         losses[i] = (
-            link_path_loss_db(snap, tx_power[pair[0]]) if snap.paths else float("nan")
+            link_path_loss_db(snap, tx_power_dbm[pair[0]]) if snap.paths else float("nan")
         )
     loss_of_sample = np.cumsum(frames_per_sample > 0) - 1
     return losses[loss_of_sample[sample_of_frame - first]]

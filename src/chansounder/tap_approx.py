@@ -13,7 +13,6 @@ once and one index array per pair that points every millisecond at one.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
@@ -35,9 +34,15 @@ __all__ = [
 
 DEFAULT_MAX_TAPS = 4
 DEFAULT_DYN_RANGE_DB = 43.0
-TAP_RECORD_INTERVAL_MS = 1
 
 _KMEANS_MAX_ITER = 50
+
+
+def _ms_of(times_s):
+    """The millisecond whose record drives each time: the records are held
+    (zero-order hold) from their millisecond until the next, and a time
+    within 1e-9 ms below an edge counts as on it."""
+    return np.floor(np.asarray(times_s, dtype=float) * 1000.0 + 1e-9)
 
 
 def _checked_taps(taps) -> tuple[tuple[int, complex], ...]:
@@ -152,7 +157,7 @@ class TapFile:
 
     def active_tapset(self, time_s: float, tx: int, rx: int) -> TapSet:
         """Record active at a capture time (zero-order hold per millisecond)."""
-        ms = int(math.floor(time_s * 1000.0 + 1e-9))
+        ms = int(_ms_of(time_s))
         if not 0 <= ms < self.duration_ms:
             raise KeyError(f"time {time_s} s outside tap file duration")
         return self.tapset(ms, tx, rx)
@@ -164,7 +169,7 @@ class TapFile:
         time without a record raises the KeyError that it would raise.
         """
         times_s = np.asarray(times_s, dtype=float)
-        ms = np.floor(times_s * 1000.0 + 1e-9)
+        ms = _ms_of(times_s)
         inside = (ms >= 0) & (ms < self.duration_ms)
         ids = np.full(len(times_s), -1, dtype=np.int32)
         pair_ids = self.index.get((tx, rx))
@@ -177,6 +182,37 @@ class TapFile:
                 raise KeyError(f"time {float(times_s[i])} s outside tap file duration")
             raise KeyError(f"no tap record for pair ({tx},{rx}) at {int(ms[i])} ms")
         return ids
+
+    def sample_runs(
+        self, pair: tuple[int, int], fs: float, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of one tap list over samples ``start <= n < stop`` at ``fs``.
+
+        Sample n is at time n / fs and takes its record as in :meth:`tap_ids`.
+        Returns ``edges``, rising from ``start`` to ``stop``, and ``ids``, one
+        fewer: samples ``edges[i]`` to ``edges[i + 1] - 1`` take tap list
+        ``ids[i]``. The work grows with the milliseconds spanned, not with the
+        samples; a sample without a record raises as :meth:`tap_ids` does.
+        """
+        if stop <= start:
+            return np.array([start]), np.empty(0, dtype=np.int32)
+        first, last = (int(_ms_of(n / fs)) for n in (start, stop - 1))
+        pair_ids = self.index.get(pair)
+        changes = np.empty(0, dtype=np.int64)
+        if pair_ids is not None:
+            # past the file reads as no record; tap_ids tells the two apart
+            ids = np.append(pair_ids[first : last + 1], -1)[: last - first + 1]
+            changes = first + 1 + np.flatnonzero(ids[1:] != ids[:-1])
+        # step each estimate to the first sample of its millisecond by the rule
+        n = np.ceil(changes * (fs / 1000.0)).astype(np.int64)
+        while (
+            fix := (_ms_of(n / fs) < changes) * 1 - (_ms_of((n - 1) / fs) >= changes)
+        ).any():
+            n += fix
+        edges = np.r_[start, n, stop]
+        # below 1 kS/s a millisecond may hold no sample: drop its empty run
+        edges = edges[np.r_[edges[1:] > edges[:-1], True]]
+        return edges, self.tap_ids(edges[:-1] / fs, *pair)
 
     def validate(self) -> None:
         """Check completeness (every pair, every millisecond) and tap bounds."""

@@ -201,3 +201,23 @@ class TestHeatmapCommand:
         assert rc == EXIT_OK
         stats = json.loads((tmp_path / "hm" / "heatmap_stats.json").read_text())
         assert stats["mean_db"] == pytest.approx(57.55, abs=0.05)
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate-sequence", "--seq-out", "s.txt", "--config", "c.json"],
+            ["generate-sequence", "--seq-out", "s.txt", "--seed", "1"],
+            ["generate-sequence", "--seq-out", "s.txt", "--out-dir", "out"],
+            ["heatmap", "--config", "c.json"],
+            ["build-scenario", "--config", "c.json", "--seed", "1"],
+            ["approximate-taps", "--config", "c.json", "--seed", "1"],
+            ["sound", "--config", "c.json", "--capture", "c.iq", "--seed", "1"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

@@ -169,6 +169,17 @@ def test_cli_rejects_a_typo_before_any_output(tmp_path, capsys, command, where):
         (lambda raw: raw.update(sounded_links=[[1, 2, 3]]), r"\[tx, rx\] pair"),
         (lambda raw: raw["validation"].update(strict="false"),
          "'validation.strict' must be true or false"),
+        (lambda raw: raw["taps"].update(k=4.5), "'taps.k' must be an integer, not 4.5"),
+        (lambda raw: raw["taps"].update(k=True), "'taps.k' must be an integer, not true"),
+        (lambda raw: raw["taps"].update(k="1"), "'taps.k' must be an integer, not \"1\""),
+        (lambda raw: raw["sounding"].update(guard_samples=2.9),
+         "'sounding.guard_samples' must be an integer"),
+        (lambda raw: raw["emulator"].update(base_loss_db=True),
+         "'emulator.base_loss_db' must be a number, not true"),
+        (lambda raw: raw["radio"].update(tx_power_dbm="20"),
+         "'radio.tx_power_dbm' must be a number"),
+        (lambda raw: raw["sounding"]["sequence"].update(family=8),
+         "'sounding.sequence.family' must be a string, not 8"),
     ],
 )
 def test_bad_values_name_the_file(tmp_path, edit, match):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chansounder import helper
@@ -35,9 +35,14 @@ GRID = 1e-6  # one sample per grid step at FS
 
 
 def tap_file_from(taps_per_ms, grid_dt_s=GRID, k=4, pair=(1, 2)):
-    """taps_per_ms: list of tap tuples, one entry per millisecond."""
-    n = len(taps_per_ms)
-    return TapFile(2, grid_dt_s, k, n, 0.0, list(taps_per_ms), {pair: np.arange(n)})
+    """taps_per_ms: list of tap tuples, one entry per millisecond; equal
+    neighbours share one tap list, as in a built tap file."""
+    lists, index = [], []
+    for taps in taps_per_ms:
+        if not lists or list(taps) != list(lists[-1]):
+            lists.append(taps)
+        index.append(len(lists) - 1)
+    return TapFile(2, grid_dt_s, k, len(index), 0.0, lists, {pair: index})
 
 
 def quiet_config(**kwargs):
@@ -204,10 +209,6 @@ class TestBaseLossPerturbation:
         assert np.mean(losses) == pytest.approx(57.55, abs=0.5)
         assert np.std(losses) == pytest.approx(1.23, abs=0.5)
 
-    def test_update_interval_floor(self):
-        with pytest.raises(ValueError):
-            EmulatorConfig(tap_update_interval_s=0.5e-3)
-
 
 class TestIqFiles:
     def test_round_trip(self, tmp_path):
@@ -299,10 +300,25 @@ class TestStreamingEmulation:
         )
         assert out.read_bytes() == emulate_oracle(taps, cfg, ref, total).tobytes()
 
+    def test_every_sample_takes_its_own_milliseconds_record(self):
+        # 1.5 samples per ms: the ms edges fall between samples and on them
+        fs = 1500.0
+        n_ms = 12
+        taps = tap_file_from([[(0, complex(m + 1))] for m in range(n_ms)], 1.0 / fs)
+        total = int(n_ms * fs / 1000)
+        expected = np.floor(np.arange(total) * 1000 / fs + 1e-9) + 1
+        x = IqStream(np.ones(total, dtype=complex), fs)
+        y = apply_channel(x, taps, (1, 2), quiet_config()).samples
+        assert y.tolist() == expected.tolist()
+        for block in (1, 5, total):
+            blocks = emulate_blocks(taps, (1, 2), quiet_config(), np.ones(3), fs, total, block)
+            assert np.concatenate(list(blocks)).tolist() == expected.tolist()
+
     @settings(max_examples=150, deadline=None)
     @given(
         frame=st.integers(3, 40),
-        samples_per_ms=st.integers(5, 60),
+        samples_per_ms=st.integers(0, 60),
+        extra_hz=st.integers(0, 999),
         pool=st.lists(
             st.lists(
                 st.tuples(
@@ -323,18 +339,21 @@ class TestStreamingEmulation:
         handoff=st.sampled_from([1, 50, helper.HANDOFF_SAMPLES]),
     )
     def test_blocks_equal_oracle_for_any_split(
-        self, frame, samples_per_ms, pool, picks, total_frac, block, noise, seed,
-        handoff,
+        self, frame, samples_per_ms, extra_hz, pool, picks, total_frac, block, noise,
+        seed, handoff,
     ):
-        # consecutive equal picks make runs of identical records; the update
-        # interval is rarely a multiple of the frame, so taps change
-        # mid-frame; delays up to 90 samples exceed short frames; a low
-        # hand-off size draws the noise of some or all blocks on the helper
-        fs = samples_per_ms * 1000.0
+        # consecutive equal picks make runs of identical records; a
+        # millisecond is rarely a multiple of the frame, so taps change
+        # mid-frame; a sample rate that is not whole samples per ms puts the
+        # ms edges between samples, and below 1 kS/s some ms hold no sample;
+        # delays up to 90 samples exceed short frames; a low hand-off size
+        # draws the noise of some or all blocks on the helper
+        fs = samples_per_ms * 1000.0 + extra_hz
+        assume(fs > 0)
         records = [sorted(pool[i % len(pool)]) for i in picks]
         taps = tap_file_from(records, grid_dt_s=1.0 / fs)
         ref = np.sign(np.random.default_rng(seed).standard_normal(frame) + 0.1)
-        total = max(1, int(total_frac * len(records) * samples_per_ms))
+        total = max(1, int(total_frac * len(records) * fs / 1000.0))
         cfg = quiet_config(
             base_loss_db=3.0, noise_floor_db=-20.0 if noise else None, seed=seed
         )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import mobility as mob
+from chansounder.channel_model import noise_floor_dbm
 from chansounder.emulator import (
     EmulatorConfig,
     emulate_repeated_reference_to_file,
@@ -228,6 +229,8 @@ TRUTH_SCENARIO = mob.Scenario(
     sample_interval_s=0.1,
 )
 TRUTH_MATRIX = mob.assemble_channel_matrix(TRUTH_SCENARIO)
+TRUTH_POWER = {n.node_id: n.radio.tx_power_dbm for n in TRUTH_SCENARIO.nodes}
+TRUTH_FLOOR = min(noise_floor_dbm(n.radio) for n in TRUTH_SCENARIO.nodes)
 
 
 class TestTruthSeries:
@@ -243,13 +246,13 @@ class TestTruthSeries:
         times = np.array([e * TRUTH_MATRIX.sample_interval_s for e in edges] + others)
         if ascending:
             times.sort()
-        got = _truth_series_from_matrix(TRUTH_MATRIX, TRUTH_SCENARIO, pair, times)
+        got = _truth_series_from_matrix(TRUTH_MATRIX, pair, times, TRUTH_POWER, TRUTH_FLOOR)
         expected = truth_series_per_frame(TRUTH_MATRIX, TRUTH_SCENARIO, pair, times)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_series_varies_over_samples(self):
         times = np.arange(0, 1.6, 0.05)
-        got = _truth_series_from_matrix(TRUTH_MATRIX, TRUTH_SCENARIO, (1, 2), times)
+        got = _truth_series_from_matrix(TRUTH_MATRIX, (1, 2), times, TRUTH_POWER, TRUTH_FLOOR)
         assert np.isfinite(got).all() and len(np.unique(got)) > 5
 
 

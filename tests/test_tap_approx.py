@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chansounder.channel_model import ChannelSnapshot, RayPath, path_coefficient
@@ -426,6 +426,35 @@ class TestTapRecordsView:
             tf.tap_ids(np.array([0.0, 0.002]), 1, 2)
         with pytest.raises(KeyError, match="no tap record for pair \\(2,1\\) at 0 ms"):
             tf.tap_ids(np.array([0.0]), 2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(-1, 2), st.integers(1, 60)), min_size=1, max_size=6),
+        fs=st.integers(1, 5000),
+        start=st.integers(0, 200),
+        length=st.integers(0, 200),
+        pair=st.sampled_from([(1, 2), (2, 1)]),
+    )
+    # 25 ms * 1.12 samples/ms rounds up past sample 28, the first of ms 25
+    @example(runs=[(0, 25), (1, 5)], fs=1120, start=0, length=33, pair=(1, 2))
+    # at 500 S/s, ms 1 holds no sample
+    @example(runs=[(0, 1), (1, 1), (2, 1)], fs=500, start=0, length=2, pair=(1, 2))
+    def test_sample_runs_equal_per_sample_lookups(self, runs, fs, start, length, pair):
+        # runs of (tap list or -1, ms); -1 entries and samples past the file
+        # must raise the error of the first such sample
+        ids = [tid for tid, n_ms in runs for _ in range(n_ms)]
+        tf = TapFile(2, 1e-8, 2, len(ids), 0.0, [(), ((0, 1j),), ((1, 2.0),)], {(1, 2): ids})
+        stop = start + length
+        try:
+            expected = tf.tap_ids(np.arange(start, stop) / fs, *pair)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as raised:
+                tf.sample_runs(pair, float(fs), start, stop)
+            assert str(raised.value) == str(exc)
+            return
+        edges, run_ids = tf.sample_runs(pair, float(fs), start, stop)
+        assert edges[0] == start and edges[-1] == stop and (np.diff(edges) > 0).all()
+        assert np.repeat(run_ids, np.diff(edges)).tolist() == expected.tolist()
 
 
 COEFS = st.sampled_from(
