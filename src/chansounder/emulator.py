@@ -10,13 +10,18 @@ samples is rejected rather than interpolated.
 The first max(delay) output samples are filter warm-up (zero history) and
 should be excluded from sounding statistics.
 
+The noise of a link is keyed by (seed, tx, rx, chunk): chunk c, samples
+[c * NOISE_CHUNK_SAMPLES, (c + 1) * NOISE_CHUNK_SAMPLES), has its own seeded
+generator (see ``make_noise``), so any window of a link's noise can be drawn
+without the samples before it, by any thread.
+
 ``apply_channel`` filters an in-memory stream and is the reference for
 ``emulate_blocks``, which streams a repeated sounding reference through a
 link as bounded complex64 blocks: the exact contents of a capture. For
 blocks of at least ``helper.HANDOFF_SAMPLES`` samples, the helper thread
-draws each block's noise while the calling thread filters it; the draws
-come from the one seeded stream in block order, so the output is the same
-byte for byte whichever thread draws.
+draws a block's noise chunks from the front while the calling thread
+filters it, and the caller then draws the rest from the back; the output is
+the same byte for byte whichever thread draws a chunk.
 
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
 sample, no header) with a JSON sidecar carrying the sample rate.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -57,6 +63,7 @@ DEFAULT_BASE_LOSS_DB = 57.55
 DEFAULT_BASE_LOSS_SD_DB = 1.23
 DEFAULT_DYNAMIC_RANGE_DB = 43.0
 DEFAULT_BLOCK_SAMPLES = 1 << 18
+NOISE_CHUNK_SAMPLES = 1 << 16  # noise samples drawn from one generator key
 
 _GRID_TOL = 1e-6
 _FILTER_SPAN = 1 << 13  # samples filtered per step: 128 KiB products
@@ -92,13 +99,28 @@ class EmulatorConfig:
     :func:`noise_floor_db_for_dynamic_range` to place the sounded noise
     floor a given dynamic range below a reference tap. ``base_loss_sd_db``
     adds a per-pair Gaussian perturbation to the base loss (seeded
-    symmetrically, so reciprocal links share a value).
+    symmetrically, so reciprocal links share a value). A NaN or infinite
+    setting, or a negative SD, raises a ``ValueError`` naming the field; a
+    -inf noise floor means no noise, as None does.
     """
 
     base_loss_db: float = DEFAULT_BASE_LOSS_DB
     base_loss_sd_db: float = 0.0
     noise_floor_db: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.base_loss_db):
+            raise ValueError(f"base_loss_db must be finite, got {self.base_loss_db}")
+        if not (math.isfinite(self.base_loss_sd_db) and self.base_loss_sd_db >= 0):
+            raise ValueError(
+                f"base_loss_sd_db must be finite and >= 0, got {self.base_loss_sd_db}"
+            )
+        floor = self.noise_floor_db
+        if floor is not None and (math.isnan(floor) or floor == float("inf")):
+            raise ValueError(
+                f"noise_floor_db must be finite, -inf or None, got {floor}"
+            )
 
 
 def pair_base_loss_db(config: EmulatorConfig, tx: int, rx: int) -> float:
@@ -114,24 +136,55 @@ def pair_base_loss_db(config: EmulatorConfig, tx: int, rx: int) -> float:
     return config.base_loss_db + config.base_loss_sd_db * rng.standard_normal()
 
 
-def make_noise(length: int, floor_db_rel: Optional[float], seed) -> np.ndarray:
-    """Circularly-symmetric Gaussian samples with total power 10**(dB/10).
+def make_noise(
+    length: int, floor_db_rel: Optional[float], seed, start: int = 0
+) -> np.ndarray:
+    """Samples [start, start + length) of keyed complex Gaussian noise.
 
-    Deterministic per seed; None or -inf power yields zeros.
+    The noise is circularly symmetric with total power 10**(dB/10); None or
+    -inf power yields zeros. ``seed`` is an int or a tuple of ints, the key.
+    Chunk c of the stream, samples [c * NOISE_CHUNK_SAMPLES,
+    (c + 1) * NOISE_CHUNK_SAMPLES), draws interleaved I/Q from
+    ``np.random.default_rng((*key, c))``, so a window equals that slice of
+    the whole stream however it is cut. A seed sequence ignores trailing
+    zero words up to four, so chunk 0 of a key of at most three 32-bit words
+    is the stream of ``default_rng(key)`` itself.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if floor_db_rel is None or floor_db_rel == float("-inf"):
+    if length < 0 or start < 0:
+        raise ValueError("length and start must be >= 0")
+    sigma = _noise_sigma(floor_db_rel)
+    if sigma is None:
         return np.zeros(length, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(10.0 ** (floor_db_rel / 10.0) / 2.0)
-    return sigma * _complex_normal(rng, length)
+    z = np.empty(2 * length)
+    _draw_noise(z, seed if isinstance(seed, tuple) else (seed,), start, sigma)
+    return z.view(np.complex128)
 
 
-def _complex_normal(rng: np.random.Generator, length: int) -> np.ndarray:
-    # Interleaved I/Q draws keep chunked generation identical to one bulk
-    # draw from the same generator state.
-    return rng.standard_normal(2 * length).view(np.complex128)
+def _noise_sigma(floor_db: Optional[float]) -> Optional[float]:
+    """Per-component noise amplitude; None when the power disables noise."""
+    if floor_db is None or floor_db == float("-inf"):
+        return None
+    return math.sqrt(10.0 ** (floor_db / 10.0) / 2.0)
+
+
+def _draw_noise(out: np.ndarray, key: tuple, start: int, sigma: float) -> None:
+    """Fill interleaved I/Q ``out`` with the keyed noise from sample ``start``.
+
+    A window that starts inside a chunk draws and drops that chunk's head:
+    interleaved draws split anywhere equal one bulk draw from the same state.
+    """
+    chunk = NOISE_CHUNK_SAMPLES
+    n, stop = start, start + len(out) // 2
+    while n < stop:
+        c, head = divmod(n, chunk)
+        end = min((c + 1) * chunk, stop)
+        rng = np.random.default_rng((*key, c))
+        if head:
+            rng.standard_normal(2 * head)
+        part = out[2 * (n - start) : 2 * (end - start)]
+        rng.standard_normal(out=part)
+        part *= sigma
+        n = end
 
 
 def noise_floor_db_for_dynamic_range(
@@ -314,11 +367,13 @@ def emulate_blocks(
     carried across block edges. Each run of samples that one tap list
     drives (``TapFile.sample_runs``) is filtered with that list's taps, in
     spans of at most ``_FILTER_SPAN`` samples; a sample past the tap file
-    raises before the first block is made. Noise is drawn per block from
-    the one seeded generator stream, so the output does not depend on the
-    block size. Large blocks have their noise drawn on the helper thread,
-    the next block's while the consumer handles this one; closing the
-    generator early waits for that draw.
+    raises before the first block is made. Noise is the keyed stream of
+    ``make_noise``, drawn per block a chunk at a time, so the output does
+    not depend on the block size. For a large block, the helper thread
+    takes chunks from the front, starting while the consumer still handles
+    the previous block; the caller filters, then takes chunks from the
+    back. Closing the generator early waits for the chunk the helper is
+    drawing.
     """
     tx, rx = pair
     if pair not in taps.pairs():
@@ -331,10 +386,9 @@ def emulate_blocks(
     max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
     scale = 10.0 ** (-pair_base_loss_db(config, tx, rx) / 20.0)
-    rng = np.random.default_rng((config.seed, tx, rx))
-    sigma = None
-    if config.noise_floor_db is not None and config.noise_floor_db != float("-inf"):
-        sigma = math.sqrt(10.0 ** (config.noise_floor_db / 10.0) / 2.0)
+    key = (config.seed, tx, rx)
+    sigma = _noise_sigma(config.noise_floor_db)
+    chunk = NOISE_CHUNK_SAMPLES
 
     edges, run_ids = taps.sample_runs(pair, fs, 0, total_samples)
     edges, run_ids = edges.tolist(), run_ids.tolist()
@@ -349,19 +403,30 @@ def emulate_blocks(
     y = np.empty(size, dtype=np.complex128)
     z = np.empty(2 * size)
 
-    def draw_noise(count):
-        rng.standard_normal(out=z[: 2 * count])
-        z[: 2 * count] *= sigma
+    def draw_pieces(take, start):
+        # draw claimed pieces of the block from `start` until none is left;
+        # a deque pop from either end is atomic, so each piece is claimed once
+        while True:
+            try:
+                n0, n1 = take()
+            except IndexError:
+                return
+            _draw_noise(z[2 * (n0 - start) : 2 * (n1 - start)], key, n0, sigma)
 
-    def prefetch_noise(pos):
-        # the helper draws a large block's noise while the caller filters it
-        count = min(size, total_samples - pos)
-        if sigma is None or count < helper.HANDOFF_SAMPLES:
-            return None
-        return helper.submit(partial(draw_noise, count))
+    def claim_noise(start):
+        # the block's noise cut at chunk edges; the helper starts on a large
+        # block's pieces from the front
+        if sigma is None:
+            return deque(), None
+        stop = min(start + size, total_samples)
+        cuts = [start, *range(start - start % chunk + chunk, stop, chunk), stop]
+        pieces = deque(zip(cuts, cuts[1:]))
+        if stop - start < helper.HANDOFF_SAMPLES:
+            return pieces, None
+        return pieces, helper.submit(partial(draw_pieces, pieces.popleft, start))
 
     pos = 0
-    drawing = prefetch_noise(0)
+    pieces, drawing = claim_noise(0)
     try:
         while pos < total_samples:
             count = min(size, total_samples - pos)
@@ -382,17 +447,17 @@ def emulate_blocks(
                         seg += c * xp[a : a + (n1 - n0)]
             y[:count] *= scale
             if sigma is not None:
-                if drawing is None:
-                    draw_noise(count)
-                else:
+                draw_pieces(pieces.pop, pos)
+                if drawing is not None:
                     drawing.result()
                 y[:count] += z[: 2 * count].view(np.complex128)
-                # z is free again: draw the next block's noise meanwhile
-                drawing = prefetch_noise(pos + count)
+                # z is free again: the helper starts on the next block's noise
+                pieces, drawing = claim_noise(pos + count)
             yield y[:count].astype(np.complex64)
             pos += count
     finally:  # also when the consumer stops early: leave nothing running
         if drawing is not None:
+            pieces.clear()  # the helper stops after the piece it is drawing
             drawing.wait()
 
 

@@ -3,7 +3,8 @@
 The emulator and the sounder spend nearly all their time in numpy calls that
 release the interpreter lock (seeded noise draws, FFTs, elementwise
 arithmetic), so a second thread can take one part of a large block's work
-(its noise draw, or half of its frames) while the caller does the rest.
+(the noise chunks it claims first, or half of its frames) while the caller
+does the rest.
 There is one helper per process, started on first use and kept for the
 life of the process; a forked child starts its own. Blocks shorter than
 ``HANDOFF_SAMPLES`` are not worth the hand-off and stay on the calling

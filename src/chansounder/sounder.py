@@ -299,13 +299,13 @@ def _detect_in_gain_matrix(
     never adjacent, so only ``guard > 2`` can drop one and run the greedy
     pass. Delays are taken relative to ``anchor``.
     """
-    is_max = gains >= floor_db + threshold_db
-    is_max[:, 1:] &= gains[:, 1:] > gains[:, :-1]
-    is_max[:, 0] &= gains[:, 0] > gains[:, -1]
-    is_max[:, :-1] &= gains[:, :-1] > gains[:, 1:]
-    is_max[:, -1] &= gains[:, -1] > gains[:, 0]
     n_frames, frame_len = gains.shape
-    frame, lag = np.nonzero(is_max)
+    # the level test first: few lags pass it, so only they meet the
+    # circular neighbour test; nonzero keeps (frame, lag) order
+    frame, lag = np.nonzero(gains >= floor_db + threshold_db)
+    g = gains[frame, lag]
+    is_max = (g > gains[frame, lag - 1]) & (g > gains[frame, (lag + 1) % frame_len])
+    frame, lag = frame[is_max], lag[is_max]
     if guard > 2:
         keep = np.ones(frame.size, dtype=bool)
         bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()

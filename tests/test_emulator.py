@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chansounder import helper
+from chansounder import emulator, helper
 from chansounder.emulator import (
     EmulatorConfig,
     IqFileWriter,
@@ -186,12 +186,69 @@ class TestMakeNoise:
         old = sigma * (z[0::2] + 1j * z[1::2])
         new = make_noise(1001, power_db, 5)
         assert new.tobytes() == old.tobytes()
+        # chunk 0 of a link's key (seed, tx, rx) is the stream of that key
+        z = np.random.default_rng((5, 1, 2)).standard_normal(2 * 1001)
+        link = make_noise(1001, power_db, (5, 1, 2))
+        assert link.tobytes() == (sigma * (z[0::2] + 1j * z[1::2])).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chunk=st.sampled_from([5, 64, 1 << 16]),
+        start=st.integers(0, 400),
+        length=st.integers(0, 400),
+    )
+    def test_any_window_is_that_slice_of_the_whole(self, chunk, start, length):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emulator, "NOISE_CHUNK_SAMPLES", chunk)
+            whole = make_noise(start + length, -10.0, (3, 1, 2))
+            window = make_noise(length, -10.0, (3, 1, 2), start=start)
+        assert window.tobytes() == whole[start:].tobytes()
+
+    def test_pairs_and_chunks_draw_differently(self):
+        chunk = emulator.NOISE_CHUNK_SAMPLES
+        link = make_noise(2 * chunk, -10.0, (3, 1, 2))
+        parts = [link[:chunk], link[chunk:]] + [
+            make_noise(chunk, -10.0, key) for key in [(3, 2, 1), (4, 1, 2), (3, 1, 3)]
+        ]
+        for i, a in enumerate(parts):
+            for b in parts[i + 1 :]:
+                assert np.intersect1d(a.view(float), b.view(float)).size == 0
 
     def test_empirical_power_within_one_percent(self):
         power_db = -17.0
         n = make_noise(1_000_000, power_db, 11)
         measured = np.mean(np.abs(n) ** 2)
         assert measured == pytest.approx(10 ** (power_db / 10), rel=0.01)
+
+
+class TestEmulatorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_loss_db", math.nan),
+            ("base_loss_db", math.inf),
+            ("base_loss_sd_db", -0.5),
+            ("base_loss_sd_db", math.nan),
+            ("noise_floor_db", math.nan),
+            ("noise_floor_db", math.inf),
+        ],
+    )
+    def test_bad_value_is_an_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EmulatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("floor", [None, -math.inf])
+    def test_no_noise_floor_emulates_without_noise(self, floor):
+        taps = tap_file_from([[(0, 1 + 0j)]] * 2)
+        x = rand_stream(1500)
+        y = apply_channel(x, taps, (1, 2), quiet_config(noise_floor_db=floor))
+        assert np.array_equal(y.samples, x.samples)
+        blocks = emulate_blocks(
+            taps, (1, 2), quiet_config(noise_floor_db=floor), x.samples, FS, 1500
+        )
+        assert np.concatenate(list(blocks)).tobytes() == x.samples.astype(
+            np.complex64
+        ).tobytes()
 
 
 class TestBaseLossPerturbation:
@@ -337,17 +394,20 @@ class TestStreamingEmulation:
         noise=st.booleans(),
         seed=st.integers(0, 3),
         handoff=st.sampled_from([1, 50, helper.HANDOFF_SAMPLES]),
+        chunk=st.sampled_from([1, 37, 128, emulator.NOISE_CHUNK_SAMPLES]),
     )
     def test_blocks_equal_oracle_for_any_split(
         self, frame, samples_per_ms, extra_hz, pool, picks, total_frac, block, noise,
-        seed, handoff,
+        seed, handoff, chunk,
     ):
         # consecutive equal picks make runs of identical records; a
         # millisecond is rarely a multiple of the frame, so taps change
         # mid-frame; a sample rate that is not whole samples per ms puts the
         # ms edges between samples, and below 1 kS/s some ms hold no sample;
         # delays up to 90 samples exceed short frames; a low hand-off size
-        # draws the noise of some or all blocks on the helper
+        # draws the noise of some or all blocks on the helper; a low noise
+        # chunk size spreads a link over several chunks and starts blocks
+        # inside one
         fs = samples_per_ms * 1000.0 + extra_hz
         assume(fs > 0)
         records = [sorted(pool[i % len(pool)]) for i in picks]
@@ -359,10 +419,11 @@ class TestStreamingEmulation:
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
+            mp.setattr(emulator, "NOISE_CHUNK_SAMPLES", chunk)
             blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, fs, total, block))
+            expected = emulate_oracle(taps, cfg, ref, total, fs)
         assert all(b.dtype == np.complex64 for b in blocks)
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-        expected = emulate_oracle(taps, cfg, ref, total, fs)
         assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
     def test_stream_beyond_tap_file_is_an_error(self):
@@ -406,6 +467,24 @@ class TestHelperThread:
         assert [len(b) for b in blocks] == [block] * 3 + [total - 3 * block]
         expected = emulate_oracle(taps, cfg, ref, total)
         assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1000, emulator.NOISE_CHUNK_SAMPLES])
+    def test_capture_bytes_equal_with_hand_off_on_and_off(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        # blocks of 2.5 chunks at the smaller chunk size start inside one
+        monkeypatch.setattr(emulator, "NOISE_CHUNK_SAMPLES", chunk)
+        taps, cfg, ref, total = large_link()
+        captures = []
+        for handoff in (1, 1 << 62):
+            monkeypatch.setattr(helper, "HANDOFF_SAMPLES", handoff)
+            path = tmp_path / f"handoff-{handoff}.iq"
+            emulate_repeated_reference_to_file(
+                taps, (1, 2), cfg, ref, FS, total, path, chunk_samples=2500
+            )
+            captures.append(path.read_bytes())
+        assert captures[0] == captures[1]
+        assert captures[0] == emulate_oracle(taps, cfg, ref, total).tobytes()
 
     def test_closing_early_leaves_next_call_unchanged(self):
         taps, cfg, ref, total = large_link()
