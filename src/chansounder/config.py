@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -148,6 +149,13 @@ _JSON_TYPES = {
 }
 
 
+def _finite(value) -> bool:
+    """False if ``value`` is or holds a NaN or infinite number."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, list) or all(map(_finite, value))
+
+
 def _section(raw, where: str, table: dict) -> dict:
     """``raw`` over the defaults in ``table``; a value must have its default's type."""
     if not isinstance(raw, dict):
@@ -163,6 +171,8 @@ def _section(raw, where: str, table: dict) -> dict:
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
                 raise ValueError(f"'{name}' must be {what}, not {json.dumps(value)}")
             value = kind(value)
+        if not _finite(value):
+            raise ValueError(f"'{name}' must be finite, not {json.dumps(value)}")
         out[key] = value
     return out
 

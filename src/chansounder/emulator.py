@@ -17,11 +17,10 @@ without the samples before it, by any thread.
 
 ``apply_channel`` filters an in-memory stream and is the reference for
 ``emulate_blocks``, which streams a repeated sounding reference through a
-link as bounded complex64 blocks: the exact contents of a capture. For
-blocks of at least ``helper.HANDOFF_SAMPLES`` samples, the helper thread
-draws a block's noise chunks from the front while the calling thread
-filters it, and the caller then draws the rest from the back; the output is
-the same byte for byte whichever thread draws a chunk.
+link as bounded complex64 blocks: the exact contents of a capture. A
+block's noise chunks are a ``helper.WorkQueue``, drawn on either thread
+while the calling thread filters the block; the output is the same byte for
+byte whichever thread draws a chunk.
 
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
 sample, no header) with a JSON sidecar carrying the sample rate.
@@ -32,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -312,23 +310,27 @@ def _read_iq_samples(path, start_sample: int, count: int) -> np.ndarray:
 class IqFileWriter:
     """Streaming capture writer: append sample blocks, sidecar on close.
 
-    If the ``with`` block raises, the partial capture is deleted and no
-    sidecar is written, so a truncated capture never looks valid.
+    Opening removes any old capture and its sidecar. Samples go to a
+    ``.partial`` file that close renames into place before writing the
+    sidecar; if the ``with`` block raises, the partial file is deleted. So
+    an unfinished capture never looks valid.
     """
 
     def __init__(self, path, sample_rate_hz: float, origin_time_s: float = 0.0):
         self.path = Path(path)
         self.sample_rate_hz = sample_rate_hz
         self.origin_time_s = origin_time_s
-        self._fh = open(path, "wb")
-        self.samples_written = 0
+        _sidecar_path(self.path).unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)
+        self._partial = self.path.with_name(self.path.name + ".partial")
+        self._fh = open(self._partial, "wb")
 
     def append(self, samples: np.ndarray) -> None:
         np.asarray(samples, dtype="<c8").tofile(self._fh)
-        self.samples_written += len(samples)
 
     def close(self) -> None:
         self._fh.close()
+        self._partial.replace(self.path)
         _sidecar_path(self.path).write_text(
             json.dumps(
                 {
@@ -346,7 +348,7 @@ class IqFileWriter:
             self.close()
         else:
             self._fh.close()
-            self.path.unlink(missing_ok=True)
+            self._partial.unlink(missing_ok=True)
 
 
 def emulate_blocks(
@@ -369,11 +371,9 @@ def emulate_blocks(
     spans of at most ``_FILTER_SPAN`` samples; a sample past the tap file
     raises before the first block is made. Noise is the keyed stream of
     ``make_noise``, drawn per block a chunk at a time, so the output does
-    not depend on the block size. For a large block, the helper thread
-    takes chunks from the front, starting while the consumer still handles
-    the previous block; the caller filters, then takes chunks from the
-    back. Closing the generator early waits for the chunk the helper is
-    drawing.
+    not depend on the block size. A block's chunks are a ``helper.WorkQueue``
+    that starts while the consumer still handles the previous block; closing
+    the generator early waits only for the chunk in flight.
     """
     tx, rx = pair
     if pair not in taps.pairs():
@@ -403,30 +403,19 @@ def emulate_blocks(
     y = np.empty(size, dtype=np.complex128)
     z = np.empty(2 * size)
 
-    def draw_pieces(take, start):
-        # draw claimed pieces of the block from `start` until none is left;
-        # a deque pop from either end is atomic, so each piece is claimed once
-        while True:
-            try:
-                n0, n1 = take()
-            except IndexError:
-                return
-            _draw_noise(z[2 * (n0 - start) : 2 * (n1 - start)], key, n0, sigma)
+    def draw(start, n0, n1):
+        _draw_noise(z[2 * (n0 - start) : 2 * (n1 - start)], key, n0, sigma)
 
-    def claim_noise(start):
-        # the block's noise cut at chunk edges; the helper starts on a large
-        # block's pieces from the front
+    def start_noise(start):
+        # the block from `start` on, cut at noise chunk edges
         if sigma is None:
-            return deque(), None
+            return None
         stop = min(start + size, total_samples)
         cuts = [start, *range(start - start % chunk + chunk, stop, chunk), stop]
-        pieces = deque(zip(cuts, cuts[1:]))
-        if stop - start < helper.HANDOFF_SAMPLES:
-            return pieces, None
-        return pieces, helper.submit(partial(draw_pieces, pieces.popleft, start))
+        return helper.WorkQueue(zip(cuts, cuts[1:]), partial(draw, start))
 
     pos = 0
-    pieces, drawing = claim_noise(0)
+    noise = start_noise(0)
     try:
         while pos < total_samples:
             count = min(size, total_samples - pos)
@@ -446,19 +435,16 @@ def emulate_blocks(
                         a = d_max + (n0 - pos) - d
                         seg += c * xp[a : a + (n1 - n0)]
             y[:count] *= scale
-            if sigma is not None:
-                draw_pieces(pieces.pop, pos)
-                if drawing is not None:
-                    drawing.result()
+            if noise is not None:
+                noise.finish()
                 y[:count] += z[: 2 * count].view(np.complex128)
                 # z is free again: the helper starts on the next block's noise
-                pieces, drawing = claim_noise(pos + count)
+                noise = start_noise(pos + count)
             yield y[:count].astype(np.complex64)
             pos += count
     finally:  # also when the consumer stops early: leave nothing running
-        if drawing is not None:
-            pieces.clear()  # the helper stops after the piece it is drawing
-            drawing.wait()
+        if noise is not None:
+            noise.cancel()
 
 
 def _tile_into(out: np.ndarray, ref: np.ndarray, phase: int) -> None:

@@ -1,15 +1,15 @@
-"""One helper thread that runs a call beside the calling thread.
+"""One helper thread and the work queue that splits a step with the caller.
 
 The emulator and the sounder spend nearly all their time in numpy calls that
-release the interpreter lock (seeded noise draws, FFTs, elementwise
-arithmetic), so a second thread can take one part of a large block's work
-(the noise chunks it claims first, or half of its frames) while the caller
-does the rest.
-There is one helper per process, started on first use and kept for the
-life of the process; a forked child starts its own. Blocks shorter than
-``HANDOFF_SAMPLES`` are not worth the hand-off and stay on the calling
-thread. Which thread runs a step never changes its result: the callers
-hand off only steps that write disjoint outputs.
+release the interpreter lock, so a second thread can run part of a large
+block's work. Only this module decides which thread runs what: a step is a
+``WorkQueue`` of ordered pieces; the helper claims pieces from the front as
+soon as the queue is made, and the caller runs the rest from the back in
+``finish``. A step of fewer than ``HANDOFF_SAMPLES`` samples stays on the
+calling thread; ``split`` cuts whole units, such as frames, into pieces of
+about that size. The callers' pieces write disjoint outputs, so which thread
+runs a piece never changes the result. There is one helper per process,
+started on first use; a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -17,85 +17,97 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from typing import Callable
+from queue import SimpleQueue
+from typing import Callable, Iterable
 
-__all__ = ["HANDOFF_SAMPLES", "Job", "submit"]
+__all__ = ["HANDOFF_SAMPLES", "WorkQueue", "split"]
 
-HANDOFF_SAMPLES = 1 << 15  # smallest block (samples) worth handing off
-
-
-class Job:
-    """One call handed to the helper thread."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.done = threading.Event()
-        self.value = self.error = None
-
-    def run(self) -> None:
-        try:
-            self.value = self.fn()
-        except BaseException as exc:  # re-raised in the caller by result()
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def wait(self) -> None:
-        """Block until the call has finished, whatever its outcome."""
-        self.done.wait()
-
-    def result(self):
-        """Wait, then return the call's value or raise its exception."""
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
+HANDOFF_SAMPLES = 1 << 15  # smallest step (samples) worth handing off
 
 
-class _Helper:
-    """A daemon thread serving jobs in the order they were submitted."""
+def split(start: int, stop: int, unit: int) -> list[tuple[int, int]]:
+    """The whole units of [start, stop) in runs of about HANDOFF_SAMPLES samples."""
+    n = (stop - start) // unit
+    runs = min(n, max(1, round((stop - start) / HANDOFF_SAMPLES)))
+    edges = [start + n * k // runs * unit for k in range(runs + 1)] if n else []
+    return list(zip(edges, edges[1:]))
 
-    def __init__(self):
-        self._jobs: deque[Job] = deque()
-        self._ready = threading.Semaphore(0)
-        threading.Thread(
-            target=self._serve, name="chansounder-helper", daemon=True
-        ).start()
 
-    def _serve(self) -> None:
+class WorkQueue:
+    """Pieces ``(start, stop)`` of one step, each run once by ``fn(start, stop)``.
+
+    A deque pop from either end is atomic, so the deque is the claim lock:
+    the helper's pieces form a prefix of the list and the caller's a suffix.
+    Finish or cancel every queue before its outputs are read or reused.
+    """
+
+    def __init__(self, pieces: Iterable[tuple[int, int]], fn: Callable[[int, int], object]):
+        self._pieces = deque(pieces)
+        self._fn = fn
+        self._error: BaseException | None = None
+        self._done = threading.Event()
+        if sum(b - a for a, b in self._pieces) < HANDOFF_SAMPLES:
+            self._done.set()  # finish() runs every piece
+        else:
+            _get_helper().put(self)
+
+    def _drain(self, take: Callable[[], tuple[int, int]]) -> None:
         while True:
-            self._ready.acquire()
-            self._jobs.popleft().run()
+            try:
+                start, stop = take()
+            except IndexError:
+                return
+            self._fn(start, stop)
 
-    def submit(self, fn: Callable) -> Job:
-        job = Job(fn)
-        self._jobs.append(job)
-        self._ready.release()
-        return job
+    def _run_on_helper(self) -> None:
+        try:
+            self._drain(self._pieces.popleft)
+        except BaseException as exc:  # re-raised in the caller by finish()
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def finish(self) -> None:
+        """Run the unclaimed pieces, wait for the helper, raise its error."""
+        try:
+            self._drain(self._pieces.pop)
+        except BaseException:
+            self.cancel()
+            raise
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+
+    def cancel(self) -> None:
+        """Drop the unclaimed pieces; wait only for the piece in flight."""
+        self._pieces.clear()
+        self._done.wait()
 
 
-_helper: _Helper | None = None
+def _serve(queues: SimpleQueue) -> None:
+    while True:
+        queues.get()._run_on_helper()
+
+
+_helper: SimpleQueue | None = None  # the work queues the helper thread serves
 _helper_lock = threading.Lock()
 
 
 def _forget_helper() -> None:
-    # a forked child inherits the helper object but not its thread
+    # a forked child inherits the helper's queue but not its thread
     global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
+    _helper, _helper_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _get_helper() -> _Helper:
+def _get_helper() -> SimpleQueue:
     global _helper
     with _helper_lock:
         if _helper is None:
-            _helper = _Helper()
+            _helper = SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(_helper,), name="chansounder-helper", daemon=True
+            ).start()
         return _helper
-
-
-def submit(fn: Callable[[], object]) -> Job:
-    """Start ``fn()`` on the helper thread; its job yields the result."""
-    return _get_helper().submit(fn)

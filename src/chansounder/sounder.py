@@ -10,9 +10,9 @@ the direct-sum definition at 1e-9 relative.
 Every sounding path runs through one block consumer, ``sound_blocks``:
 long streams arrive in blocks of any size, and chunked and single-pass
 runs produce identical detections while peak memory stays bounded by one
-block. After the first block, a block of at least ``helper.HANDOFF_SAMPLES``
-samples is sounded as two halves of whole frames, one on the helper thread
-and one on the calling thread; frames are independent once the anchor and
+block. Frame 0 is sounded first, alone, for the anchor and the floor; the
+other frames go in runs through a ``helper.WorkQueue``, which may split a
+block between two threads. Frames are independent once the anchor and
 floor are set, so the detections are identical to a single-threaded run.
 """
 
@@ -351,7 +351,7 @@ def sound_blocks(
     complex128 before correlation. The anchor lag and noise floor come from
     frame 0 and hold for every frame, so delays stay on one reference and
     the detections do not depend on how the stream was split, nor on which
-    thread sounded which half of a block.
+    thread sounded which frames.
     """
     ref = _reference(sequence, samples_per_chip)
     frame_len = len(ref)
@@ -365,36 +365,27 @@ def sound_blocks(
             config.detection_threshold_db, config.guard_samples, fs,
         )
 
-    def correlate_and_detect(samples):
-        return detect(_cir_matrix(samples, ref))
+    def sound_frames(x, found, a, b):
+        found[a] = detect(_cir_matrix(x[a:b], ref))
 
     for block in blocks:
         x = np.asarray(block)
         if carry.size:
             x = np.concatenate([carry, x])
-        n_frames = len(x) // frame_len
-        end = n_frames * frame_len
+        end = len(x) // frame_len * frame_len
         carry = x[end:].copy()
-        if n_frames == 0:
-            continue
-        if anchor is None:
-            # the first frames stay on this thread: frame 0 sets the anchor
-            # and the floor that every later frame is detected against
-            h = _cir_matrix(x[:end], ref)
+        if end and anchor is None:
+            # frame 0 alone first: every frame is detected on its anchor and floor
+            h = _cir_matrix(x[:frame_len], ref)
             h_abs = np.abs(h[0])
             anchor = int(np.argmax(h_abs))
             floor = estimate_noise_floor_gain_db(h_abs, config)
             parts.append(detect(h))
-        elif n_frames > 1 and end >= helper.HANDOFF_SAMPLES:
-            half = n_frames // 2 * frame_len
-            first_half = helper.submit(partial(correlate_and_detect, x[:half]))
-            try:
-                second_half = correlate_and_detect(x[half:end])
-            finally:
-                first_half.wait()
-            parts += [first_half.result(), second_half]
-        else:
-            parts.append(correlate_and_detect(x[:end]))
+            x, end = x[frame_len:], end - frame_len
+        runs = helper.split(0, end, frame_len)  # each run fills its own slot
+        found = {}
+        helper.WorkQueue(runs, partial(sound_frames, x, found)).finish()
+        parts += [found[a] for a, _ in runs]
     if anchor is None:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"

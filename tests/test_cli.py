@@ -96,6 +96,20 @@ class TestPipelineCommand:
         assert (tmp_path / "out" / "capture_1-2.iq").exists()
         assert (tmp_path / "out" / "validation_1-2.json").exists()
 
+    def test_non_finite_value_exits_one_before_any_output(
+        self, synthetic_cfg, tmp_path, capsys
+    ):
+        cfg = json.loads(synthetic_cfg.read_text())
+        cfg["emulator"]["base_loss_db"] = float("nan")
+        synthetic_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--config", str(synthetic_cfg), "--out-dir", str(out)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"error: {synthetic_cfg}: 'emulator.base_loss_db' must be finite, not NaN"
+        )
+        assert not (out / "taps.csv").exists()
+
     def test_missing_config_exit_one(self, tmp_path):
         rc = main(["pipeline", "--config", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path / "out")])

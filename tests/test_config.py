@@ -180,6 +180,16 @@ def test_cli_rejects_a_typo_before_any_output(tmp_path, capsys, command, where):
          "'radio.tx_power_dbm' must be a number"),
         (lambda raw: raw["sounding"]["sequence"].update(family=8),
          "'sounding.sequence.family' must be a string, not 8"),
+        (lambda raw: raw["emulator"].update(base_loss_db=float("nan")),
+         "'emulator.base_loss_db' must be finite, not NaN"),
+        (lambda raw: raw["radio"].update(tx_power_dbm=float("inf")),
+         "'radio.tx_power_dbm' must be finite, not Infinity"),
+        (lambda raw: raw["nodes"][1].update(radio={"noise_figure_db": float("-inf")}),
+         r"'nodes\[1\]\.radio\.noise_figure_db' must be finite, not -Infinity"),
+        (lambda raw: raw.update(sample_interval_s=float("nan")),
+         "'sample_interval_s' must be finite, not NaN"),
+        (lambda raw: raw["nodes"][1]["waypoints"][1].__setitem__(0, float("inf")),
+         r"'nodes\[1\]\.waypoints' must be finite, not \[\[10, 0\], \[Infinity, 0\]\]"),
     ],
 )
 def test_bad_values_name_the_file(tmp_path, edit, match):

@@ -316,8 +316,22 @@ class TestIqFiles:
             with IqFileWriter(path, FS) as w:
                 w.append(rand_stream(100).samples)
                 raise RuntimeError("emulation failed")
-        assert not path.exists()
-        assert not (tmp_path / "capture.iq.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_open_writer_hides_the_old_capture(self, tmp_path):
+        path = tmp_path / "capture.iq"
+        write_iq_file(rand_stream(500, seed=1), path)
+        new = rand_stream(200, seed=2).samples
+        with IqFileWriter(path, FS) as w:
+            w.append(new[:100])
+            assert not path.exists()
+            with pytest.raises(FileNotFoundError):
+                read_iq_file(path)
+            w.append(new[100:])
+        assert np.array_equal(read_iq_file(path).samples, new.astype(np.complex64))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "capture.iq", "capture.iq.json"
+        ]
 
     def test_partial_sample_is_an_error_naming_the_file(self, tmp_path):
         path = tmp_path / "torn.iq"
@@ -586,6 +600,130 @@ class TestHelperThread:
             os.waitpid(pid, 0)
         assert done, "the forked child hung"
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+def on_helper():
+    return threading.current_thread().name == "chansounder-helper"
+
+
+class TestWorkQueue:
+    """``helper.WorkQueue`` alone, over pieces (i, i + 1) that record i."""
+
+    PIECES = [(i, i + 1) for i in range(100)]
+
+    def test_every_piece_runs_exactly_once(self, monkeypatch):
+        # a short switch interval interleaves the two threads' claims finely
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                ran = []
+                wait_or_fail(
+                    lambda: helper.WorkQueue(
+                        self.PIECES, lambda a, b: ran.append(a)
+                    ).finish()
+                )
+                assert sorted(ran) == list(range(100))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_split_cuts_whole_units_into_even_runs(self):
+        frames = 1028  # a 2^18-sample block of 255-sample frames
+        runs = helper.split(7, 7 + frames * 255 + 100, 255)  # a partial unit left
+        assert len(runs) == 8 and runs[0][0] == 7 and runs[-1][1] == 7 + frames * 255
+        assert all(b == c for (_, b), (c, _) in zip(runs, runs[1:]))
+        assert {(b - a) // 255 for a, b in runs} == {128, 129}
+        assert all((b - a) % 255 == 0 for a, b in runs)
+        assert helper.split(0, 1000, 255) == [(0, 765)]
+        assert helper.split(0, 254, 255) == []
+
+    def test_small_step_stays_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 101)
+        ran = []
+        helper.WorkQueue(self.PIECES, lambda a, b: ran.append(on_helper())).finish()
+        assert ran == [False] * 100
+
+    def test_helper_takes_a_prefix_and_the_caller_a_suffix(self, monkeypatch):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        helper_started, caller_ran = threading.Event(), threading.Event()
+        ran = []
+
+        def piece(a, b):
+            ran.append((on_helper(), a))
+            if on_helper():  # hold the helper until the caller has a piece
+                helper_started.set()
+                caller_ran.wait(30.0)
+            else:
+                caller_ran.set()
+
+        def run():
+            queue = helper.WorkQueue(self.PIECES, piece)
+            started = helper_started.wait(30.0)
+            queue.finish()
+            return started
+
+        assert wait_or_fail(run)
+        by_helper = [a for h, a in ran if h]
+        by_caller = [a for h, a in ran if not h]
+        k = len(by_helper)
+        assert by_helper == list(range(k)) and k >= 1
+        assert by_caller == list(range(99, k - 1, -1)) and k < 100
+
+    @pytest.mark.parametrize("failing_on_helper", [True, False])
+    def test_an_error_on_either_thread_reaches_the_caller(
+        self, monkeypatch, failing_on_helper
+    ):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        helper_started = threading.Event()
+        ran = []
+
+        def piece(a, b):
+            if on_helper():
+                helper_started.set()
+                time.sleep(0.001)
+            else:  # let the helper take a piece first
+                helper_started.wait(30.0)
+            ran.append(a)
+            if on_helper() == failing_on_helper:
+                raise FloatingPointError(f"raised on piece {a}")
+
+        def run():
+            try:
+                helper.WorkQueue(self.PIECES, piece).finish()
+            except FloatingPointError as exc:
+                return str(exc), len(ran)
+
+        message, ran_at_return = wait_or_fail(run)
+        assert message == f"raised on piece {0 if failing_on_helper else 99}"
+        # the helper serves queues in order, so once a later queue is
+        # finished no piece of this one is running or left to run
+        wait_or_fail(lambda: helper.WorkQueue([(0, 1)], lambda a, b: None).finish())
+        assert len(ran) == ran_at_return
+
+    @pytest.mark.parametrize("call", ["finish", "cancel"])
+    def test_waits_for_the_piece_in_flight(self, monkeypatch, call):
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
+        in_flight, release = threading.Event(), threading.Event()
+        ran = []
+
+        def piece(a, b):
+            if on_helper() and not in_flight.is_set():
+                in_flight.set()
+                release.wait(30.0)
+            ran.append(a)
+
+        queue = helper.WorkQueue(self.PIECES, piece)
+        assert in_flight.wait(30.0)
+        waiting = threading.Thread(target=getattr(queue, call), daemon=True)
+        waiting.start()
+        waiting.join(0.2)
+        assert waiting.is_alive()  # piece 0 is still running
+        release.set()
+        waiting.join(30.0)
+        assert not waiting.is_alive()
+        # finish() ran every other piece; cancel() dropped them
+        assert sorted(ran) == (list(range(100)) if call == "finish" else [0])
 
 
 class TestNoiseCalibration:

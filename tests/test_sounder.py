@@ -252,9 +252,8 @@ class TestSoundChunked:
     )
     def test_any_block_split_equals_single_pass(self, cuts, extra, seed, handoff):
         # multipath plus noise so frames carry several detections; ``extra``
-        # leaves a trailing partial frame; a low hand-off size sounds later
-        # blocks as two halves on two threads (one stream, one block, never
-        # leaves the calling thread)
+        # leaves a trailing partial frame; a low hand-off size splits the
+        # frames of each block between two threads
         x = np.tile(REF, 41)[: 40 * N + extra].astype(complex)
         rx = 0.8 * x + (0.2 - 0.1j) * np.roll(x, 9) + 0.05j * np.roll(x, 40)
         rx += make_noise(len(rx), -40.0, seed)
@@ -271,46 +270,76 @@ class TestSoundChunked:
         assert split.anchor_lag == single.anchor_lag
         assert split.noise_floor_gain_db == single.noise_floor_gain_db
 
-    def test_halves_on_two_threads_equal_single_pass(self, monkeypatch):
-        # blocks of odd and even frame counts, each split into two halves of
-        # whole frames (1 + 2, 2 + 2, 2 + 3, 3 + 4) after the first block
+    def test_frame_runs_on_two_threads_equal_single_pass(self, monkeypatch):
+        # blocks of 4, 3, 4, 5 and 7 whole frames with partial frames carried;
+        # a hand-off size of one frame makes each frame a piece of its own.
+        # The caller's pieces wait until the helper has sounded a frame of
+        # their block, so every block, the first one too, is split
         x = np.tile(REF, 24).astype(complex)
         rx = 0.8 * x + (0.3 + 0.2j) * np.roll(x, 17) + 0.04 * np.roll(x, 90)
         rx = (rx + make_noise(len(rx), -38.0, 7)).astype(np.complex64)
-        frames = [2, 3, 4, 5, 7]
-        edges = np.cumsum([0, *frames]) * N + 11  # partial frames carried
+        bounds = np.cumsum([0, 4, 3, 4, 5, 7])  # first frame of each block
+        edges = bounds * N + 11
         blocks = [rx[:11]] + [rx[a:b] for a, b in zip(edges, edges[1:])]
-        threads = []
-        detect = sounder._detect_in_gain_matrix
+        heads = rx[: edges[-1] : N]  # first sample of each frame, all distinct
+        sounded = []  # (on the helper, first frame, frame count) per call
+        changed = threading.Condition()
+        cir = sounder._cir_matrix
 
-        def recording(gains, *args):
-            threads.append((threading.current_thread().name, len(gains)))
-            return detect(gains, *args)
+        def block_of(frame):
+            return int(np.searchsorted(bounds, frame, side="right"))
 
-        monkeypatch.setattr(sounder, "_detect_in_gain_matrix", recording)
-        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 2 * N)
+        def recording(samples, ref):
+            first = int(np.flatnonzero(heads == samples[0])[0])
+            on_helper = threading.current_thread().name == "chansounder-helper"
+            with changed:
+                if not on_helper and first:  # frame 0 alone sets the anchor
+                    assert changed.wait_for(
+                        lambda: any(
+                            h and block_of(f) == block_of(first) for h, f, _ in sounded
+                        ),
+                        timeout=30.0,
+                    )
+                sounded.append((on_helper, first, len(samples) // N))
+                changed.notify_all()
+            return cir(samples, ref)
+
+        monkeypatch.setattr(sounder, "_cir_matrix", recording)
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", N)
         cfg = SoundingConfig(discard_frames=1)
         split = sound_blocks(blocks, cfg, CODE, FS, 1)
         monkeypatch.undo()
         single = sound_stream(stream(rx[: edges[-1]]), cfg, CODE, 1)
         assert split.detections == single.detections
-        assert split.n_frames == single.n_frames == 20
+        assert split.n_frames == single.n_frames == 22
         assert split.anchor_lag == single.anchor_lag
         assert split.noise_floor_gain_db == single.noise_floor_gain_db
-        on_helper = [n for name, n in threads if name == "chansounder-helper"]
-        assert on_helper == [1, 2, 2, 3]
+        assert sounded[0] == (False, 0, 1)
+        frames = [(h, f + i) for h, f, n in sounded[1:] for i in range(n)]
+        assert sorted(f for _, f in frames) == list(range(1, bounds[-1]))
+        for a, b in zip(bounds, bounds[1:]):
+            by_helper = [f for h, f in frames if h and a <= f < b]
+            by_caller = [f for h, f in frames if not h and a <= f < b]
+            assert by_helper and by_caller
+            assert max(by_helper) < min(by_caller)
 
     def test_error_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
         detect = sounder._detect_in_gain_matrix
+        helper_failed = threading.Event()
+        calls = []
 
         def failing_on_helper(*args):
             if threading.current_thread().name == "chansounder-helper":
+                helper_failed.set()
                 raise FloatingPointError("raised on the helper")
+            if calls:  # after frame 0, let the helper take a piece first
+                helper_failed.wait(30.0)
+            calls.append(args)
             return detect(*args)
 
         monkeypatch.setattr(sounder, "_detect_in_gain_matrix", failing_on_helper)
         monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
-        blocks = [np.tile(REF, 2), np.tile(REF, 4)]
+        blocks = [np.tile(REF, 3), np.tile(REF, 4)]
         with pytest.raises(FloatingPointError, match="raised on the helper"):
             sound_blocks(blocks, SoundingConfig(), CODE, FS, 1)
 
