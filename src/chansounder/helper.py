@@ -26,9 +26,18 @@ HANDOFF_SAMPLES = 1 << 15  # smallest step (samples) worth handing off
 
 
 def split(start: int, stop: int, unit: int) -> list[tuple[int, int]]:
-    """The whole units of [start, stop) in runs of about HANDOFF_SAMPLES samples."""
-    n = (stop - start) // unit
-    runs = min(n, max(1, round((stop - start) / HANDOFF_SAMPLES)))
+    """The whole units of [start, stop) in runs of about HANDOFF_SAMPLES samples.
+
+    A step of HANDOFF_SAMPLES or more gets an even number of runs, at least
+    two, so that neither thread is left a run of its own at the end: two
+    runs per 2 * HANDOFF_SAMPLES, rounded, as far as the whole units allow.
+    """
+    size = stop - start
+    n = size // unit
+    runs = 1
+    if size >= HANDOFF_SAMPLES:
+        runs = min(2 * max(1, round(size / (2 * HANDOFF_SAMPLES))), n - n % 2)
+    runs = max(runs, min(n, 1))
     edges = [start + n * k // runs * unit for k in range(runs + 1)] if n else []
     return list(zip(edges, edges[1:]))
 

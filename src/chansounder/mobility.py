@@ -5,7 +5,9 @@ successive channel realizations stay inside the configured coherence
 distance. A deterministic free-space + image-method generator stands in for
 a ray tracer: it emits a line-of-sight path plus one specular path per
 reflector-plane bounce sequence, each as (received power, phase, delay).
-The per-pair snapshots are assembled into a (node, node, sample) channel
+It works on arrays: the images of every transmitter of a sample are built
+one bounce depth at a time, and every (link, image) path at once. The
+per-pair snapshots are assembled into a (node, node, sample) channel
 matrix with stationary-transmitter reuse and per-node sample clamping.
 """
 
@@ -114,12 +116,6 @@ class ReflectorPlane:
         if self.axis not in ("x", "y", "z"):
             raise ValueError("axis must be 'x', 'y', or 'z'")
 
-    def mirror(self, point: np.ndarray) -> np.ndarray:
-        idx = "xyz".index(self.axis)
-        out = point.copy()
-        out[idx] = 2.0 * self.offset - out[idx]
-        return out
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -225,14 +221,106 @@ def free_space_loss_db(distance_m: float, frequency_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
-def _bounce_sequences(planes: tuple[ReflectorPlane, ...], max_bounces: int):
-    """Ordered reflector sequences, no immediate plane repeats."""
-    seqs = [(p,) for p in planes]
-    out = list(seqs)
-    for _ in range(max_bounces - 1):
-        seqs = [s + (p,) for s in seqs for p in planes if p != s[-1]]
-        out.extend(seqs)
-    return out
+def _image_table(planes: tuple[ReflectorPlane, ...], max_bounces: int) -> tuple:
+    """The images of every bounce sequence, one bounce depth after another.
+
+    Row 0 is the transmitter itself. The rows of depth k mirror rows of depth
+    k - 1 in every plane but the one their sequence last bounced off (an
+    equal plane counts as the same), in the order of ``planes``. Returns
+    per-row arrays ``parent``, ``axis``, ``two_offset`` (2 * plane offset)
+    and ``bounces`` (row 0 holds zeros), and ``edges``: depth k is rows
+    ``edges[k - 1]`` to ``edges[k] - 1``.
+    """
+    parent, axis, two_offset, bounces = [0], [0], [0.0], [0]
+    edges = [1]
+    level = [(0, None)]  # (row, plane it last bounced off) of the last depth
+    for depth in range(1, max_bounces + 1 if planes else 1):
+        nxt = []
+        for row, last in level:
+            for plane in planes:
+                if depth > 1 and plane == last:
+                    continue
+                parent.append(row)
+                axis.append("xyz".index(plane.axis))
+                two_offset.append(2.0 * plane.offset)
+                bounces.append(depth)
+                nxt.append((len(bounces) - 1, plane))
+        level = nxt
+        edges.append(len(bounces))
+    return (
+        np.array(parent, dtype=np.intp),
+        np.array(axis, dtype=np.intp),
+        np.array(two_offset, dtype=float),
+        np.array(bounces, dtype=float),
+        edges,
+    )
+
+
+def _image_distances(
+    tx_pos: np.ndarray, rx_pos: np.ndarray, table: tuple
+) -> np.ndarray:
+    """(m, rows) distances from each link's receiver to its transmitter's images.
+
+    The images are made one bounce depth at a time as 2 * offset -
+    coordinate, and each distance is the square root of a stacked dot
+    product: the BLAS ddot that ``np.linalg.norm`` calls.
+    """
+    parent, axis, two_offset, _, edges = table
+    images = np.empty((len(parent), len(tx_pos), 3))
+    images[0] = tx_pos
+    for a, b in zip(edges, edges[1:]):
+        rows, par, ax = np.arange(a, b), parent[a:b], axis[a:b]
+        images[a:b] = images[par]
+        images[rows, :, ax] = two_offset[a:b, None] - images[par, :, ax]
+    diff = (images - rx_pos).transpose(1, 0, 2)  # (m, rows, 3)
+    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+
+
+def _ray_paths(
+    tx_pos: np.ndarray,
+    rx_pos: np.ndarray,
+    radios: list,
+    rx_gains_dbi: list,
+    table: tuple,
+    reflection_loss_db: float,
+) -> list:
+    """LOS plus image-method paths of m links at once, one tuple per link.
+
+    ``tx_pos`` and ``rx_pos`` are (m, 3); link i transmits with ``radios[i]``
+    and receives with gain ``rx_gains_dbi[i]``. Every step is the IEEE
+    operation of the per-path formula, in its order, with the FSPL through
+    ``math.log10`` and the phase through ``np.remainder`` (Python's ``%``).
+    """
+    d = _image_distances(tx_pos, rx_pos, table)
+    if (d == 0.0).any():
+        raise ValueError("zero-distance link between tx and rx")
+    f = np.array([r.carrier_hz for r in radios], dtype=float)[:, None]
+    if (f <= 0).any():
+        raise ValueError("distance and frequency must be positive")
+    p0 = np.array(
+        [
+            r.tx_power_dbm + (r.antenna_gain_tx_dbi + g)
+            for r, g in zip(radios, rx_gains_dbi)
+        ],
+        dtype=float,
+    )[:, None]
+    bounces = table[3]  # per image row
+    arg = (4.0 * math.pi * d * f / SPEED_OF_LIGHT).ravel()
+    fspl = 20.0 * np.fromiter(map(math.log10, arg), float, arg.size).reshape(d.shape)
+    power = p0 - fspl - bounces * float(reflection_loss_db)
+    phase = np.remainder(
+        -2.0 * math.pi * f * d / SPEED_OF_LIGHT + bounces * math.pi, 2.0 * math.pi
+    )
+    toa = d / SPEED_OF_LIGHT
+    # the kept paths of each link first, each link's in toa order (stable)
+    dropped = power <= RAY_POWER_CUTOFF_DBM
+    order = np.lexsort((toa, dropped), axis=-1)
+    n_kept = (~dropped).sum(axis=1).tolist()
+    columns = [np.take_along_axis(x, order, 1) for x in (power, phase, toa)]
+    return [
+        tuple(map(RayPath, p[:n].tolist(), ph[:n].tolist(), t[:n].tolist()))
+        for p, ph, t, n in zip(*columns, n_kept)
+    ]
 
 
 def synthesize_pair_paths(
@@ -251,45 +339,14 @@ def synthesize_pair_paths(
     with a pi flip per bounce. Paths weaker than the ray-source cutoff
     (-250 dBm) are discarded here, before any noise-floor pruning.
     """
-    tx_pos = np.asarray(tx_pos, dtype=float)
-    rx_pos = np.asarray(rx_pos, dtype=float)
-    f = radio.carrier_hz
-    gains = radio.antenna_gain_tx_dbi + rx_gain_dbi
-
-    def make_path(image: np.ndarray, bounces: int) -> Optional[RayPath]:
-        d = float(np.linalg.norm(image - rx_pos))
-        if d == 0.0:
-            raise ValueError("zero-distance link between tx and rx")
-        p_rx = (
-            radio.tx_power_dbm
-            + gains
-            - free_space_loss_db(d, f)
-            - bounces * reflection_loss_db
-        )
-        if p_rx <= RAY_POWER_CUTOFF_DBM:
-            return None
-        phase = (-2.0 * math.pi * f * d / SPEED_OF_LIGHT + bounces * math.pi) % (
-            2.0 * math.pi
-        )
-        return RayPath(
-            received_power_dbm=p_rx,
-            phase_rad=phase,
-            toa_s=d / SPEED_OF_LIGHT,
-        )
-
-    paths = []
-    los = make_path(tx_pos, 0)
-    if los is not None:
-        paths.append(los)
-    if reflectors and max_bounces > 0:
-        for seq in _bounce_sequences(tuple(reflectors), max_bounces):
-            image = tx_pos.copy()
-            for plane in seq:
-                image = plane.mirror(image)
-            p = make_path(image, len(seq))
-            if p is not None:
-                paths.append(p)
-    return tuple(sorted(paths, key=lambda p: p.toa_s))
+    return _ray_paths(
+        np.asarray(tx_pos, dtype=float).reshape(1, 3),
+        np.asarray(rx_pos, dtype=float).reshape(1, 3),
+        [radio],
+        [rx_gain_dbi],
+        _image_table(tuple(reflectors), max_bounces),
+        reflection_loss_db,
+    )[0]
 
 
 def _node_positions(scenario: Scenario) -> dict:
@@ -305,6 +362,35 @@ def _node_positions(scenario: Scenario) -> dict:
     return out
 
 
+def _synthesize_links(
+    scenario: Scenario,
+    positions: dict,
+    table: tuple,
+    sample_index: int,
+    links: list,
+) -> list:
+    """Path tuples of the (tx, rx) node pairs ``links`` at one sample, at once.
+
+    Trajectories shorter than the sample index are clamped to their last
+    position.
+    """
+    if not links:
+        return []
+
+    def at(node):
+        pts = positions[node.node_id]
+        return pts[min(sample_index, len(pts)) - 1]
+
+    return _ray_paths(
+        np.array([at(tx) for tx, _ in links]),
+        np.array([at(rx) for _, rx in links]),
+        [tx.radio for tx, _ in links],
+        [rx.radio.antenna_gain_rx_dbi for _, rx in links],
+        table,
+        scenario.reflection_loss_db,
+    )
+
+
 def synthesize_paths(
     scenario: Scenario, sample_index: int, positions: Optional[dict] = None
 ) -> dict:
@@ -318,28 +404,16 @@ def synthesize_paths(
     if positions is None:
         positions = _node_positions(scenario)
     t = (sample_index - 1) * scenario.sample_interval_s
-    snapshots = {}
-    for tx in scenario.nodes:
-        tx_pts = positions[tx.node_id]
-        tx_pos = tx_pts[min(sample_index, len(tx_pts)) - 1]
-        for rx in scenario.nodes:
-            if rx.node_id == tx.node_id:
-                continue
-            rx_pts = positions[rx.node_id]
-            rx_pos = rx_pts[min(sample_index, len(rx_pts)) - 1]
-            paths = synthesize_pair_paths(
-                tx_pos,
-                rx_pos,
-                tx.radio,
-                rx.radio.antenna_gain_rx_dbi,
-                scenario.reflectors,
-                scenario.reflection_loss_db,
-                scenario.max_bounces,
-            )
-            snapshots[(tx.node_id, rx.node_id)] = ChannelSnapshot(
-                tx.node_id, rx.node_id, sample_index, t, paths
-            )
-    return snapshots
+    nodes = scenario.nodes
+    links = [(tx, rx) for tx in nodes for rx in nodes if rx.node_id != tx.node_id]
+    table = _image_table(scenario.reflectors, scenario.max_bounces)
+    paths = _synthesize_links(scenario, positions, table, sample_index, links)
+    return {
+        (tx.node_id, rx.node_id): ChannelSnapshot(
+            tx.node_id, rx.node_id, sample_index, t, p
+        )
+        for (tx, rx), p in zip(links, paths)
+    }
 
 
 def _restamp(snapshot: ChannelSnapshot, s: int, t: float) -> ChannelSnapshot:
@@ -364,6 +438,7 @@ def assemble_channel_matrix(
 
     if records is None:
         positions = _node_positions(scenario)
+        table = _image_table(scenario.reflectors, scenario.max_bounces)
         max_tx = {i: len(positions[i]) for i in ids}
         max_rx = dict(max_tx)
     else:
@@ -380,7 +455,20 @@ def assemble_channel_matrix(
 
     for s in range(1, n_s + 1):
         t = (s - 1) * t_s
-        synthesized = None
+        if records is None:
+            # a stationary transmitter's later entries are restamped below
+            links = [
+                (tx, rx)
+                for tx in scenario.nodes
+                for rx in scenario.nodes
+                if rx.node_id != tx.node_id and (s == 1 or tx.speed_mps != 0)
+            ]
+            synthesized = dict(
+                zip(
+                    [(tx.node_id, rx.node_id) for tx, rx in links],
+                    _synthesize_links(scenario, positions, table, s, links),
+                )
+            )
         for i in ids:
             for j in ids:
                 if i == j:
@@ -390,10 +478,8 @@ def assemble_channel_matrix(
                     entries[(i, j)][s - 1] = _restamp(entries[(i, j)][0], s, t)
                     continue
                 if records is None:
-                    if synthesized is None or synthesized_s != s:
-                        synthesized = synthesize_paths(scenario, s, positions)
-                        synthesized_s = s
-                    entries[(i, j)][s - 1] = synthesized[(i, j)]
+                    snap = ChannelSnapshot(i, j, s, t, synthesized[(i, j)])
+                    entries[(i, j)][s - 1] = snap
                 else:
                     x = min(s, max_tx[i])
                     y = min(s, max_rx[j])

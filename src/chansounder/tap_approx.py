@@ -287,6 +287,33 @@ class TapRecords(MutableMapping):
         return sum(int(np.count_nonzero(ids >= 0)) for ids in self._file.index.values())
 
 
+def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each run ``values[..., starts[i]:starts[i + 1]]``, bit for bit.
+
+    ``np.sum`` adds a run's pairwise sum to 0.0, while ``np.add.reduceat``
+    starts from the run's first element and adds the others' pairwise sum,
+    which rounds differently from three elements on; a 0.0 put in front of
+    each run makes the two the same.
+    """
+    n = values.shape[-1]
+    shift = np.zeros(n, dtype=np.intp)
+    shift[starts] = 1
+    padded = np.zeros(values.shape[:-1] + (n + len(starts),))
+    padded[..., np.arange(n) + shift.cumsum()] = values
+    return np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1)
+
+
+def _clusters(delays: np.ndarray, centroids: np.ndarray) -> tuple:
+    """Each delay's nearest centroid (the first of a tie), grouped: ``order``
+    lists the members of each nonempty cluster in turn, ascending within one,
+    and ``starts`` marks where each cluster's run begins."""
+    assign = np.abs(delays[:, None] - centroids[None, :]).argmin(axis=1)
+    order = assign.argsort(kind="stable")
+    label = assign[order]
+    starts = np.concatenate(([0], (label[1:] != label[:-1]).nonzero()[0] + 1))
+    return order, starts
+
+
 def _weighted_kmeans_1d(
     delays: np.ndarray, weights: np.ndarray, k: int, tol: float
 ) -> list[np.ndarray]:
@@ -299,25 +326,19 @@ def _weighted_kmeans_1d(
     # seeding is invariant under uniform power scaling
     order = np.lexsort((delays, -weights))
     centroids = np.unique(delays[order[:k]])
+    terms = np.stack([weights * delays, weights])
     for _ in range(_KMEANS_MAX_ITER):
-        assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
-        new_centroids = []
-        for ci in range(len(centroids)):
-            members = assign == ci
-            if not members.any():
-                continue
-            w = weights[members]
-            new_centroids.append(float(np.sum(w * delays[members]) / np.sum(w)))
-        new_centroids = np.unique(new_centroids)
-        if len(new_centroids) == len(centroids) and np.max(
-            np.abs(np.sort(new_centroids) - np.sort(centroids))
-        ) < tol:
-            centroids = new_centroids
-            break
+        order, starts = _clusters(delays, centroids)
+        weighted, total = _run_sums(terms[:, order], starts)
+        new_centroids = np.unique(weighted / total)
+        converged = len(new_centroids) == len(centroids) and np.max(
+            np.abs(new_centroids - centroids)
+        ) < tol
         centroids = new_centroids
-    assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
-    clusters = [np.flatnonzero(assign == ci) for ci in range(len(centroids))]
-    return [members for members in clusters if members.size]
+        if converged:
+            break
+    order, starts = _clusters(delays, centroids)
+    return np.split(order, starts[1:])
 
 
 def approximate_taps(

@@ -1,19 +1,141 @@
-"""Per-frame and per-record reference implementations.
+"""Per-path, per-centroid, per-frame and per-record reference implementations.
 
-These are the Python loops that detection, validation, the truth series and
-tap-file I/O ran before their data was stored as columns and run-length
-arrays. Tests hold the vectorized code to them exactly: same detections,
-same tie-breaking, same statistics bit for bit, same tap-file bytes.
+These are the Python loops that the image-method generator, the tap
+k-means, detection, validation, the truth series and tap-file I/O ran
+before they worked on whole arrays, columns and run-length arrays. Tests
+hold the vectorized code to them exactly: same paths and clusters, same
+detections, same tie-breaking, same statistics bit for bit, same tap-file
+bytes.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 
-from chansounder.channel_model import link_path_loss_db, noise_floor_dbm, prune_paths
+from chansounder import mobility as mob
+from chansounder.channel_model import (
+    ChannelSnapshot,
+    RayPath,
+    link_path_loss_db,
+    noise_floor_dbm,
+    prune_paths,
+)
 from chansounder.harness import TapErrorStats, ValidationReport
 from chansounder.tap_approx import TapFile, TapSet
+
+
+def mirror(plane, point):
+    """``point`` reflected in an axis-aligned plane."""
+    idx = "xyz".index(plane.axis)
+    out = point.copy()
+    out[idx] = 2.0 * plane.offset - out[idx]
+    return out
+
+
+def bounce_sequences(planes, max_bounces):
+    """Ordered reflector sequences, no immediate plane repeats."""
+    seqs = [(p,) for p in planes]
+    out = list(seqs)
+    for _ in range(max_bounces - 1):
+        seqs = [s + (p,) for s in seqs for p in planes if p != s[-1]]
+        out.extend(seqs)
+    return out
+
+
+def pair_paths_per_path(
+    tx_pos, rx_pos, radio, rx_gain_dbi, reflectors=(), reflection_loss_db=6.0,
+    max_bounces=4,
+):
+    """``mobility.synthesize_pair_paths`` as one image and one path at a time."""
+    tx_pos = np.asarray(tx_pos, dtype=float)
+    rx_pos = np.asarray(rx_pos, dtype=float)
+    f = radio.carrier_hz
+    gains = radio.antenna_gain_tx_dbi + rx_gain_dbi
+
+    def make_path(image, bounces):
+        d = float(np.linalg.norm(image - rx_pos))
+        if d == 0.0:
+            raise ValueError("zero-distance link between tx and rx")
+        p_rx = (
+            radio.tx_power_dbm
+            + gains
+            - mob.free_space_loss_db(d, f)
+            - bounces * reflection_loss_db
+        )
+        if p_rx <= mob.RAY_POWER_CUTOFF_DBM:
+            return None
+        phase = (-2.0 * math.pi * f * d / mob.SPEED_OF_LIGHT + bounces * math.pi) % (
+            2.0 * math.pi
+        )
+        return RayPath(p_rx, phase, d / mob.SPEED_OF_LIGHT)
+
+    paths = [make_path(tx_pos, 0)]
+    if reflectors and max_bounces > 0:
+        for seq in bounce_sequences(tuple(reflectors), max_bounces):
+            image = tx_pos.copy()
+            for plane in seq:
+                image = mirror(plane, image)
+            paths.append(make_path(image, len(seq)))
+    return tuple(sorted((p for p in paths if p is not None), key=lambda p: p.toa_s))
+
+
+def matrix_entries_per_pair(scenario):
+    """``assemble_channel_matrix(scenario).entries`` one pair at a time."""
+    positions = mob._node_positions(scenario)
+    n_s = mob.num_samples(scenario.t_total_s, scenario.sample_interval_s)
+    entries = {}
+    for s in range(1, n_s + 1):
+        t = (s - 1) * scenario.sample_interval_s
+        for tx in scenario.nodes:
+            for rx in scenario.nodes:
+                i, j = tx.node_id, rx.node_id
+                if i == j:
+                    snap = ChannelSnapshot(i, j, s, t, ())
+                elif tx.speed_mps == 0 and s > 1:
+                    snap = dataclasses.replace(
+                        entries[(i, j)][0], sample_index=s, time_s=t
+                    )
+                else:
+                    tx_pts, rx_pts = positions[i], positions[j]
+                    paths = pair_paths_per_path(
+                        tx_pts[min(s, len(tx_pts)) - 1],
+                        rx_pts[min(s, len(rx_pts)) - 1],
+                        tx.radio,
+                        rx.radio.antenna_gain_rx_dbi,
+                        scenario.reflectors,
+                        scenario.reflection_loss_db,
+                        scenario.max_bounces,
+                    )
+                    snap = ChannelSnapshot(i, j, s, t, paths)
+                entries.setdefault((i, j), []).append(snap)
+    return entries
+
+
+def kmeans_per_centroid(delays, weights, k, tol, max_iter=50):
+    """``tap_approx._weighted_kmeans_1d`` as a loop over centroids."""
+    order = np.lexsort((delays, -weights))
+    centroids = np.unique(delays[order[:k]])
+    for _ in range(max_iter):
+        assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
+        new_centroids = []
+        for ci in range(len(centroids)):
+            members = assign == ci
+            if not members.any():
+                continue
+            w = weights[members]
+            new_centroids.append(float(np.sum(w * delays[members]) / np.sum(w)))
+        new_centroids = np.unique(new_centroids)
+        if len(new_centroids) == len(centroids) and np.max(
+            np.abs(np.sort(new_centroids) - np.sort(centroids))
+        ) < tol:
+            centroids = new_centroids
+            break
+        centroids = new_centroids
+    assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
+    clusters = [np.flatnonzero(assign == ci) for ci in range(len(centroids))]
+    return [members for members in clusters if members.size]
 
 
 def detect_per_frame(gains, anchor, floor_db, threshold_db, guard, sample_rate_hz):

@@ -638,6 +638,23 @@ class TestWorkQueue:
         assert helper.split(0, 1000, 255) == [(0, 765)]
         assert helper.split(0, 254, 255) == []
 
+    def test_split_gives_a_step_of_one_handoff_size_or_more_an_even_count(self):
+        handoff = helper.HANDOFF_SAMPLES
+        assert len(helper.split(0, handoff - 1, 1)) == 1
+        for size in range(handoff, 20 * handoff, 997):
+            runs = helper.split(0, size, 1)
+            assert len(runs) >= 2 and len(runs) % 2 == 0, size
+            assert 0.5 <= size / len(runs) / handoff < 1.5, size
+        # 1 to 1.5 and about 2.5 hand-off sizes once gave one and three runs
+        assert len(helper.split(0, handoff * 5 // 4, 255)) == 2
+        assert len(helper.split(0, handoff * 5 // 2 + 4000, 255)) == 2
+        assert len(helper.split(0, 1 << 18, 255)) == 8
+        # whole units limit the count, rounded down to even
+        assert helper.split(0, 3 * handoff, handoff) == [
+            (0, handoff), (handoff, 3 * handoff)
+        ]
+        assert helper.split(0, 2 * handoff, 2 * handoff) == [(0, 2 * handoff)]
+
     def test_small_step_stays_on_the_caller(self, monkeypatch):
         monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 101)
         ran = []

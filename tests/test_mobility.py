@@ -2,11 +2,15 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chansounder import config
+import oracles
+from chansounder import config, mobility
 from chansounder.channel_model import RadioParams
 from chansounder.mobility import (
     MPH_TO_MPS,
@@ -165,6 +169,161 @@ class TestSynthesizePairPaths:
             reflection_loss_db=300.0,
         )
         assert len(paths) == 1  # reflection fell below the -250 dBm cutoff
+
+
+def path_bytes(paths):
+    return np.array(
+        [[p.received_power_dbm, p.phase_rad, p.toa_s] for p in paths], dtype=float
+    ).tobytes()
+
+
+OFFSETS = (-12.0, -3.5, 0.0, 2.0, 12.0)  # shared, so planes and nodes meet
+COORDS = st.one_of(
+    st.sampled_from(OFFSETS), st.floats(min_value=-60.0, max_value=60.0)
+)
+POINTS = st.tuples(COORDS, COORDS, COORDS).map(np.array)
+PLANES = st.lists(
+    st.builds(ReflectorPlane, st.sampled_from("xyz"), st.sampled_from(OFFSETS)),
+    max_size=4,
+)
+RADIOS = st.builds(
+    RadioParams,
+    tx_power_dbm=st.floats(min_value=-10.0, max_value=40.0),
+    antenna_gain_tx_dbi=st.floats(min_value=-5.0, max_value=15.0),
+    carrier_hz=st.floats(min_value=1e8, max_value=1e11),
+)
+# up to four bounces of 0-150 dB put image paths on both sides of the
+# -250 dBm source cutoff
+LOSSES = st.one_of(st.sampled_from([0.0, 6.0, 300.0]), st.floats(0.0, 150.0))
+
+
+class TestImageMethodOracle:
+    """The array generator against the per-path loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tx=POINTS,
+        rx=POINTS,
+        radio=RADIOS,
+        rx_gain=st.floats(min_value=-5.0, max_value=15.0),
+        planes=PLANES,
+        loss=LOSSES,
+        max_bounces=st.integers(min_value=0, max_value=4),
+    )
+    @example(  # z, y-, z, y- cancels: the LOS geometry with four bounces
+        tx=np.array([0.0, 5.25, 1.52]),
+        rx=np.array([40.0, -1.75, 1.52]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=[ReflectorPlane("z", 0.0), ReflectorPlane("y", -12.0),
+                ReflectorPlane("y", 12.0)],
+        loss=6.0,
+        max_bounces=4,
+    )
+    def test_pair_paths_equal_the_per_path_oracle(
+        self, tx, rx, radio, rx_gain, planes, loss, max_bounces
+    ):
+        args = (tx, rx, radio, rx_gain, tuple(planes), loss, max_bounces)
+        try:
+            want = oracles.pair_paths_per_path(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                synthesize_pair_paths(*args)
+            return
+        got = synthesize_pair_paths(*args)
+        assert len(got) == len(want)
+        assert path_bytes(got) == path_bytes(want)
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_rx_on_an_image_is_a_zero_distance_link(self, axis):
+        tx = np.array([3.0, -4.0, 1.5])
+        planes = (ReflectorPlane("z", 0.0), ReflectorPlane(axis, 2.0))
+        rx = oracles.mirror(planes[1], oracles.mirror(planes[0], tx))
+        if axis == "z":  # z then z is no sequence; the image is one bounce
+            rx = oracles.mirror(planes[1], tx)
+        for synthesize in (oracles.pair_paths_per_path, synthesize_pair_paths):
+            with pytest.raises(ValueError, match="zero-distance"):
+                synthesize(tx, rx, RadioParams(), 5.0, planes, 6.0, 2)
+
+    def test_a_path_exactly_at_the_cutoff_is_dropped(self):
+        tx, rx = np.array([0.0, 0.0, 2.0]), np.array([100.0, 0.0, 2.0])
+        fspl = free_space_loss_db(100.0, RadioParams().carrier_hz)
+        tx_power = fspl - 250.0
+        while tx_power - fspl != -250.0:
+            tx_power = math.nextafter(tx_power, math.inf)
+        above = tx_power
+        while above - fspl == -250.0:
+            above = math.nextafter(above, math.inf)
+        for power, kept in ((tx_power, 0), (above, 1)):
+            radio = RadioParams(tx_power_dbm=power, antenna_gain_tx_dbi=0.0)
+            for synthesize in (oracles.pair_paths_per_path, synthesize_pair_paths):
+                assert len(synthesize(tx, rx, radio, 0.0)) == kept
+
+    def test_cancelling_sequences_rebuild_the_los_with_their_losses(self):
+        # (z, y-, z, y-) on orthogonal planes mirrors z twice and y twice,
+        # which lands on the transmitter: a LOS-length path with 4 losses
+        tx, rx = np.array([0.0, 5.25, 1.52]), np.array([40.0, -1.75, 1.52])
+        planes = (ReflectorPlane("z", 0.0), ReflectorPlane("y", -12.0))
+        paths = synthesize_pair_paths(tx, rx, RadioParams(), 5.0, planes, 6.0, 4)
+        los = paths[0]
+        on_los = [p for p in paths if p.toa_s == los.toa_s]
+        assert len(on_los) == 3  # LOS, (z, y-, z, y-) and (y-, z, y-, z)
+        assert [p.received_power_dbm for p in on_los[1:]] == [
+            los.received_power_dbm - 24.0
+        ] * 2
+
+
+def mixed_scenario():
+    """Stationary and moving transmitters, one moving node stopping early."""
+    return Scenario(
+        nodes=(
+            NodeSpec(1, "RSU", 5.0, Trajectory(((0.0, 11.0),))),
+            mobile_node(2, [(10, -1.75), (70, -1.75)], speed=12.0, height=1.52),
+            static_node(3, 40.0, -11.0),
+            mobile_node(4, [(60, 1.75), (50, 1.75)], speed=4.0, height=1.52),
+            mobile_node(5, [(5, 5.25), (5, 5.25 - 1e-3), (35, 5.25)], speed=9.0),
+        ),
+        t_total_s=4.0,
+        sample_interval_s=0.5,
+        reflectors=(
+            ReflectorPlane("z", 0.0),
+            ReflectorPlane("y", -12.0),
+            ReflectorPlane("y", 12.0),
+            ReflectorPlane("x", 100.0),
+        ),
+        max_bounces=3,
+    )
+
+
+class TestMatrixOracle:
+    def test_matrix_equals_the_per_pair_oracle(self, monkeypatch):
+        scenario = mixed_scenario()
+        synthesized = []  # (sample, transmitter ids) per synthesis
+        synthesize_links = mobility._synthesize_links
+
+        def recording(scenario, positions, table, s, links):
+            synthesized.append((s, [tx.node_id for tx, _ in links]))
+            return synthesize_links(scenario, positions, table, s, links)
+
+        monkeypatch.setattr(mobility, "_synthesize_links", recording)
+        matrix = assemble_channel_matrix(scenario)
+        want = oracles.matrix_entries_per_pair(scenario)
+        assert matrix.entries.keys() == want.keys()
+        for pair, series in want.items():
+            got = matrix.entries[pair]
+            assert len(got) == len(series) == matrix.n_samples == 7
+            for a, b in zip(got, series):
+                assert (a.tx_id, a.rx_id, a.sample_index, a.time_s) == (
+                    b.tx_id, b.rx_id, b.sample_index, b.time_s,
+                )
+                assert path_bytes(a.paths) == path_bytes(b.paths)
+        # every pair at sample 1; later, moving transmitters only
+        assert [s for s, _ in synthesized] == list(range(1, 8))
+        assert sorted(synthesized[0][1]) == sorted([1, 2, 3, 4, 5] * 4)
+        for s, txs in synthesized[1:]:
+            assert sorted(txs) == sorted([2, 4, 5] * 4), s
+        for (i, j), snap in synthesize_paths(scenario, 1).items():
+            assert path_bytes(snap.paths) == path_bytes(want[(i, j)][0].paths)
 
 
 def two_node_scenario(t_total=10.0, t_s=1.0):

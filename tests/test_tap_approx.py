@@ -18,7 +18,12 @@ from chansounder.tap_approx import (
     read_tap_file,
     write_tap_file,
 )
-from oracles import read_tap_file_per_record, write_tap_file_per_record
+from chansounder.tap_approx import _run_sums, _weighted_kmeans_1d
+from oracles import (
+    kmeans_per_centroid,
+    read_tap_file_per_record,
+    write_tap_file_per_record,
+)
 
 P_TX = 20.0
 
@@ -61,6 +66,80 @@ def random_snapshots(draw, max_paths=32, grid_dt=1e-8, span_grids=8):
         RayPath(P_TX - loss, ph, d)
         for d, loss, ph in zip(delays, losses, phases)
     )
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Delays from a grid (ties, equal distances), subnormals, or anywhere;
+    up to 200 of them, so a cluster can hold more than 128 (the pairwise
+    sums' block)."""
+    delay = draw(
+        st.sampled_from(
+            [
+                st.integers(min_value=0, max_value=12).map(lambda i: i * 1e-8),
+                st.sampled_from([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]),
+                st.floats(min_value=0.0, max_value=1e-6),
+            ]
+        )
+    )
+    weight = st.one_of(
+        st.sampled_from([1.0, 0.5, 0.25]), st.floats(min_value=1e-6, max_value=1.0)
+    )
+    n = draw(st.integers(min_value=1, max_value=200))
+    delays = np.array(draw(st.lists(delay, min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    return delays, weights
+
+
+# the powers of test_cluster_left_empty_by_kmeans_is_dropped: a centroid
+# ends with no members
+EMPTY_CLUSTER = (
+    np.array([0.0, 0.0, 0.0, 0.0, 5e-324]),
+    np.array([10 ** ((p - 20.0) / 10) for p in (20.0, 20.0, 20.0, 18.0, 18.125)]),
+)
+
+
+class TestKmeansOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inputs=kmeans_inputs(),
+        k=st.integers(min_value=1, max_value=6),
+        tol=st.sampled_from([0.0, 1e-12, 1e-10]),
+    )
+    @example(inputs=EMPTY_CLUSTER, k=4, tol=1e-10)
+    def test_clusters_equal_the_per_centroid_loop(self, inputs, k, tol):
+        delays, weights = inputs
+        got = _weighted_kmeans_1d(delays, weights, k, tol)
+        want = kmeans_per_centroid(delays, weights, k, tol)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=300
+        ),
+        data=st.data(),
+    )
+    def test_run_sums_equal_np_sum_of_each_run(self, values, data):
+        # the centroids are these sums' ratios, so they must match the
+        # oracle's to the bit even where the clusters would come out equal
+        values = np.array([values, values[::-1]])
+        n = values.shape[1]
+        cuts = data.draw(st.lists(st.integers(1, max(1, n - 1)), max_size=5))
+        starts = np.unique([0] + [c for c in cuts if c < n])
+        edges = list(starts) + [n]
+        want = [
+            [np.sum(row[a:b]) for a, b in zip(edges, edges[1:])] for row in values
+        ]
+        assert _run_sums(values, starts).tobytes() == np.array(want).tobytes()
+
+    def test_a_centroid_left_without_members_is_dropped(self):
+        delays, weights = EMPTY_CLUSTER
+        # seeds 0 and 5e-324; the second centroid moves to 1e-323, where
+        # 5e-324 ties between the two and goes to the first, leaving it empty
+        assert len(np.unique(delays[np.lexsort((delays, -weights))[:4]])) == 2
+        clusters = _weighted_kmeans_1d(delays, weights, 4, 1e-10)
+        assert [c.tolist() for c in clusters] == [[0, 1, 2, 3, 4]]
 
 
 class TestApproximateTaps:
