@@ -31,7 +31,7 @@ class RayPath:
     """One propagation path: power, phase, delay, optional angular metadata.
 
     Angles are carried through parsing but never consumed by the emulation
-    math.
+    math. Every value given must be finite.
     """
 
     received_power_dbm: float
@@ -41,6 +41,10 @@ class RayPath:
     aod_deg: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("received_power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.toa_s < 0:
             raise ValueError(f"toa_s must be >= 0, got {self.toa_s}")
         object.__setattr__(self, "phase_rad", self.phase_rad % TWO_PI)

@@ -227,11 +227,11 @@ def _image_table(planes: tuple[ReflectorPlane, ...], max_bounces: int) -> tuple:
     Row 0 is the transmitter itself. The rows of depth k mirror rows of depth
     k - 1 in every plane but the one their sequence last bounced off (an
     equal plane counts as the same), in the order of ``planes``. Returns
-    per-row arrays ``parent``, ``axis``, ``two_offset`` (2 * plane offset)
-    and ``bounces`` (row 0 holds zeros), and ``edges``: depth k is rows
+    per-row arrays ``parent``, ``axis``, ``offset`` (of the plane) and
+    ``bounces`` (row 0 holds zeros), and ``edges``: depth k is rows
     ``edges[k - 1]`` to ``edges[k] - 1``.
     """
-    parent, axis, two_offset, bounces = [0], [0], [0.0], [0]
+    parent, axis, offset, bounces = [0], [0], [0.0], [0]
     edges = [1]
     level = [(0, None)]  # (row, plane it last bounced off) of the last depth
     for depth in range(1, max_bounces + 1 if planes else 1):
@@ -242,7 +242,7 @@ def _image_table(planes: tuple[ReflectorPlane, ...], max_bounces: int) -> tuple:
                     continue
                 parent.append(row)
                 axis.append("xyz".index(plane.axis))
-                two_offset.append(2.0 * plane.offset)
+                offset.append(plane.offset)
                 bounces.append(depth)
                 nxt.append((len(bounces) - 1, plane))
         level = nxt
@@ -250,30 +250,64 @@ def _image_table(planes: tuple[ReflectorPlane, ...], max_bounces: int) -> tuple:
     return (
         np.array(parent, dtype=np.intp),
         np.array(axis, dtype=np.intp),
-        np.array(two_offset, dtype=float),
+        np.array(offset, dtype=float),
         np.array(bounces, dtype=float),
         edges,
     )
 
 
+def _visible(images: np.ndarray, rx_pos: np.ndarray, table: tuple) -> np.ndarray:
+    """(m, rows) mask of the images whose bounce sequence a ray can take.
+
+    Every (link, image) row is traced back from the receiver one leg at a
+    time: a leg aims at the next image up the row's parent chain (the row's
+    own image first) and must cross that image's plane strictly between its
+    end points. The crossing point starts the next leg. A leg that misses
+    its plane, runs parallel to it or only touches it at an end point drops
+    the row. The line of sight (row 0) is always kept.
+    """
+    parent, axis, offset = table[:3]
+    n_rows, m = images.shape[:2]
+    visible = np.zeros((m, n_rows), dtype=bool)
+    visible[:, 0] = True
+    link = np.repeat(np.arange(m), n_rows - 1)
+    row = np.tile(np.arange(1, n_rows), m)
+    cur, point = row, rx_pos[link]
+    while link.size:
+        at, a, off = np.arange(link.size), axis[cur], offset[cur]
+        image = images[cur, link]
+        p, q = point[at, a], image[at, a]
+        crosses = ((p < off) & (off < q)) | ((q < off) & (off < p))
+        t = np.divide(off - p, q - p, out=np.zeros_like(p), where=crosses)
+        point = point + t[:, None] * (image - point)
+        cur = parent[cur]
+        done = crosses & (cur == 0)
+        visible[link[done], row[done]] = True
+        go = crosses & (cur != 0)
+        link, row, cur, point = link[go], row[go], cur[go], point[go]
+    return visible
+
+
 def _image_distances(
     tx_pos: np.ndarray, rx_pos: np.ndarray, table: tuple
-) -> np.ndarray:
-    """(m, rows) distances from each link's receiver to its transmitter's images.
+) -> tuple:
+    """(m, rows) distances from each link's receiver to its transmitter's
+    images, and the (m, rows) mask of the images a ray can take.
 
     The images are made one bounce depth at a time as 2 * offset -
     coordinate, and each distance is the square root of a stacked dot
     product: the BLAS ddot that ``np.linalg.norm`` calls.
     """
-    parent, axis, two_offset, _, edges = table
+    parent, axis, offset, _, edges = table
     images = np.empty((len(parent), len(tx_pos), 3))
     images[0] = tx_pos
     for a, b in zip(edges, edges[1:]):
         rows, par, ax = np.arange(a, b), parent[a:b], axis[a:b]
         images[a:b] = images[par]
-        images[rows, :, ax] = two_offset[a:b, None] - images[par, :, ax]
+        images[rows, :, ax] = 2.0 * offset[a:b, None] - images[par, :, ax]
     diff = (images - rx_pos).transpose(1, 0, 2)  # (m, rows, 3)
-    return np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    d = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    return d, _visible(images, rx_pos, table)
 
 
 def _ray_paths(
@@ -287,14 +321,15 @@ def _ray_paths(
     """LOS plus image-method paths of m links at once, one tuple per link.
 
     ``tx_pos`` and ``rx_pos`` are (m, 3); link i transmits with ``radios[i]``
-    and receives with gain ``rx_gains_dbi[i]``. Every step is the IEEE
-    operation of the per-path formula, in its order, with the FSPL through
-    ``math.log10`` and the phase through ``np.remainder`` (Python's ``%``).
+    and receives with gain ``rx_gains_dbi[i]``. Only the images a ray can
+    take get a path. Every step is the IEEE operation of the per-path
+    formula, in its order, with the FSPL through ``math.log10`` and the
+    phase through ``np.remainder`` (Python's ``%``).
     """
-    d = _image_distances(tx_pos, rx_pos, table)
+    d, visible = _image_distances(tx_pos, rx_pos, table)
     if (d == 0.0).any():
         raise ValueError("zero-distance link between tx and rx")
-    f = np.array([r.carrier_hz for r in radios], dtype=float)[:, None]
+    f = np.array([r.carrier_hz for r in radios], dtype=float)
     if (f <= 0).any():
         raise ValueError("distance and frequency must be positive")
     p0 = np.array(
@@ -303,24 +338,23 @@ def _ray_paths(
             for r, g in zip(radios, rx_gains_dbi)
         ],
         dtype=float,
-    )[:, None]
-    bounces = table[3]  # per image row
-    arg = (4.0 * math.pi * d * f / SPEED_OF_LIGHT).ravel()
-    fspl = 20.0 * np.fromiter(map(math.log10, arg), float, arg.size).reshape(d.shape)
+    )
+    link, row = np.nonzero(visible)
+    d, f, p0, bounces = d[link, row], f[link], p0[link], table[3][row]
+    arg = 4.0 * math.pi * d * f / SPEED_OF_LIGHT
+    fspl = 20.0 * np.fromiter(map(math.log10, arg), float, arg.size)
     power = p0 - fspl - bounces * float(reflection_loss_db)
     phase = np.remainder(
         -2.0 * math.pi * f * d / SPEED_OF_LIGHT + bounces * math.pi, 2.0 * math.pi
     )
     toa = d / SPEED_OF_LIGHT
-    # the kept paths of each link first, each link's in toa order (stable)
-    dropped = power <= RAY_POWER_CUTOFF_DBM
-    order = np.lexsort((toa, dropped), axis=-1)
-    n_kept = (~dropped).sum(axis=1).tolist()
-    columns = [np.take_along_axis(x, order, 1) for x in (power, phase, toa)]
-    return [
-        tuple(map(RayPath, p[:n].tolist(), ph[:n].tolist(), t[:n].tolist()))
-        for p, ph, t, n in zip(*columns, n_kept)
-    ]
+    # the kept paths of each link, in toa order (stable)
+    kept = ~(power <= RAY_POWER_CUTOFF_DBM)
+    link, power, phase, toa = link[kept], power[kept], phase[kept], toa[kept]
+    order = np.lexsort((toa, link))
+    paths = list(map(RayPath, *(x[order].tolist() for x in (power, phase, toa))))
+    bounds = np.cumsum(np.bincount(link, minlength=len(radios))).tolist()
+    return [tuple(paths[a:b]) for a, b in zip([0] + bounds, bounds)]
 
 
 def synthesize_pair_paths(
@@ -533,8 +567,13 @@ def write_paths_file(matrix: ChannelMatrix, path) -> None:
 
 
 def read_paths_records(path) -> dict:
-    """Parse a JSON-Lines paths file into {(tx, rx, s): tuple of RayPath}."""
+    """Parse a JSON-Lines paths file into {(tx, rx, s): tuple of RayPath}.
+
+    Errors name the file and the line; a second record for a (tx, rx, s)
+    names the line of the first as well.
+    """
     records = {}
+    from_line = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -552,7 +591,16 @@ def read_paths_records(path) -> dict:
                     )
                     for p in rec["paths"]
                 )
-                records[(rec["tx"], rec["rx"], rec["s"])] = paths
+                key = (rec["tx"], rec["rx"], rec["s"])
+                first = from_line.setdefault(key, lineno)
             except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"malformed paths record at line {lineno}: {exc}")
+                raise ValueError(
+                    f"{path}: line {lineno}: malformed paths record: {exc}"
+                )
+            if first != lineno:
+                raise ValueError(
+                    f"{path}: line {lineno}: second record for (tx, rx, s) = "
+                    f"{key}, the first is on line {first}"
+                )
+            records[key] = paths
     return records

@@ -224,7 +224,9 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
     del frames  # free the upcast before ifft allocates its output
     spectra *= np.conj(np.fft.fft(ref))
     h = np.fft.ifft(spectra, axis=1)
-    h /= energy
+    # numpy divides complex by complex; a real scale on the float view is
+    # the same multiply by 1/energy that division by a real comes to
+    h.view(np.float64)[...] *= 1.0 / energy
     return h
 
 

@@ -44,11 +44,32 @@ def bounce_sequences(planes, max_bounces):
     return out
 
 
+def ray_can_take(seq, images, rx_pos):
+    """Whether a ray meets the planes of ``seq`` in order, traced back from
+    the receiver: the leg to ``images[k]`` (the image after the first k
+    bounces) must cross plane ``seq[k - 1]`` strictly between its end points,
+    and the crossing point starts the leg to ``images[k - 1]``."""
+    point = [float(c) for c in rx_pos]
+    for k in range(len(seq), 0, -1):
+        a, off = "xyz".index(seq[k - 1].axis), seq[k - 1].offset
+        image = [float(c) for c in images[k]]
+        p, q = point[a], image[a]
+        if not (p < off < q or q < off < p):
+            return False
+        t = (off - p) / (q - p)
+        point = [point[j] + t * (image[j] - point[j]) for j in range(3)]
+    return True
+
+
 def pair_paths_per_path(
     tx_pos, rx_pos, radio, rx_gain_dbi, reflectors=(), reflection_loss_db=6.0,
     max_bounces=4,
 ):
-    """``mobility.synthesize_pair_paths`` as one image and one path at a time."""
+    """``mobility.synthesize_pair_paths`` as one image and one path at a time.
+
+    Every image is checked for zero distance, but only the sequences a ray
+    can take yield a path.
+    """
     tx_pos = np.asarray(tx_pos, dtype=float)
     rx_pos = np.asarray(rx_pos, dtype=float)
     f = radio.carrier_hz
@@ -74,10 +95,12 @@ def pair_paths_per_path(
     paths = [make_path(tx_pos, 0)]
     if reflectors and max_bounces > 0:
         for seq in bounce_sequences(tuple(reflectors), max_bounces):
-            image = tx_pos.copy()
+            images = [tx_pos]
             for plane in seq:
-                image = mirror(plane, image)
-            paths.append(make_path(image, len(seq)))
+                images.append(mirror(plane, images[-1]))
+            path = make_path(images[-1], len(seq))
+            if ray_can_take(seq, images, rx_pos):
+                paths.append(path)
     return tuple(sorted((p for p in paths if p is not None), key=lambda p: p.toa_s))
 
 

@@ -37,6 +37,20 @@ class TestRayPath:
         assert 0 <= p.phase_rad < 2 * math.pi
         assert p.phase_rad == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize(
+        "field", ["received_power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_by_name(self, field, value):
+        values = {"received_power_dbm": -50.0, "phase_rad": 1.0, "toa_s": 1e-6}
+        values[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RayPath(**values)
+
+    def test_absent_angles_are_allowed(self):
+        p = RayPath(-50.0, 1.0, 1e-6, aoa_deg=None, aod_deg=12.5)
+        assert (p.aoa_deg, p.aod_deg) == (None, 12.5)
+
     def test_snapshot_sorts_paths_by_delay(self):
         snap = snapshot_from(
             [

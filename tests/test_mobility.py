@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ def path_bytes(paths):
     ).tobytes()
 
 
+GROUND = ReflectorPlane("z", 0.0)
+Y_MINUS = ReflectorPlane("y", -12.0)
+Y_PLUS = ReflectorPlane("y", 12.0)
+CANYON = (GROUND, Y_MINUS, Y_PLUS)
+
+
+def paths_equal_to_the_oracle(*args):
+    got = synthesize_pair_paths(*args)
+    assert path_bytes(got) == path_bytes(oracles.pair_paths_per_path(*args))
+    return got
+
+
+def image_of(point, *planes):
+    for plane in planes:
+        point = oracles.mirror(plane, point)
+    return point
+
+
 OFFSETS = (-12.0, -3.5, 0.0, 2.0, 12.0)  # shared, so planes and nodes meet
 COORDS = st.one_of(
     st.sampled_from(OFFSETS), st.floats(min_value=-60.0, max_value=60.0)
@@ -220,6 +239,51 @@ class TestImageMethodOracle:
         loss=6.0,
         max_bounces=4,
     )
+    @example(  # a node on a plane: rx on the ground
+        tx=np.array([0.0, 0.0, 2.0]),
+        rx=np.array([30.0, 0.0, 0.0]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=[GROUND, Y_MINUS],
+        loss=6.0,
+        max_bounces=4,
+    )
+    @example(  # a leg that meets its plane at an end point: the corner
+        tx=np.array([10.0, 0.0, 1.0]),
+        rx=np.array([0.0, 0.0, 1.0]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=[GROUND, Y_MINUS],
+        loss=6.0,
+        max_bounces=2,
+    )
+    @example(  # a leg parallel to its plane
+        tx=np.array([0.0, 5.0, 2.0]),
+        rx=np.array([30.0, -5.0, 2.0]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=[ReflectorPlane("y", 0.0), GROUND],
+        loss=6.0,
+        max_bounces=3,
+    )
+    @example(  # two parallel walls
+        tx=np.array([0.0, 5.25, 1.52]),
+        rx=np.array([40.0, -1.75, 1.52]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=[Y_MINUS, Y_PLUS],
+        loss=6.0,
+        max_bounces=4,
+    )
+    @example(  # a node outside the canyon
+        tx=np.array([0.0, -20.0, 2.0]),
+        rx=np.array([40.0, 0.0, 2.0]),
+        radio=RadioParams(),
+        rx_gain=5.0,
+        planes=list(CANYON),
+        loss=6.0,
+        max_bounces=4,
+    )
     def test_pair_paths_equal_the_per_path_oracle(
         self, tx, rx, radio, rx_gain, planes, loss, max_bounces
     ):
@@ -259,18 +323,84 @@ class TestImageMethodOracle:
             for synthesize in (oracles.pair_paths_per_path, synthesize_pair_paths):
                 assert len(synthesize(tx, rx, radio, 0.0)) == kept
 
-    def test_cancelling_sequences_rebuild_the_los_with_their_losses(self):
+    def test_no_reflected_path_lands_at_the_los_delay(self):
         # (z, y-, z, y-) on orthogonal planes mirrors z twice and y twice,
-        # which lands on the transmitter: a LOS-length path with 4 losses
+        # so its image is the transmitter, and (z, y-) and (y-, z) share an
+        # image; no ray takes the first, and only one of the other two
         tx, rx = np.array([0.0, 5.25, 1.52]), np.array([40.0, -1.75, 1.52])
-        planes = (ReflectorPlane("z", 0.0), ReflectorPlane("y", -12.0))
-        paths = synthesize_pair_paths(tx, rx, RadioParams(), 5.0, planes, 6.0, 4)
-        los = paths[0]
-        on_los = [p for p in paths if p.toa_s == los.toa_s]
-        assert len(on_los) == 3  # LOS, (z, y-, z, y-) and (y-, z, y-, z)
-        assert [p.received_power_dbm for p in on_los[1:]] == [
-            los.received_power_dbm - 24.0
-        ] * 2
+        for planes in ((GROUND, Y_MINUS), CANYON):
+            paths = paths_equal_to_the_oracle(
+                tx, rx, RadioParams(), 5.0, planes, 6.0, 4
+            )
+            los = paths[0]
+            assert los.toa_s == float(np.linalg.norm(rx - tx)) / SPEED_OF_LIGHT
+            assert [p for p in paths if p.toa_s == los.toa_s] == [los]
+            assert len({p.toa_s for p in paths}) == len(paths)
+
+
+class TestVisibility:
+    """Boundary cases of the back-trace, each against the per-path oracle."""
+
+    @pytest.mark.parametrize(
+        "tx, rx, plane",
+        [
+            ((0.0, 0.0, 2.0), (30.0, 0.0, 0.0), GROUND),  # rx on the ground
+            ((0.0, -12.0, 2.0), (30.0, 0.0, 2.0), Y_MINUS),  # tx on a wall
+        ],
+    )
+    def test_a_node_on_a_plane_takes_no_bounce_off_it(self, tx, rx, plane):
+        tx, rx = np.array(tx), np.array(rx)
+        paths = paths_equal_to_the_oracle(tx, rx, RadioParams(), 5.0, (plane,), 6.0, 1)
+        assert len(paths) == 1  # the LOS only
+
+    def test_a_leg_that_meets_its_plane_at_an_end_point_is_dropped(self):
+        # rx -> the (z, y-) image (10, -24, -1) meets y = -12 at z = 0: the
+        # corner, where the next leg starts on its own plane. (y-, z) meets
+        # z = 0 at y = -12 the same way, so neither two-bounce path stays.
+        tx, rx = np.array([10.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])
+        planes = (GROUND, Y_MINUS)
+        paths = paths_equal_to_the_oracle(tx, rx, RadioParams(), 5.0, planes, 6.0, 2)
+        assert len(paths) == 3  # LOS, z and y-
+        # off the corner, exactly one of the two takes the shared image
+        rx = np.array([0.0, 0.0, 1.5])
+        paths = paths_equal_to_the_oracle(tx, rx, RadioParams(), 5.0, planes, 6.0, 2)
+        assert len(paths) == 4
+
+    def test_a_leg_parallel_to_its_plane_is_dropped_without_a_warning(self):
+        # the y = 0 image of tx has rx's y: the leg runs along the plane
+        tx, rx = np.array([0.0, 5.0, 2.0]), np.array([30.0, -5.0, 2.0])
+        planes = (ReflectorPlane("y", 0.0), GROUND)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            paths = paths_equal_to_the_oracle(
+                tx, rx, RadioParams(), 5.0, planes, 6.0, 3
+            )
+        wall = float(np.linalg.norm(rx - image_of(tx, planes[0]))) / SPEED_OF_LIGHT
+        assert wall not in [p.toa_s for p in paths]
+        assert len(paths) == 2  # LOS and ground; every wall sequence needs y = 0
+
+    def test_two_parallel_walls_keep_every_alternating_sequence(self):
+        tx, rx = np.array([0.0, 5.25, 1.52]), np.array([40.0, -1.75, 1.52])
+        paths = paths_equal_to_the_oracle(
+            tx, rx, RadioParams(), 5.0, (Y_MINUS, Y_PLUS), 6.0, 4
+        )
+        # LOS plus (y-, y+, ...) and (y+, y-, ...) at each of four depths
+        assert len(paths) == 1 + 2 * 4
+        assert len({p.toa_s for p in paths}) == len(paths)
+
+    def test_a_node_outside_the_canyon_takes_no_bounce_off_its_side(self):
+        # tx stands behind the y- wall: its y- image lies on rx's side of
+        # the wall, so no leg from rx crosses y = -12 to reach it
+        tx, rx = np.array([0.0, -20.0, 2.0]), np.array([40.0, 0.0, 2.0])
+        paths = paths_equal_to_the_oracle(
+            tx, rx, RadioParams(), 5.0, (Y_MINUS, Y_PLUS), 6.0, 1
+        )
+        toas = [p.toa_s for p in paths]
+        for plane, seen in ((Y_MINUS, False), (Y_PLUS, True)):
+            d = float(np.linalg.norm(rx - image_of(tx, plane)))
+            assert (d / SPEED_OF_LIGHT in toas) is seen
+        assert len(paths) == 2
+        paths_equal_to_the_oracle(tx, rx, RadioParams(), 5.0, CANYON, 6.0, 4)
 
 
 def mixed_scenario():
@@ -461,6 +591,47 @@ class TestPathsFile:
         path.write_text('{"tx": 1, "rx": 2}\n')
         with pytest.raises(ValueError, match="line 1"):
             read_paths_records(path)
+
+    def test_errors_name_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "paths.jsonl"
+        good = '{"tx": 1, "rx": 2, "s": 1, "t_s": 0.0, "paths": []}'
+        path.write_text(good + '\n\n{"tx": 1, "rx": 2, "s": 2, "paths": [{}]}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
+            read_paths_records(path)
+
+    def test_second_record_for_a_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "paths.jsonl"
+        record = '{{"tx": 1, "rx": 2, "s": {s}, "t_s": 0.0, "paths": []}}\n'
+        path.write_text(record.format(s=1) + record.format(s=2) + record.format(s=1))
+        with pytest.raises(ValueError) as err:
+            read_paths_records(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: line 3: second record")
+        assert "(1, 2, 1)" in message and "first is on line 1" in message
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("toa_s", "NaN", "toa_s"),
+            ("p_rx_dbm", "NaN", "received_power_dbm"),
+            ("phase_rad", "Infinity", "phase_rad"),
+            ("aoa_deg", "-Infinity", "aoa_deg"),
+            ("aod_deg", "NaN", "aod_deg"),
+        ],
+    )
+    def test_non_finite_values_fail_naming_the_field(
+        self, tmp_path, field, value, named
+    ):
+        values = {"p_rx_dbm": "-60.0", "phase_rad": "1.0", "toa_s": "1e-07"}
+        values[field] = value
+        path_json = ", ".join(f'"{k}": {v}' for k, v in values.items())
+        path = tmp_path / "paths.jsonl"
+        path.write_text(
+            '{"tx": 1, "rx": 2, "s": 1, "t_s": 0.0, "paths": [{' + path_json + "}]}\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")) as err:
+            read_paths_records(path)
+        assert f"{named} must be finite" in str(err.value)
 
 
 class TestScenarioConfig:

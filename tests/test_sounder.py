@@ -94,6 +94,31 @@ class TestComputeCirFrames:
         got = frames[0].h_i + 1j * frames[0].h_q
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_frames=st.integers(min_value=1, max_value=4),
+        spc=st.integers(min_value=1, max_value=3),
+        scale=st.floats(min_value=1e-6, max_value=1e6),
+        complex64=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_scale_by_reciprocal_energy_equals_division(
+        self, n_frames, spc, scale, complex64, seed
+    ):
+        ref = bpsk_modulate(CODE, spc).samples.real
+        rng = np.random.default_rng(seed)
+        n = n_frames * len(ref) + int(rng.integers(len(ref)))
+        rx = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if complex64:
+            rx = rx.astype(np.complex64)
+        # the complex-by-complex division _cir_matrix once ran
+        frames = np.asarray(rx[: n_frames * len(ref)], dtype=np.complex128)
+        spectra = np.fft.fft(frames.reshape(n_frames, len(ref)), axis=1)
+        spectra *= np.conj(np.fft.fft(ref))
+        want = np.fft.ifft(spectra, axis=1)
+        want /= float(np.sum(ref * ref))
+        assert np.array_equal(sounder._cir_matrix(rx, ref), want)
+
 
 class TestPathGains:
     def frame(self, h):
