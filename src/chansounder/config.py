@@ -92,7 +92,7 @@ class PipelineConfig:
 
     def reference(self) -> np.ndarray:
         """The real BPSK reference waveform of one code period."""
-        return seq.bpsk_modulate(self.sequence, self.samples_per_chip).samples.real
+        return seq.bpsk_modulate(self.sequence, self.samples_per_chip)
 
     def require_scenario(self) -> Scenario:
         if self.scenario is None:

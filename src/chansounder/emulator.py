@@ -23,7 +23,7 @@ while the calling thread filters the block; the output is the same byte for
 byte whichever thread draws a chunk.
 
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
-sample, no header) with a JSON sidecar carrying the sample rate.
+sample, no header) with a JSON sidecar carrying only ``sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ from . import helper
 from .tap_approx import TapFile
 
 __all__ = [
-    "IqStream",
     "EmulatorConfig",
     "apply_channel",
     "make_noise",
     "noise_floor_db_for_dynamic_range",
     "pair_base_loss_db",
-    "write_iq_file",
     "read_iq_file",
     "read_iq_sidecar",
     "iq_file_sample_count",
@@ -65,27 +63,6 @@ NOISE_CHUNK_SAMPLES = 1 << 16  # noise samples drawn from one generator key
 
 _GRID_TOL = 1e-6
 _FILTER_SPAN = 1 << 13  # samples filtered per step: 128 KiB products
-
-
-@dataclass
-class IqStream:
-    """Complex baseband samples at a fixed sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    origin_time_s: float = 0.0
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be > 0")
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -219,27 +196,27 @@ def _grid_step_samples(grid_dt_s: float, sample_rate_hz: float) -> int:
 
 
 def apply_channel(
-    input_stream: IqStream,
+    samples: np.ndarray,
+    fs: float,
     taps: TapFile,
     pair: tuple[int, int],
     config: EmulatorConfig,
-) -> IqStream:
-    """Filter an IQ stream through a link's time-varying taps.
+) -> np.ndarray:
+    """Filter samples at rate ``fs`` through a link's time-varying taps.
 
     output[n] = sum_k c_k(t_n) * input[n - d_k], with zero prefix history,
-    scaled by the base loss, plus noise. Output length equals input length.
-    Sample n, at t_n = origin + n / fs, takes the record that
+    scaled by the base loss, plus noise: a complex128 array as long as the
+    input. Sample n, at t_n = n / fs, takes the record that
     ``TapFile.tap_ids`` gives for t_n.
     """
     tx, rx = pair
     if pair not in taps.pairs():
         raise ValueError(f"pair {pair} not present in tap file")
-    fs = input_stream.sample_rate_hz
     step = _grid_step_samples(taps.grid_dt_s, fs)
-    x = input_stream.samples
+    x = np.asarray(samples, dtype=np.complex128)
     n = len(x)
     if n == 0:
-        return IqStream(x.copy(), fs, input_stream.origin_time_s)
+        return x.copy()
 
     max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
@@ -247,7 +224,7 @@ def apply_channel(
     y = np.empty(n, dtype=np.complex128)
 
     # each sample's record, looked up by its own time; filtered per run
-    ids = taps.tap_ids(input_stream.origin_time_s + np.arange(n) / fs, tx, rx)
+    ids = taps.tap_ids(np.arange(n) / fs, tx, rx)
     starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
     for n0, n1 in zip(starts, starts[1:] + [n]):
         block = np.zeros(n1 - n0, dtype=np.complex128)
@@ -259,24 +236,31 @@ def apply_channel(
     y *= 10.0 ** (-loss / 20.0)
     if config.noise_floor_db is not None:
         y += make_noise(n, config.noise_floor_db, (config.seed, tx, rx))
-    return IqStream(y, fs, input_stream.origin_time_s)
+    return y
 
 
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_iq_file(stream: IqStream, path) -> None:
-    """Raw interleaved float32 I/Q plus a JSON sidecar with the sample rate."""
-    with IqFileWriter(path, stream.sample_rate_hz, stream.origin_time_s) as writer:
-        writer.append(stream.samples)
-
-
-def read_iq_sidecar(path) -> dict:
+def read_iq_sidecar(path) -> float:
+    """The sample rate in a capture's sidecar; errors name the sidecar."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(f"missing IQ sidecar metadata: {sidecar}")
-    return json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar}: not JSON: {exc}") from None
+    if not isinstance(meta, dict) or "sample_rate_hz" not in meta:
+        raise ValueError(f"{sidecar}: no sample_rate_hz")
+    rate = meta["sample_rate_hz"]
+    is_number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
+    if not (is_number and math.isfinite(rate) and rate > 0):
+        raise ValueError(
+            f"{sidecar}: sample_rate_hz {rate!r} is not a finite number > 0"
+        )
+    return float(rate)
 
 
 def iq_file_sample_count(path) -> int:
@@ -290,16 +274,10 @@ def iq_file_sample_count(path) -> int:
     return size // 8
 
 
-def read_iq_file(path, start_sample: int = 0, count: Optional[int] = None) -> IqStream:
-    """Read a capture (or a sample range of it) back into an IqStream."""
-    meta = read_iq_sidecar(path)
-    fs = meta["sample_rate_hz"]
-    origin = meta.get("origin_time_s", 0.0)
-    total = iq_file_sample_count(path)
-    if count is None:
-        count = total - start_sample
-    samples = _read_iq_samples(path, start_sample, count)
-    return IqStream(samples, fs, origin + start_sample / fs)
+def read_iq_file(path) -> np.ndarray:
+    """The samples of a complete capture (one with its sidecar), as stored."""
+    read_iq_sidecar(path)
+    return _read_iq_samples(path, 0, iq_file_sample_count(path))
 
 
 def _read_iq_samples(path, start_sample: int, count: int) -> np.ndarray:
@@ -316,10 +294,9 @@ class IqFileWriter:
     an unfinished capture never looks valid.
     """
 
-    def __init__(self, path, sample_rate_hz: float, origin_time_s: float = 0.0):
+    def __init__(self, path, sample_rate_hz: float):
         self.path = Path(path)
         self.sample_rate_hz = sample_rate_hz
-        self.origin_time_s = origin_time_s
         _sidecar_path(self.path).unlink(missing_ok=True)
         self.path.unlink(missing_ok=True)
         self._partial = self.path.with_name(self.path.name + ".partial")
@@ -332,12 +309,7 @@ class IqFileWriter:
         self._fh.close()
         self._partial.replace(self.path)
         _sidecar_path(self.path).write_text(
-            json.dumps(
-                {
-                    "sample_rate_hz": self.sample_rate_hz,
-                    "origin_time_s": self.origin_time_s,
-                }
-            )
+            json.dumps({"sample_rate_hz": self.sample_rate_hz})
         )
 
     def __enter__(self):
@@ -468,7 +440,7 @@ def emulate_repeated_reference_to_file(
     chunk_samples: int = DEFAULT_BLOCK_SAMPLES,
 ) -> None:
     """Write :func:`emulate_blocks` to a capture file with its sidecar."""
-    with IqFileWriter(out_path, sample_rate_hz, 0.0) as writer:
+    with IqFileWriter(out_path, sample_rate_hz) as writer:
         for block in emulate_blocks(
             taps, pair, config, reference, sample_rate_hz, total_samples, chunk_samples
         ):

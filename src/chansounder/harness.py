@@ -329,7 +329,7 @@ def pathloss_heatmap(
         raise ValueError("heatmap needs at least 2 nodes")
     if sequence is None:
         sequence = seq.generate_glfsr(8)
-    ref = seq.bpsk_modulate(sequence, samples_per_chip).samples.real
+    ref = seq.bpsk_modulate(sequence, samples_per_chip)
     frame_len = len(ref)
     total_samples = max(frame_len * 2, int(round(window_s * sample_rate_hz)))
     duration_ms = int(math.ceil(total_samples / sample_rate_hz * 1000.0)) + 1
@@ -494,16 +494,12 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
 def _truth_series_from_matrix(matrix, pair, frame_times, tx_power_dbm, prune_floor_dbm):
     """Coherent link path loss at each frame time, from the channel matrix.
 
-    A frame at time t uses channel sample floor(t / T_s) + 1, clipped to the
-    last sample; its paths below ``prune_floor_dbm`` are dropped and the
-    loss is computed once per distinct sample, in sample order.
+    A frame at time t uses channel sample ``matrix.sample_of(t)``; its paths
+    below ``prune_floor_dbm`` are dropped and the loss is computed once per
+    distinct sample, in sample order.
     ``tx_power_dbm`` maps node ids to transmit power.
     """
-    sample_of_frame = np.minimum(
-        np.floor(np.asarray(frame_times, dtype=float) / matrix.sample_interval_s)
-        .astype(np.int64) + 1,
-        matrix.n_samples,
-    )
+    sample_of_frame = matrix.sample_of(frame_times)
     first = sample_of_frame.min(initial=matrix.n_samples)
     frames_per_sample = np.bincount(sample_of_frame - first)
     samples = np.flatnonzero(frames_per_sample) + first

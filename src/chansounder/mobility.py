@@ -36,7 +36,6 @@ __all__ = [
     "sample_trajectory",
     "free_space_loss_db",
     "synthesize_pair_paths",
-    "synthesize_paths",
     "assemble_channel_matrix",
     "write_paths_file",
     "read_paths_records",
@@ -159,6 +158,12 @@ class ChannelMatrix:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
+
+    def sample_of(self, times_s) -> np.ndarray:
+        """The 1-based sample in force at each time: floor(t / T_s) + 1,
+        clipped to the last sample."""
+        s = np.floor(np.asarray(times_s, dtype=float) / self.sample_interval_s)
+        return np.minimum(s.astype(np.int64) + 1, self.n_samples)
 
     def snapshot(self, tx_id: int, rx_id: int, s: int) -> ChannelSnapshot:
         """Snapshot for a pair at 1-based sample index s."""
@@ -423,31 +428,6 @@ def _synthesize_links(
         table,
         scenario.reflection_loss_db,
     )
-
-
-def synthesize_paths(
-    scenario: Scenario, sample_index: int, positions: Optional[dict] = None
-) -> dict:
-    """Snapshots for every ordered pair of distinct nodes at one sample.
-
-    Trajectories shorter than the requested index are clamped to their last
-    position.
-    """
-    if sample_index < 1:
-        raise ValueError("sample_index is 1-based")
-    if positions is None:
-        positions = _node_positions(scenario)
-    t = (sample_index - 1) * scenario.sample_interval_s
-    nodes = scenario.nodes
-    links = [(tx, rx) for tx in nodes for rx in nodes if rx.node_id != tx.node_id]
-    table = _image_table(scenario.reflectors, scenario.max_bounces)
-    paths = _synthesize_links(scenario, positions, table, sample_index, links)
-    return {
-        (tx.node_id, rx.node_id): ChannelSnapshot(
-            tx.node_id, rx.node_id, sample_index, t, p
-        )
-        for (tx, rx), p in zip(links, paths)
-    }
 
 
 def _restamp(snapshot: ChannelSnapshot, s: int, t: float) -> ChannelSnapshot:

@@ -325,14 +325,11 @@ def generate_ls(order: int) -> CodeSequence:
     return CodeSequence(chips, "LS", {"order": order, "codeset_index": 0})
 
 
-def bpsk_modulate(code: CodeSequence, samples_per_chip: int = 1, sample_rate_hz: float = 1.0):
-    """BPSK baseband: each chip held for samples_per_chip samples, Q = 0."""
-    from .emulator import IqStream
-
+def bpsk_modulate(code: CodeSequence, samples_per_chip: int = 1) -> np.ndarray:
+    """BPSK baseband, Q = 0, so real: each chip held for samples_per_chip samples."""
     if samples_per_chip < 1:
         raise ValueError("samples_per_chip must be >= 1")
-    real = np.repeat(code.chips.astype(np.float64), samples_per_chip)
-    return IqStream(samples=real.astype(np.complex128), sample_rate_hz=sample_rate_hz)
+    return np.repeat(code.chips.astype(np.float64), samples_per_chip)
 
 
 def periodic_correlation(a: CodeSequence, b: CodeSequence) -> CorrelationProfile:
@@ -364,6 +361,9 @@ def write_sequence(code: CodeSequence, path) -> None:
 
 
 def read_sequence(path, family: str = "IMPORTED") -> CodeSequence:
-    """Load a one-chip-per-line sequence file."""
-    chips = np.loadtxt(path, dtype=np.int8, ndmin=1)
-    return CodeSequence(chips, family, {"source": str(path)})
+    """Load a one-chip-per-line sequence file; errors name the file."""
+    try:
+        chips = np.loadtxt(path, dtype=np.int8, ndmin=1)
+        return CodeSequence(chips, family, {"source": str(path)})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -29,23 +29,18 @@ import numpy as np
 from . import helper
 from .emulator import (
     DEFAULT_BLOCK_SAMPLES,
-    IqStream,
     _read_iq_samples,
     iq_file_sample_count,
     read_iq_sidecar,
 )
-from .sequences import CodeSequence
+from .sequences import CodeSequence, bpsk_modulate
 
 __all__ = [
-    "CirFrame",
     "Detections",
     "SoundingConfig",
     "SoundingReport",
-    "compute_cir_frames",
-    "path_gains_db",
     "estimate_noise_floor_gain_db",
     "sound_blocks",
-    "sound_stream",
     "sound_chunked",
     "write_report_json",
     "write_report_csv",
@@ -59,29 +54,13 @@ _WRITE_BATCH_ROWS = 1 << 16  # frames per formatting batch; bounds writer memory
 
 
 @dataclass(frozen=True)
-class CirFrame:
-    """One code period's channel impulse response estimate."""
-
-    frame_index: int
-    lag_axis_s: np.ndarray
-    h_i: np.ndarray
-    h_q: np.ndarray
-    h_abs: np.ndarray
-
-
-@dataclass(frozen=True)
 class SoundingConfig:
     """Sounder processing parameters.
 
-    p_t_db / g_t_db / g_r_db are the transmit power and amplifier gains
-    subtracted from correlation magnitudes when forming path gains; all are
-    dB-relative quantities. ``chunk_duration_s`` caps the block length
-    :func:`sound_chunked` reads from a capture, which bounds its memory.
+    ``chunk_duration_s`` caps the block length :func:`sound_chunked` reads
+    from a capture, which bounds its memory.
     """
 
-    p_t_db: float = 0.0
-    g_t_db: float = 0.0
-    g_r_db: float = 0.0
     sample_rate_hz: float = 0.0
     detection_threshold_db: float = DEFAULT_DETECTION_THRESHOLD_DB
     chunk_duration_s: float = 60.0
@@ -201,12 +180,6 @@ class SoundingReport:
         return self.frame_times_s(), delays, gains
 
 
-def _reference(sequence: CodeSequence, samples_per_chip: int) -> np.ndarray:
-    if samples_per_chip < 1:
-        raise ValueError("samples_per_chip must be >= 1")
-    return np.repeat(sequence.chips.astype(np.float64), samples_per_chip)
-
-
 def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Circular cross-correlation of each frame row with the reference.
 
@@ -230,42 +203,16 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return h
 
 
-def compute_cir_frames(
-    received: IqStream, sequence: CodeSequence, samples_per_chip: int = 1
-) -> list[CirFrame]:
-    """Segment a stream into code periods and estimate each period's CIR."""
-    ref = _reference(sequence, samples_per_chip)
-    h = _cir_matrix(received.samples, ref)
-    lag_axis = np.arange(h.shape[1]) / received.sample_rate_hz
-    return [
-        CirFrame(
-            frame_index=f,
-            lag_axis_s=lag_axis,
-            h_i=h[f].real.copy(),
-            h_q=h[f].imag.copy(),
-            h_abs=np.abs(h[f]),
-        )
-        for f in range(h.shape[0])
-    ]
-
-
-def _gains_from_abs(h_abs: np.ndarray, config: SoundingConfig) -> np.ndarray:
+def _gains_from_abs(h_abs: np.ndarray) -> np.ndarray:
+    """Per-lag path gains 20*log10 |h|; a zero magnitude maps to _MIN_GAIN_DB."""
     with np.errstate(divide="ignore"):
         g = np.log10(h_abs)
     g *= 20.0
     g[~np.isfinite(g)] = _MIN_GAIN_DB
-    g -= config.p_t_db
-    g -= config.g_t_db
-    g -= config.g_r_db
     return g
 
 
-def path_gains_db(frame: CirFrame, config: SoundingConfig) -> np.ndarray:
-    """Per-lag path gains: 20*log10 |h| minus power and amplifier gains."""
-    return _gains_from_abs(frame.h_abs, config)
-
-
-def estimate_noise_floor_gain_db(h_abs: np.ndarray, config: SoundingConfig) -> float:
+def estimate_noise_floor_gain_db(h_abs: np.ndarray) -> float:
     """Measured noise floor of one frame's |h|, as the top of the noise band.
 
     The median of |h| estimates the Rayleigh noise scale robustly against a
@@ -277,12 +224,7 @@ def estimate_noise_floor_gain_db(h_abs: np.ndarray, config: SoundingConfig) -> f
     band_top = sigma * math.sqrt(math.log(frame_len))
     if band_top <= 0:
         return _MIN_GAIN_DB
-    return (
-        20.0 * math.log10(band_top)
-        - config.p_t_db
-        - config.g_t_db
-        - config.g_r_db
-    )
+    return 20.0 * math.log10(band_top)
 
 
 def _detect_in_gain_matrix(
@@ -355,7 +297,7 @@ def sound_blocks(
     the detections do not depend on how the stream was split, nor on which
     thread sounded which frames.
     """
-    ref = _reference(sequence, samples_per_chip)
+    ref = bpsk_modulate(sequence, samples_per_chip)
     frame_len = len(ref)
     carry = np.empty(0, dtype=np.complex128)
     anchor = floor = None
@@ -363,7 +305,7 @@ def sound_blocks(
 
     def detect(h):
         return _detect_in_gain_matrix(
-            _gains_from_abs(np.abs(h), config), anchor, floor,
+            _gains_from_abs(np.abs(h)), anchor, floor,
             config.detection_threshold_db, config.guard_samples, fs,
         )
 
@@ -381,7 +323,7 @@ def sound_blocks(
             h = _cir_matrix(x[:frame_len], ref)
             h_abs = np.abs(h[0])
             anchor = int(np.argmax(h_abs))
-            floor = estimate_noise_floor_gain_db(h_abs, config)
+            floor = estimate_noise_floor_gain_db(h_abs)
             parts.append(detect(h))
             x, end = x[frame_len:], end - frame_len
         runs = helper.split(0, end, frame_len)  # each run fills its own slot
@@ -403,19 +345,6 @@ def sound_blocks(
     )
 
 
-def sound_stream(
-    received: IqStream,
-    config: SoundingConfig,
-    sequence: CodeSequence,
-    samples_per_chip: int = 1,
-) -> SoundingReport:
-    """Single-pass sounding of an in-memory stream."""
-    return sound_blocks(
-        [received.samples], config, sequence, received.sample_rate_hz,
-        samples_per_chip,
-    )
-
-
 def sound_chunked(
     capture_path,
     config: SoundingConfig,
@@ -428,8 +357,7 @@ def sound_chunked(
     samples. Gives exactly the detections of single-pass sounding while peak
     memory stays bounded by one block.
     """
-    meta = read_iq_sidecar(capture_path)
-    fs = float(meta["sample_rate_hz"])
+    fs = read_iq_sidecar(capture_path)
     if config.sample_rate_hz and abs(config.sample_rate_hz - fs) > 1e-6 * fs:
         raise ValueError(
             f"capture sample rate {fs} differs from configured "

@@ -13,6 +13,7 @@ once and one index array per pair that points every millisecond at one.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ __all__ = [
     "TapSet",
     "TapFile",
     "approximate_taps",
-    "apply_offset",
     "write_tap_file",
     "read_tap_file",
     "build_tap_file_from_matrix",
@@ -111,8 +111,12 @@ class TapFile:
     index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.grid_dt_s <= 0:
-            raise ValueError("grid_dt_s must be > 0")
+        if not (math.isfinite(self.grid_dt_s) and self.grid_dt_s > 0):
+            raise ValueError(
+                f"grid_dt_s must be finite and > 0, got {self.grid_dt_s}"
+            )
+        if not math.isfinite(self.offset_db):
+            raise ValueError(f"offset_db must be finite, got {self.offset_db}")
         self.tap_lists = [_checked_taps(taps) for taps in self.tap_lists]
         index = {}
         for (tx, rx), ids in self.index.items():
@@ -402,22 +406,6 @@ def approximate_taps(
     return TapSet(tuple(taps), grid_dt_s, timestamp_ms)
 
 
-def apply_offset(tap_file: TapFile, offset_db: float) -> TapFile:
-    """Scale every tap magnitude by 10**(offset/20); header tracks the total."""
-    scale = 10.0 ** (offset_db / 20.0)
-    return TapFile(
-        n_nodes=tap_file.n_nodes,
-        grid_dt_s=tap_file.grid_dt_s,
-        k=tap_file.k,
-        duration_ms=tap_file.duration_ms,
-        offset_db=tap_file.offset_db + offset_db,
-        tap_lists=[
-            tuple((i, c * scale) for i, c in taps) for taps in tap_file.tap_lists
-        ],
-        index=tap_file.index,
-    )
-
-
 def _row_body(taps, k: int) -> str:
     """The cells of a row after timestamp_ms,tx,rx, each with its leading comma."""
     cells = "".join(f",{i},{c.real!r},{c.imag!r}" for i, c in taps)
@@ -601,11 +589,7 @@ def build_tap_file_from_matrix(
         pairs = [
             (i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j
         ]
-    t_s = matrix.sample_interval_s
-    sample_of_ms = np.minimum(
-        np.floor(np.arange(duration_ms) / 1000.0 / t_s).astype(np.int64) + 1,
-        matrix.n_samples,
-    )
+    sample_of_ms = matrix.sample_of(np.arange(duration_ms) / 1000.0)
     # ms ascend, so samples never fall; samples are >= 1, so ms 0 starts one
     new_sample = np.diff(sample_of_ms, prepend=0) != 0
     first_ms = np.flatnonzero(new_sample)

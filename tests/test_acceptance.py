@@ -27,12 +27,12 @@ from chansounder.channel_model import (
 )
 from chansounder.emulator import (
     EmulatorConfig,
-    IqStream,
+    IqFileWriter,
     apply_channel,
     emulate_repeated_reference_to_file,
     noise_floor_db_for_dynamic_range,
     read_iq_file,
-    write_iq_file,
+    read_iq_sidecar,
 )
 from chansounder.harness import (
     build_synthetic_tap_file,
@@ -48,9 +48,9 @@ from chansounder.sequences import (
 )
 from chansounder.sounder import (
     SoundingConfig,
-    compute_cir_frames,
+    _cir_matrix,
+    sound_blocks,
     sound_chunked,
-    sound_stream,
 )
 from chansounder.tap_approx import (
     approximate_taps,
@@ -180,26 +180,24 @@ class TestCriterion4SequenceOrdering:
     def sounded_ratio_db(code, noise_floor_db, seed):
         """Mean CIR peak-to-max-sidelobe ratio through the same channel."""
         fs = 1e6
-        ref = bpsk_modulate(code, 1).samples.real
+        ref = bpsk_modulate(code, 1)
         frame_len = len(ref)
         n_frames = 60
         taps = build_synthetic_tap_file(
             [0.0], [0.0], 1.0 / fs, duration_ms=40
         )
-        stream = IqStream(np.tile(ref, n_frames).astype(complex), fs)
         config = EmulatorConfig(
             base_loss_db=0.0, noise_floor_db=noise_floor_db, seed=seed
         )
-        received = apply_channel(stream, taps, (1, 2), config)
-        frames = compute_cir_frames(received, code, 1)[1:]
+        received = apply_channel(np.tile(ref, n_frames), fs, taps, (1, 2), config)
         ratios = []
-        for f in frames:
-            peak_lag = int(np.argmax(f.h_abs))
+        for h_abs in np.abs(_cir_matrix(received, ref)[1:]):
+            peak_lag = int(np.argmax(h_abs))
             mask = np.ones(frame_len, dtype=bool)
             for g in range(-2, 3):
                 mask[(peak_lag + g) % frame_len] = False
             ratios.append(
-                20 * math.log10(f.h_abs[peak_lag] / np.max(f.h_abs[mask]))
+                20 * math.log10(h_abs[peak_lag] / np.max(h_abs[mask]))
             )
         return float(np.mean(ratios))
 
@@ -351,18 +349,14 @@ class TestCriterion7OracleEquivalences:
     ):
         # FFT-accelerated correlation against the direct sum on 100 frames
         code = generate_glfsr(8)
-        ref = bpsk_modulate(code, 1).samples.real
+        ref = bpsk_modulate(code, 1)
         rng = np.random.default_rng(9)
         worst = 0.0
         rx = rng.standard_normal((100, 255)) + 1j * rng.standard_normal((100, 255))
-        frames = compute_cir_frames(
-            IqStream(rx.ravel(), 1e6), code, 1
-        )
-        for f, row in zip(frames, rx):
+        for got, row in zip(_cir_matrix(rx.ravel(), ref), rx):
             direct = np.array(
                 [np.sum(row * np.roll(ref, k)) / 255.0 for k in range(255)]
             )
-            got = f.h_i + 1j * f.h_q
             worst = max(
                 worst,
                 float(np.max(np.abs(got - direct)) / np.max(np.abs(direct))),
@@ -376,9 +370,9 @@ class TestCriterion7OracleEquivalences:
             capture, SoundingConfig(chunk_duration_s=0.002, discard_frames=1),
             code, 1,
         )
-        single = sound_stream(
-            read_iq_file(capture),
-            SoundingConfig(discard_frames=1), code, 1,
+        single = sound_blocks(
+            [read_iq_file(capture)], SoundingConfig(discard_frames=1), code,
+            read_iq_sidecar(capture), 1,
         )
         chunk_ok = (
             chunky.n_frames == single.n_frames > 0
@@ -420,30 +414,28 @@ class TestCriterion8InvariantSuites:
 
         # emulator linearity / superposition / delay covariance
         rng = np.random.default_rng(3)
-        x = IqStream(
-            rng.standard_normal(3000) + 1j * rng.standard_normal(3000), 1e6
-        )
+        x = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
         cfg = EmulatorConfig(base_loss_db=0.0, noise_floor_db=None)
         tap_a = build_synthetic_tap_file([0.0], [1.0], 1e-6, 3)
         tap_b = build_synthetic_tap_file([25e-6], [7.0], 1e-6, 3)
         both = build_synthetic_tap_file([0.0, 25e-6], [1.0, 7.0], 1e-6, 3)
-        ya = apply_channel(x, tap_a, (1, 2), cfg)
-        yb = apply_channel(x, tap_b, (1, 2), cfg)
-        yab = apply_channel(x, both, (1, 2), cfg)
-        if not np.allclose(yab.samples, ya.samples + yb.samples, rtol=1e-12):
+        ya = apply_channel(x, 1e6, tap_a, (1, 2), cfg)
+        yb = apply_channel(x, 1e6, tap_b, (1, 2), cfg)
+        yab = apply_channel(x, 1e6, both, (1, 2), cfg)
+        if not np.allclose(yab, ya + yb, rtol=1e-12):
             failures.append("superposition")
-        y2 = apply_channel(IqStream(2j * x.samples, 1e6), both, (1, 2), cfg)
-        if not np.allclose(y2.samples, 2j * yab.samples, rtol=1e-12):
+        y2 = apply_channel(2j * x, 1e6, both, (1, 2), cfg)
+        if not np.allclose(y2, 2j * yab, rtol=1e-12):
             failures.append("linearity")
-        if not np.allclose(yb.samples[25:], 10 ** (-7 / 20) * x.samples[:-25]):
+        if not np.allclose(yb[25:], 10 ** (-7 / 20) * x[:-25]):
             failures.append("delay covariance")
 
         # Eq-style magnitude identity on sounded frames
         code = generate_glfsr(8)
         rx = rng.standard_normal(510) + 1j * rng.standard_normal(510)
-        for f in compute_cir_frames(IqStream(rx, 1e6), code, 1):
+        for h in _cir_matrix(rx, bpsk_modulate(code, 1)):
             if not np.allclose(
-                f.h_abs, np.hypot(f.h_i, f.h_q), rtol=0, atol=1e-15
+                np.abs(h), np.hypot(h.real, h.imag), rtol=0, atol=1e-15
             ):
                 failures.append("h_abs identity")
 
@@ -473,11 +465,10 @@ class TestCriterion8InvariantSuites:
         back = read_tap_file(tmp_path / "t.csv")
         if back.records != tf.records:
             failures.append("tap file round trip")
-        stream = IqStream(rng.standard_normal(64) + 0j, 1e6)
-        write_iq_file(stream, tmp_path / "x.iq")
-        if not np.allclose(
-            read_iq_file(tmp_path / "x.iq").samples, stream.samples, atol=1e-6
-        ):
+        stream = rng.standard_normal(64) + 0j
+        with IqFileWriter(tmp_path / "x.iq", 1e6) as writer:
+            writer.append(stream)
+        if not np.allclose(read_iq_file(tmp_path / "x.iq"), stream, atol=1e-6):
             failures.append("iq file round trip")
         mob.write_paths_file(matrix, tmp_path / "p.jsonl")
         records = mob.read_paths_records(tmp_path / "p.jsonl")

@@ -16,7 +16,6 @@ from chansounder import emulator, helper
 from chansounder.emulator import (
     EmulatorConfig,
     IqFileWriter,
-    IqStream,
     apply_channel,
     emulate_blocks,
     emulate_repeated_reference_to_file,
@@ -26,7 +25,6 @@ from chansounder.emulator import (
     pair_base_loss_db,
     read_iq_file,
     read_iq_sidecar,
-    write_iq_file,
 )
 from chansounder.tap_approx import TapFile
 
@@ -51,37 +49,40 @@ def quiet_config(**kwargs):
     return EmulatorConfig(**defaults)
 
 
-def rand_stream(n, seed=0, fs=FS):
+def rand_stream(n, seed=0):
     rng = np.random.default_rng(seed)
-    return IqStream(
-        rng.standard_normal(n) + 1j * rng.standard_normal(n), fs
-    )
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def write_capture(path, samples):
+    with IqFileWriter(path, FS) as w:
+        w.append(samples)
 
 
 class TestApplyChannel:
     def test_identity_filter(self):
         taps = tap_file_from([[(0, 1 + 0j)]] * 2)
         x = rand_stream(1500)
-        y = apply_channel(x, taps, (1, 2), quiet_config())
-        assert np.array_equal(y.samples, x.samples)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config())
+        assert np.array_equal(y, x)
 
     def test_base_loss_scaling(self):
         taps = tap_file_from([[(0, 1 + 0j)]] * 2)
         x = rand_stream(1500)
-        y = apply_channel(x, taps, (1, 2), quiet_config(base_loss_db=57.55))
-        assert np.allclose(y.samples, x.samples * 10 ** (-57.55 / 20), rtol=1e-12)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config(base_loss_db=57.55))
+        assert np.allclose(y, x * 10 ** (-57.55 / 20), rtol=1e-12)
 
     def test_single_tap_delays_input(self):
         d = 37
         taps = tap_file_from([[(d, 0.5 + 0j)]] * 3)
         x = rand_stream(2500)
-        y = apply_channel(x, taps, (1, 2), quiet_config())
-        assert np.allclose(y.samples[d:], 0.5 * x.samples[:-d], rtol=1e-12)
-        assert np.allclose(y.samples[:d], 0.0)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config())
+        assert np.allclose(y[d:], 0.5 * x[:-d], rtol=1e-12)
+        assert np.allclose(y[:d], 0.0)
         # brute-force correlation oracle: the peak sits at lag d
         lags = range(0, 101)
         corr = [
-            abs(np.vdot(x.samples[: len(x.samples) - k], y.samples[k:]))
+            abs(np.vdot(x[: len(x) - k], y[k:]))
             for k in lags
         ]
         assert int(np.argmax(corr)) == d
@@ -90,20 +91,19 @@ class TestApplyChannel:
         taps = tap_file_from([[(0, 0.3 - 0.4j), (11, 0.2j)]] * 2)
         x = rand_stream(2000)
         alpha = 2.5 - 1.25j
-        y1 = apply_channel(x, taps, (1, 2), quiet_config())
-        scaled = IqStream(alpha * x.samples, FS)
-        y2 = apply_channel(scaled, taps, (1, 2), quiet_config())
-        assert np.allclose(y2.samples, alpha * y1.samples, rtol=1e-12)
+        y1 = apply_channel(x, FS, taps, (1, 2), quiet_config())
+        y2 = apply_channel(alpha * x, FS, taps, (1, 2), quiet_config())
+        assert np.allclose(y2, alpha * y1, rtol=1e-12)
 
     def test_superposition_across_taps(self):
         x = rand_stream(2000)
         both = tap_file_from([[(3, 0.8 + 0j), (17, -0.1 + 0.2j)]] * 2)
         only_a = tap_file_from([[(3, 0.8 + 0j)]] * 2)
         only_b = tap_file_from([[(17, -0.1 + 0.2j)]] * 2)
-        y = apply_channel(x, both, (1, 2), quiet_config())
-        ya = apply_channel(x, only_a, (1, 2), quiet_config())
-        yb = apply_channel(x, only_b, (1, 2), quiet_config())
-        assert np.allclose(y.samples, ya.samples + yb.samples, rtol=1e-12)
+        y = apply_channel(x, FS, both, (1, 2), quiet_config())
+        ya = apply_channel(x, FS, only_a, (1, 2), quiet_config())
+        yb = apply_channel(x, FS, only_b, (1, 2), quiet_config())
+        assert np.allclose(y, ya + yb, rtol=1e-12)
 
     def test_shift_inside_coherence_interval(self):
         taps = tap_file_from([[(2, 0.7 + 0.1j)]])
@@ -111,60 +111,60 @@ class TestApplyChannel:
         x[:100] = np.exp(1j * np.linspace(0, 3, 100))
         m = 50
         shifted = np.roll(x, m)
-        y = apply_channel(IqStream(x, FS), taps, (1, 2), quiet_config())
-        ys = apply_channel(IqStream(shifted, FS), taps, (1, 2), quiet_config())
-        assert np.allclose(ys.samples[m:], y.samples[:-m], rtol=1e-12)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config())
+        ys = apply_channel(shifted, FS, taps, (1, 2), quiet_config())
+        assert np.allclose(ys[m:], y[:-m], rtol=1e-12)
 
     def test_tap_update_step_at_millisecond_boundary(self):
         c = 0.4 + 0.3j
         taps = tap_file_from([[(0, c)], [(0, 2 * c)]])
-        x = IqStream(np.ones(2000, dtype=complex), FS)
-        y = apply_channel(x, taps, (1, 2), quiet_config())
+        x = np.ones(2000, dtype=complex)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config())
         boundary = 1000  # 1 ms at 1 MS/s
         step_db = 20 * np.log10(
-            abs(y.samples[boundary]) / abs(y.samples[boundary - 1])
+            abs(y[boundary]) / abs(y[boundary - 1])
         )
         assert step_db == pytest.approx(6.02, abs=0.005)
-        assert np.all(y.samples[:boundary] == y.samples[0])
-        assert np.all(y.samples[boundary:] == y.samples[boundary])
+        assert np.all(y[:boundary] == y[0])
+        assert np.all(y[boundary:] == y[boundary])
 
     def test_output_power_follows_base_loss(self):
         taps = tap_file_from([[(0, 1 + 0j)]] * 200)
         n = 200_000
         x = rand_stream(n)
         loss = 13.0
-        y = apply_channel(x, taps, (1, 2), quiet_config(base_loss_db=loss))
-        p_in = np.mean(np.abs(x.samples) ** 2)
-        p_out = np.mean(np.abs(y.samples) ** 2)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config(base_loss_db=loss))
+        p_in = np.mean(np.abs(x) ** 2)
+        p_out = np.mean(np.abs(y) ** 2)
         ratio_db = 10 * np.log10(p_out / p_in)
         assert ratio_db == pytest.approx(-loss, abs=0.01)
 
     def test_missing_pair_rejected(self):
         taps = tap_file_from([[(0, 1 + 0j)]])
         with pytest.raises(ValueError, match="pair"):
-            apply_channel(rand_stream(1000), taps, (9, 9), quiet_config())
+            apply_channel(rand_stream(1000), FS, taps, (9, 9), quiet_config())
 
     def test_incompatible_grid_rejected(self):
         taps = tap_file_from([[(0, 1 + 0j)]], grid_dt_s=1.5e-6 / 2)
         with pytest.raises(ValueError, match="grid"):
-            apply_channel(rand_stream(1000), taps, (1, 2), quiet_config())
+            apply_channel(rand_stream(1000), FS, taps, (1, 2), quiet_config())
 
     def test_noise_is_deterministic_per_seed_and_pair(self):
         taps = tap_file_from([[(0, 1 + 0j)]] * 2, pair=(1, 2))
         x = rand_stream(1200)
         cfg = quiet_config(noise_floor_db=-30.0, seed=42)
-        y1 = apply_channel(x, taps, (1, 2), cfg)
-        y2 = apply_channel(x, taps, (1, 2), cfg)
-        assert np.array_equal(y1.samples, y2.samples)
+        y1 = apply_channel(x, FS, taps, (1, 2), cfg)
+        y2 = apply_channel(x, FS, taps, (1, 2), cfg)
+        assert np.array_equal(y1, y2)
 
     def test_offset_origin_switches_taps_at_absolute_boundaries(self):
-        # stream begins half a millisecond into the tap timeline; the
-        # coefficient change at 1 ms must land 0.5 ms into the stream
+        # the stream starts at t = 0; the coefficient change at 1 ms must
+        # land on sample 1000, the first sample of that millisecond
         taps = tap_file_from([[(0, 1 + 0j)], [(0, 2 + 0j)]])
-        x = IqStream(np.ones(1000, dtype=complex), FS, origin_time_s=0.5e-3)
-        y = apply_channel(x, taps, (1, 2), quiet_config())
-        assert np.all(y.samples[:500] == 1.0)
-        assert np.all(y.samples[500:] == 2.0)
+        x = np.ones(2000, dtype=complex)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config())
+        assert np.all(y[:1000] == 1.0)
+        assert np.all(y[1000:] == 2.0)
 
 
 class TestMakeNoise:
@@ -241,12 +241,12 @@ class TestEmulatorConfig:
     def test_no_noise_floor_emulates_without_noise(self, floor):
         taps = tap_file_from([[(0, 1 + 0j)]] * 2)
         x = rand_stream(1500)
-        y = apply_channel(x, taps, (1, 2), quiet_config(noise_floor_db=floor))
-        assert np.array_equal(y.samples, x.samples)
+        y = apply_channel(x, FS, taps, (1, 2), quiet_config(noise_floor_db=floor))
+        assert np.array_equal(y, x)
         blocks = emulate_blocks(
-            taps, (1, 2), quiet_config(noise_floor_db=floor), x.samples, FS, 1500
+            taps, (1, 2), quiet_config(noise_floor_db=floor), x, FS, 1500
         )
-        assert np.concatenate(list(blocks)).tobytes() == x.samples.astype(
+        assert np.concatenate(list(blocks)).tobytes() == x.astype(
             np.complex64
         ).tobytes()
 
@@ -271,27 +271,19 @@ class TestIqFiles:
     def test_round_trip(self, tmp_path):
         stream = rand_stream(777, seed=5)
         path = tmp_path / "capture.iq"
-        write_iq_file(stream, path)
+        write_capture(path, stream)
         back = read_iq_file(path)
-        assert back.sample_rate_hz == stream.sample_rate_hz
-        assert np.allclose(back.samples, stream.samples, atol=1e-6)
+        assert read_iq_sidecar(path) == FS
+        assert back.dtype == np.complex64
+        assert np.allclose(back, stream, atol=1e-6)
 
     def test_raw_layout_is_interleaved_float32_le(self, tmp_path):
-        stream = IqStream(np.array([1 + 2j, 3 - 4j]), FS)
         path = tmp_path / "capture.iq"
-        write_iq_file(stream, path)
+        write_capture(path, np.array([1 + 2j, 3 - 4j]))
         raw = np.fromfile(path, dtype="<f4")
         assert np.array_equal(raw, [1, 2, 3, -4])
         meta = json.loads((tmp_path / "capture.iq.json").read_text())
-        assert meta["sample_rate_hz"] == FS
-
-    def test_partial_read_with_offset(self, tmp_path):
-        stream = rand_stream(100, seed=6)
-        path = tmp_path / "capture.iq"
-        write_iq_file(stream, path)
-        part = read_iq_file(path, start_sample=40, count=10)
-        assert np.allclose(part.samples, stream.samples[40:50], atol=1e-6)
-        assert part.origin_time_s == pytest.approx(40 / FS)
+        assert meta == {"sample_rate_hz": FS}
 
     def test_missing_sidecar_is_an_error(self, tmp_path):
         path = tmp_path / "capture.iq"
@@ -299,14 +291,34 @@ class TestIqFiles:
         with pytest.raises(FileNotFoundError, match="sidecar"):
             read_iq_file(path)
 
+    @pytest.mark.parametrize(
+        "sidecar, error",
+        [
+            ("{not json", "not JSON"),
+            ('{"origin_time_s": 0.0}', "no sample_rate_hz"),
+            ('{"sample_rate_hz": -5}', "-5 is not a finite number > 0"),
+            ('{"sample_rate_hz": NaN}', "nan is not a finite number > 0"),
+            ('{"sample_rate_hz": Infinity}', "inf is not a finite number > 0"),
+        ],
+        ids=["not-json", "no-rate", "negative", "nan", "infinite"],
+    )
+    def test_bad_sidecar_is_an_error_naming_it(self, tmp_path, sidecar, error):
+        path = tmp_path / "capture.iq"
+        write_capture(path, rand_stream(3))
+        (tmp_path / "capture.iq.json").write_text(sidecar)
+        for read in (read_iq_sidecar, read_iq_file):
+            with pytest.raises(ValueError, match=error) as info:
+                read(path)
+            assert str(info.value).startswith(f"{path}.json: ")
+
     def test_streaming_writer_matches_bulk(self, tmp_path):
         stream = rand_stream(1000, seed=9)
         bulk = tmp_path / "bulk.iq"
         streamed = tmp_path / "streamed.iq"
-        write_iq_file(stream, bulk)
+        write_capture(bulk, stream)
         with IqFileWriter(streamed, FS) as w:
-            w.append(stream.samples[:300])
-            w.append(stream.samples[300:])
+            w.append(stream[:300])
+            w.append(stream[300:])
         assert bulk.read_bytes() == streamed.read_bytes()
         assert iq_file_sample_count(streamed) == 1000
 
@@ -314,28 +326,28 @@ class TestIqFiles:
         path = tmp_path / "capture.iq"
         with pytest.raises(RuntimeError, match="emulation failed"):
             with IqFileWriter(path, FS) as w:
-                w.append(rand_stream(100).samples)
+                w.append(rand_stream(100))
                 raise RuntimeError("emulation failed")
         assert list(tmp_path.iterdir()) == []
 
     def test_open_writer_hides_the_old_capture(self, tmp_path):
         path = tmp_path / "capture.iq"
-        write_iq_file(rand_stream(500, seed=1), path)
-        new = rand_stream(200, seed=2).samples
+        write_capture(path, rand_stream(500, seed=1))
+        new = rand_stream(200, seed=2)
         with IqFileWriter(path, FS) as w:
             w.append(new[:100])
             assert not path.exists()
             with pytest.raises(FileNotFoundError):
                 read_iq_file(path)
             w.append(new[100:])
-        assert np.array_equal(read_iq_file(path).samples, new.astype(np.complex64))
+        assert np.array_equal(read_iq_file(path), new.astype(np.complex64))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "capture.iq", "capture.iq.json"
         ]
 
     def test_partial_sample_is_an_error_naming_the_file(self, tmp_path):
         path = tmp_path / "torn.iq"
-        write_iq_file(rand_stream(3), path)
+        write_capture(path, rand_stream(3))
         with open(path, "ab") as fh:
             fh.write(b"\0\0\0\0")  # half of a sample
         with pytest.raises(ValueError, match="torn.iq"):
@@ -346,8 +358,8 @@ class TestIqFiles:
 
 def emulate_oracle(taps, cfg, ref, total, fs=FS):
     """apply_channel on the repeated reference, as the capture stores it."""
-    tiled = IqStream(np.tile(ref, math.ceil(total / len(ref)))[:total], fs)
-    return apply_channel(tiled, taps, (1, 2), cfg).samples.astype(np.complex64)
+    tiled = np.tile(ref, math.ceil(total / len(ref)))[:total]
+    return apply_channel(tiled, fs, taps, (1, 2), cfg).astype(np.complex64)
 
 
 class TestStreamingEmulation:
@@ -378,8 +390,8 @@ class TestStreamingEmulation:
         taps = tap_file_from([[(0, complex(m + 1))] for m in range(n_ms)], 1.0 / fs)
         total = int(n_ms * fs / 1000)
         expected = np.floor(np.arange(total) * 1000 / fs + 1e-9) + 1
-        x = IqStream(np.ones(total, dtype=complex), fs)
-        y = apply_channel(x, taps, (1, 2), quiet_config()).samples
+        x = np.ones(total, dtype=complex)
+        y = apply_channel(x, fs, taps, (1, 2), quiet_config())
         assert y.tolist() == expected.tolist()
         for block in (1, 5, total):
             blocks = emulate_blocks(taps, (1, 2), quiet_config(), np.ones(3), fs, total, block)

@@ -27,7 +27,6 @@ from chansounder.mobility import (
     read_paths_records,
     sample_trajectory,
     synthesize_pair_paths,
-    synthesize_paths,
     write_paths_file,
 )
 
@@ -452,8 +451,6 @@ class TestMatrixOracle:
         assert sorted(synthesized[0][1]) == sorted([1, 2, 3, 4, 5] * 4)
         for s, txs in synthesized[1:]:
             assert sorted(txs) == sorted([2, 4, 5] * 4), s
-        for (i, j), snap in synthesize_paths(scenario, 1).items():
-            assert path_bytes(snap.paths) == path_bytes(want[(i, j)][0].paths)
 
 
 def two_node_scenario(t_total=10.0, t_s=1.0):
@@ -473,6 +470,15 @@ class TestAssembleChannelMatrix:
             snap = matrix.snapshot(1, 2, s)
             assert snap.paths == first.paths
             assert snap.time_s == (s - 1) * 1.0
+
+    def test_sample_of_times_at_edges_and_past_the_last_sample(self):
+        matrix = assemble_channel_matrix(two_node_scenario(t_total=1.75, t_s=0.25))
+        assert matrix.n_samples == 4
+        times = [0.0, 0.2499, 0.25, 0.5, 0.7499, 0.75, 0.9999, 1.0, 7.3]
+        got = matrix.sample_of(times)
+        assert got.dtype == np.int64
+        assert got.tolist() == [1, 1, 2, 3, 3, 4, 4, 4, 4]
+        assert matrix.sample_of(np.empty(0)).tolist() == []
 
     def test_short_mobile_trajectory_clamps_to_last_sample(self):
         # 5 trajectory positions inside a 10-sample scenario

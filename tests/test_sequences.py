@@ -186,14 +186,14 @@ class TestBpskModulate:
     def test_one_sample_per_chip_has_null_imaginary(self):
         code = generate_glfsr(degree=8)
         stream = bpsk_modulate(code, samples_per_chip=1)
-        assert len(stream.samples) == 255
-        assert np.all(stream.samples.imag == 0)
+        assert len(stream) == 255
+        assert stream.dtype == np.float64  # real: Q is zero
 
     def test_hold_semantics(self):
         code = CodeSequence(np.array([1, -1, -1, 1]), "GLFSR")
         stream = bpsk_modulate(code, samples_per_chip=2)
         expected = [1, 1, -1, -1, -1, -1, 1, 1]
-        assert np.array_equal(stream.samples.real, expected)
+        assert np.array_equal(stream, expected)
 
     def test_zero_samples_per_chip_rejected(self):
         code = generate_glfsr(degree=3)
@@ -212,7 +212,7 @@ class TestBpskModulate:
     )
     def test_sign_demodulation_recovers_chips(self, code):
         stream = bpsk_modulate(code, samples_per_chip=3)
-        recovered = np.sign(stream.samples.real.reshape(-1, 3).mean(axis=1))
+        recovered = np.sign(stream.reshape(-1, 3).mean(axis=1))
         assert np.array_equal(recovered.astype(np.int8), code.chips)
 
 
@@ -277,6 +277,18 @@ class TestSequenceFiles:
         seqs.write_sequence(code, path)
         back = seqs.read_sequence(path)
         assert np.array_equal(back.chips, code.chips)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("1\nx\n-1\n", "could not convert"), ("1\n0\n-1\n", "-1 or \\+1")],
+        ids=["not-an-integer", "not-a-chip"],
+    )
+    def test_bad_file_is_an_error_naming_it(self, tmp_path, text, error):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=error) as info:
+            seqs.read_sequence(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_file_is_one_signed_integer_per_line(self, tmp_path):
         code = generate_glfsr(degree=3)

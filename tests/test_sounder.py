@@ -9,32 +9,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import helper, sounder
-from chansounder.emulator import IqStream, make_noise, write_iq_file
+from chansounder.emulator import IqFileWriter, make_noise, read_iq_file
 from chansounder.sequences import bpsk_modulate, generate_glfsr
 from chansounder.sounder import (
-    CirFrame,
     Detections,
     SoundingConfig,
     SoundingReport,
+    _cir_matrix,
     _detect_in_gain_matrix,
-    compute_cir_frames,
+    _gains_from_abs,
     estimate_noise_floor_gain_db,
-    path_gains_db,
     sound_blocks,
     sound_chunked,
-    sound_stream,
     write_report_csv,
 )
 from oracles import detect_per_frame, per_frame_lists, write_csv_per_frame
 
 CODE = generate_glfsr(8)
-REF = bpsk_modulate(CODE, 1).samples.real
+REF = bpsk_modulate(CODE, 1)
 N = len(REF)
 FS = 1e6
 
 
-def stream(samples, fs=FS):
-    return IqStream(np.asarray(samples, dtype=complex), fs)
+def sound(samples, cfg):
+    """Single-pass sounding of an in-memory stream."""
+    return sound_blocks([samples], cfg, CODE, FS, 1)
+
+
+def write_capture(path, samples):
+    with IqFileWriter(path, FS) as w:
+        w.append(samples)
 
 
 def direct_cir(received, ref):
@@ -48,51 +52,45 @@ def direct_cir(received, ref):
 
 class TestComputeCirFrames:
     def test_ideal_unit_channel(self):
-        frames = compute_cir_frames(stream(REF), CODE, 1)
-        assert len(frames) == 1
-        h = frames[0].h_abs
-        assert h[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.all(h[1:] <= 1 / N + 1e-9)
+        h = np.abs(_cir_matrix(REF, REF))
+        assert h.shape == (1, N)
+        assert h[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert np.all(h[0, 1:] <= 1 / N + 1e-9)
 
     def test_delayed_reference_peaks_at_lag(self):
         delayed = np.roll(REF, 64)
-        frames = compute_cir_frames(stream(delayed), CODE, 1)
-        assert int(np.argmax(frames[0].h_abs)) == 64
+        assert int(np.argmax(np.abs(_cir_matrix(delayed, REF)[0]))) == 64
 
     def test_scaled_reference_scales_peak(self):
-        frames = compute_cir_frames(stream(0.5 * REF), CODE, 1)
-        assert frames[0].h_abs[0] == pytest.approx(0.5, abs=1e-12)
+        h = _cir_matrix(0.5 * REF, REF)
+        assert abs(h[0, 0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_too_short_stream_rejected(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
-            compute_cir_frames(stream(REF[:100]), CODE, 1)
+            _cir_matrix(REF[:100], REF)
 
     def test_frame_length_and_magnitude_identity(self):
         rng = np.random.default_rng(0)
         rx = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-        frames = compute_cir_frames(stream(rx), CODE, 1)
-        assert len(frames) == 2
-        for f in frames:
-            assert len(f.h_abs) == N
-            assert np.all(f.h_abs >= 0)
-            assert np.allclose(
-                f.h_abs, np.sqrt(f.h_i**2 + f.h_q**2), rtol=0, atol=1e-15
-            )
+        h = _cir_matrix(rx, REF)
+        assert h.shape == (2, N)
+        assert np.all(np.abs(h) >= 0)
+        assert np.allclose(
+            np.abs(h), np.sqrt(h.real**2 + h.imag**2), rtol=0, atol=1e-15
+        )
 
     def test_samples_per_chip_normalization(self):
         spc = 4
-        ref4 = bpsk_modulate(CODE, spc).samples.real
-        frames = compute_cir_frames(stream(ref4), CODE, spc)
-        assert len(frames[0].h_abs) == N * spc
-        assert frames[0].h_abs[0] == pytest.approx(1.0, abs=1e-9)
+        ref4 = bpsk_modulate(CODE, spc)
+        h = np.abs(_cir_matrix(ref4, ref4))
+        assert h.shape == (1, N * spc)
+        assert h[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_fft_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(5)
         rx = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        frames = compute_cir_frames(stream(rx), CODE, 1)
-        expected = direct_cir(rx, REF)
-        got = frames[0].h_i + 1j * frames[0].h_q
-        assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
+        got = _cir_matrix(rx, REF)[0]
+        assert np.allclose(got, direct_cir(rx, REF), rtol=1e-9, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -105,7 +103,7 @@ class TestComputeCirFrames:
     def test_scale_by_reciprocal_energy_equals_division(
         self, n_frames, spc, scale, complex64, seed
     ):
-        ref = bpsk_modulate(CODE, spc).samples.real
+        ref = bpsk_modulate(CODE, spc)
         rng = np.random.default_rng(seed)
         n = n_frames * len(ref) + int(rng.integers(len(ref)))
         rx = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -121,83 +119,55 @@ class TestComputeCirFrames:
 
 
 class TestPathGains:
-    def frame(self, h):
-        h = np.asarray(h, dtype=float)
-        return CirFrame(0, np.arange(len(h)) / FS, h, np.zeros_like(h), np.abs(h))
-
     def test_unit_peak_zero_budget(self):
-        gains = path_gains_db(self.frame([1.0, 0.1]), SoundingConfig())
-        assert gains[0] == pytest.approx(0.0)
+        assert _gains_from_abs(np.array([1.0, 0.1]))[0] == pytest.approx(0.0)
 
     def test_base_loss_peak(self):
-        g = path_gains_db(
-            self.frame([10 ** (-57.55 / 20)]), SoundingConfig()
-        )
+        g = _gains_from_abs(np.array([10 ** (-57.55 / 20)]))
         assert g[0] == pytest.approx(-57.55)
 
-    def test_amplifier_gains_subtract(self):
-        g = path_gains_db(
-            self.frame([1.0]),
-            SoundingConfig(p_t_db=0.0, g_t_db=15.0, g_r_db=15.0),
-        )
-        assert g[0] == pytest.approx(-30.0)
-
     def test_zero_magnitude_maps_to_sentinel(self):
-        g = path_gains_db(self.frame([0.0, 1.0]), SoundingConfig())
-        assert g[0] <= -300
+        assert _gains_from_abs(np.array([0.0, 1.0]))[0] <= -300
 
     @settings(max_examples=30, deadline=None)
     @given(alpha=st.floats(min_value=0.01, max_value=100))
     def test_scaling_shifts_gains_uniformly(self, alpha):
         rng = np.random.default_rng(2)
         rx = rng.standard_normal(N) * 0.1 + REF
-        f1 = compute_cir_frames(stream(rx), CODE, 1)[0]
-        f2 = compute_cir_frames(stream(alpha * rx), CODE, 1)[0]
-        g1 = path_gains_db(f1, SoundingConfig())
-        g2 = path_gains_db(f2, SoundingConfig())
+        h1 = np.abs(_cir_matrix(rx, REF)[0])
+        h2 = np.abs(_cir_matrix(alpha * rx, REF)[0])
+        g1, g2 = _gains_from_abs(h1), _gains_from_abs(h2)
         assert np.allclose(g2 - g1, 20 * math.log10(alpha), atol=1e-9)
-        assert np.argmax(f1.h_abs) == np.argmax(f2.h_abs)
+        assert np.argmax(h1) == np.argmax(h2)
 
 
-def detect(frames, floor, guard=2, config=SoundingConfig(), fs=FS):
-    """Columnar detections of CIR frames, anchored on frame 0's peak."""
-    gains = np.stack([path_gains_db(f, config) for f in frames])
-    anchor = int(np.argmax(frames[0].h_abs))
+def detect(frames, floor, guard=2, fs=FS):
+    """Columnar detections of frames' |h| rows, anchored on frame 0's peak."""
+    gains = np.stack([_gains_from_abs(h) for h in frames])
+    anchor = int(np.argmax(frames[0]))
     return _detect_in_gain_matrix(gains, anchor, floor, 6.0, guard, fs)
 
 
 class TestDetectTaps:
     def make_frames(self, peaks, n_frames=2, noise=1e-4, seed=0):
-        """Frames whose CIR has given (lag, amplitude) peaks over weak noise."""
+        """|h| of frames with given (lag, amplitude) peaks over weak noise."""
         rng = np.random.default_rng(seed)
         frames = []
-        for i in range(n_frames):
+        for _ in range(n_frames):
             h = noise * np.abs(
                 rng.standard_normal(N) + 1j * rng.standard_normal(N)
             )
             for lag, amp in peaks:
                 h[lag] = amp
-            frames.append(
-                CirFrame(i, np.arange(N) / FS, h, np.zeros(N), h)
-            )
+            frames.append(h)
         return frames
 
     def test_four_tap_channel_delays(self):
         fs = 50e6
         peaks = [(0, 0.7), (64, 0.1), (100, 0.18), (200, 0.4)]
-        frames = [
-            CirFrame(
-                i,
-                np.arange(N) / fs,
-                h := self.make_frames(peaks, 1)[0].h_abs,
-                np.zeros(N),
-                h,
-            )
-            for i in range(2)
-        ]
-        config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
-        det = detect(frames, floor, config=config, fs=fs)
+        frames = 2 * self.make_frames(peaks, 1)
+        floor = estimate_noise_floor_gain_db(frames[0])
+        det = detect(frames, floor, fs=fs)
         assert det.offsets.tolist() == [0, 4, 8]
         delays = det.delay_s[: det.offsets[1]]
         assert delays.tolist() == pytest.approx([0.0, 1.28e-6, 2e-6, 4e-6])
@@ -206,30 +176,24 @@ class TestDetectTaps:
     def test_noise_only_frame_detects_nothing(self):
         rng = np.random.default_rng(3)
         h = 1e-3 * np.abs(rng.standard_normal(N) + 1j * rng.standard_normal(N))
-        frame = CirFrame(0, np.arange(N) / FS, h, np.zeros(N), h)
-        config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frame.h_abs, config)
-        det = detect([frame], floor, config=config)
+        det = detect([h], estimate_noise_floor_gain_db(h))
         assert det.offsets.tolist() == [0, 0]
         assert det.delay_s.size == det.gain_db.size == 0
 
     def test_guard_suppresses_close_weaker_peak(self):
         frames = self.make_frames([(100, 1.0), (103, 0.5)], 1)
-        config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
-        det = detect(frames, floor, guard=4, config=config)
+        floor = estimate_noise_floor_gain_db(frames[0])
+        det = detect(frames, floor, guard=4)
         lags = np.round(det.delay_s * FS)
         assert lags.tolist() == [0]  # only the anchor peak survives the guard
 
-        det = detect(frames, floor, guard=2, config=config)
+        det = detect(frames, floor, guard=2)
         lags = np.round(det.delay_s * FS + 100) % N
         assert lags.tolist() == [100, 103]
 
     def test_adjacent_weaker_sample_is_not_a_local_maximum(self):
         frames = self.make_frames([(100, 1.0), (101, 0.8)], 1)
-        config = SoundingConfig()
-        floor = estimate_noise_floor_gain_db(frames[0].h_abs, config)
-        det = detect(frames, floor, guard=4, config=config)
+        det = detect(frames, estimate_noise_floor_gain_db(frames[0]), guard=4)
         assert det.offsets.tolist() == [0, 1]
 
     def test_threshold_must_be_positive(self):
@@ -242,8 +206,8 @@ class TestDetectTaps:
         rx0 = np.tile(REF, 4)
         rxd = np.roll(rx0, d)
         cfg = SoundingConfig()
-        r0 = sound_stream(stream(rx0), cfg, CODE, 1)
-        rd = sound_stream(stream(rxd), cfg, CODE, 1)
+        r0 = sound(rx0, cfg)
+        rd = sound(rxd, cfg)
         # anchors absorb the shift; absolute anchor lags differ by d
         assert (rd.anchor_lag - r0.anchor_lag) % N == d
 
@@ -253,17 +217,15 @@ class TestSoundChunked:
         rx = np.tile(REF * 0.9, n_frames).astype(complex)
         rx += make_noise(len(rx), noise_db, seed)
         path = tmp_path / "capture.iq"
-        write_iq_file(stream(rx), path)
+        write_capture(path, rx)
         return path, rx
 
     def test_chunked_equals_unchunked(self, tmp_path):
-        from chansounder.emulator import read_iq_file
-
         path, _ = self.build_capture(tmp_path)
         # 0.06 s chunks over a 0.175 s capture: three chunks
         cfg = SoundingConfig(chunk_duration_s=0.06)
         chunked = sound_chunked(path, cfg, CODE, 1)
-        single = sound_stream(read_iq_file(path), cfg, CODE, 1)
+        single = sound(read_iq_file(path), cfg)
         assert chunked.n_frames == single.n_frames == 686
         assert chunked.anchor_lag == single.anchor_lag
         assert chunked.detections == single.detections
@@ -289,7 +251,7 @@ class TestSoundChunked:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
             split = sound_blocks(blocks, cfg, CODE, FS, 1)
-        single = sound_stream(stream(rx), cfg, CODE, 1)
+        single = sound(rx, cfg)
         assert split.detections == single.detections
         assert split.n_frames == single.n_frames == 39
         assert split.anchor_lag == single.anchor_lag
@@ -334,7 +296,7 @@ class TestSoundChunked:
         cfg = SoundingConfig(discard_frames=1)
         split = sound_blocks(blocks, cfg, CODE, FS, 1)
         monkeypatch.undo()
-        single = sound_stream(stream(rx[: edges[-1]]), cfg, CODE, 1)
+        single = sound(rx[: edges[-1]], cfg)
         assert split.detections == single.detections
         assert split.n_frames == single.n_frames == 22
         assert split.anchor_lag == single.anchor_lag
@@ -384,6 +346,13 @@ class TestSoundChunked:
         with pytest.raises(ValueError, match="sample rate"):
             sound_chunked(path, cfg, CODE, 1)
 
+    def test_bad_sidecar_rate_is_an_error_naming_it(self, tmp_path):
+        # not sounded into a later "shorter than one frame" error
+        path, _ = self.build_capture(tmp_path, n_frames=2)
+        (tmp_path / "capture.iq.json").write_text('{"sample_rate_hz": -5}')
+        with pytest.raises(ValueError, match="capture.iq.json: sample_rate_hz -5"):
+            sound_chunked(path, SoundingConfig(), CODE, 1)
+
     def test_unreadable_capture_is_an_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             sound_chunked(tmp_path / "nope.iq", SoundingConfig(), CODE, 1)
@@ -391,7 +360,7 @@ class TestSoundChunked:
     def test_noise_free_gain_is_frame_stable(self, tmp_path):
         rx = np.tile(REF * 10 ** (-20 / 20), 50).astype(complex)
         path = tmp_path / "clean.iq"
-        write_iq_file(stream(rx), path)
+        write_capture(path, rx)
         report = sound_chunked(path, SoundingConfig(), CODE, 1)
         _, _, gains = report.strongest_tap_series()
         assert np.std(gains) < 1e-6

@@ -13,7 +13,6 @@ from chansounder.channel_model import ChannelSnapshot, RayPath, path_coefficient
 from chansounder.tap_approx import (
     TapFile,
     TapSet,
-    apply_offset,
     approximate_taps,
     read_tap_file,
     write_tap_file,
@@ -337,26 +336,6 @@ def small_tap_file(offset_db=0.0):
     )
 
 
-class TestApplyOffset:
-    def test_60db_scales_magnitudes_by_1000(self):
-        out = apply_offset(small_tap_file(), 60.0)
-        ts = out.tapset(0, 1, 2)
-        assert abs(ts.coefficients[0]) == pytest.approx(700.0)
-        assert out.offset_db == 60.0
-
-    def test_zero_offset_is_identity(self):
-        src = small_tap_file()
-        out = apply_offset(src, 0.0)
-        assert out.records == src.records
-
-    def test_offset_round_trip(self):
-        src = small_tap_file()
-        back = apply_offset(apply_offset(src, 60.0), -60.0)
-        for key, ts in src.records.items():
-            got = back.records[key]
-            assert np.allclose(got.coefficients, ts.coefficients, rtol=1e-12)
-
-
 TWO_MS_HEADER = (
     "# n_nodes=2\n# grid_dt_s=2e-08\n# k=1\n# duration_ms=2\n# offset_db=0.0\n"
 )
@@ -442,6 +421,13 @@ class TestTapFileIo:
               "0,7,3,0,1.0,0.0"],
              "line 9: pair \\(7,3\\) brings the distinct node ids to 3, "
              "more than n_nodes=2"),
+            # a header line repeated before the first row overrides the first
+            (["# grid_dt_s=nan", "0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0"],
+             "grid_dt_s must be finite and > 0, got nan"),
+            (["# grid_dt_s=inf", "0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0"],
+             "grid_dt_s must be finite and > 0, got inf"),
+            (["# offset_db=nan", "0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0"],
+             "offset_db must be finite, got nan"),
         ],
     )
     def test_reader_errors_name_file_and_line(self, tmp_path, rows, message):
