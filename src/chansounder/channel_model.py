@@ -3,7 +3,9 @@
 A channel between one node pair at one sample instant is a set of ray paths,
 each carrying received power (dBm), phase, and time of arrival. From these
 the module derives complex path coefficients, the channel impulse response,
-and coherent link path loss.
+and coherent link path loss. A :class:`PathTable` holds the paths of many
+snapshots as columns; :class:`RayPath` and :class:`ChannelSnapshot` are the
+per-snapshot view of it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "RayPath",
     "ChannelSnapshot",
+    "PathTable",
     "RadioParams",
     "noise_floor_dbm",
     "prune_paths",
@@ -41,13 +46,24 @@ class RayPath:
     aod_deg: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("received_power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg"):
+        for name in _PATH_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.toa_s < 0:
             raise ValueError(f"toa_s must be >= 0, got {self.toa_s}")
         object.__setattr__(self, "phase_rad", self.phase_rad % TWO_PI)
+
+    @classmethod
+    def _of_checked(cls, *values) -> "RayPath":
+        """A row of a PathTable, whose values are checked and reduced already."""
+        path = object.__new__(cls)
+        for name, value in zip(_PATH_FIELDS, values):
+            object.__setattr__(path, name, value)
+        return path
+
+
+_PATH_FIELDS = ("received_power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg")
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,77 @@ class ChannelSnapshot:
     @property
     def n_paths(self) -> int:
         return len(self.paths)
+
+
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """The ray paths of many snapshots, stored as CSR columns.
+
+    Snapshot ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of the columns
+    ``power_dbm``, ``phase_rad``, ``toa_s``, ``aoa_deg`` and ``aod_deg``, in
+    toa order (stable). The values obey :class:`RayPath`'s rules: finite,
+    toa >= 0, and phases reduced with ``%`` 2*pi by whoever fills the table.
+    An angle is NaN where a path carries none.
+    """
+
+    offsets: np.ndarray
+    power_dbm: np.ndarray
+    phase_rad: np.ndarray
+    toa_s: np.ndarray
+    aoa_deg: np.ndarray
+    aod_deg: np.ndarray
+
+    @classmethod
+    def of_columns(cls, counts, power_dbm, phase_rad, toa_s, aoa_deg=None, aod_deg=None):
+        """A table of ``len(counts)`` snapshots from rows already in order;
+        angles default to none. A value that breaks RayPath's rules raises
+        the ValueError that RayPath would."""
+        columns = [np.asarray(c, dtype=float) for c in (power_dbm, phase_rad, toa_s)]
+        n = len(columns[0])
+        columns += [
+            np.full(n, np.nan) if c is None else np.asarray(c, dtype=float)
+            for c in (aoa_deg, aod_deg)
+        ]
+        for name, column in zip(_PATH_FIELDS, columns):
+            bad = np.isinf(column) if name in ("aoa_deg", "aod_deg") else ~np.isfinite(column)
+            if bad.any():
+                raise ValueError(f"{name} must be finite, got {column[bad][0]}")
+        if (columns[2] < 0).any():
+            raise ValueError(f"toa_s must be >= 0, got {columns[2][columns[2] < 0][0]}")
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        return cls(offsets, *columns)
+
+    @classmethod
+    def concat(cls, tables) -> "PathTable":
+        """The snapshots of ``tables``, one table after another."""
+        counts = np.concatenate([np.diff(t.offsets) for t in tables])
+        return cls(
+            np.concatenate(([0], np.cumsum(counts))),
+            *(
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in _COLUMNS
+            ),
+        )
+
+    def rows(self, snapshots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``snapshots``, one snapshot after another, and the
+        number of rows of each."""
+        snapshots = np.asarray(snapshots, dtype=np.intp)
+        start = self.offsets[snapshots]
+        counts = self.offsets[snapshots + 1] - start
+        first = np.cumsum(counts) - counts  # where each snapshot's rows begin
+        return np.arange(counts.sum()) + np.repeat(start - first, counts), counts
+
+    def ray_paths(self, b: int) -> tuple[RayPath, ...]:
+        """Snapshot ``b`` as RayPaths (an angle of NaN reads None)."""
+        a, z = self.offsets[b], self.offsets[b + 1]
+        values = [getattr(self, name)[a:z].tolist() for name in _COLUMNS]
+        for angles in values[3:]:
+            angles[:] = [None if x != x else x for x in angles]
+        return tuple(map(RayPath._of_checked, *values))
+
+
+_COLUMNS = ("power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg")
 
 
 @dataclass(frozen=True)

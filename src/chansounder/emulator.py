@@ -291,11 +291,17 @@ class IqFileWriter:
     Opening removes any old capture and its sidecar. Samples go to a
     ``.partial`` file that close renames into place before writing the
     sidecar; if the ``with`` block raises, the partial file is deleted. So
-    an unfinished capture never looks valid.
+    an unfinished capture never looks valid. A sample rate that is not a
+    finite number > 0 is refused before any file is touched.
     """
 
     def __init__(self, path, sample_rate_hz: float):
         self.path = Path(path)
+        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+            raise ValueError(
+                f"{self.path}: sample_rate_hz {sample_rate_hz!r} is not a finite "
+                "number > 0"
+            )
         self.sample_rate_hz = sample_rate_hz
         _sidecar_path(self.path).unlink(missing_ok=True)
         self.path.unlink(missing_ok=True)

@@ -7,22 +7,23 @@ a ray tracer: it emits a line-of-sight path plus one specular path per
 reflector-plane bounce sequence, each as (received power, phase, delay).
 It works on arrays: the images of every transmitter of a sample are built
 one bounce depth at a time, and every (link, image) path at once. The
-per-pair snapshots are assembled into a (node, node, sample) channel
-matrix with stationary-transmitter reuse and per-node sample clamping.
+paths go into one columnar table of snapshots, and a (node, node, sample)
+channel matrix indexes it, so stationary-transmitter reuse and per-node
+sample clamping point at a snapshot instead of copying it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel_model import ChannelSnapshot, RadioParams, RayPath
+from .channel_model import TWO_PI, ChannelSnapshot, PathTable, RadioParams, RayPath
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -32,6 +33,7 @@ __all__ = [
     "ReflectorPlane",
     "Scenario",
     "ChannelMatrix",
+    "PathRecords",
     "num_samples",
     "sample_trajectory",
     "free_space_loss_db",
@@ -147,12 +149,20 @@ class Scenario:
 
 @dataclass
 class ChannelMatrix:
-    """3-D channel structure: one snapshot per (tx, rx, sample)."""
+    """3-D channel structure: one snapshot per (tx, rx, sample).
+
+    ``paths`` holds each distinct snapshot once. ``index[(tx, rx)]`` is an
+    array of length ``n_samples`` whose entry s - 1 is the snapshot of
+    ``paths`` in force at sample s, so every sample of a stationary
+    transmitter points at its sample 1. ``entries`` shows the same data as
+    {(tx, rx): [ChannelSnapshot at sample 1, 2, ...]}.
+    """
 
     node_ids: list[int]
     n_samples: int
     sample_interval_s: float
-    entries: dict
+    paths: PathTable
+    index: dict
     times: np.ndarray
 
     @property
@@ -169,7 +179,18 @@ class ChannelMatrix:
         """Snapshot for a pair at 1-based sample index s."""
         if not 1 <= s <= self.n_samples:
             raise IndexError(f"sample index {s} outside 1..{self.n_samples}")
-        return self.entries[(tx_id, rx_id)][s - 1]
+        b = self.index[(tx_id, rx_id)][s - 1]
+        return ChannelSnapshot(
+            tx_id, rx_id, s, (s - 1) * self.sample_interval_s, self.paths.ray_paths(b)
+        )
+
+    @property
+    def entries(self) -> dict:
+        """Every snapshot, built on access: {(tx, rx): [sample 1, 2, ...]}."""
+        return {
+            pair: [self.snapshot(*pair, s) for s in range(1, self.n_samples + 1)]
+            for pair in self.index
+        }
 
 
 def num_samples(total_duration_s: float, sample_interval_s: float) -> int:
@@ -322,14 +343,15 @@ def _ray_paths(
     rx_gains_dbi: list,
     table: tuple,
     reflection_loss_db: float,
-) -> list:
-    """LOS plus image-method paths of m links at once, one tuple per link.
+) -> PathTable:
+    """LOS plus image-method paths of m links at once, one snapshot per link.
 
     ``tx_pos`` and ``rx_pos`` are (m, 3); link i transmits with ``radios[i]``
     and receives with gain ``rx_gains_dbi[i]``. Only the images a ray can
     take get a path. Every step is the IEEE operation of the per-path
     formula, in its order, with the FSPL through ``math.log10`` and the
-    phase through ``np.remainder`` (Python's ``%``).
+    phase through ``np.remainder`` (Python's ``%``), applied a second time
+    as RayPath applies it.
     """
     d, visible = _image_distances(tx_pos, rx_pos, table)
     if (d == 0.0).any():
@@ -357,9 +379,12 @@ def _ray_paths(
     kept = ~(power <= RAY_POWER_CUTOFF_DBM)
     link, power, phase, toa = link[kept], power[kept], phase[kept], toa[kept]
     order = np.lexsort((toa, link))
-    paths = list(map(RayPath, *(x[order].tolist() for x in (power, phase, toa))))
-    bounds = np.cumsum(np.bincount(link, minlength=len(radios))).tolist()
-    return [tuple(paths[a:b]) for a, b in zip([0] + bounds, bounds)]
+    return PathTable.of_columns(
+        np.bincount(link, minlength=len(radios)),
+        power[order],
+        np.remainder(phase[order], TWO_PI),
+        toa[order],
+    )
 
 
 def synthesize_pair_paths(
@@ -385,7 +410,7 @@ def synthesize_pair_paths(
         [rx_gain_dbi],
         _image_table(tuple(reflectors), max_bounces),
         reflection_loss_db,
-    )[0]
+    ).ray_paths(0)
 
 
 def _node_positions(scenario: Scenario) -> dict:
@@ -407,14 +432,15 @@ def _synthesize_links(
     table: tuple,
     sample_index: int,
     links: list,
-) -> list:
-    """Path tuples of the (tx, rx) node pairs ``links`` at one sample, at once.
+) -> PathTable:
+    """The snapshots of the (tx, rx) node pairs ``links`` at one sample, at
+    once, in the order of ``links``.
 
     Trajectories shorter than the sample index are clamped to their last
     position.
     """
     if not links:
-        return []
+        return PathTable.of_columns([], [], [], [])
 
     def at(node):
         pts = positions[node.node_id]
@@ -430,130 +456,154 @@ def _synthesize_links(
     )
 
 
-def _restamp(snapshot: ChannelSnapshot, s: int, t: float) -> ChannelSnapshot:
-    return dataclasses.replace(snapshot, sample_index=s, time_s=t)
+class PathRecords(NamedTuple):
+    """The records of a paths file: ``index[(tx, rx, s)]`` is the snapshot of
+    ``paths`` that the record holds."""
+
+    paths: PathTable
+    index: dict
 
 
 def assemble_channel_matrix(
-    scenario: Scenario, records: Optional[dict] = None
+    scenario: Scenario, records: Optional[PathRecords] = None
 ) -> ChannelMatrix:
     """Build the (node, node, sample) channel matrix.
 
-    A stationary transmitter's entries are copied from sample 1 for every
+    A stationary transmitter's entries point at its sample 1 for every
     later sample; otherwise per-node sample indices are clamped to the last
-    available trajectory (or file) sample. ``records`` maps
-    (tx_id, rx_id, s) to path tuples read from a paths file; when omitted
-    the synthetic generator supplies them.
+    available trajectory (or file) sample. ``records`` are read from a paths
+    file; when omitted the synthetic generator supplies the paths.
     """
     n_s = num_samples(scenario.t_total_s, scenario.sample_interval_s)
-    t_s = scenario.sample_interval_s
     ids = scenario.node_ids
-    entries = {(i, j): [None] * n_s for i in ids for j in ids}
+    index = {(i, j): np.empty(n_s, dtype=np.intp) for i in ids for j in ids}
+    moving = {n.node_id for n in scenario.nodes if n.speed_mps != 0}
 
     if records is None:
         positions = _node_positions(scenario)
         table = _image_table(scenario.reflectors, scenario.max_bounces)
-        max_tx = {i: len(positions[i]) for i in ids}
-        max_rx = dict(max_tx)
-    else:
-        max_tx = {}
-        max_rx = {}
-        for tx, rx, s in records:
-            max_tx[tx] = max(max_tx.get(tx, 0), s)
-            max_rx[rx] = max(max_rx.get(rx, 0), s)
-        for i in ids:
-            if i not in max_tx or i not in max_rx:
-                raise ValueError(f"paths records missing node {i}")
-
-    speed = {n.node_id: n.speed_mps for n in scenario.nodes}
-
-    for s in range(1, n_s + 1):
-        t = (s - 1) * t_s
-        if records is None:
-            # a stationary transmitter's later entries are restamped below
+        parts = []
+        n_snapshots = 0
+        for s in range(1, n_s + 1):
+            # a stationary transmitter's later samples point at sample 1
             links = [
                 (tx, rx)
                 for tx in scenario.nodes
                 for rx in scenario.nodes
                 if rx.node_id != tx.node_id and (s == 1 or tx.speed_mps != 0)
             ]
-            synthesized = dict(
-                zip(
-                    [(tx.node_id, rx.node_id) for tx, rx in links],
-                    _synthesize_links(scenario, positions, table, s, links),
-                )
-            )
+            for b, (tx, rx) in enumerate(links, start=n_snapshots):
+                index[(tx.node_id, rx.node_id)][s - 1] = b
+            n_snapshots += len(links)
+            parts.append(_synthesize_links(scenario, positions, table, s, links))
+    else:
+        max_tx = {}
+        max_rx = {}
+        for tx, rx, s in records.index:
+            max_tx[tx] = max(max_tx.get(tx, 0), s)
+            max_rx[rx] = max(max_rx.get(rx, 0), s)
         for i in ids:
-            for j in ids:
-                if i == j:
-                    entries[(i, j)][s - 1] = ChannelSnapshot(i, j, s, t, ())
-                    continue
-                if speed[i] == 0 and s > 1:
-                    entries[(i, j)][s - 1] = _restamp(entries[(i, j)][0], s, t)
-                    continue
-                if records is None:
-                    snap = ChannelSnapshot(i, j, s, t, synthesized[(i, j)])
-                    entries[(i, j)][s - 1] = snap
-                else:
-                    x = min(s, max_tx[i])
-                    y = min(s, max_rx[j])
-                    s_eff = min(x, y)
+            if i not in max_tx or i not in max_rx:
+                raise ValueError(f"paths records missing node {i}")
+        for s in range(1, n_s + 1):
+            for i in ids:
+                for j in ids:
+                    if i == j or (s > 1 and i not in moving):
+                        continue
+                    s_eff = min(s, max_tx[i], max_rx[j])
                     try:
-                        paths = records[(i, j, s_eff)]
+                        index[(i, j)][s - 1] = records.index[(i, j, s_eff)]
                     except KeyError:
                         raise ValueError(
                             f"paths records missing sample {s_eff} for pair ({i},{j})"
                         )
-                    entries[(i, j)][s - 1] = ChannelSnapshot(i, j, s, t, tuple(paths))
+        parts = [records.paths]
 
-    times = np.arange(n_s) * t_s
-    return ChannelMatrix(ids, n_s, t_s, entries, times)
+    # the last snapshot is the empty one of the diagonal
+    parts.append(PathTable.of_columns([0], [], [], []))
+    paths = PathTable.concat(parts)
+    for (i, j), series in index.items():
+        if i == j:
+            series[:] = len(paths.offsets) - 2
+        elif i not in moving:
+            series[1:] = series[0]
+    times = np.arange(n_s) * scenario.sample_interval_s
+    return ChannelMatrix(ids, n_s, scenario.sample_interval_s, paths, index, times)
+
+
+def _path_objects(table: PathTable) -> list[str]:
+    """Each row of ``table`` as the JSON object ``json.dumps`` writes for it."""
+    objects = [
+        f'{{"p_rx_dbm": {p!r}, "phase_rad": {ph!r}, "toa_s": {t!r}'
+        for p, ph, t in zip(
+            table.power_dbm.tolist(), table.phase_rad.tolist(), table.toa_s.tolist()
+        )
+    ]
+    for name in ("aoa_deg", "aod_deg"):
+        column = getattr(table, name)
+        for r in np.flatnonzero(~np.isnan(column)).tolist():
+            objects[r] += f', "{name}": {float(column[r])!r}'
+    return [o + "}" for o in objects]
 
 
 def write_paths_file(matrix: ChannelMatrix, path) -> None:
-    """Write the matrix as JSON-Lines, one record per (tx, rx, sample)."""
+    """Write the matrix as JSON-Lines, one record per (tx, rx, sample).
+
+    Each line holds the bytes ``json.dumps`` gives the record
+    {"tx", "rx", "s", "t_s", "paths": [{"p_rx_dbm", "phase_rad", "toa_s",
+    and "aoa_deg"/"aod_deg" where given}]}; each snapshot is formatted once.
+    """
+    objects = _path_objects(matrix.paths)
+    bounds = matrix.paths.offsets.tolist()
+    body = {}
+    pairs = [(i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j]
+    series = [matrix.index[pair].tolist() for pair in pairs]
     with open(path, "w") as fh:
         for s in range(1, matrix.n_samples + 1):
-            for i in matrix.node_ids:
-                for j in matrix.node_ids:
-                    if i == j:
-                        continue
-                    snap = matrix.snapshot(i, j, s)
-                    rec = {
-                        "tx": i,
-                        "rx": j,
-                        "s": s,
-                        "t_s": snap.time_s,
-                        "paths": [
-                            {
-                                "p_rx_dbm": p.received_power_dbm,
-                                "phase_rad": p.phase_rad,
-                                "toa_s": p.toa_s,
-                                **(
-                                    {"aoa_deg": p.aoa_deg}
-                                    if p.aoa_deg is not None
-                                    else {}
-                                ),
-                                **(
-                                    {"aod_deg": p.aod_deg}
-                                    if p.aod_deg is not None
-                                    else {}
-                                ),
-                            }
-                            for p in snap.paths
-                        ],
-                    }
-                    fh.write(json.dumps(rec) + "\n")
+            head = f'"s": {s}, "t_s": {(s - 1) * matrix.sample_interval_s!r}'
+            lines = []
+            for (i, j), snaps in zip(pairs, series):
+                b = snaps[s - 1]
+                if b not in body:
+                    body[b] = ", ".join(objects[bounds[b] : bounds[b + 1]])
+                lines.append(f'{{"tx": {i}, "rx": {j}, {head}, "paths": [{body[b]}]}}\n')
+            fh.write("".join(lines))
 
 
-def read_paths_records(path) -> dict:
-    """Parse a JSON-Lines paths file into {(tx, rx, s): tuple of RayPath}.
+def _path_columns(paths: list) -> tuple:
+    """The power, phase, toa, aoa and aod columns of a record's paths."""
+    columns = tuple(
+        list(map(itemgetter(name), paths)) for name in ("p_rx_dbm", "phase_rad", "toa_s")
+    )
+    if sum(map(len, paths)) == 3 * len(paths):  # no path names an angle
+        return columns + ([None] * len(paths),) * 2
+    return columns + tuple([p.get(name) for p in paths] for name in ("aoa_deg", "aod_deg"))
 
-    Errors name the file and the line; a second record for a (tx, rx, s)
-    names the line of the first as well.
+
+def _plain(columns: tuple) -> bool:
+    """Whether every value is a finite number and every toa >= 0; False may
+    be a false alarm (a sum that overflows)."""
+    power, phase, toa, aoa, aod = columns
+    angles = [a for a in aoa + aod if a is not None]
+    try:
+        finite = math.isfinite(sum(power) + sum(phase) + sum(toa) + sum(angles))
+    except (TypeError, OverflowError):
+        return False
+    return finite and min(toa, default=0) >= 0
+
+
+def read_paths_records(path) -> PathRecords:
+    """Parse a JSON-Lines paths file into one snapshot per record.
+
+    Each record's paths are stably sorted by toa and their phases reduced
+    as RayPath reduces them. Errors name the file and the line: a malformed
+    record, a value that is not finite, a negative toa, and a second record
+    for a (tx, rx, s), which names the line of the first as well.
     """
-    records = {}
+    index = {}
     from_line = {}
+    counts = []
+    columns = ([], [], [], [], [])
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -561,16 +611,19 @@ def read_paths_records(path) -> dict:
                 continue
             try:
                 rec = json.loads(line)
-                paths = tuple(
-                    RayPath(
-                        received_power_dbm=p["p_rx_dbm"],
-                        phase_rad=p["phase_rad"],
-                        toa_s=p["toa_s"],
-                        aoa_deg=p.get("aoa_deg"),
-                        aod_deg=p.get("aod_deg"),
-                    )
-                    for p in rec["paths"]
-                )
+                try:
+                    cols = _path_columns(rec["paths"])
+                    plain = _plain(cols)
+                except (KeyError, TypeError):
+                    plain = False
+                if not plain:
+                    # RayPath raises the error of the first bad path, as it did
+                    for p in rec["paths"]:
+                        RayPath(
+                            p["p_rx_dbm"], p["phase_rad"], p["toa_s"],
+                            p.get("aoa_deg"), p.get("aod_deg"),
+                        )
+                    cols = _path_columns(rec["paths"])
                 key = (rec["tx"], rec["rx"], rec["s"])
                 first = from_line.setdefault(key, lineno)
             except (KeyError, ValueError, TypeError) as exc:
@@ -582,5 +635,16 @@ def read_paths_records(path) -> dict:
                     f"{path}: line {lineno}: second record for (tx, rx, s) = "
                     f"{key}, the first is on line {first}"
                 )
-            records[key] = paths
-    return records
+            index[key] = len(counts)
+            counts.append(len(cols[0]))
+            for column, values in zip(columns, cols):
+                column += values
+    power, phase, toa, aoa, aod = (np.array(c, dtype=float) for c in columns)
+    order = np.lexsort((toa, np.repeat(np.arange(len(counts)), counts)))
+    table = PathTable.of_columns(
+        counts,
+        power[order],
+        np.remainder(phase[order], TWO_PI),
+        *(c[order] for c in (toa, aoa, aod)),
+    )
+    return PathRecords(table, index)

@@ -68,10 +68,10 @@ class SoundingConfig:
     discard_frames: int = 0
 
     def __post_init__(self):
-        if self.chunk_duration_s <= 0:
-            raise ValueError("chunk_duration_s must be > 0")
-        if self.detection_threshold_db <= 0:
-            raise ValueError("detection_threshold_db must be > 0")
+        for name in ("chunk_duration_s", "detection_threshold_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelSnapshot, snapshot_to_cir
+from .channel_model import ChannelSnapshot, path_coefficient, snapshot_to_cir
 
 __all__ = [
     "TapSet",
@@ -66,8 +66,8 @@ class TapSet:
 
     def __post_init__(self):
         taps = _checked_taps(self.taps)
-        if self.grid_dt_s <= 0:
-            raise ValueError("grid_dt_s must be > 0")
+        if not (math.isfinite(self.grid_dt_s) and self.grid_dt_s > 0):
+            raise ValueError(f"grid_dt_s must be finite and > 0, got {self.grid_dt_s}")
         object.__setattr__(self, "taps", taps)
 
     @classmethod
@@ -297,52 +297,146 @@ def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ``np.sum`` adds a run's pairwise sum to 0.0, while ``np.add.reduceat``
     starts from the run's first element and adds the others' pairwise sum,
     which rounds differently from three elements on; a 0.0 put in front of
-    each run makes the two the same.
+    each run makes the two the same. Works for float and complex values.
     """
     n = values.shape[-1]
     shift = np.zeros(n, dtype=np.intp)
     shift[starts] = 1
-    padded = np.zeros(values.shape[:-1] + (n + len(starts),))
+    padded = np.zeros(values.shape[:-1] + (n + len(starts),), dtype=values.dtype)
     padded[..., np.arange(n) + shift.cumsum()] = values
     return np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1)
 
 
-def _clusters(delays: np.ndarray, centroids: np.ndarray) -> tuple:
-    """Each delay's nearest centroid (the first of a tie), grouped: ``order``
-    lists the members of each nonempty cluster in turn, ascending within one,
-    and ``starts`` marks where each cluster's run begins."""
-    assign = np.abs(delays[:, None] - centroids[None, :]).argmin(axis=1)
-    order = assign.argsort(kind="stable")
-    label = assign[order]
-    starts = np.concatenate(([0], (label[1:] != label[:-1]).nonzero()[0] + 1))
-    return order, starts
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique`` of each row, ascending, padded with +inf on the right."""
+    rows = np.sort(rows, axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
+    return np.sort(rows, axis=1)
 
 
-def _weighted_kmeans_1d(
-    delays: np.ndarray, weights: np.ndarray, k: int, tol: float
-) -> list[np.ndarray]:
-    """Cluster delays into <= k groups; returns nonempty index arrays.
+def _nearest(delays: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each delay's nearest centroid in its row of ``centroids`` (the first
+    of a tie; the +inf padding never wins)."""
+    return np.abs(delays[:, None] - centroids).argmin(axis=1)
 
-    A centroid can end with no members (no delay is nearest to it, e.g.
-    with subnormal delays); such clusters are dropped.
+
+def _kmeans_labels(
+    delays: np.ndarray, weights: np.ndarray, seg: np.ndarray, k: int, tol: float
+) -> np.ndarray:
+    """Weighted 1-D k-means of every segment at once; the cluster of each delay.
+
+    ``seg`` numbers the segments 0, 1, ... and does not fall. Each segment
+    runs the per-snapshot k-means: seeded with the delays of its k
+    strongest paths (ties broken on delay, so the seeding is invariant
+    under uniform power scaling), made unique; each delay joins its nearest
+    centroid; the new centroids are the unique power-weighted means of the
+    nonempty clusters; a segment stops when its centroid count holds and
+    no centroid moves by ``tol`` or more, or after ``_KMEANS_MAX_ITER``
+    rounds. The label of a delay is its final centroid's rank; a centroid
+    that no delay is nearest to (e.g. with subnormal delays) gets no label.
     """
-    # seed with the k strongest paths' delays; ties break on delay so the
-    # seeding is invariant under uniform power scaling
-    order = np.lexsort((delays, -weights))
-    centroids = np.unique(delays[order[:k]])
+    n_seg = int(seg[-1]) + 1 if seg.size else 0
+    first = np.searchsorted(seg, np.arange(n_seg))
+    order = np.lexsort((delays, -weights, seg))
+    rank = np.arange(len(seg)) - first[seg]
+    seeds = rank < k
+    centroids = np.full((n_seg, k), np.inf)
+    centroids[seg[seeds], rank[seeds]] = delays[order[seeds]]
+    centroids = _unique_rows(centroids)
     terms = np.stack([weights * delays, weights])
+    active = np.ones(n_seg, dtype=bool)  # segments still iterating
     for _ in range(_KMEANS_MAX_ITER):
-        order, starts = _clusters(delays, centroids)
-        weighted, total = _run_sums(terms[:, order], starts)
-        new_centroids = np.unique(weighted / total)
-        converged = len(new_centroids) == len(centroids) and np.max(
-            np.abs(new_centroids - centroids)
-        ) < tol
-        centroids = new_centroids
-        if converged:
+        if not active.any():
             break
-    order, starts = _clusters(delays, centroids)
-    return np.split(order, starts[1:])
+        members = np.flatnonzero(active[seg])
+        s = (np.cumsum(active) - 1)[seg[members]]  # rank among the active
+        label = _nearest(delays[members], centroids[active][s])
+        order = np.lexsort((label, s))
+        starts = _run_starts(s[order] * k + label[order])
+        weighted, total = _run_sums(terms[:, members[order]], starts)
+        run_seg = s[order[starts]]
+        run_rank = np.arange(len(starts)) - np.searchsorted(run_seg, run_seg)
+        new = np.full((active.sum(), k), np.inf)
+        new[run_seg, run_rank] = weighted / total
+        new = _unique_rows(new)
+        old = centroids[active]
+        finite = np.isfinite(old)
+        same = (finite == np.isfinite(new)).all(axis=1)
+        moved = np.abs(np.subtract(new, old, out=np.zeros_like(new), where=finite))
+        converged = same & (moved.max(axis=1) < tol)
+        centroids[active] = new
+        active[np.flatnonzero(active)[converged]] = False
+    return _nearest(delays, centroids[seg])
+
+
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of ``key`` (>= 0) begins."""
+    return np.flatnonzero(np.diff(key, prepend=-1))
+
+
+def _segment_taps(
+    delays: np.ndarray,
+    coeffs: np.ndarray,
+    counts: np.ndarray,
+    k: int,
+    grid_dt_s: float,
+    dyn_range_db: float,
+    offset_db: float,
+) -> list[tuple]:
+    """The tap list of each segment of consecutive paths, ``counts[i]`` long.
+
+    A segment of at most k paths keeps each path as a cluster, in path
+    order; a longer one is clustered by :func:`_kmeans_labels` (with
+    ``tol`` a hundredth of the grid), its clusters in centroid order. A
+    cluster's delay is its path's delay or the power-weighted mean of its
+    members', and its coefficient the sum of theirs; it lands on the
+    nearest grid index, and clusters on the same index merge in cluster
+    order. Then the dB offset is applied and taps more than
+    ``dyn_range_db`` below the segment's strongest are dropped.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    # normalized to each segment's strongest path so the clustering
+    # arithmetic does not depend on the absolute power scale
+    weights = np.abs(coeffs) ** 2
+    starts = np.cumsum(counts) - counts
+    strongest = np.zeros(len(counts))
+    nonempty = counts > 0
+    strongest[nonempty] = np.maximum.reduceat(weights, starts[nonempty])
+    weights = weights / strongest[seg]
+
+    label = np.arange(len(seg)) - starts[seg]  # each path its own cluster
+    big = counts[seg] > k
+    if big.any():
+        label[big] = _kmeans_labels(
+            delays[big], weights[big], np.cumsum(counts > k)[seg[big]] - 1, k,
+            tol=grid_dt_s / 100.0,
+        )
+    order = np.lexsort((label, seg))
+    runs = _run_starts(seg[order] * k + label[order])
+    size = np.diff(runs, append=len(order))
+    weighted, total = _run_sums(np.stack([weights * delays, weights])[:, order], runs)
+    # a one-path cluster keeps its delay: w * d / w can miss d by an ulp
+    centroid = delays[order[runs]]
+    np.divide(weighted, total, out=centroid, where=size > 1)
+    position = (centroid / grid_dt_s).tolist()
+    cluster_sum = _run_sums(coeffs[order], runs).tolist()
+    run_bounds = np.searchsorted(seg[order[runs]], np.arange(len(counts) + 1)).tolist()
+
+    scale = 10.0 ** (offset_db / 20.0)
+    cut = 10.0 ** (-dyn_range_db / 20.0)
+    out = []
+    for a, b in zip(run_bounds, run_bounds[1:]):
+        by_index: dict[int, complex] = {}
+        for x, c in zip(position[a:b], cluster_sum[a:b]):
+            idx = round(x)
+            by_index[idx] = by_index.get(idx, 0j) + c
+        taps = [(idx, c * scale) for idx, c in sorted(by_index.items())]
+        if taps:
+            floor = max(abs(c) for _, c in taps) * cut
+            taps = [(idx, c) for idx, c in taps if abs(c) >= floor]
+        out.append(tuple(taps))
+    return out
 
 
 def approximate_taps(
@@ -362,48 +456,29 @@ def approximate_taps(
     clusters landing on the same index merge. After the dB offset is
     applied, taps more than ``dyn_range_db`` below the strongest tap are
     dropped. An empty snapshot is a valid deep-fade instant and yields an
-    empty tap set.
+    empty tap set. This is :func:`_segment_taps` on one segment.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if grid_dt_s <= 0:
-        raise ValueError("grid_dt_s must be > 0")
+    _check_build(k, grid_dt_s)
     if timestamp_ms is None:
         timestamp_ms = int(round(snapshot.time_s * 1000.0))
     cir = snapshot_to_cir(snapshot, p_tx_dbm)
-    if not cir:
-        return TapSet((), grid_dt_s, timestamp_ms)
+    taps = _segment_taps(
+        np.array([tau for tau, _ in cir], dtype=float),
+        np.array([c for _, c in cir], dtype=complex),
+        [len(cir)],
+        k,
+        grid_dt_s,
+        dyn_range_db,
+        offset_db,
+    )[0]
+    return TapSet(taps, grid_dt_s, timestamp_ms)
 
-    delays = np.array([tau for tau, _ in cir])
-    coeffs = np.array([c for _, c in cir], dtype=complex)
-    # normalized to the strongest path so the clustering arithmetic does not
-    # depend on the absolute power scale
-    weights = np.abs(coeffs) ** 2
-    weights = weights / weights.max()
 
-    if len(delays) <= k:
-        clusters = [np.array([i]) for i in range(len(delays))]
-    else:
-        clusters = _weighted_kmeans_1d(delays, weights, k, tol=grid_dt_s / 100.0)
-
-    by_index: dict[int, complex] = {}
-    for members in clusters:
-        w = weights[members]
-        if members.size == 1:  # w * d / w can miss d by an ulp
-            centroid = float(delays[members[0]])
-        else:
-            centroid = float(np.sum(w * delays[members]) / np.sum(w))
-        idx = int(round(centroid / grid_dt_s))
-        by_index[idx] = by_index.get(idx, 0j) + complex(np.sum(coeffs[members]))
-
-    scale = 10.0 ** (offset_db / 20.0)
-    taps = [(idx, c * scale) for idx, c in sorted(by_index.items())]
-
-    mags = [abs(c) for _, c in taps]
-    if mags:
-        floor = max(mags) * 10.0 ** (-dyn_range_db / 20.0)
-        taps = [(idx, c) for idx, c in taps if abs(c) >= floor]
-    return TapSet(tuple(taps), grid_dt_s, timestamp_ms)
+def _check_build(k: int, grid_dt_s: float) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not (math.isfinite(grid_dt_s) and grid_dt_s > 0):
+        raise ValueError(f"grid_dt_s must be finite and > 0, got {grid_dt_s}")
 
 
 def _row_body(taps, k: int) -> str:
@@ -581,10 +656,12 @@ def build_tap_file_from_matrix(
     Each channel sample's tap set is held for the whole sample interval
     (records at every millisecond repeat it until the next sample), so
     every (pair, sample) gets one tap list and the records point at it.
-    ``tx_power_dbm`` is a single value or {node_id: dBm}.
+    Every distinct snapshot is pruned (paths below ``prune_floor_dbm``
+    dropped) and approximated as by :func:`approximate_taps`, all in one
+    :func:`_segment_taps` pass. ``tx_power_dbm`` is a single value or
+    {node_id: dBm}.
     """
-    from .channel_model import prune_paths
-
+    _check_build(k, grid_dt_s)
     if pairs is None:
         pairs = [
             (i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j
@@ -592,27 +669,40 @@ def build_tap_file_from_matrix(
     sample_of_ms = matrix.sample_of(np.arange(duration_ms) / 1000.0)
     # ms ascend, so samples never fall; samples are >= 1, so ms 0 starts one
     new_sample = np.diff(sample_of_ms, prepend=0) != 0
-    first_ms = np.flatnonzero(new_sample)
+    samples = sample_of_ms[new_sample] - 1
     list_of_ms = np.cumsum(new_sample) - 1
-    tap_lists: list = []
-    index = {}
-    for tx, rx in pairs:
-        p_tx = tx_power_dbm[tx] if isinstance(tx_power_dbm, dict) else tx_power_dbm
-        index[(tx, rx)] = len(tap_lists) + list_of_ms
-        for s, ms in zip(sample_of_ms[first_ms].tolist(), first_ms.tolist()):
-            snap = matrix.snapshot(tx, rx, s)
-            if prune_floor_dbm is not None:
-                snap = prune_paths(snap, prune_floor_dbm)
-            ts = approximate_taps(
-                snap,
-                p_tx,
-                k=k,
-                grid_dt_s=grid_dt_s,
-                dyn_range_db=dyn_range_db,
-                offset_db=offset_db,
-                timestamp_ms=ms,
-            )
-            tap_lists.append(ts.taps)
+
+    table = matrix.paths
+    # a snapshot belongs to one pair, so its taps depend on it alone
+    snapshots, list_of_snapshot = np.unique(
+        [matrix.index[pair][samples] for pair in pairs], return_inverse=True
+    )
+    rows, counts = table.rows(snapshots)
+    p_tx = np.empty(len(snapshots))
+    list_of_snapshot = list_of_snapshot.reshape(len(pairs), len(samples))
+    for pair, ids in zip(pairs, list_of_snapshot):
+        tx = pair[0]
+        p_tx[ids] = tx_power_dbm[tx] if isinstance(tx_power_dbm, dict) else tx_power_dbm
+    p_tx = np.repeat(p_tx, counts)
+    if prune_floor_dbm is not None:
+        kept = table.power_dbm[rows] >= prune_floor_dbm
+        seg = np.repeat(np.arange(len(counts)), counts)
+        counts = np.bincount(seg[kept], minlength=len(counts))
+        rows, p_tx = rows[kept], p_tx[kept]
+    coeffs = np.fromiter(
+        map(
+            path_coefficient,
+            table.power_dbm[rows].tolist(),
+            p_tx.tolist(),
+            table.phase_rad[rows].tolist(),
+        ),
+        complex,
+        len(rows),
+    )
+    taps = _segment_taps(
+        table.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
+    )
+    tap_lists = [taps[i] for i in list_of_snapshot.ravel().tolist()]
     return TapFile(
         n_nodes=matrix.n_nodes,
         grid_dt_s=grid_dt_s,
@@ -620,5 +710,5 @@ def build_tap_file_from_matrix(
         duration_ms=duration_ms,
         offset_db=offset_db,
         tap_lists=tap_lists,
-        index=index,
+        index={pair: n * len(samples) + list_of_ms for n, pair in enumerate(pairs)},
     )

@@ -10,6 +10,7 @@ bytes.
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from chansounder.channel_model import (
     link_path_loss_db,
     noise_floor_dbm,
     prune_paths,
+    snapshot_to_cir,
 )
 from chansounder.harness import TapErrorStats, ValidationReport
 from chansounder.tap_approx import TapFile, TapSet
@@ -137,7 +139,8 @@ def matrix_entries_per_pair(scenario):
 
 
 def kmeans_per_centroid(delays, weights, k, tol, max_iter=50):
-    """``tap_approx._weighted_kmeans_1d`` as a loop over centroids."""
+    """The k-means of ``tap_approx._kmeans_labels`` on one segment, as a loop
+    over centroids; returns the nonempty clusters' index arrays."""
     order = np.lexsort((delays, -weights))
     centroids = np.unique(delays[order[:k]])
     for _ in range(max_iter):
@@ -159,6 +162,63 @@ def kmeans_per_centroid(delays, weights, k, tol, max_iter=50):
     assign = np.argmin(np.abs(delays[:, None] - centroids[None, :]), axis=1)
     clusters = [np.flatnonzero(assign == ci) for ci in range(len(centroids))]
     return [members for members in clusters if members.size]
+
+
+def taps_per_snapshot(snapshot, p_tx_dbm, k, grid_dt_s, dyn_range_db, offset_db):
+    """``tap_approx.approximate_taps`` on one snapshot, clustered by
+    ``kmeans_per_centroid``; returns the tap tuple."""
+    cir = snapshot_to_cir(snapshot, p_tx_dbm)
+    if not cir:
+        return ()
+    delays = np.array([tau for tau, _ in cir])
+    coeffs = np.array([c for _, c in cir], dtype=complex)
+    weights = np.abs(coeffs) ** 2
+    weights = weights / weights.max()
+    if len(delays) <= k:
+        clusters = [np.array([i]) for i in range(len(delays))]
+    else:
+        clusters = kmeans_per_centroid(delays, weights, k, grid_dt_s / 100.0)
+    by_index = {}
+    for members in clusters:
+        w = weights[members]
+        if members.size == 1:
+            centroid = float(delays[members[0]])
+        else:
+            centroid = float(np.sum(w * delays[members]) / np.sum(w))
+        idx = int(round(centroid / grid_dt_s))
+        by_index[idx] = by_index.get(idx, 0j) + complex(np.sum(coeffs[members]))
+    scale = 10.0 ** (offset_db / 20.0)
+    taps = [(idx, c * scale) for idx, c in sorted(by_index.items())]
+    mags = [abs(c) for _, c in taps]
+    if mags:
+        floor = max(mags) * 10.0 ** (-dyn_range_db / 20.0)
+        taps = [(idx, c) for idx, c in taps if abs(c) >= floor]
+    return tuple(taps)
+
+
+def write_paths_per_record(matrix, path):
+    """``mobility.write_paths_file`` as one ``json.dumps`` per record."""
+    with open(path, "w") as fh:
+        for s in range(1, matrix.n_samples + 1):
+            for i in matrix.node_ids:
+                for j in matrix.node_ids:
+                    if i == j:
+                        continue
+                    snap = matrix.snapshot(i, j, s)
+                    paths = []
+                    for p in snap.paths:
+                        rec = {
+                            "p_rx_dbm": p.received_power_dbm,
+                            "phase_rad": p.phase_rad,
+                            "toa_s": p.toa_s,
+                        }
+                        if p.aoa_deg is not None:
+                            rec["aoa_deg"] = p.aoa_deg
+                        if p.aod_deg is not None:
+                            rec["aod_deg"] = p.aod_deg
+                        paths.append(rec)
+                    rec = {"tx": i, "rx": j, "s": s, "t_s": snap.time_s, "paths": paths}
+                    fh.write(json.dumps(rec) + "\n")
 
 
 def detect_per_frame(gains, anchor, floor_db, threshold_db, guard, sample_rate_hz):

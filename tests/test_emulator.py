@@ -268,6 +268,17 @@ class TestBaseLossPerturbation:
 
 
 class TestIqFiles:
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, math.nan, math.inf])
+    def test_writer_refuses_a_bad_rate_before_touching_files(self, tmp_path, rate):
+        path = tmp_path / "x.iq"
+        write_capture(path, rand_stream(3))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(ValueError, match=f"{path}: sample_rate_hz"):
+            IqFileWriter(path, rate)
+        # the old capture and its sidecar stand, and no .partial was opened
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert np.allclose(read_iq_file(path), rand_stream(3), atol=1e-6)
+
     def test_round_trip(self, tmp_path):
         stream = rand_stream(777, seed=5)
         path = tmp_path / "capture.iq"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chansounder import config, mobility
-from chansounder.channel_model import RadioParams
+from chansounder.channel_model import RadioParams, RayPath
 from chansounder.mobility import (
     MPH_TO_MPS,
     SPEED_OF_LIGHT,
@@ -584,13 +584,60 @@ class TestPathsFile:
         path = tmp_path / "paths.jsonl"
         write_paths_file(matrix, path)
         records = read_paths_records(path)
-        records.pop((1, 2, 1))
+        records.index.pop((1, 2, 1))
         scenario = two_node_scenario(t_total=3)
         # node 1's transmit records for sample 1 are gone for pair (1,2)
         with pytest.raises(ValueError, match="missing"):
-            assemble_channel_matrix(scenario, {
-                k: v for k, v in records.items() if k[0] != 1
-            })
+            assemble_channel_matrix(scenario, records._replace(index={
+                k: v for k, v in records.index.items() if k[0] != 1
+            }))
+
+    def test_writer_bytes_equal_json_dumps_of_each_record(self, tmp_path):
+        matrix = assemble_channel_matrix(mixed_scenario())
+        path, want = tmp_path / "paths.jsonl", tmp_path / "want.jsonl"
+        write_paths_file(matrix, path)
+        oracles.write_paths_per_record(matrix, want)
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_reader_sorts_by_toa_keeps_angles_and_rewrites_them(self, tmp_path):
+        # paths out of toa order, two at one toa (file order kept), angles
+        # on some paths only, an int value and a phase to reduce
+        paths = [
+            {"p_rx_dbm": -70.0, "phase_rad": 7.0, "toa_s": 3e-7, "aod_deg": 12.5},
+            {"p_rx_dbm": -61, "phase_rad": -1.0, "toa_s": 1e-7},
+            {"p_rx_dbm": -65.0, "phase_rad": 0.5, "toa_s": 1e-7, "aoa_deg": -0.0},
+        ]
+        rec = {"tx": 1, "rx": 2, "s": 1, "t_s": 0.0, "paths": paths}
+        path = tmp_path / "paths.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "tx": 2, "rx": 1}) + "\n")
+        scenario = two_node_scenario(t_total=1.0)
+        matrix = assemble_channel_matrix(scenario, read_paths_records(path))
+        want = tuple(
+            sorted(
+                (
+                    RayPath(
+                        p["p_rx_dbm"], p["phase_rad"], p["toa_s"],
+                        p.get("aoa_deg"), p.get("aod_deg"),
+                    )
+                    for p in paths
+                ),
+                key=lambda p: p.toa_s,
+            )
+        )
+        # the table holds floats, so -61 reads -61.0
+        assert matrix.snapshot(1, 2, 1).paths == want
+        again, want_file = tmp_path / "again.jsonl", tmp_path / "want.jsonl"
+        write_paths_file(matrix, again)
+        oracles.write_paths_per_record(matrix, want_file)
+        assert again.read_bytes() == want_file.read_bytes()
+        assert '"aoa_deg": -0.0' in again.read_text()
+
+    def test_stationary_samples_point_at_sample_one(self):
+        matrix = assemble_channel_matrix(mixed_scenario())
+        for (tx, rx), snapshots in matrix.index.items():
+            if tx in (1, 3):  # the stationary nodes
+                assert (snapshots == snapshots[0]).all()
+        assert len(set(matrix.index[(2, 1)].tolist())) == matrix.n_samples
 
     def test_malformed_record_names_line(self, tmp_path):
         path = tmp_path / "paths.jsonl"
@@ -638,6 +685,29 @@ class TestPathsFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")) as err:
             read_paths_records(path)
         assert f"{named} must be finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad_path, message",
+        [
+            ('{"p_rx_dbm": -60.0, "phase_rad": 1.0, "toa_s": -1e-09}', "toa_s must be >= 0"),
+            ('{"p_rx_dbm": "-60", "phase_rad": 1.0, "toa_s": 1e-07}', "not str"),
+            ('{"p_rx_dbm": -60.0, "phase_rad": null, "toa_s": 1e-07}', "'NoneType'"),
+            ('{"p_rx_dbm": -60.0, "toa_s": 1e-07}', "'phase_rad'"),
+            ('[-60.0, 1.0, 1e-07]', "list indices"),
+        ],
+    )
+    def test_bad_path_values_name_the_line_after_good_ones(
+        self, tmp_path, bad_path, message
+    ):
+        good = '{"p_rx_dbm": -60.0, "phase_rad": 1.0, "toa_s": 1e-07}'
+        record = '{{"tx": 1, "rx": 2, "s": {s}, "t_s": 0.0, "paths": [{paths}]}}\n'
+        path = tmp_path / "paths.jsonl"
+        path.write_text(
+            record.format(s=1, paths=good) + record.format(s=2, paths=f"{good}, {bad_path}")
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")) as err:
+            read_paths_records(path)
+        assert message in str(err.value)
 
 
 class TestScenarioConfig:

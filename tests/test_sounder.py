@@ -201,6 +201,13 @@ class TestDetectTaps:
             with pytest.raises(ValueError, match="detection_threshold_db"):
                 SoundingConfig(detection_threshold_db=threshold)
 
+    @pytest.mark.parametrize("field", ["detection_threshold_db", "chunk_duration_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_and_chunk_are_rejected(self, field, value):
+        # a NaN threshold used to pass the <= 0 test and detect nothing
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            SoundingConfig(**{field: value})
+
     def test_delay_covariance_under_stream_delay(self):
         d = 17
         rx0 = np.tile(REF, 4)

@@ -9,22 +9,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chansounder.channel_model import ChannelSnapshot, RayPath, path_coefficient
+from chansounder.channel_model import (
+    ChannelSnapshot,
+    PathTable,
+    RayPath,
+    path_coefficient,
+    prune_paths,
+)
+from chansounder.mobility import ChannelMatrix
 from chansounder.tap_approx import (
     TapFile,
     TapSet,
     approximate_taps,
+    build_tap_file_from_matrix,
     read_tap_file,
     write_tap_file,
 )
-from chansounder.tap_approx import _run_sums, _weighted_kmeans_1d
+from chansounder.tap_approx import _kmeans_labels, _run_sums
 from oracles import (
     kmeans_per_centroid,
     read_tap_file_per_record,
+    taps_per_snapshot,
     write_tap_file_per_record,
 )
 
 P_TX = 20.0
+
+
+def kmeans_clusters(delays, weights, k, tol):
+    """The k-means of one segment as index arrays, one per nonempty cluster."""
+    labels = _kmeans_labels(delays, weights, np.zeros(len(delays), int), k, tol)
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
 def snapshot_from(paths):
@@ -108,7 +123,7 @@ class TestKmeansOracle:
     @example(inputs=EMPTY_CLUSTER, k=4, tol=1e-10)
     def test_clusters_equal_the_per_centroid_loop(self, inputs, k, tol):
         delays, weights = inputs
-        got = _weighted_kmeans_1d(delays, weights, k, tol)
+        got = kmeans_clusters(delays, weights, k, tol)
         want = kmeans_per_centroid(delays, weights, k, tol)
         assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
@@ -131,14 +146,116 @@ class TestKmeansOracle:
             [np.sum(row[a:b]) for a, b in zip(edges, edges[1:])] for row in values
         ]
         assert _run_sums(values, starts).tobytes() == np.array(want).tobytes()
+        # complex runs: np.sum pairs the interleaved parts its own way, so
+        # the real and imaginary parts summed apart would differ
+        values = values[0] + 1j * values[1]
+        want = [np.sum(values[a:b]) for a, b in zip(edges, edges[1:])]
+        assert _run_sums(values, starts).tobytes() == np.array(want).tobytes()
 
     def test_a_centroid_left_without_members_is_dropped(self):
         delays, weights = EMPTY_CLUSTER
         # seeds 0 and 5e-324; the second centroid moves to 1e-323, where
         # 5e-324 ties between the two and goes to the first, leaving it empty
         assert len(np.unique(delays[np.lexsort((delays, -weights))[:4]])) == 2
-        clusters = _weighted_kmeans_1d(delays, weights, 4, 1e-10)
+        clusters = kmeans_clusters(delays, weights, 4, 1e-10)
         assert [c.tolist() for c in clusters] == [[0, 1, 2, 3, 4]]
+
+
+GRID = 1e-8
+
+
+@st.composite
+def snapshot_paths(draw):
+    """One snapshot's (power_dbm, phase, toa) rows in toa order: up to 40
+    paths on grid delays (ties), subnormal delays or anywhere, powers on a
+    quarter-dB grid (tied weights) or anywhere."""
+    delay = draw(
+        st.sampled_from(
+            [
+                st.integers(min_value=0, max_value=12).map(lambda i: i * GRID),
+                st.sampled_from([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]),
+                st.floats(min_value=0.0, max_value=1e-6),
+            ]
+        )
+    )
+    power = st.one_of(
+        st.integers(min_value=-480, max_value=-240).map(lambda i: i * 0.25),
+        st.floats(min_value=-120.0, max_value=-60.0),
+    )
+    phase = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
+    n = draw(st.integers(min_value=0, max_value=40))
+    rows = draw(st.lists(st.tuples(power, phase, delay), min_size=n, max_size=n))
+    return sorted(rows, key=lambda row: row[2])
+
+
+def two_node_matrix(snapshots):
+    """A matrix of nodes 1 and 2 at 1 ms samples: (1, 2) takes the first
+    half of ``snapshots``, (2, 1) the second."""
+    n_samples = len(snapshots) // 2
+    rows = [row for snap in snapshots for row in snap]
+    columns = list(zip(*rows)) if rows else [(), (), ()]
+    table = PathTable.of_columns([len(s) for s in snapshots] + [0], *columns)
+    empty = np.full(n_samples, len(snapshots))
+    index = {
+        (1, 1): empty,
+        (1, 2): np.arange(n_samples),
+        (2, 1): n_samples + np.arange(n_samples),
+        (2, 2): empty,
+    }
+    return ChannelMatrix([1, 2], n_samples, 1e-3, table, index, np.arange(n_samples) * 1e-3)
+
+
+# a centroid left without members, clusters of 8 and more, k or fewer
+# paths, equal delays and a snapshot that pruning empties
+SEGMENT_EXAMPLE = [
+    [(-100.0 + p, 0.0, d) for p, d in zip((20.0, 20.0, 20.0, 18.0, 18.125), EMPTY_CLUSTER[0])],
+    [(-70.0 - i, 0.3 * i, (i % 3) * GRID) for i in range(12)],
+    [(-80.0, 1.0, 2 * GRID), (-81.0, 2.0, 2 * GRID)],
+    [(-118.0, 0.5, 0.0), (-119.0, 0.25, 5e-324)],
+]
+
+
+class TestSegmentedBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_samples=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+        k=st.integers(min_value=1, max_value=4),
+        p_tx=st.tuples(*[st.sampled_from([20.0, 23.0, 7.5])] * 2),
+        offset_db=st.sampled_from([0.0, 45.0, -3.5]),
+        prune_floor_dbm=st.sampled_from([None, -100.0]),
+    )
+    @example(
+        n_samples=2, data=None, k=4, p_tx=(20.0, 23.0), offset_db=45.0,
+        prune_floor_dbm=-100.0,
+    )
+    def test_build_equals_each_snapshot_alone_and_the_oracle(
+        self, n_samples, data, k, p_tx, offset_db, prune_floor_dbm
+    ):
+        if data is None:
+            snapshots = SEGMENT_EXAMPLE
+        else:
+            snapshots = [data.draw(snapshot_paths()) for _ in range(2 * n_samples)]
+        matrix = two_node_matrix(snapshots)
+        power = {1: p_tx[0], 2: p_tx[1]}
+        built = build_tap_file_from_matrix(
+            matrix, power, matrix.n_samples, k=k, grid_dt_s=GRID,
+            offset_db=offset_db, prune_floor_dbm=prune_floor_dbm,
+        )
+        for pair in ((1, 2), (2, 1)):
+            for ms, s in enumerate(matrix.sample_of(np.arange(matrix.n_samples) / 1000.0)):
+                snap = matrix.snapshot(*pair, int(s))
+                if prune_floor_dbm is not None:
+                    snap = prune_paths(snap, prune_floor_dbm)
+                got = built.tap_lists[built.index[pair][ms]]
+                alone = approximate_taps(
+                    snap, power[pair[0]], k=k, grid_dt_s=GRID, offset_db=offset_db
+                ).taps
+                want = taps_per_snapshot(
+                    snap, power[pair[0]], k, GRID, 43.0, offset_db
+                )
+                # repr tells signed zeros apart
+                assert repr(got) == repr(alone) == repr(want)
 
 
 class TestApproximateTaps:
@@ -317,6 +434,13 @@ class TestApproximateTaps:
         )
         ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=grid, dyn_range_db=43.0)
         assert ts.delay_indices == [0]
+
+    @pytest.mark.parametrize("grid", [math.nan, math.inf, -math.inf, 0.0])
+    def test_grid_must_be_finite_and_positive(self, grid):
+        with pytest.raises(ValueError, match="grid_dt_s must be finite and > 0"):
+            TapSet((), grid)
+        with pytest.raises(ValueError, match="grid_dt_s must be finite and > 0"):
+            approximate_taps(snapshot_from([]), P_TX, grid_dt_s=grid)
 
     def test_timestamp_defaults_to_snapshot_time(self):
         snap = ChannelSnapshot(1, 2, 5, 1.788, (RayPath(0.0, 0.0, 0.0),))
