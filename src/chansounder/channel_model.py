@@ -2,10 +2,11 @@
 
 A channel between one node pair at one sample instant is a set of ray paths,
 each carrying received power (dBm), phase, and time of arrival. From these
-the module derives complex path coefficients, the channel impulse response,
-and coherent link path loss. A :class:`PathTable` holds the paths of many
-snapshots as columns; :class:`RayPath` and :class:`ChannelSnapshot` are the
-per-snapshot view of it.
+the module derives complex path coefficients and coherent link path loss.
+A :class:`PathTable` holds the paths of many snapshots as columns, and
+:meth:`PathTable.coefficients` is the one prune-and-coefficient step that
+the tap build and the truth series share; :class:`RayPath` and
+:class:`ChannelSnapshot` are the per-snapshot view of the table.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "PathTable",
     "RadioParams",
     "noise_floor_dbm",
-    "prune_paths",
     "path_coefficient",
-    "link_path_loss_db",
-    "snapshot_to_cir",
+    "coherent_loss_db",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -144,6 +143,27 @@ class PathTable:
         first = np.cumsum(counts) - counts  # where each snapshot's rows begin
         return np.arange(counts.sum()) + np.repeat(start - first, counts), counts
 
+    def coefficients(
+        self, snapshots, p_tx_dbm, floor_dbm: Optional[float] = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The paths of ``snapshots`` at or above ``floor_dbm`` and their
+        complex coefficients, snapshot ``snapshots[i]`` sent at ``p_tx_dbm[i]``.
+
+        A path exactly at the floor is kept; without a floor every path is.
+        Returns the kept rows, one snapshot after another, the number kept
+        of each snapshot, and each kept path's :func:`path_coefficient`.
+        """
+        rows, counts = self.rows(snapshots)
+        p_tx = np.repeat(np.asarray(p_tx_dbm, dtype=float), counts)
+        if floor_dbm is not None:
+            kept = self.power_dbm[rows] >= floor_dbm
+            seg = np.repeat(np.arange(len(counts)), counts)
+            counts = np.bincount(seg[kept], minlength=len(counts))
+            rows, p_tx = rows[kept], p_tx[kept]
+        power, phase = self.power_dbm[rows].tolist(), self.phase_rad[rows].tolist()
+        coeffs = map(path_coefficient, power, p_tx.tolist(), phase)
+        return rows, counts, np.fromiter(coeffs, complex, len(rows))
+
     def ray_paths(self, b: int) -> tuple[RayPath, ...]:
         """Snapshot ``b`` as RayPaths (an angle of NaN reads None)."""
         a, z = self.offsets[b], self.offsets[b + 1]
@@ -182,46 +202,27 @@ def noise_floor_dbm(params: RadioParams) -> float:
     )
 
 
-def prune_paths(snapshot: ChannelSnapshot, floor_dbm: float) -> ChannelSnapshot:
-    """Drop paths weaker than the noise floor; a path exactly at it is kept."""
-    kept = tuple(p for p in snapshot.paths if p.received_power_dbm >= floor_dbm)
-    return ChannelSnapshot(
-        snapshot.tx_id, snapshot.rx_id, snapshot.sample_index, snapshot.time_s, kept
-    )
-
-
 def path_coefficient(p_rx_dbm: float, p_tx_dbm: float, phase_rad: float) -> complex:
     """Complex path gain: 10**((P_rx - P_tx)/20) * exp(j*phase)."""
     magnitude = 10.0 ** ((p_rx_dbm - p_tx_dbm) / 20.0)
     return magnitude * complex(math.cos(phase_rad), math.sin(phase_rad))
 
 
-def link_path_loss_db(snapshot: ChannelSnapshot, p_tx_dbm: float) -> float:
-    """Coherent link path loss: -20*log10 |sum of path coefficients|.
+def coherent_loss_db(coeffs: np.ndarray, counts) -> np.ndarray:
+    """Coherent link path loss, -20*log10 |sum of path coefficients|, of each
+    run of ``counts[i]`` consecutive coefficients.
 
-    Returns +inf for a destructive null (coefficients sum to zero) rather
-    than raising; an empty snapshot is an error.
+    Each run is summed with Python's ``sum``, in path order. A destructive
+    null (the coefficients cancel) reads +inf and a run without paths NaN.
     """
-    if not snapshot.paths:
-        raise ValueError("no propagation paths")
-    coefficients = [
-        path_coefficient(p.received_power_dbm, p_tx_dbm, p.phase_rad)
-        for p in snapshot.paths
-    ]
-    total = sum(coefficients)
-    magnitude = abs(total)
-    # Cancellation down to machine precision is a destructive null, not a
-    # finite fade; flag it as infinite loss instead of a huge number.
-    if magnitude <= 1e-12 * sum(abs(c) for c in coefficients):
-        return float("inf")
-    return -20.0 * math.log10(magnitude)
-
-
-def snapshot_to_cir(
-    snapshot: ChannelSnapshot, p_tx_dbm: float
-) -> list[tuple[float, complex]]:
-    """Impulse-response view: one (delay_s, complex coefficient) per path."""
-    return [
-        (p.toa_s, path_coefficient(p.received_power_dbm, p_tx_dbm, p.phase_rad))
-        for p in snapshot.paths
-    ]
+    values = coeffs.tolist()
+    bounds = np.cumsum(np.r_[0, counts]).tolist()
+    losses = np.full(len(bounds) - 1, np.nan)
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            magnitude = abs(sum(values[a:b]))
+            # Cancellation down to machine precision is a destructive null, not
+            # a finite fade; flag it as infinite loss instead of a huge number.
+            null = magnitude <= 1e-12 * sum(map(abs, values[a:b]))
+            losses[i] = math.inf if null else -20.0 * math.log10(magnitude)
+    return losses

@@ -2,7 +2,9 @@
 
 ``KEYS`` lists every key a config may hold, with its default; any other key
 is an error that names the file and the key path, for example
-``cfg.json: unknown key 'nodes[1].radio.tx_power_dbmm'``.
+``cfg.json: unknown key 'nodes[1].radio.tx_power_dbmm'``. An integer key
+below its least value in ``_MINIMUM`` (``taps.k`` below 1, say) is an error
+of the same form.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ KEYS = {
     "synthetic_taps": {"delays_us": None, "losses_db": None, "pair": [1, 2],
                        "phases_rad": None},
 }
+
+# The least value of each integer key that has one, by key path.
+_MINIMUM = {"max_bounces": 0, "taps.k": 1, "sounding.samples_per_chip": 1,
+           "sounding.guard_samples": 0, "sounding.discard_frames": 0}
 
 # One frozen record per plain section; its fields are the section's keys.
 TapsSection, EmulatorSection, ValidationSection, SyntheticTapsSection = (
@@ -173,6 +179,8 @@ def _section(raw, where: str, table: dict) -> dict:
             value = kind(value)
         if not _finite(value):
             raise ValueError(f"'{name}' must be finite, not {json.dumps(value)}")
+        if name in _MINIMUM and value < _MINIMUM[name]:
+            raise ValueError(f"'{name}' must be >= {_MINIMUM[name]}, not {json.dumps(value)}")
         out[key] = value
     return out
 

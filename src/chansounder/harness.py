@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mobility as mob
 from . import sequences as seq
-from .channel_model import link_path_loss_db, prune_paths
+from .channel_model import coherent_loss_db
 from .config import PipelineConfig
 from .config import load as load_config
 from .emulator import (
@@ -461,7 +461,7 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
         # Ground-truth coherent (all-path) loss series vs sounded strongest tap.
         truth = validation.truth_strongest_loss_db
         if matrix is not None:
-            build = cfg.tap_build_kwargs()  # prune as the tap build did
+            build = cfg.tap_build_kwargs()  # the tap build's powers and floor
             truth = _truth_series_from_matrix(
                 matrix, pair, validation.frame_times_s,
                 build["tx_power_dbm"], build["prune_floor_dbm"],
@@ -494,20 +494,13 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
 def _truth_series_from_matrix(matrix, pair, frame_times, tx_power_dbm, prune_floor_dbm):
     """Coherent link path loss at each frame time, from the channel matrix.
 
-    A frame at time t uses channel sample ``matrix.sample_of(t)``; its paths
-    below ``prune_floor_dbm`` are dropped and the loss is computed once per
-    distinct sample, in sample order.
-    ``tx_power_dbm`` maps node ids to transmit power.
+    Each sample's snapshot is pruned at ``prune_floor_dbm`` and given its
+    path coefficients by the tap build's step, :meth:`PathTable.coefficients`;
+    its loss is their coherent sum. A frame at time t takes the loss of
+    sample ``matrix.sample_of(t)``. ``tx_power_dbm`` maps node ids to
+    transmit power.
     """
-    sample_of_frame = matrix.sample_of(frame_times)
-    first = sample_of_frame.min(initial=matrix.n_samples)
-    frames_per_sample = np.bincount(sample_of_frame - first)
-    samples = np.flatnonzero(frames_per_sample) + first
-    losses = np.empty(len(samples))
-    for i, s in enumerate(samples.tolist()):
-        snap = prune_paths(matrix.snapshot(pair[0], pair[1], s), prune_floor_dbm)
-        losses[i] = (
-            link_path_loss_db(snap, tx_power_dbm[pair[0]]) if snap.paths else float("nan")
-        )
-    loss_of_sample = np.cumsum(frames_per_sample > 0) - 1
-    return losses[loss_of_sample[sample_of_frame - first]]
+    _, counts, coeffs = matrix.paths.coefficients(
+        matrix.index[pair], np.full(matrix.n_samples, tx_power_dbm[pair[0]]), prune_floor_dbm
+    )
+    return coherent_loss_db(coeffs, counts)[matrix.sample_of(frame_times) - 1]

@@ -7,9 +7,10 @@ a ray tracer: it emits a line-of-sight path plus one specular path per
 reflector-plane bounce sequence, each as (received power, phase, delay).
 It works on arrays: the images of every transmitter of a sample are built
 one bounce depth at a time, and every (link, image) path at once. The
-paths go into one columnar table of snapshots, and a (node, node, sample)
-channel matrix indexes it, so stationary-transmitter reuse and per-node
-sample clamping point at a snapshot instead of copying it.
+generator and the paths-file reader both give :class:`PathRecords`, one
+columnar table of snapshots; one indexing loop makes it a (node, node,
+sample) channel matrix, so stationary-transmitter reuse and per-node sample
+clamping point at a snapshot instead of copying it.
 """
 
 from __future__ import annotations
@@ -163,7 +164,6 @@ class ChannelMatrix:
     sample_interval_s: float
     paths: PathTable
     index: dict
-    times: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -457,11 +457,32 @@ def _synthesize_links(
 
 
 class PathRecords(NamedTuple):
-    """The records of a paths file: ``index[(tx, rx, s)]`` is the snapshot of
-    ``paths`` that the record holds."""
+    """Ray-path records, read from a paths file or made by the generator:
+    ``index[(tx, rx, s)]`` is the snapshot of ``paths`` that the record
+    holds."""
 
     paths: PathTable
     index: dict
+
+
+def _synthesize_records(scenario: Scenario, n_samples: int) -> PathRecords:
+    """The generator's records: every pair at sample 1, and later samples
+    of moving transmitters only."""
+    positions = _node_positions(scenario)
+    table = _image_table(scenario.reflectors, scenario.max_bounces)
+    parts = []
+    index = {}
+    for s in range(1, n_samples + 1):
+        links = [
+            (tx, rx)
+            for tx in scenario.nodes
+            for rx in scenario.nodes
+            if rx.node_id != tx.node_id and (s == 1 or tx.speed_mps != 0)
+        ]
+        for tx, rx in links:
+            index[(tx.node_id, rx.node_id, s)] = len(index)
+        parts.append(_synthesize_links(scenario, positions, table, s, links))
+    return PathRecords(PathTable.concat(parts), index)
 
 
 def assemble_channel_matrix(
@@ -469,66 +490,42 @@ def assemble_channel_matrix(
 ) -> ChannelMatrix:
     """Build the (node, node, sample) channel matrix.
 
-    A stationary transmitter's entries point at its sample 1 for every
-    later sample; otherwise per-node sample indices are clamped to the last
-    available trajectory (or file) sample. ``records`` are read from a paths
-    file; when omitted the synthetic generator supplies the paths.
+    ``records`` are read from a paths file; when omitted the synthetic
+    generator makes them. Either way a stationary transmitter's entries
+    point at its sample 1 for every later sample, and per-node sample
+    indices are clamped to the node's last sample in the records.
     """
     n_s = num_samples(scenario.t_total_s, scenario.sample_interval_s)
-    ids = scenario.node_ids
-    index = {(i, j): np.empty(n_s, dtype=np.intp) for i in ids for j in ids}
-    moving = {n.node_id for n in scenario.nodes if n.speed_mps != 0}
-
     if records is None:
-        positions = _node_positions(scenario)
-        table = _image_table(scenario.reflectors, scenario.max_bounces)
-        parts = []
-        n_snapshots = 0
-        for s in range(1, n_s + 1):
-            # a stationary transmitter's later samples point at sample 1
-            links = [
-                (tx, rx)
-                for tx in scenario.nodes
-                for rx in scenario.nodes
-                if rx.node_id != tx.node_id and (s == 1 or tx.speed_mps != 0)
-            ]
-            for b, (tx, rx) in enumerate(links, start=n_snapshots):
-                index[(tx.node_id, rx.node_id)][s - 1] = b
-            n_snapshots += len(links)
-            parts.append(_synthesize_links(scenario, positions, table, s, links))
-    else:
-        max_tx = {}
-        max_rx = {}
-        for tx, rx, s in records.index:
-            max_tx[tx] = max(max_tx.get(tx, 0), s)
-            max_rx[rx] = max(max_rx.get(rx, 0), s)
-        for i in ids:
-            if i not in max_tx or i not in max_rx:
-                raise ValueError(f"paths records missing node {i}")
-        for s in range(1, n_s + 1):
-            for i in ids:
-                for j in ids:
-                    if i == j or (s > 1 and i not in moving):
-                        continue
-                    s_eff = min(s, max_tx[i], max_rx[j])
-                    try:
-                        index[(i, j)][s - 1] = records.index[(i, j, s_eff)]
-                    except KeyError:
-                        raise ValueError(
-                            f"paths records missing sample {s_eff} for pair ({i},{j})"
-                        )
-        parts = [records.paths]
-
+        records = _synthesize_records(scenario, n_s)
+    ids = scenario.node_ids
+    last_tx, last_rx = {}, {}
+    for tx, rx, s in records.index:
+        last_tx[tx] = max(last_tx.get(tx, 0), s)
+        last_rx[rx] = max(last_rx.get(rx, 0), s)
+    for i in ids:
+        # with two nodes or more every node sends and receives
+        if len(ids) > 1 and (i not in last_tx or i not in last_rx):
+            raise ValueError(f"paths records missing node {i}")
     # the last snapshot is the empty one of the diagonal
-    parts.append(PathTable.of_columns([0], [], [], []))
-    paths = PathTable.concat(parts)
-    for (i, j), series in index.items():
-        if i == j:
-            series[:] = len(paths.offsets) - 2
-        elif i not in moving:
-            series[1:] = series[0]
-    times = np.arange(n_s) * scenario.sample_interval_s
-    return ChannelMatrix(ids, n_s, scenario.sample_interval_s, paths, index, times)
+    paths = PathTable.concat([records.paths, PathTable.of_columns([0], [], [], [])])
+    index = {
+        (i, j): np.full(n_s, len(paths.offsets) - 2, dtype=np.intp) for i in ids for j in ids
+    }
+    moving = {n.node_id for n in scenario.nodes if n.speed_mps != 0}
+    for s in range(1, n_s + 1):
+        for i in ids:
+            for j in ids:
+                if i == j:
+                    continue
+                s_eff = min(s if i in moving else 1, last_tx[i], last_rx[j])
+                try:
+                    index[(i, j)][s - 1] = records.index[(i, j, s_eff)]
+                except KeyError:
+                    raise ValueError(
+                        f"paths records missing sample {s_eff} for pair ({i},{j})"
+                    )
+    return ChannelMatrix(ids, n_s, scenario.sample_interval_s, paths, index)
 
 
 def _path_objects(table: PathTable) -> list[str]:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelSnapshot, path_coefficient, snapshot_to_cir
+from .channel_model import ChannelSnapshot, PathTable
 
 __all__ = [
     "TapSet",
@@ -115,6 +115,11 @@ class TapFile:
             raise ValueError(
                 f"grid_dt_s must be finite and > 0, got {self.grid_dt_s}"
             )
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        for name in ("duration_ms", "n_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not math.isfinite(self.offset_db):
             raise ValueError(f"offset_db must be finite, got {self.offset_db}")
         self.tap_lists = [_checked_taps(taps) for taps in self.tap_lists]
@@ -446,7 +451,6 @@ def approximate_taps(
     grid_dt_s: float = 1e-8,
     dyn_range_db: float = DEFAULT_DYN_RANGE_DB,
     offset_db: float = 0.0,
-    timestamp_ms: Optional[int] = None,
 ) -> TapSet:
     """Approximate a (pruned) snapshot by <= k grid-aligned complex taps.
 
@@ -456,22 +460,22 @@ def approximate_taps(
     clusters landing on the same index merge. After the dB offset is
     applied, taps more than ``dyn_range_db`` below the strongest tap are
     dropped. An empty snapshot is a valid deep-fade instant and yields an
-    empty tap set. This is :func:`_segment_taps` on one segment.
+    empty tap set. The record's timestamp is the snapshot's millisecond.
+    This is the tap build on a table of one snapshot.
     """
     _check_build(k, grid_dt_s)
-    if timestamp_ms is None:
-        timestamp_ms = int(round(snapshot.time_s * 1000.0))
-    cir = snapshot_to_cir(snapshot, p_tx_dbm)
+    paths = snapshot.paths
+    table = PathTable.of_columns(
+        [len(paths)],
+        [p.received_power_dbm for p in paths],
+        [p.phase_rad for p in paths],
+        [p.toa_s for p in paths],
+    )
+    rows, counts, coeffs = table.coefficients([0], [p_tx_dbm])
     taps = _segment_taps(
-        np.array([tau for tau, _ in cir], dtype=float),
-        np.array([c for _, c in cir], dtype=complex),
-        [len(cir)],
-        k,
-        grid_dt_s,
-        dyn_range_db,
-        offset_db,
+        table.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
     )[0]
-    return TapSet(taps, grid_dt_s, timestamp_ms)
+    return TapSet(taps, grid_dt_s, int(round(snapshot.time_s * 1000.0)))
 
 
 def _check_build(k: int, grid_dt_s: float) -> None:
@@ -559,6 +563,10 @@ def read_tap_file(path) -> TapFile:
             offset_db = float(header["offset_db"])
         except ValueError as exc:
             raise ValueError(f"{path}: malformed header value: {exc}")
+        try:  # the header's values are checked before any row
+            TapFile(n_nodes, grid_dt_s, k, duration_ms, offset_db)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}")
 
         width = 3 + 3 * k
         tap_lists: list = []
@@ -578,7 +586,7 @@ def read_tap_file(path) -> TapFile:
             if n_cells < width:
                 raise ValueError(f"{path}: line {lineno}: truncated record")
             cells = line.split(",", 3)
-            body = cells[3] if k > 0 else ""
+            body = cells[3]
             try:
                 ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
                 tid = list_of_body.get(body)
@@ -642,7 +650,7 @@ def read_tap_file(path) -> TapFile:
 
 def build_tap_file_from_matrix(
     matrix,
-    tx_power_dbm: dict | float,
+    tx_power_dbm: dict,
     duration_ms: int,
     k: int = DEFAULT_MAX_TAPS,
     grid_dt_s: float = 1e-8,
@@ -654,12 +662,12 @@ def build_tap_file_from_matrix(
     """Expand a channel matrix into per-millisecond tap records.
 
     Each channel sample's tap set is held for the whole sample interval
-    (records at every millisecond repeat it until the next sample), so
-    every (pair, sample) gets one tap list and the records point at it.
-    Every distinct snapshot is pruned (paths below ``prune_floor_dbm``
-    dropped) and approximated as by :func:`approximate_taps`, all in one
-    :func:`_segment_taps` pass. ``tx_power_dbm`` is a single value or
-    {node_id: dBm}.
+    (records at every millisecond repeat it until the next sample). Every
+    distinct snapshot is pruned (paths below ``prune_floor_dbm`` dropped)
+    and given coefficients by :meth:`PathTable.coefficients`, then
+    approximated as by :func:`approximate_taps`, all in one
+    :func:`_segment_taps` pass; it gets one tap list, which each of its
+    records points at. ``tx_power_dbm`` is {node_id: dBm}.
     """
     _check_build(k, grid_dt_s)
     if pairs is None:
@@ -672,43 +680,24 @@ def build_tap_file_from_matrix(
     samples = sample_of_ms[new_sample] - 1
     list_of_ms = np.cumsum(new_sample) - 1
 
-    table = matrix.paths
     # a snapshot belongs to one pair, so its taps depend on it alone
     snapshots, list_of_snapshot = np.unique(
         [matrix.index[pair][samples] for pair in pairs], return_inverse=True
     )
-    rows, counts = table.rows(snapshots)
-    p_tx = np.empty(len(snapshots))
     list_of_snapshot = list_of_snapshot.reshape(len(pairs), len(samples))
-    for pair, ids in zip(pairs, list_of_snapshot):
-        tx = pair[0]
-        p_tx[ids] = tx_power_dbm[tx] if isinstance(tx_power_dbm, dict) else tx_power_dbm
-    p_tx = np.repeat(p_tx, counts)
-    if prune_floor_dbm is not None:
-        kept = table.power_dbm[rows] >= prune_floor_dbm
-        seg = np.repeat(np.arange(len(counts)), counts)
-        counts = np.bincount(seg[kept], minlength=len(counts))
-        rows, p_tx = rows[kept], p_tx[kept]
-    coeffs = np.fromiter(
-        map(
-            path_coefficient,
-            table.power_dbm[rows].tolist(),
-            p_tx.tolist(),
-            table.phase_rad[rows].tolist(),
-        ),
-        complex,
-        len(rows),
-    )
+    p_tx = np.empty(len(snapshots))
+    for (tx, _), ids in zip(pairs, list_of_snapshot):
+        p_tx[ids] = tx_power_dbm[tx]
+    rows, counts, coeffs = matrix.paths.coefficients(snapshots, p_tx, prune_floor_dbm)
     taps = _segment_taps(
-        table.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
+        matrix.paths.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
     )
-    tap_lists = [taps[i] for i in list_of_snapshot.ravel().tolist()]
     return TapFile(
         n_nodes=matrix.n_nodes,
         grid_dt_s=grid_dt_s,
         k=k,
         duration_ms=duration_ms,
         offset_db=offset_db,
-        tap_lists=tap_lists,
-        index={pair: n * len(samples) + list_of_ms for n, pair in enumerate(pairs)},
+        tap_lists=taps,
+        index={pair: ids[list_of_ms] for pair, ids in zip(pairs, list_of_snapshot)},
     )

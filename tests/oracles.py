@@ -1,11 +1,11 @@
 """Per-path, per-centroid, per-frame and per-record reference implementations.
 
-These are the Python loops that the image-method generator, the tap
-k-means, detection, validation, the truth series and tap-file I/O ran
-before they worked on whole arrays, columns and run-length arrays. Tests
-hold the vectorized code to them exactly: same paths and clusters, same
-detections, same tie-breaking, same statistics bit for bit, same tap-file
-bytes.
+These are the Python loops that the image-method generator, path pruning
+and coefficients, the tap k-means, detection, validation, the truth series
+and tap-file I/O ran before they worked on whole arrays, columns and
+run-length arrays. Tests hold the vectorized code to them exactly: same
+paths and clusters, same detections, same tie-breaking, same statistics bit
+for bit, same tap-file bytes.
 """
 
 import csv
@@ -19,13 +19,43 @@ from chansounder import mobility as mob
 from chansounder.channel_model import (
     ChannelSnapshot,
     RayPath,
-    link_path_loss_db,
     noise_floor_dbm,
-    prune_paths,
-    snapshot_to_cir,
+    path_coefficient,
 )
 from chansounder.harness import TapErrorStats, ValidationReport
 from chansounder.tap_approx import TapFile, TapSet
+
+
+def prune_paths(snapshot, floor_dbm):
+    """Drop paths weaker than the noise floor; a path exactly at it is kept."""
+    kept = tuple(p for p in snapshot.paths if p.received_power_dbm >= floor_dbm)
+    return ChannelSnapshot(
+        snapshot.tx_id, snapshot.rx_id, snapshot.sample_index, snapshot.time_s, kept
+    )
+
+
+def snapshot_to_cir(snapshot, p_tx_dbm):
+    """Impulse-response view: one (delay_s, complex coefficient) per path."""
+    return [
+        (p.toa_s, path_coefficient(p.received_power_dbm, p_tx_dbm, p.phase_rad))
+        for p in snapshot.paths
+    ]
+
+
+def link_path_loss_db(snapshot, p_tx_dbm):
+    """Coherent link path loss: -20*log10 |sum of path coefficients|.
+
+    Returns +inf for a destructive null (coefficients sum to zero) rather
+    than raising; an empty snapshot is an error.
+    """
+    if not snapshot.paths:
+        raise ValueError("no propagation paths")
+    coefficients = [c for _, c in snapshot_to_cir(snapshot, p_tx_dbm)]
+    total = sum(coefficients)
+    magnitude = abs(total)
+    if magnitude <= 1e-12 * sum(abs(c) for c in coefficients):
+        return float("inf")
+    return -20.0 * math.log10(magnitude)
 
 
 def mirror(plane, point):

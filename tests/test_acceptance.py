@@ -20,10 +20,8 @@ from chansounder.channel_model import (
     ChannelSnapshot,
     RadioParams,
     RayPath,
-    link_path_loss_db,
     noise_floor_dbm,
     path_coefficient,
-    prune_paths,
 )
 from chansounder.emulator import (
     EmulatorConfig,
@@ -57,6 +55,8 @@ from chansounder.tap_approx import (
     read_tap_file,
     write_tap_file,
 )
+
+from oracles import link_path_loss_db, prune_paths
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

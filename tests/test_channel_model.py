@@ -4,23 +4,53 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chansounder.channel_model import (
     ChannelSnapshot,
+    PathTable,
     RadioParams,
     RayPath,
-    link_path_loss_db,
+    coherent_loss_db,
     noise_floor_dbm,
     path_coefficient,
-    prune_paths,
-    snapshot_to_cir,
 )
+from oracles import link_path_loss_db, prune_paths, snapshot_to_cir
 
 
 def snapshot_from(paths, tx=1, rx=2, s=1, t=0.0):
     return ChannelSnapshot(tx, rx, s, t, tuple(paths))
+
+
+def table_of(snapshots):
+    """A PathTable of ``snapshots``, one after another."""
+    paths = [p for snap in snapshots for p in snap.paths]
+    return PathTable.of_columns(
+        [snap.n_paths for snap in snapshots],
+        [p.received_power_dbm for p in paths],
+        [p.phase_rad for p in paths],
+        [p.toa_s for p in paths],
+    )
+
+
+def kept_paths(snapshot, floor_dbm):
+    """The paths of one snapshot that ``PathTable.coefficients`` keeps."""
+    rows, _, _ = table_of([snapshot]).coefficients([0], [0.0], floor_dbm)
+    return tuple(snapshot.paths[r] for r in rows.tolist())
+
+
+def step_cir(snapshot, p_tx_dbm):
+    """(delay_s, coefficient) of each path of one snapshot, by ``PathTable.coefficients``."""
+    table = table_of([snapshot])
+    rows, _, coeffs = table.coefficients([0], [p_tx_dbm])
+    return list(zip(table.toa_s[rows].tolist(), coeffs.tolist()))
+
+
+def loss_db(snapshot, p_tx_dbm):
+    """The coherent loss of one snapshot, by ``coherent_loss_db``."""
+    _, counts, coeffs = table_of([snapshot]).coefficients([0], [p_tx_dbm])
+    return float(coherent_loss_db(coeffs, counts)[0])
 
 
 finite_db = st.floats(min_value=-150, max_value=50, allow_nan=False)
@@ -89,19 +119,19 @@ class TestNoiseFloor:
 class TestPrunePaths:
     def test_all_above_floor_is_identity(self):
         snap = snapshot_from([RayPath(-90, 0, 0), RayPath(-95, 0, 1e-6)])
-        out = prune_paths(snap, -99.79)
-        assert out.paths == snap.paths
+        out = kept_paths(snap, -99.79)
+        assert out == snap.paths
 
     def test_below_floor_dropped(self):
         snap = snapshot_from([RayPath(-90, 0, 0), RayPath(-105, 0, 1e-6)])
-        out = prune_paths(snap, -99.79)
-        assert len(out.paths) == 1
-        assert out.paths[0].received_power_dbm == -90
+        out = kept_paths(snap, -99.79)
+        assert len(out) == 1
+        assert out[0].received_power_dbm == -90
 
     def test_path_exactly_at_floor_retained(self):
         snap = snapshot_from([RayPath(-99.79, 0, 0)])
-        out = prune_paths(snap, -99.79)
-        assert len(out.paths) == 1
+        out = kept_paths(snap, -99.79)
+        assert len(out) == 1
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -112,10 +142,10 @@ class TestPrunePaths:
         snap = snapshot_from(
             [RayPath(p, 0.0, i * 1e-9) for i, p in enumerate(powers)]
         )
-        once = prune_paths(snap, floor)
-        twice = prune_paths(once, floor)
-        assert len(once.paths) <= len(snap.paths)
-        assert twice.paths == once.paths
+        once = kept_paths(snap, floor)
+        twice = kept_paths(snapshot_from(once), floor)
+        assert len(once) <= len(snap.paths)
+        assert twice == once
 
 
 class TestPathCoefficient:
@@ -142,11 +172,11 @@ class TestPathCoefficient:
 class TestLinkPathLoss:
     def test_single_path_unit_gain(self):
         snap = snapshot_from([RayPath(20, 0, 0)])
-        assert link_path_loss_db(snap, 20) == pytest.approx(0.0)
+        assert loss_db(snap, 20) == pytest.approx(0.0)
 
     def test_single_path_60db_down(self):
         snap = snapshot_from([RayPath(-40, 0, 0)])
-        assert link_path_loss_db(snap, 20) == pytest.approx(60.0)
+        assert loss_db(snap, 20) == pytest.approx(60.0)
 
     def test_destructive_null_flagged_as_infinite(self):
         # two |c| = 0.5 paths with opposite phases cancel coherently
@@ -154,11 +184,10 @@ class TestLinkPathLoss:
         snap = snapshot_from(
             [RayPath(p_rx, 0.0, 0), RayPath(p_rx, math.pi, 1e-9)]
         )
-        assert link_path_loss_db(snap, 20) == math.inf
+        assert loss_db(snap, 20) == math.inf
 
-    def test_empty_snapshot_is_an_error(self):
-        with pytest.raises(ValueError, match="no propagation paths"):
-            link_path_loss_db(snapshot_from([]), 20)
+    def test_snapshot_without_paths_reads_nan(self):
+        assert math.isnan(loss_db(snapshot_from([]), 20))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -175,8 +204,8 @@ class TestLinkPathLoss:
             RayPath(p.received_power_dbm, p.phase_rad + rotation, p.toa_s)
             for p in paths
         ]
-        a = link_path_loss_db(snapshot_from(paths), 20)
-        b = link_path_loss_db(snapshot_from(rotated), 20)
+        a = loss_db(snapshot_from(paths), 20)
+        b = loss_db(snapshot_from(rotated), 20)
         if math.isinf(a) or math.isinf(b):
             return
         assert a == pytest.approx(b, abs=1e-9)
@@ -193,9 +222,9 @@ class TestLinkPathLoss:
                 for i, (p, phi) in enumerate(zip(powers, phis))
             ]
         )
-        cir = snapshot_to_cir(snap, 20)
+        cir = step_cir(snap, 20)
         total = sum(c for _, c in cir)
-        loss = link_path_loss_db(snap, 20)
+        loss = loss_db(snap, 20)
         if abs(total) == 0:
             assert math.isinf(loss)
         else:
@@ -205,7 +234,7 @@ class TestLinkPathLoss:
 class TestSnapshotToCir:
     def test_single_unit_path(self):
         snap = snapshot_from([RayPath(20, 0, 0)])
-        assert snapshot_to_cir(snap, 20) == [(0.0, pytest.approx(1 + 0j))]
+        assert step_cir(snap, 20) == [(0.0, pytest.approx(1 + 0j))]
 
     def test_four_tap_synthetic_channel_magnitudes(self):
         delays = [0.0, 1.28e-6, 2e-6, 4e-6]
@@ -213,10 +242,61 @@ class TestSnapshotToCir:
         snap = snapshot_from(
             [RayPath(20 - loss, 0.0, d) for d, loss in zip(delays, losses)]
         )
-        cir = snapshot_to_cir(snap, 20)
+        cir = step_cir(snap, 20)
         assert [d for d, _ in cir] == delays
         for (_, coeff), loss in zip(cir, losses):
             assert abs(coeff) == pytest.approx(10 ** (-loss / 20), rel=1e-12)
 
     def test_empty_snapshot_gives_empty_cir(self):
-        assert snapshot_to_cir(snapshot_from([]), 20) == []
+        assert step_cir(snapshot_from([]), 20) == []
+
+
+class TestCoefficientsStep:
+    """``PathTable.coefficients`` and ``coherent_loss_db`` against pruning,
+    the impulse response and the link loss of one snapshot at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        snapshots=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([-100.0, -99.79, -60.0]) | finite_db,
+                    phases,
+                    st.sampled_from([0.0, 1e-7]) | st.floats(0.0, 1e-6),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+        floor=st.sampled_from([None, -99.79]) | finite_db,
+    )
+    @example(  # a path exactly at the floor, an empty snapshot, two powers
+        snapshots=[[(-99.79, 1.0, 0.0), (-99.8, 2.0, 1e-7)], [], [(-60.0, 0.5, 0.0)]],
+        data=None,
+        floor=-99.79,
+    )
+    def test_step_equals_prune_then_cir_bit_for_bit(self, snapshots, data, floor):
+        snaps = [snapshot_from(RayPath(*row) for row in rows) for rows in snapshots]
+        if data is None:
+            picks, p_tx = [0, 1, 2, 0], [20.0, 23.0, 7.5, 23.0]
+        else:  # snapshots in any order, some more than once
+            n = len(snaps)
+            picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+            p_tx = data.draw(
+                st.lists(st.sampled_from([20.0, 23.0, 7.5]) | finite_db,
+                         min_size=len(picks), max_size=len(picks))
+            )
+        table = table_of(snaps)
+        rows, counts, coeffs = table.coefficients(picks, p_tx, floor)
+        losses = coherent_loss_db(coeffs, counts)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for i, (b, power) in enumerate(zip(picks, p_tx)):
+            snap = snaps[b] if floor is None else prune_paths(snaps[b], floor)
+            a, z = bounds[i], bounds[i + 1]
+            got = list(zip(table.toa_s[rows[a:z]].tolist(), coeffs[a:z].tolist()))
+            # repr tells signed zeros apart
+            assert repr(got) == repr(snapshot_to_cir(snap, power))
+            want = link_path_loss_db(snap, power) if snap.paths else math.nan
+            assert repr(float(losses[i])) == repr(want)

@@ -202,6 +202,33 @@ def test_bad_values_name_the_file(tmp_path, edit, match):
     assert str(err.value).startswith(str(path))
 
 
+@pytest.mark.parametrize(
+    "section,key,value,least",
+    [("taps", "k", 0, 1), ("sounding", "samples_per_chip", 0, 1),
+     ("sounding", "discard_frames", -1, 0), ("sounding", "guard_samples", -3, 0),
+     ("", "max_bounces", -1, 0)],
+)
+def test_out_of_range_value_fails_by_name_before_any_output(
+    tmp_path, capsys, section, key, value, least
+):
+    raw = json.loads((CONFIG_DIR / "outandback.json").read_text())
+    path = tmp_path / "bad.json"
+    key_path = f"{section}.{key}" if section else key
+    (raw[section] if section else raw)[key] = least
+    path.write_text(json.dumps(raw))
+    config.load(path)  # the least value itself is accepted
+    (raw[section] if section else raw)[key] = value
+    path.write_text(json.dumps(raw))
+    message = f"{path}: '{key_path}' must be >= {least}, not {value}"
+    with pytest.raises(ValueError) as err:
+        config.load(path)
+    assert str(err.value) == message
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_readme_table_lists_every_key():
     """The README's key table and ``config.KEYS`` name the same keys."""
     readme = (ROOT / "README.md").read_text()

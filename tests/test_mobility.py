@@ -546,30 +546,53 @@ class TestAssembleChannelMatrix:
 
     def test_times_follow_sample_index(self):
         matrix = assemble_channel_matrix(two_node_scenario(t_total=5, t_s=0.5))
-        assert np.allclose(matrix.times, np.arange(matrix.n_samples) * 0.5)
+        assert matrix.n_samples == 9
         for s in range(1, matrix.n_samples + 1):
             assert matrix.snapshot(1, 2, s).time_s == (s - 1) * 0.5
 
 
 class TestPathsFile:
     def test_round_trip_preserves_channels(self, tmp_path):
-        scenario = Scenario(
-            nodes=(
-                mobile_node(1, [(10, 0), (60, 0)], speed=10.0),
-                static_node(2, 0, 5),
-            ),
-            t_total_s=5.0,
-            sample_interval_s=1.0,
-        )
+        # stationary and moving nodes, and a trajectory that ends early
+        scenario = mixed_scenario()
         matrix = assemble_channel_matrix(scenario)
         path = tmp_path / "paths.jsonl"
         write_paths_file(matrix, path)
+        rebuilt = assemble_channel_matrix(scenario, read_paths_records(path))
+        assert (rebuilt.node_ids, rebuilt.n_samples, rebuilt.sample_interval_s) == (
+            matrix.node_ids, matrix.n_samples, matrix.sample_interval_s,
+        )
+        assert rebuilt.index.keys() == matrix.index.keys()
+        for pair, snapshots in matrix.index.items():
+            again = rebuilt.index[pair]
+            # the file holds a record per sample, so the snapshot numbers
+            # differ; the entries that share a snapshot do not
+            shared = np.unique(snapshots, return_inverse=True)[1]
+            assert (np.unique(again, return_inverse=True)[1] == shared).all()
+            rows, counts = matrix.paths.rows(snapshots)
+            rows_again, counts_again = rebuilt.paths.rows(again)
+            assert (counts_again == counts).all()
+            for name in ("power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg"):
+                want = getattr(matrix.paths, name)[rows]
+                assert getattr(rebuilt.paths, name)[rows_again].tobytes() == want.tobytes()
+
+    def test_a_file_that_ends_early_holds_its_last_sample(self, tmp_path):
+        def scenario(t_total_s):
+            nodes = (mobile_node(1, [(10, 0), (60, 0)], speed=10.0), static_node(2, 0, 5))
+            return Scenario(nodes=nodes, t_total_s=t_total_s, sample_interval_s=1.0)
+
+        short = assemble_channel_matrix(scenario(3.0))
+        path = tmp_path / "paths.jsonl"
+        write_paths_file(short, path)
         records = read_paths_records(path)
-        rebuilt = assemble_channel_matrix(scenario, records)
-        for s in range(1, matrix.n_samples + 1):
-            a = matrix.snapshot(1, 2, s)
-            b = rebuilt.snapshot(1, 2, s)
-            assert a.paths == b.paths
+        matrix = assemble_channel_matrix(scenario(6.0), records)
+        assert matrix.n_samples == 6
+        for pair in ((1, 2), (2, 1)):
+            want = [records.index[(*pair, min(s, 3))] for s in range(1, 7)]
+            if pair[0] == 2:  # a stationary transmitter's samples
+                want = [records.index[(2, 1, 1)]] * 6
+            assert matrix.index[pair].tolist() == want
+        assert matrix.snapshot(1, 2, 6).paths == short.snapshot(1, 2, 3).paths
 
     def test_record_layout(self, tmp_path):
         matrix = assemble_channel_matrix(two_node_scenario(t_total=2))

@@ -208,6 +208,12 @@ class TestDetectTaps:
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             SoundingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["guard_samples", "discard_frames"])
+    def test_negative_guard_and_discard_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            SoundingConfig(**{field: -1})
+        assert getattr(SoundingConfig(**{field: 0}), field) == 0
+
     def test_delay_covariance_under_stream_delay(self):
         d = 17
         rx0 = np.tile(REF, 4)

@@ -14,7 +14,6 @@ from chansounder.channel_model import (
     PathTable,
     RayPath,
     path_coefficient,
-    prune_paths,
 )
 from chansounder.mobility import ChannelMatrix
 from chansounder.tap_approx import (
@@ -28,6 +27,7 @@ from chansounder.tap_approx import (
 from chansounder.tap_approx import _kmeans_labels, _run_sums
 from oracles import (
     kmeans_per_centroid,
+    prune_paths,
     read_tap_file_per_record,
     taps_per_snapshot,
     write_tap_file_per_record,
@@ -202,7 +202,7 @@ def two_node_matrix(snapshots):
         (2, 1): n_samples + np.arange(n_samples),
         (2, 2): empty,
     }
-    return ChannelMatrix([1, 2], n_samples, 1e-3, table, index, np.arange(n_samples) * 1e-3)
+    return ChannelMatrix([1, 2], n_samples, 1e-3, table, index)
 
 
 # a centroid left without members, clusters of 8 and more, k or fewer
@@ -256,6 +256,17 @@ class TestSegmentedBuild:
                 )
                 # repr tells signed zeros apart
                 assert repr(got) == repr(alone) == repr(want)
+
+
+    def test_one_tap_list_per_distinct_snapshot(self):
+        matrix = two_node_matrix([[(-70.0, 0.5, 0.0)]] * 6)
+        matrix.index[(1, 2)][:] = 0  # a stationary transmitter's samples
+        built = build_tap_file_from_matrix(
+            matrix, {1: P_TX, 2: P_TX}, matrix.n_samples, grid_dt_s=GRID
+        )
+        assert len(built.tap_lists) == 4
+        assert built.index[(1, 2)].tolist() == [0, 0, 0]
+        assert built.index[(2, 1)].tolist() == [1, 2, 3]
 
 
 class TestApproximateTaps:
@@ -511,6 +522,15 @@ class TestTapFileIo:
         with pytest.raises(ValueError, match=f"^{name}: malformed header"):
             read_tap_file(path)
 
+    @pytest.mark.parametrize(
+        "n_nodes, k, duration_ms, message",
+        [(2, 0, 2, "k must be >= 1, got 0"), (2, 1, -3, "duration_ms must be >= 0, got -3"),
+         (-2, 1, 2, "n_nodes must be >= 0, got -2")],
+    )
+    def test_constructor_rejects_bad_header_values(self, n_nodes, k, duration_ms, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TapFile(n_nodes, 1e-8, k, duration_ms)
+
     def test_empty_record_is_a_silent_millisecond(self, tmp_path):
         src = TapFile(2, 2e-8, 4, 2, 0.0, [((0, 1 + 0j),), ()], {(1, 2): [0, 1]})
         path = tmp_path / "taps.csv"
@@ -552,6 +572,11 @@ class TestTapFileIo:
              "grid_dt_s must be finite and > 0, got inf"),
             (["# offset_db=nan", "0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0"],
              "offset_db must be finite, got nan"),
+            # the header is checked before any row is read
+            (["# k=0", "0,1,2", "1,1,2"], "k must be >= 1, got 0"),
+            (["# duration_ms=-3", "0,1,2,0,1.0,0.0"], "duration_ms must be >= 0, got -3"),
+            (["# n_nodes=-2", "0,1,2,0,1.0,0.0", "1,1,2,0,1.0,0.0"],
+             "n_nodes must be >= 0, got -2"),
         ],
     )
     def test_reader_errors_name_file_and_line(self, tmp_path, rows, message):
