@@ -136,6 +136,8 @@ class Scenario:
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate node ids in scenario")
+        if self.max_bounces < 0:
+            raise ValueError(f"max_bounces must be >= 0, got {self.max_bounces}")
 
     def node(self, node_id: int) -> NodeSpec:
         for n in self.nodes:

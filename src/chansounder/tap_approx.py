@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -46,13 +45,17 @@ def _ms_of(times_s):
 
 
 def _checked_taps(taps) -> tuple[tuple[int, complex], ...]:
-    """A tap list as (int, complex) pairs; delay indices must be >= 0 and rise."""
+    """A tap list as (int, complex) pairs; delay indices must be >= 0 and
+    rise, and coefficients must be finite."""
     taps = tuple((int(i), complex(c)) for i, c in taps)
     indices = [i for i, _ in taps]
     if any(i < 0 for i in indices):
         raise ValueError("delay indices must be >= 0")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("delay indices must be strictly increasing")
+    for _, c in taps:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"tap coefficients must be finite, got {c!r}")
     return taps
 
 
@@ -224,23 +227,26 @@ class TapFile:
         return edges, self.tap_ids(edges[:-1] / fs, *pair)
 
     def validate(self) -> None:
-        """Check completeness (every pair, every millisecond) and tap bounds."""
-        # a trailing 0 gives the -1 entries (no record) a tap count
-        n_taps = np.array([len(t) for t in self.tap_lists] + [0])
-        for tx, rx in sorted(self.index):
-            ids = self.index[(tx, rx)]
-            over = np.flatnonzero(n_taps[ids] > self.k)
-            if over.size:
-                ms = int(over[0])
-                raise ValueError(
-                    f"record ({ms},{tx},{rx}) has {n_taps[ids[ms]]} taps, max {self.k}"
-                )
-        for pair in self.pairs():
-            missing = np.flatnonzero(self.index[pair] < 0)
-            if missing.size:
-                raise ValueError(
-                    f"missing record for pair {pair} at {int(missing[0])} ms"
-                )
+        """Check completeness (every pair, every millisecond) and tap bounds.
+
+        The first offending record in (pair, ms) order is named; a pair
+        without any record is not missing any.
+        """
+        pairs = sorted(self.index)
+        if not pairs:
+            return
+        ids = np.stack([self.index[p] for p in pairs])
+        # a trailing False is the verdict on the -1 entries (no record)
+        over = np.array([len(t) > self.k for t in self.tap_lists] + [False])[ids]
+        if over.any():
+            row, ms = np.unravel_index(over.argmax(), over.shape)
+            tx, rx = pairs[row]
+            n_taps = len(self.tap_lists[ids[row, ms]])
+            raise ValueError(f"record ({ms},{tx},{rx}) has {n_taps} taps, max {self.k}")
+        missing = (ids < 0) & (ids >= 0).any(axis=1, keepdims=True)
+        if missing.any():
+            row, ms = np.unravel_index(missing.argmax(), missing.shape)
+            raise ValueError(f"missing record for pair {pairs[row]} at {ms} ms")
 
 
 class TapRecords(MutableMapping):
@@ -495,25 +501,33 @@ def write_tap_file(tap_file: TapFile, path) -> None:
     """CSV writer: '#key=value' header lines then one row per record.
 
     Row layout: timestamp_ms,tx,rx then K (delay_idx, re, im) triples with
-    unused slots as -1,0,0. Rows run in (timestamp_ms, tx, rx) order; each
-    distinct tap list is formatted once.
+    unused slots as -1,0,0. Rows run in (timestamp_ms, tx, rx) order. Each
+    distinct tap list is formatted once, and the row tails (',tx,rx' and
+    the cells after) of each distinct index row are built once, so a
+    millisecond's rows are one join of its timestamp with them.
     """
     tap_file.validate()
     pairs = tap_file.pairs()
-    with open(path, "w") as fh:
-        fh.write(f"# n_nodes={tap_file.n_nodes}\n")
-        fh.write(f"# grid_dt_s={tap_file.grid_dt_s!r}\n")
-        fh.write(f"# k={tap_file.k}\n")
-        fh.write(f"# duration_ms={tap_file.duration_ms}\n")
-        fh.write(f"# offset_db={tap_file.offset_db!r}\n")
+    with open(path, "wb") as fh:
+        fh.write(
+            f"# n_nodes={tap_file.n_nodes}\n# grid_dt_s={tap_file.grid_dt_s!r}\n"
+            f"# k={tap_file.k}\n# duration_ms={tap_file.duration_ms}\n"
+            f"# offset_db={tap_file.offset_db!r}\n".encode()
+        )
         if not pairs:
             return
         # validate() guarantees every listed pair a record at every ms
         ids = np.stack([tap_file.index[p] for p in pairs], axis=1)
         body = [_row_body(taps, tap_file.k) for taps in tap_file.tap_lists]
         heads = [f",{tx},{rx}" for tx, rx in pairs]
-        for ms, row in enumerate(ids.tolist()):
-            fh.write("".join(f"{ms}{h}{body[i]}\n" for h, i in zip(heads, row)))
+        tails: dict[tuple, list[bytes]] = {}  # index row -> b"", then its row tails
+        for ms, row in enumerate(map(tuple, ids.tolist())):
+            cells = tails.get(row)
+            if cells is None:
+                cells = tails[row] = [
+                    b"", *(f"{h}{body[i]}\n".encode() for h, i in zip(heads, row))
+                ]
+            fh.write((b"%d" % ms).join(cells))
 
 
 def _parse_row_body(cells: list[str], k: int) -> tuple:
@@ -527,30 +541,246 @@ def _parse_row_body(cells: list[str], k: int) -> tuple:
     return tuple(taps)
 
 
+# Rows are read in blocks of this many bytes, each extended to the next newline.
+_BLOCK_BYTES = 1 << 16
+
+
+def _blocks(fh):
+    """The rest of a binary file as blocks of whole lines, each ending in a
+    newline; '\\r\\n' and a lone '\\r' end a line, as in text mode."""
+    while block := fh.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _line_text(text: np.ndarray, ends: np.ndarray, i: int) -> str:
+    """Line ``i`` of ``text`` (bytes as uint8), whose lines end at ``ends``."""
+    return text[ends[i - 1] + 1 if i else 0 : ends[i]].tobytes().decode()
+
+
+def _timestamps(cells: list, duration_ms: int) -> np.ndarray:
+    """The cells as ``int()`` reads their text, each distinct cell once, up
+    to the first it cannot read; a value outside 0 <= ms < duration_ms
+    reads as -1."""
+    ms_of = {}
+    for cell in dict.fromkeys(cells):
+        try:
+            ms = int(cell.decode())
+        except ValueError:
+            cells = cells[: cells.index(cell)]
+            break
+        ms_of[cell] = ms if 0 <= ms < duration_ms else -1
+    return np.fromiter(map(ms_of.__getitem__, cells), np.int64, len(cells))
+
+
+def _first_line_of(path, key: tuple[int, int, int]) -> int:
+    """The line of the first row of a tap file for ``key``, (timestamp_ms,
+    tx, rx); every line before the row asked for is a header line, a blank
+    line or a valid row."""
+    with open(path) as fh:
+        return next(
+            lineno
+            for lineno, line in enumerate(fh, start=1)
+            if not line.startswith("#")
+            and line.strip()
+            and tuple(map(int, line.split(",", 3)[:3])) == key
+        )
+
+
+class _RowReader:
+    """A tap file's rows, read block by block into a (pair, ms) index.
+
+    The lines of a block are cut at their newlines and first commas into
+    timestamp_ms cells and row tails (tx,rx,body). Each distinct tail is
+    parsed once, and each distinct body gives one tap list, in the order
+    the bodies first appear. The checks run on whole blocks; at the first
+    line that breaks a rule, the lines before it are recorded and
+    :meth:`_line_error` names the first rule that line breaks, in the order
+    of a per-line reader.
+    """
+
+    def __init__(self, path, n_nodes: int, k: int, duration_ms: int, lineno: int):
+        self.path = path
+        self.n_nodes, self.k, self.duration_ms = n_nodes, k, duration_ms
+        self.lineno = lineno  # of the next block's first line
+        self.tap_lists: list = []
+        self.list_of_body: dict[str, int] = {}
+        self.tail_id: dict[bytes, int] = {}
+        # per tail: its pair (None if it does not parse), the pair's row of
+        # the index and the tail's tap list
+        self.tail_pair: list = []
+        self.tail_row = np.empty(0, dtype=np.intp)
+        self.tail_list = np.empty(0, dtype=np.int32)
+        self.row_of_pair: dict[tuple[int, int], int] = {}
+        self.nodes: set[int] = set()  # distinct node ids of the pairs so far
+        # per pair row: the tap list of each ms (-1: none yet)
+        self.ids = np.full((0, duration_ms), -1, dtype=np.int32)
+
+    def add(self, block: bytes) -> None:
+        """Record the rows of ``block``: whole lines, each ending in a newline."""
+        width = 3 + 3 * self.k
+        text = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(text == 10)
+        linenos = self.lineno + np.arange(len(ends))
+        self.lineno += len(ends)
+        while True:
+            commas = np.flatnonzero(text == 44)
+            upto = np.searchsorted(commas, ends)  # commas before each line's end
+            n_cells = upto - np.concatenate(([0], upto[:-1])) + 1
+            odd = np.flatnonzero(n_cells != width).tolist()
+            blank = [i for i in odd if not _line_text(text, ends, i).strip()]
+            if not blank:
+                break
+            keep = np.ones(len(ends), dtype=bool)  # blank lines are skipped
+            keep[blank] = False
+            text = text[np.repeat(keep, np.diff(ends, prepend=-1))]
+            ends = np.flatnonzero(text == 10)
+            linenos = linenos[keep]
+        n = odd[0] if odd else len(ends)  # lines before the first of a wrong width
+
+        cut = text[: ends[n - 1] + 1 if n else 0].copy()
+        cut[commas[(width - 1) * np.arange(n)]] = 10  # ends each line's ms cell
+        cells = cut.tobytes().split(b"\n")
+        stamps, tails = cells[0:-1:2], cells[1::2]
+        ms = _timestamps(stamps, self.duration_ms)
+        out = np.flatnonzero(ms < 0)
+        limit = int(out[0]) if out.size else len(ms)
+
+        tails = tails[:limit]
+        n_old = len(self.tail_pair)
+        try:
+            tid = np.fromiter(map(self.tail_id.__getitem__, tails), np.intp, limit)
+            lists = []
+        except KeyError:  # the block brings new tails
+            lists = [self._add_tail(t) for t in dict.fromkeys(tails) if t not in self.tail_id]
+            tid = np.fromiter(map(self.tail_id.__getitem__, tails), np.intp, limit)
+        if lists:
+            # new tails are numbered as they first appear, above every old one
+            before = np.maximum.accumulate(np.concatenate(([n_old - 1], tid[:-1])))
+            firsts = np.flatnonzero(tid > before).tolist()
+            for pair, line in zip(self.tail_pair[n_old:], firsts):
+                if pair is None or not (pair in self.row_of_pair or self._add_pair(pair)):
+                    limit = line
+                    break
+            rows = [self.row_of_pair.get(p, -1) for p in self.tail_pair[n_old:]]
+            self.tail_row = np.append(self.tail_row, rows)
+            self.tail_list = np.append(self.tail_list, lists).astype(np.int32)
+            if len(self.row_of_pair) > len(self.ids):
+                cap = min(2 * len(self.ids), self.n_nodes * (self.n_nodes - 1))
+                grown = np.full(
+                    (max(cap, len(self.row_of_pair)), self.duration_ms), -1, dtype=np.int32
+                )
+                grown[: len(self.ids)] = self.ids
+                self.ids = grown
+
+        tid = tid[:limit]
+        key = self.tail_row[tid] * self.duration_ms + ms[:limit]
+        flat_ids = self.ids.reshape(-1)
+        again = flat_ids[key] >= 0  # recorded by an earlier block
+        order = np.argsort(key, kind="stable")
+        again[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        if again.any():
+            limit = int(again.argmax())
+        flat_ids[key[:limit]] = self.tail_list[tid[:limit]]
+        if limit < len(ends):
+            line = _line_text(text, ends, limit)
+            raise ValueError(
+                f"{self.path}: line {linenos[limit]}: {self._line_error(line)}"
+            )
+
+    def _add_tail(self, tail: bytes) -> int:
+        """Number a new row tail; its tap list, or -1 if it does not parse."""
+        tx, rx, body = tail.decode().rstrip().split(",", 2)
+        try:
+            pair = int(tx), int(rx)
+            list_id = self.list_of_body.get(body)
+            if list_id is None:
+                taps = _checked_taps(_parse_row_body(body.split(","), self.k))
+                self.tap_lists.append(taps)
+                list_id = self.list_of_body[body] = len(self.tap_lists) - 1
+        except ValueError:
+            pair, list_id = None, -1
+        self.tail_id[tail] = len(self.tail_pair)
+        self.tail_pair.append(pair)
+        return list_id
+
+    def _add_pair(self, pair: tuple[int, int]) -> bool:
+        """Give a new pair a row of the index; False if it is no node pair
+        or brings the distinct node ids past n_nodes."""
+        nodes = self.nodes | set(pair)
+        if pair[0] == pair[1] or len(nodes) > self.n_nodes:
+            return False
+        self.nodes = nodes
+        self.row_of_pair[pair] = len(self.row_of_pair)
+        return True
+
+    def _line_error(self, line: str) -> str:
+        """The first rule a line breaks, given the rows recorded before it."""
+        line = line.strip()
+        n_cells = line.count(",") + 1
+        if n_cells > 3 + 3 * self.k:
+            return f"{(n_cells - 3) // 3} taps exceed K={self.k}"
+        if n_cells < 3 + 3 * self.k:
+            return "truncated record"
+        cells = line.split(",", 3)
+        try:
+            ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
+            taps = _parse_row_body(cells[3].split(","), self.k)
+        except ValueError as exc:
+            return f"bad field: {exc}"
+        try:
+            _checked_taps(taps)
+        except ValueError as exc:
+            return str(exc)
+        if not 0 <= ms < self.duration_ms:
+            return f"timestamp {ms} ms outside the file's 0..{self.duration_ms - 1} ms"
+        if (tx, rx) not in self.row_of_pair:
+            if tx == rx:
+                return f"tx and rx are both node {tx}, not a node pair"
+            return (
+                f"pair ({tx},{rx}) brings the distinct node ids to "
+                f"{len(self.nodes | {tx, rx})}, more than n_nodes={self.n_nodes}"
+            )
+        return (
+            f"second record for ({ms},{tx},{rx}), the first is on line "
+            f"{_first_line_of(self.path, (ms, tx, rx))}"
+        )
+
+
 def read_tap_file(path) -> TapFile:
     """Parse a tap file; errors name the file and the offending line.
 
-    Each distinct row body (the cells after timestamp_ms,tx,rx) is parsed
-    once. A row outside 0 <= timestamp_ms < duration_ms, a second row for
-    the same (timestamp_ms, tx, rx), a row with tx == rx and rows naming
-    more distinct node ids than n_nodes are errors. The ids themselves are
-    the scenario's and are not bounded by n_nodes.
+    The header is read line by line and the rows in blocks of whole lines
+    (see :class:`_RowReader`). A row outside 0 <= timestamp_ms <
+    duration_ms, a second row for the same (timestamp_ms, tx, rx), a row
+    with tx == rx and rows naming more distinct node ids than n_nodes are
+    errors; the first offending line of the file is named. The ids
+    themselves are the scenario's and are not bounded by n_nodes. Blank
+    lines are skipped, and a line reads as its text stripped of whitespace.
     """
     header: dict[str, str] = {}
-    with open(path) as fh:
-        lines = enumerate(fh, start=1)
-        first_row = []
-        for lineno, line in lines:
-            if not line.startswith("#"):
-                first_row = [(lineno, line)]
+    with open(path, "rb") as fh:
+        blocks = _blocks(fh)
+        rows, lineno = [], 1
+        for block in blocks:
+            start = 0
+            while start < len(block) and block.startswith(b"#", start):
+                end = block.index(b"\n", start) + 1
+                line = block[start:end].decode()
+                body = line[1:].strip()
+                if "=" not in body:
+                    raise ValueError(
+                        f"{path}: malformed header line {lineno}: {line.strip()!r}"
+                    )
+                key, _, value = body.partition("=")
+                header[key.strip()] = value.strip()
+                start, lineno = end, lineno + 1
+            if start < len(block):
+                rows = [block[start:]]
                 break
-            body = line[1:].strip()
-            if "=" not in body:
-                raise ValueError(
-                    f"{path}: malformed header line {lineno}: {line.strip()!r}"
-                )
-            key, _, value = body.partition("=")
-            header[key.strip()] = value.strip()
         required = ("n_nodes", "grid_dt_s", "k", "duration_ms", "offset_db")
         missing = [k for k in required if k not in header]
         if missing:
@@ -567,70 +797,9 @@ def read_tap_file(path) -> TapFile:
             TapFile(n_nodes, grid_dt_s, k, duration_ms, offset_db)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}")
-
-        width = 3 + 3 * k
-        tap_lists: list = []
-        list_of_body: dict[str, int] = {}
-        # per pair: tap list of each ms (-1: none yet) and the line it came from
-        rows: dict[tuple[int, int], tuple[array, array]] = {}
-        nodes: set[int] = set()  # distinct node ids of the pairs so far
-        for lineno, line in itertools.chain(first_row, lines):
-            line = line.strip()
-            if not line:
-                continue
-            n_cells = line.count(",") + 1
-            if n_cells > width:
-                raise ValueError(
-                    f"{path}: line {lineno}: {(n_cells - 3) // 3} taps exceed K={k}"
-                )
-            if n_cells < width:
-                raise ValueError(f"{path}: line {lineno}: truncated record")
-            cells = line.split(",", 3)
-            body = cells[3]
-            try:
-                ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
-                tid = list_of_body.get(body)
-                if tid is None:
-                    taps = _parse_row_body(body.split(","), k)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad field: {exc}")
-            if tid is None:
-                try:
-                    tap_lists.append(_checked_taps(taps))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}")
-                tid = list_of_body[body] = len(tap_lists) - 1
-            if not 0 <= ms < duration_ms:
-                raise ValueError(
-                    f"{path}: line {lineno}: timestamp {ms} ms outside the "
-                    f"file's 0..{duration_ms - 1} ms"
-                )
-            pair_rows = rows.get((tx, rx))
-            if pair_rows is None:
-                if tx == rx:
-                    raise ValueError(
-                        f"{path}: line {lineno}: tx and rx are both node {tx}, "
-                        "not a node pair"
-                    )
-                nodes.update((tx, rx))
-                if len(nodes) > n_nodes:
-                    raise ValueError(
-                        f"{path}: line {lineno}: pair ({tx},{rx}) brings the "
-                        f"distinct node ids to {len(nodes)}, more than "
-                        f"n_nodes={n_nodes}"
-                    )
-                pair_rows = rows[(tx, rx)] = (
-                    array("i", [-1]) * duration_ms,
-                    array("q", [0]) * duration_ms,
-                )
-            ids, from_line = pair_rows
-            if ids[ms] >= 0:
-                raise ValueError(
-                    f"{path}: line {lineno}: second record for ({ms},{tx},{rx}), "
-                    f"the first is on line {from_line[ms]}"
-                )
-            ids[ms] = tid
-            from_line[ms] = lineno
+        reader = _RowReader(path, n_nodes, k, duration_ms, lineno)
+        for block in itertools.chain(rows, blocks):
+            reader.add(block)
 
     try:
         tap_file = TapFile(
@@ -639,8 +808,8 @@ def read_tap_file(path) -> TapFile:
             k=k,
             duration_ms=duration_ms,
             offset_db=offset_db,
-            tap_lists=tap_lists,
-            index={pair: ids for pair, (ids, _) in rows.items()},
+            tap_lists=reader.tap_lists,
+            index={pair: reader.ids[row] for pair, row in reader.row_of_pair.items()},
         )
         tap_file.validate()
     except ValueError as exc:

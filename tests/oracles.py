@@ -10,8 +10,10 @@ for bit, same tap-file bytes.
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from chansounder.channel_model import (
     path_coefficient,
 )
 from chansounder.harness import TapErrorStats, ValidationReport
-from chansounder.tap_approx import TapFile, TapSet
+from chansounder.tap_approx import TapFile, TapSet, _checked_taps, _parse_row_body
 
 
 def prune_paths(snapshot, floor_dbm):
@@ -497,4 +499,126 @@ def read_tap_file_per_record(path):
     )
     tap_file.records.update(records)
     tap_file.validate()
+    return tap_file
+
+
+def read_tap_file_per_line(path) -> TapFile:
+    """``read_tap_file`` as one pass over the lines of a text-mode file;
+    errors name the file and the offending line.
+
+    Each distinct row body (the cells after timestamp_ms,tx,rx) is parsed
+    once. A row outside 0 <= timestamp_ms < duration_ms, a second row for
+    the same (timestamp_ms, tx, rx), a row with tx == rx and rows naming
+    more distinct node ids than n_nodes are errors. The ids themselves are
+    the scenario's and are not bounded by n_nodes.
+    """
+    header: dict[str, str] = {}
+    with open(path) as fh:
+        lines = enumerate(fh, start=1)
+        first_row = []
+        for lineno, line in lines:
+            if not line.startswith("#"):
+                first_row = [(lineno, line)]
+                break
+            body = line[1:].strip()
+            if "=" not in body:
+                raise ValueError(
+                    f"{path}: malformed header line {lineno}: {line.strip()!r}"
+                )
+            key, _, value = body.partition("=")
+            header[key.strip()] = value.strip()
+        required = ("n_nodes", "grid_dt_s", "k", "duration_ms", "offset_db")
+        missing = [k for k in required if k not in header]
+        if missing:
+            raise ValueError(f"{path}: malformed header: missing {missing}")
+        try:
+            n_nodes = int(header["n_nodes"])
+            grid_dt_s = float(header["grid_dt_s"])
+            k = int(header["k"])
+            duration_ms = int(header["duration_ms"])
+            offset_db = float(header["offset_db"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed header value: {exc}")
+        try:  # the header's values are checked before any row
+            TapFile(n_nodes, grid_dt_s, k, duration_ms, offset_db)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}")
+
+        width = 3 + 3 * k
+        tap_lists: list = []
+        list_of_body: dict[str, int] = {}
+        # per pair: tap list of each ms (-1: none yet) and the line it came from
+        rows: dict[tuple[int, int], tuple[array, array]] = {}
+        nodes: set[int] = set()  # distinct node ids of the pairs so far
+        for lineno, line in itertools.chain(first_row, lines):
+            line = line.strip()
+            if not line:
+                continue
+            n_cells = line.count(",") + 1
+            if n_cells > width:
+                raise ValueError(
+                    f"{path}: line {lineno}: {(n_cells - 3) // 3} taps exceed K={k}"
+                )
+            if n_cells < width:
+                raise ValueError(f"{path}: line {lineno}: truncated record")
+            cells = line.split(",", 3)
+            body = cells[3]
+            try:
+                ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
+                tid = list_of_body.get(body)
+                if tid is None:
+                    taps = _parse_row_body(body.split(","), k)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad field: {exc}")
+            if tid is None:
+                try:
+                    tap_lists.append(_checked_taps(taps))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}")
+                tid = list_of_body[body] = len(tap_lists) - 1
+            if not 0 <= ms < duration_ms:
+                raise ValueError(
+                    f"{path}: line {lineno}: timestamp {ms} ms outside the "
+                    f"file's 0..{duration_ms - 1} ms"
+                )
+            pair_rows = rows.get((tx, rx))
+            if pair_rows is None:
+                if tx == rx:
+                    raise ValueError(
+                        f"{path}: line {lineno}: tx and rx are both node {tx}, "
+                        "not a node pair"
+                    )
+                nodes.update((tx, rx))
+                if len(nodes) > n_nodes:
+                    raise ValueError(
+                        f"{path}: line {lineno}: pair ({tx},{rx}) brings the "
+                        f"distinct node ids to {len(nodes)}, more than "
+                        f"n_nodes={n_nodes}"
+                    )
+                pair_rows = rows[(tx, rx)] = (
+                    array("i", [-1]) * duration_ms,
+                    array("q", [0]) * duration_ms,
+                )
+            ids, from_line = pair_rows
+            if ids[ms] >= 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: second record for ({ms},{tx},{rx}), "
+                    f"the first is on line {from_line[ms]}"
+                )
+            ids[ms] = tid
+            from_line[ms] = lineno
+
+    try:
+        tap_file = TapFile(
+            n_nodes=n_nodes,
+            grid_dt_s=grid_dt_s,
+            k=k,
+            duration_ms=duration_ms,
+            offset_db=offset_db,
+            tap_lists=tap_lists,
+            index={pair: ids for pair, (ids, _) in rows.items()},
+        )
+        tap_file.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
     return tap_file

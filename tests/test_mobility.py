@@ -769,6 +769,13 @@ class TestScenarioConfig:
         assert scenario.reflectors == (ReflectorPlane("z", 0.0),)
         assert cfg.sounded_links == ((2, 1),)
 
+    def test_negative_max_bounces_rejected(self):
+        # the generator would run line of sight only, as with 0
+        nodes = (static_node(1, 0, 0), static_node(2, 10, 0))
+        with pytest.raises(ValueError, match="^max_bounces must be >= 0, got -1$"):
+            Scenario(nodes, 1.0, 0.5, reflectors=(ReflectorPlane("z"),), max_bounces=-1)
+        assert Scenario(nodes, 1.0, 0.5, max_bounces=0).max_bounces == 0
+
     def test_trajectory_speed_consistency_enforced(self):
         with pytest.raises(ValueError):
             Trajectory(((0, 0), (10, 0)), speed_mps=0.0)

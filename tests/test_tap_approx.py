@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chansounder import tap_approx
 from chansounder.channel_model import (
     ChannelSnapshot,
     PathTable,
@@ -28,6 +29,7 @@ from chansounder.tap_approx import _kmeans_labels, _run_sums
 from oracles import (
     kmeans_per_centroid,
     prune_paths,
+    read_tap_file_per_line,
     read_tap_file_per_record,
     taps_per_snapshot,
     write_tap_file_per_record,
@@ -586,6 +588,17 @@ class TestTapFileIo:
             read_tap_file(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400", "infinity"])
+    def test_non_finite_coefficient_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "taps.csv"
+        rows = ["0,1,2,0,1.0,0.0", f"1,1,2,0,0.5,{cell}"]
+        path.write_text(TWO_MS_HEADER + "\n".join(rows) + "\n")
+        name = re.escape(str(path))
+        with pytest.raises(
+            ValueError, match=f"^{name}: line 7: tap coefficients must be finite, got "
+        ):
+            read_tap_file(path)
+
     def test_node_ids_are_not_bounded_by_the_node_count(self, tmp_path):
         # ids come from the scenario: two nodes may be 7 and 9
         path = tmp_path / "taps.csv"
@@ -603,6 +616,16 @@ class TestTapSetInvariants:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             TapSet(((-1, 1 + 0j),), 1e-8, 0)
+
+    @pytest.mark.parametrize(
+        "coef", [complex("nan"), complex(0.5, math.inf), complex(-math.inf, 0.0)]
+    )
+    def test_non_finite_coefficient_rejected(self, coef):
+        message = re.escape(f"tap coefficients must be finite, got {coef!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TapSet(((0, 1 + 0j), (3, coef)), 1e-8, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TapFile(2, 1e-8, 2, 1, 0.0, [((0, 1 + 0j), (3, coef))], {(1, 2): [0]})
 
 
 class TestTapRecordsView:
@@ -733,3 +756,114 @@ class TestTapFileBytes:
         assert back.records == read_tap_file_per_record(d / "new.csv").records
         write_tap_file(back, d / "again.csv")
         assert (d / "again.csv").read_bytes() == (d / "new.csv").read_bytes()
+
+
+MUTATIONS = (
+    "drop_cell", "add_cell", "repeat_row", "timestamp", "tx_is_rx", "new_node",
+    "coefficient", "blank", "spaces", "crlf",
+)
+
+
+def mutated(text: str, duration_ms: int, data) -> str:
+    """``text`` (a written tap file) with one to three rows broken, repeated,
+    padded or moved, or with blank lines or CRLF line ends added."""
+    lines = text.splitlines()
+    n_header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    header, rows = lines[:n_header], lines[n_header:]
+    end = "\n"
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        i = data.draw(st.integers(0, len(rows)))  # len(rows): after the last row
+        if kind == "blank":
+            rows.insert(i, data.draw(st.sampled_from(["", "  ", "\t", " \x0c ", "\x1c"])))
+            continue
+        if kind == "crlf":
+            end = "\r\n"
+            continue
+        if i == len(rows):
+            continue
+        if kind == "repeat_row":
+            rows.insert(data.draw(st.integers(i + 1, len(rows))), rows[i])
+            continue
+        if kind == "spaces":
+            pad = st.sampled_from(["", " ", "\t", " \x0b"])
+            rows[i] = data.draw(pad) + rows[i] + data.draw(pad)
+            continue
+        cells = rows[i].split(",")
+        if len(cells) < 4 and kind in ("tx_is_rx", "new_node", "coefficient"):
+            continue  # a blank or broken row
+        if kind == "drop_cell":
+            del cells[data.draw(st.integers(0, len(cells) - 1))]
+        elif kind == "add_cell":
+            cells.insert(data.draw(st.integers(0, len(cells))), data.draw(st.sampled_from(["0", "-1", "x"])))
+        elif kind == "timestamp":
+            cells[0] = data.draw(
+                st.sampled_from(["-1", str(duration_ms), "x", "", " 0", "+0", "0_0", "00", "1e0"])
+            )
+        elif kind == "tx_is_rx":
+            cells[2] = cells[1]
+        elif kind == "new_node":
+            cells[data.draw(st.sampled_from([1, 2]))] = "99"
+        else:  # a coefficient, or a delay index
+            cells[data.draw(st.integers(3, len(cells) - 1))] = data.draw(
+                st.sampled_from(["x", "", "nan", "-inf", "1e400", "0x1", " 1.5 "])
+            )
+        rows[i] = ",".join(cells)
+    return "".join(line + end for line in header + rows)
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: its records, or its error."""
+    try:
+        tf = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        tf.n_nodes, tf.grid_dt_s, tf.k, tf.duration_ms, tf.offset_db,
+        repr(tf.tap_lists), [(pair, ids.tolist()) for pair, ids in tf.index.items()],
+    )
+
+
+class TestReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tf=tap_files(),
+        data=st.data(),
+        block_bytes=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+    )
+    def test_reader_equals_the_per_line_reader(self, tf, data, block_bytes, tmp_path_factory):
+        # rows straddle the edges of blocks a few bytes long, so every
+        # block-wise check meets state from earlier blocks
+        path = tmp_path_factory.mktemp("taps") / "taps.csv"
+        write_tap_file(tf, path)
+        path.write_bytes(mutated(path.read_text(), tf.duration_ms, data).encode())
+        want = read_outcome(read_tap_file_per_line, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+            assert read_outcome(read_tap_file, path) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the first offending line of the file is named, whatever the checks
+            "0,1,2,0,1.0,0.0\n0,1,2,0,x,0.0\n5,1,2,0,1.0,0.0\n",
+            "0,1,2,0,1.0,0.0\n1,1,2,0,1.0\n0,1,2,0,1.0,0.0\n",
+            "0,1,2,0,1.0,0.0\n1,2,2,0,1.0,0.0\nx,1,2,0,1.0,0.0\n",
+            "0,1,2,0,1.0,0.0\n7,1,2,0,1.0,0.0\n-1,1,2,0,1.0,0.0\n",
+            # the node count of a pair that breaks n_nodes counts no later pair
+            "# n_nodes=3\n0,1,2,0,1.0,0.0\n0,4,5,0,1.0,0.0\n0,1,3,0,1.0,0.0\n",
+            " 0,1,2,0,1.0,0.0 \r\n\r\n 1,1,2,0,1.0,0.0\r\n 1,1,2,0,1.0,0.0\r\n",
+            # a lone CR ends a line, as in text mode
+            "0,1,2,0,1.0,0.0\r1,1,2,0,1.0,0.0\r",
+            "0,1,2,0,1.0,0.0\n99999999999999999999,1,2,0,1.0,0.0\n",
+            "0,1,2,0,1.0,0.0\n1,1,2,0,1.0,0.0",
+        ],
+    )
+    def test_examples_equal_the_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "taps.csv"
+        path.write_bytes((TWO_MS_HEADER + text).encode())
+        want = read_outcome(read_tap_file_per_line, path)
+        for block_bytes in (1, 5, 1 << 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+                assert read_outcome(read_tap_file, path) == want
