@@ -143,6 +143,33 @@ class PathTable:
         first = np.cumsum(counts) - counts  # where each snapshot's rows begin
         return np.arange(counts.sum()) + np.repeat(start - first, counts), counts
 
+    def take(self, snapshots) -> "PathTable":
+        """A table of ``snapshots``, in their order; one may come more than once."""
+        rows, counts = self.rows(snapshots)
+        return PathTable(
+            np.concatenate(([0], np.cumsum(counts))),
+            *(getattr(self, name)[rows] for name in _COLUMNS),
+        )
+
+    def distinct(self, snapshots, tag=None) -> tuple[np.ndarray, np.ndarray]:
+        """Group ``snapshots`` by content: their rows of all five columns,
+        byte for byte, and ``tag[i]`` (a float per snapshot) if given.
+
+        Returns the position in ``snapshots`` of each group's first member,
+        groups numbered in order of first appearance, and the group of
+        each snapshot.
+        """
+        rows, counts = self.rows(snapshots)
+        data = np.stack([getattr(self, name)[rows] for name in _COLUMNS], axis=1).tobytes()
+        bounds = (8 * len(_COLUMNS) * np.concatenate(([0], np.cumsum(counts)))).tolist()
+        tags = np.zeros(len(counts)) if tag is None else np.asarray(tag, dtype=float)
+        group_of: dict[tuple, int] = {}
+        group = [
+            group_of.setdefault((t.hex(), data[a:b]), len(group_of))
+            for t, a, b in zip(tags.tolist(), bounds, bounds[1:])
+        ]
+        return np.unique(group, return_index=True)[1], np.array(group, dtype=np.intp)
+
     def coefficients(
         self, snapshots, p_tx_dbm, floor_dbm: Optional[float] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

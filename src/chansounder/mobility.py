@@ -10,7 +10,9 @@ one bounce depth at a time, and every (link, image) path at once. The
 generator and the paths-file reader both give :class:`PathRecords`, one
 columnar table of snapshots; one indexing loop makes it a (node, node,
 sample) channel matrix, so stationary-transmitter reuse and per-node sample
-clamping point at a snapshot instead of copying it.
+clamping point at a snapshot instead of copying it. The paths-file writer
+formats each distinct snapshot once, and the reader parses each distinct
+``"paths"`` body once.
 """
 
 from __future__ import annotations
@@ -550,23 +552,29 @@ def write_paths_file(matrix: ChannelMatrix, path) -> None:
 
     Each line holds the bytes ``json.dumps`` gives the record
     {"tx", "rx", "s", "t_s", "paths": [{"p_rx_dbm", "phase_rad", "toa_s",
-    and "aoa_deg"/"aod_deg" where given}]}; each snapshot is formatted once.
+    and "aoa_deg"/"aod_deg" where given}]}. Only the rows of distinct
+    snapshots (by :meth:`PathTable.distinct`) are formatted, and records
+    whose snapshots are equal share one body string.
     """
-    objects = _path_objects(matrix.paths)
-    bounds = matrix.paths.offsets.tolist()
-    body = {}
     pairs = [(i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j]
-    series = [matrix.index[pair].tolist() for pair in pairs]
+    ids = np.array([matrix.index[pair] for pair in pairs], dtype=np.intp)
+    snapshots, inverse = np.unique(ids, return_inverse=True)
+    firsts, group = matrix.paths.distinct(snapshots)
+    table = matrix.paths.take(snapshots[firsts])
+    objects = _path_objects(table)
+    bounds = table.offsets.tolist()
+    bodies = [", ".join(objects[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # per sample, the body of each pair's record
+    series = group[inverse].reshape(len(pairs), matrix.n_samples).T.tolist()
     with open(path, "w") as fh:
-        for s in range(1, matrix.n_samples + 1):
+        for s, row in enumerate(series, start=1):
             head = f'"s": {s}, "t_s": {(s - 1) * matrix.sample_interval_s!r}'
-            lines = []
-            for (i, j), snaps in zip(pairs, series):
-                b = snaps[s - 1]
-                if b not in body:
-                    body[b] = ", ".join(objects[bounds[b] : bounds[b + 1]])
-                lines.append(f'{{"tx": {i}, "rx": {j}, {head}, "paths": [{body[b]}]}}\n')
-            fh.write("".join(lines))
+            fh.write(
+                "".join(
+                    f'{{"tx": {i}, "rx": {j}, {head}, "paths": [{bodies[g]}]}}\n'
+                    for (i, j), g in zip(pairs, row)
+                )
+            )
 
 
 def _path_columns(paths: list) -> tuple:
@@ -591,39 +599,100 @@ def _plain(columns: tuple) -> bool:
     return finite and min(toa, default=0) >= 0
 
 
+def _parsed_record(line: str) -> tuple:
+    """A record's (tx, rx, s) key and path columns, by ``json.loads`` of
+    the whole line; RayPath raises the error of the first bad path."""
+    rec = json.loads(line)
+    try:
+        cols = _path_columns(rec["paths"])
+        plain = _plain(cols)
+    except (KeyError, TypeError):
+        plain = False
+    if not plain:
+        for p in rec["paths"]:
+            RayPath(
+                p["p_rx_dbm"], p["phase_rad"], p["toa_s"], p.get("aoa_deg"), p.get("aod_deg")
+            )
+        cols = _path_columns(rec["paths"])
+    return (rec["tx"], rec["rx"], rec["s"]), cols
+
+
+class _Bodies:
+    """The path lists of a paths file's records, each distinct body text
+    once, as columns in file order."""
+
+    def __init__(self):
+        self.counts: list[int] = []
+        self.columns = ([], [], [], [], [])
+        self.of_text: dict[str, int] = {}
+
+    def add(self, cols: tuple) -> int:
+        self.counts.append(len(cols[0]))
+        for column, values in zip(self.columns, cols):
+            column += values
+        return len(self.counts) - 1
+
+    def read_line(self, line: str) -> Optional[tuple]:
+        """The (tx, rx, s) key and body of a line of the writer's form,
+        ``{head, "paths": [...]}``: the head is read as ``head + "}"`` and
+        each distinct body text once. None if the line is not of that form
+        or any part fails; a head of ``{`` reads as ``{}``, which has no
+        "tx", so the whole line is read again and its error raised."""
+        head, sep, tail = line.partition(', "paths": ')
+        if not (sep and tail.startswith("[") and tail.endswith("]}")):
+            return None
+        body = tail[:-1]
+        try:
+            b = self.of_text.get(body)
+            if b is None:
+                cols = _path_columns(json.loads(body))
+                if not _plain(cols):
+                    return None
+                b = self.of_text[body] = self.add(cols)
+            rec = json.loads(head + "}")
+            return (rec["tx"], rec["rx"], rec["s"]), b
+        except (KeyError, ValueError, TypeError):
+            return None
+
+    def table(self) -> PathTable:
+        """One snapshot per body, its paths stably sorted by toa and their
+        phases reduced as RayPath reduces them."""
+        power, phase, toa, aoa, aod = (np.array(c, dtype=float) for c in self.columns)
+        order = np.lexsort((toa, np.repeat(np.arange(len(self.counts)), self.counts)))
+        return PathTable.of_columns(
+            self.counts,
+            power[order],
+            np.remainder(phase[order], TWO_PI),
+            *(c[order] for c in (toa, aoa, aod)),
+        )
+
+
 def read_paths_records(path) -> PathRecords:
     """Parse a JSON-Lines paths file into one snapshot per record.
 
     Each record's paths are stably sorted by toa and their phases reduced
-    as RayPath reduces them. Errors name the file and the line: a malformed
-    record, a value that is not finite, a negative toa, and a second record
-    for a (tx, rx, s), which names the line of the first as well.
+    as RayPath reduces them. Each distinct body text of a line of the
+    writer's form is parsed and checked once (:meth:`_Bodies.read_line`); any
+    other line is read whole. Errors name the file and the line: a
+    malformed record, a value that is not finite, a negative toa, and a
+    second record for a (tx, rx, s), which names the line of the first as
+    well.
     """
     index = {}
     from_line = {}
-    counts = []
-    columns = ([], [], [], [], [])
+    bodies = _Bodies()
+    body_of_record = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                try:
-                    cols = _path_columns(rec["paths"])
-                    plain = _plain(cols)
-                except (KeyError, TypeError):
-                    plain = False
-                if not plain:
-                    # RayPath raises the error of the first bad path, as it did
-                    for p in rec["paths"]:
-                        RayPath(
-                            p["p_rx_dbm"], p["phase_rad"], p["toa_s"],
-                            p.get("aoa_deg"), p.get("aod_deg"),
-                        )
-                    cols = _path_columns(rec["paths"])
-                key = (rec["tx"], rec["rx"], rec["s"])
+                found = bodies.read_line(line)
+                if found is None:
+                    key, cols = _parsed_record(line)
+                    found = key, bodies.add(cols)
+                key, b = found
                 first = from_line.setdefault(key, lineno)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(
@@ -634,16 +703,6 @@ def read_paths_records(path) -> PathRecords:
                     f"{path}: line {lineno}: second record for (tx, rx, s) = "
                     f"{key}, the first is on line {first}"
                 )
-            index[key] = len(counts)
-            counts.append(len(cols[0]))
-            for column, values in zip(columns, cols):
-                column += values
-    power, phase, toa, aoa, aod = (np.array(c, dtype=float) for c in columns)
-    order = np.lexsort((toa, np.repeat(np.arange(len(counts)), counts)))
-    table = PathTable.of_columns(
-        counts,
-        power[order],
-        np.remainder(phase[order], TWO_PI),
-        *(c[order] for c in (toa, aoa, aod)),
-    )
-    return PathRecords(table, index)
+            index[key] = len(body_of_record)
+            body_of_record.append(b)
+    return PathRecords(bodies.table().take(body_of_record), index)

@@ -6,8 +6,10 @@ paths at arbitrary delays. Paths are clustered along the delay axis with a
 power-weighted 1-D k-means, each cluster is merged coherently (complex sum,
 so the link path loss of the snapshot is preserved), and cluster delays are
 snapped to the nearest grid index. Tap files carry one record per node pair
-per millisecond; in memory a :class:`TapFile` holds each distinct tap list
-once and one index array per pair that points every millisecond at one.
+per millisecond; in memory a :class:`TapFile` holds its tap lists once each
+(one per distinct snapshot and transmit power when built, one per distinct
+row body when read) and one index array per pair that points every
+millisecond at one.
 """
 
 from __future__ import annotations
@@ -98,8 +100,10 @@ class TapSet:
 class TapFile:
     """Per-millisecond tap records for every node pair, stored run-length.
 
-    ``tap_lists`` holds each tap list once, as checked (delay_idx, coef)
-    tuples. ``index[(tx, rx)]`` is an int32 array of length ``duration_ms``
+    ``tap_lists`` holds the tap lists, as checked (delay_idx, coef) tuples:
+    the build makes one per distinct (snapshot content, transmit power) and
+    the reader one per distinct row body, so records with equal content
+    share one. ``index[(tx, rx)]`` is an int32 array of length ``duration_ms``
     whose entry at ``ms`` is the position in ``tap_lists`` of that pair's
     record, or -1 where the pair has no record. ``records`` shows the same
     data as a mapping (ms, tx, rx) -> TapSet.
@@ -145,6 +149,14 @@ class TapFile:
                 )
             index[(int(tx), int(rx))] = ids.astype(np.int32)
         self.index = index
+
+    @classmethod
+    def _of_checked(cls, **fields) -> "TapFile":
+        """A tap file whose fields are checked already: header values, tap
+        lists as :func:`_checked_taps` returns them, int32 index arrays."""
+        tap_file = object.__new__(cls)
+        vars(tap_file).update(fields)
+        return tap_file
 
     @property
     def records(self) -> "TapRecords":
@@ -760,6 +772,7 @@ def read_tap_file(path) -> TapFile:
     errors; the first offending line of the file is named. The ids
     themselves are the scenario's and are not bounded by n_nodes. Blank
     lines are skipped, and a line reads as its text stripped of whitespace.
+    Each tap list is checked once, when its row body is parsed.
     """
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
@@ -802,7 +815,7 @@ def read_tap_file(path) -> TapFile:
             reader.add(block)
 
     try:
-        tap_file = TapFile(
+        tap_file = TapFile._of_checked(
             n_nodes=n_nodes,
             grid_dt_s=grid_dt_s,
             k=k,
@@ -832,8 +845,9 @@ def build_tap_file_from_matrix(
 
     Each channel sample's tap set is held for the whole sample interval
     (records at every millisecond repeat it until the next sample). Every
-    distinct snapshot is pruned (paths below ``prune_floor_dbm`` dropped)
-    and given coefficients by :meth:`PathTable.coefficients`, then
+    distinct (snapshot content, transmit power), by
+    :meth:`PathTable.distinct`, is pruned (paths below ``prune_floor_dbm``
+    dropped) and given coefficients by :meth:`PathTable.coefficients`, then
     approximated as by :func:`approximate_taps`, all in one
     :func:`_segment_taps` pass; it gets one tap list, which each of its
     records points at. ``tx_power_dbm`` is {node_id: dBm}.
@@ -849,15 +863,19 @@ def build_tap_file_from_matrix(
     samples = sample_of_ms[new_sample] - 1
     list_of_ms = np.cumsum(new_sample) - 1
 
-    # a snapshot belongs to one pair, so its taps depend on it alone
-    snapshots, list_of_snapshot = np.unique(
+    snapshots, inverse = np.unique(
         [matrix.index[pair][samples] for pair in pairs], return_inverse=True
     )
-    list_of_snapshot = list_of_snapshot.reshape(len(pairs), len(samples))
+    inverse = inverse.reshape(len(pairs), len(samples))
+    # a snapshot number belongs to one pair; equal snapshots of pairs with
+    # other transmitters may not share a tap list, so the power is in the key
     p_tx = np.empty(len(snapshots))
-    for (tx, _), ids in zip(pairs, list_of_snapshot):
+    for (tx, _), ids in zip(pairs, inverse):
         p_tx[ids] = tx_power_dbm[tx]
-    rows, counts, coeffs = matrix.paths.coefficients(snapshots, p_tx, prune_floor_dbm)
+    firsts, group = matrix.paths.distinct(snapshots, p_tx)
+    rows, counts, coeffs = matrix.paths.coefficients(
+        snapshots[firsts], p_tx[firsts], prune_floor_dbm
+    )
     taps = _segment_taps(
         matrix.paths.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
     )
@@ -868,5 +886,5 @@ def build_tap_file_from_matrix(
         duration_ms=duration_ms,
         offset_db=offset_db,
         tap_lists=taps,
-        index={pair: ids[list_of_ms] for pair, ids in zip(pairs, list_of_snapshot)},
+        index={pair: group[ids][list_of_ms] for pair, ids in zip(pairs, inverse)},
     )

@@ -1,11 +1,11 @@
 """Per-path, per-centroid, per-frame and per-record reference implementations.
 
 These are the Python loops that the image-method generator, path pruning
-and coefficients, the tap k-means, detection, validation, the truth series
-and tap-file I/O ran before they worked on whole arrays, columns and
-run-length arrays. Tests hold the vectorized code to them exactly: same
-paths and clusters, same detections, same tie-breaking, same statistics bit
-for bit, same tap-file bytes.
+and coefficients, the tap k-means, detection, validation, the truth series,
+the paths-file reader and tap-file I/O ran before they worked on whole
+arrays, columns, run-length arrays and distinct bodies. Tests hold the
+vectorized code to them exactly: same paths and clusters, same detections,
+same tie-breaking, same statistics bit for bit, same file bytes and tables.
 """
 
 import csv
@@ -19,7 +19,9 @@ import numpy as np
 
 from chansounder import mobility as mob
 from chansounder.channel_model import (
+    TWO_PI,
     ChannelSnapshot,
+    PathTable,
     RayPath,
     noise_floor_dbm,
     path_coefficient,
@@ -251,6 +253,65 @@ def write_paths_per_record(matrix, path):
                         paths.append(rec)
                     rec = {"tx": i, "rx": j, "s": s, "t_s": snap.time_s, "paths": paths}
                     fh.write(json.dumps(rec) + "\n")
+
+
+def read_paths_records_per_line(path):
+    """``mobility.read_paths_records`` as one ``json.loads`` per line: a
+    JSON-Lines paths file parsed into one snapshot per record.
+
+    Each record's paths are stably sorted by toa and their phases reduced
+    as RayPath reduces them. Errors name the file and the line: a malformed
+    record, a value that is not finite, a negative toa, and a second record
+    for a (tx, rx, s), which names the line of the first as well.
+    """
+    index = {}
+    from_line = {}
+    counts = []
+    columns = ([], [], [], [], [])
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                try:
+                    cols = mob._path_columns(rec["paths"])
+                    plain = mob._plain(cols)
+                except (KeyError, TypeError):
+                    plain = False
+                if not plain:
+                    # RayPath raises the error of the first bad path, as it did
+                    for p in rec["paths"]:
+                        RayPath(
+                            p["p_rx_dbm"], p["phase_rad"], p["toa_s"],
+                            p.get("aoa_deg"), p.get("aod_deg"),
+                        )
+                    cols = mob._path_columns(rec["paths"])
+                key = (rec["tx"], rec["rx"], rec["s"])
+                first = from_line.setdefault(key, lineno)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: malformed paths record: {exc}"
+                )
+            if first != lineno:
+                raise ValueError(
+                    f"{path}: line {lineno}: second record for (tx, rx, s) = "
+                    f"{key}, the first is on line {first}"
+                )
+            index[key] = len(counts)
+            counts.append(len(cols[0]))
+            for column, values in zip(columns, cols):
+                column += values
+    power, phase, toa, aoa, aod = (np.array(c, dtype=float) for c in columns)
+    order = np.lexsort((toa, np.repeat(np.arange(len(counts)), counts)))
+    table = PathTable.of_columns(
+        counts,
+        power[order],
+        np.remainder(phase[order], TWO_PI),
+        *(c[order] for c in (toa, aoa, aod)),
+    )
+    return mob.PathRecords(table, index)
 
 
 def detect_per_frame(gains, anchor, floor_db, threshold_db, guard, sample_rate_hz):

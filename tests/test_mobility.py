@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chansounder import config, mobility
-from chansounder.channel_model import RadioParams, RayPath
+from chansounder.channel_model import PathTable, RadioParams, RayPath
 from chansounder.mobility import (
     MPH_TO_MPS,
     SPEED_OF_LIGHT,
@@ -622,6 +622,28 @@ class TestPathsFile:
         oracles.write_paths_per_record(matrix, want)
         assert path.read_bytes() == want.read_bytes()
 
+    def test_equal_snapshots_share_one_body(self, tmp_path, monkeypatch):
+        # (1, 2) and (2, 1) hold snapshots 0 and 1, equal by value, at every
+        # sample; snapshot 2 differs from them in one angle only
+        row = (-70.0, 0.5, 1e-7)
+        table = PathTable.of_columns(
+            [2, 2, 2], *zip(row, row, row, row, row, row),
+            aoa_deg=[np.nan, 10.0, np.nan, 10.0, np.nan, -10.0],
+        )
+        index = {(1, 2): np.array([0, 0, 2]), (2, 1): np.array([1, 1, 1])}
+        matrix = ChannelMatrix([1, 2], 3, 0.1, table, index)
+        formatted = []
+        path_objects = mobility._path_objects
+        monkeypatch.setattr(
+            mobility, "_path_objects",
+            lambda table: formatted.append(len(table.power_dbm)) or path_objects(table),
+        )
+        path, want = tmp_path / "paths.jsonl", tmp_path / "want.jsonl"
+        write_paths_file(matrix, path)
+        assert formatted == [4]  # the rows of snapshots 0 and 2
+        oracles.write_paths_per_record(matrix, want)
+        assert path.read_bytes() == want.read_bytes()
+
     def test_reader_sorts_by_toa_keeps_angles_and_rewrites_them(self, tmp_path):
         # paths out of toa order, two at one toa (file order kept), angles
         # on some paths only, an int value and a phase to reduce
@@ -731,6 +753,190 @@ class TestPathsFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")) as err:
             read_paths_records(path)
         assert message in str(err.value)
+
+
+ROW_VALUES = {
+    "power": st.one_of(
+        st.floats(-200.0, 50.0), st.sampled_from([-0.0, 5e-324, 1.7e308, -70.0])
+    ),
+    "phase": st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-0.0, 2 * math.pi])),
+    "toa": st.one_of(st.floats(0.0, 1e-5), st.sampled_from([-0.0, 5e-324, 1e-7])),
+    "angle": st.one_of(st.just(math.nan), st.floats(-180.0, 180.0), st.just(-0.0)),
+}
+
+
+@st.composite
+def path_matrices(draw):
+    """Matrices of 2-3 nodes whose records share snapshots (by number and
+    by value): paths at equal toa, phases to reduce, angles on some paths,
+    signed zeros, subnormal and huge values."""
+    rows = st.tuples(*(ROW_VALUES[v] for v in ("power", "phase", "toa", "angle", "angle")))
+    snapshots = st.lists(rows, max_size=4).map(lambda snap: sorted(snap, key=lambda r: r[2]))
+    pool = draw(st.lists(snapshots, min_size=1, max_size=4))
+    pool.append(pool[draw(st.integers(0, len(pool) - 1))])  # equal by value
+    flat = [row for snap in pool for row in snap]
+    columns = list(zip(*flat)) if flat else [()] * 5
+    table = PathTable.of_columns([len(snap) for snap in pool], *columns)
+    node_ids = draw(st.sampled_from([[1, 2], [1, 2, 3], [7, 3]]))
+    n_samples = draw(st.integers(1, 3))
+    index = {
+        (i, j): np.array(
+            draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_samples, max_size=n_samples))
+        )
+        for i in node_ids for j in node_ids if i != j
+    }
+    interval = draw(st.sampled_from([1.0, 0.1, 0.04]))
+    return ChannelMatrix(node_ids, n_samples, interval, table, index)
+
+
+PATHS_MUTATIONS = (
+    "key_order", "path_order", "whitespace", "crlf", "blank", "empty_head", "repeated_paths",
+    "bad_head", "repeat_record", "body_value", "missing_key", "non_list", "int_value",
+)
+VALUE = re.compile(r'"(p_rx_dbm|phase_rad|toa_s|aoa_deg|aod_deg)": ([^,}]+)')
+
+
+def mutated_paths(text: str, data) -> str:
+    """``text`` (a written paths file) with one to three records broken,
+    repeated, reordered or padded, or with blank lines or CRLF line ends;
+    a reordered record keeps its keys or paths in another order."""
+    lines = text.splitlines()
+    end = "\n"
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(PATHS_MUTATIONS))
+        i = data.draw(st.integers(0, len(lines)))  # len(lines): after the last
+        if kind == "crlf":
+            end = "\r\n"
+            continue
+        if kind == "blank":
+            lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "empty_head":
+            body = data.draw(st.sampled_from(["[]", "[{}]"]))
+            lines.insert(i, data.draw(st.sampled_from(["{", "{ "])) + ', "paths": ' + body + "}")
+            continue
+        if i == len(lines) or not lines[i].strip():
+            continue
+        line = lines[i]
+        head, sep, tail = line.partition(', "paths": ')
+        if kind == "repeat_record":
+            lines.insert(data.draw(st.integers(i + 1, len(lines))), line)
+        elif kind == "bad_head" and sep:
+            # the body is parsed (and kept) from line i before this line
+            bad = data.draw(
+                st.sampled_from([
+                    "{", '{"tx": 1, "rx": 2', '{"tx": [1], "rx": 2, "s": 1',
+                    '{"tx": 1 "rx": 2, "s": 9', '{"tx": 1, "rx": 2, "s": 9,',
+                ])
+            )
+            lines.insert(i + 1, bad + sep + tail)
+        elif kind in ("key_order", "path_order"):
+            try:
+                rec = json.loads(line)
+                if kind == "path_order":
+                    rec["paths"].reverse()
+                keys = data.draw(st.permutations(list(rec)))
+                lines[i] = json.dumps({key: rec[key] for key in keys})
+            except (ValueError, TypeError, KeyError, AttributeError):
+                pass
+        elif kind == "whitespace":
+            where = data.draw(st.sampled_from(["ends", "sep", "body", "close"]))
+            if where == "ends":
+                lines[i] = " \t" + line + "  "
+            elif where == "sep":
+                lines[i] = line.replace(', "paths": ', ',  "paths":\t', 1)
+            elif where == "body":
+                lines[i] = line.replace('"paths": [', '"paths": [ ', 1)
+            else:
+                lines[i] = line[:-1] + " }"
+        elif kind == "repeated_paths":
+            extra = data.draw(st.sampled_from(["[]", '[{"p_rx_dbm": NaN}]']))
+            if data.draw(st.booleans()):
+                lines[i] = '{"paths": ' + extra + ", " + line[1:]
+            else:
+                lines[i] = line[:-1] + ', "paths": ' + extra + "}"
+        elif kind == "non_list" and sep:
+            lines[i] = head + sep + data.draw(st.sampled_from(["{}", "1", '"x"', "null"])) + "}"
+        elif kind in ("body_value", "int_value", "missing_key"):
+            values = list(VALUE.finditer(line))
+            if not values:
+                continue
+            m = values[data.draw(st.integers(0, len(values) - 1))]
+            if kind == "missing_key":
+                cut = line[: m.start()] + line[m.end():]
+                lines[i] = cut.replace("{, ", "{").replace(", }", "}")
+                continue
+            if kind == "int_value":
+                new = data.draw(st.sampled_from(["0", "7", "-61", "100000000000000000000", "true"]))
+            else:
+                new = data.draw(
+                    st.sampled_from(
+                        ["NaN", "Infinity", "-Infinity", "-1e-09", '"1.0"', "null", "1e400"]
+                    )
+                )
+            lines[i] = line[: m.start(2)] + new + line[m.end(2):]
+    return "".join(line + end for line in lines)
+
+
+def records_outcome(read, path):
+    """What a reader makes of a paths file: its index and the bytes of its
+    table, or its error."""
+    try:
+        records = read(path)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc).__name__, str(exc)
+    table = records.paths
+    columns = ("offsets", "power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg")
+    return repr(list(records.index.items())), [
+        (getattr(table, name).dtype.str, getattr(table, name).tobytes()) for name in columns
+    ]
+
+
+class TestPathsReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=path_matrices(), data=st.data())
+    def test_reader_equals_the_per_line_reader(self, matrix, data, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("paths")
+        path, want = folder / "paths.jsonl", folder / "want.jsonl"
+        write_paths_file(matrix, path)
+        oracles.write_paths_per_record(matrix, want)
+        assert path.read_bytes() == want.read_bytes()
+        path.write_bytes(mutated_paths(path.read_text(), data).encode())
+        assert records_outcome(read_paths_records, path) == records_outcome(
+            oracles.read_paths_records_per_line, path
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a head of "{" reads as {} alone, but the line is no JSON
+            '{, "paths": []}\n',
+            'HEAD, "paths": [GOOD]}\n{ , "paths": [GOOD]}\n',
+            # a good body, parsed once, behind heads that fail
+            'HEAD, "paths": [GOOD]}\n{"tx": 1, "rx": 2, "paths": [GOOD]}\n',
+            'HEAD, "paths": [GOOD]}\n{"tx": [1], "rx": 2, "s": 1, "paths": [GOOD]}\n',
+            # the last "paths" key wins, NaN and all
+            '{"paths": [{"p_rx_dbm": NaN}], "tx": 1, "rx": 2, "s": 1, "paths": [GOOD]}\n',
+            'HEAD, "paths": [GOOD], "paths": [{"toa_s": NaN}]}\n',
+            # values that are finite but sum past the largest float
+            'HEAD, "paths": [HUGE, HUGE]}\n',
+            'HEAD, "paths": [{"p_rx_dbm": NaN, "phase_rad": 0.0, "toa_s": 0.0}]}\n',
+            'HEAD, "paths": [{"p_rx_dbm": true, "phase_rad": 0, "toa_s": 0}]}\n',
+            'HEAD, "paths": [GOOD]}\r\n\r\n{"tx": 1.0, "rx": 2, "s": 1, "paths": [GOOD]}\r\n',
+        ],
+    )
+    def test_examples_equal_the_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "paths.jsonl"
+        for token, value in (
+            ("HEAD", '{"tx": 1, "rx": 2, "s": 1'),
+            ("GOOD", '{"p_rx_dbm": -60.0, "phase_rad": 7.0, "toa_s": 1e-07}'),
+            ("HUGE", '{"p_rx_dbm": 1.7e308, "phase_rad": 0.0, "toa_s": 0.0}'),
+        ):
+            text = text.replace(token, value)
+        path.write_bytes(text.encode())
+        assert records_outcome(read_paths_records, path) == records_outcome(
+            oracles.read_paths_records_per_line, path
+        )
 
 
 class TestScenarioConfig:

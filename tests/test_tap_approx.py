@@ -261,14 +261,41 @@ class TestSegmentedBuild:
 
 
     def test_one_tap_list_per_distinct_snapshot(self):
+        # six snapshots, equal by value, sent at one power
         matrix = two_node_matrix([[(-70.0, 0.5, 0.0)]] * 6)
         matrix.index[(1, 2)][:] = 0  # a stationary transmitter's samples
         built = build_tap_file_from_matrix(
             matrix, {1: P_TX, 2: P_TX}, matrix.n_samples, grid_dt_s=GRID
         )
-        assert len(built.tap_lists) == 4
+        assert len(built.tap_lists) == 1
         assert built.index[(1, 2)].tolist() == [0, 0, 0]
-        assert built.index[(2, 1)].tolist() == [1, 2, 3]
+        assert built.index[(2, 1)].tolist() == [0, 0, 0]
+
+    def test_equal_snapshots_sent_at_two_powers_get_two_lists(self):
+        matrix = two_node_matrix([[(-70.0, 0.5, 0.0)]] * 6)
+        power = {1: P_TX, 2: P_TX + 3.0}
+        built = build_tap_file_from_matrix(matrix, power, matrix.n_samples, grid_dt_s=GRID)
+        assert len(built.tap_lists) == 2
+        assert built.index[(1, 2)].tolist() == [0, 0, 0]
+        assert built.index[(2, 1)].tolist() == [1, 1, 1]
+        for pair in ((1, 2), (2, 1)):
+            alone = approximate_taps(matrix.snapshot(*pair, 1), power[pair[0]], grid_dt_s=GRID)
+            assert repr(built.tap_lists[built.index[pair][0]]) == repr(alone.taps)
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_snapshots_one_ulp_apart_get_their_own_lists(self, column):
+        row = [-70.0, 0.5, 3e-8]
+        nudged = list(row)
+        nudged[column] = float(np.nextafter(row[column], math.inf))
+        # (1, 2) holds the row and then the nudged row, (2, 1) the row twice
+        snapshots = [[tuple(row)], [tuple(nudged)], [tuple(row)], [tuple(row)]]
+        matrix = two_node_matrix(snapshots)
+        built = build_tap_file_from_matrix(
+            matrix, {1: P_TX, 2: P_TX}, matrix.n_samples, grid_dt_s=GRID
+        )
+        assert len(built.tap_lists) == 2
+        assert built.index[(1, 2)].tolist() == [0, 1]
+        assert built.index[(2, 1)].tolist() == [0, 0]
 
 
 class TestApproximateTaps:
@@ -479,6 +506,23 @@ TWO_MS_HEADER = (
 
 
 class TestTapFileIo:
+    def test_a_read_checks_each_distinct_tap_list_once(self, tmp_path, monkeypatch):
+        src = TapFile(
+            3, 1e-8, 2, 4,
+            tap_lists=[((0, 1 + 0j),), ((0, 1 + 0j), (3, -0.5j)), ()],
+            index={(1, 2): [0, 1, 1, 0], (2, 1): [2, 2, 1, 0], (3, 1): [0, 0, 0, 0]},
+        )
+        path = tmp_path / "taps.csv"
+        write_tap_file(src, path)
+        calls = []
+        checked = tap_approx._checked_taps
+        monkeypatch.setattr(
+            tap_approx, "_checked_taps", lambda taps: calls.append(taps) or checked(taps)
+        )
+        back = read_tap_file(path)
+        assert back.records == src.records
+        assert len(calls) == len(back.tap_lists) == 3
+
     def test_round_trip(self, tmp_path):
         src = small_tap_file(offset_db=12.5)
         path = tmp_path / "taps.csv"
