@@ -151,9 +151,10 @@ class PathTable:
             *(getattr(self, name)[rows] for name in _COLUMNS),
         )
 
-    def distinct(self, snapshots, tag=None) -> tuple[np.ndarray, np.ndarray]:
+    def distinct(self, snapshots) -> tuple[np.ndarray, np.ndarray]:
         """Group ``snapshots`` by content: their rows of all five columns,
-        byte for byte, and ``tag[i]`` (a float per snapshot) if given.
+        byte for byte. :class:`~chansounder.mobility.ChannelMatrix` keeps
+        each group once.
 
         Returns the position in ``snapshots`` of each group's first member,
         groups numbered in order of first appearance, and the group of
@@ -162,12 +163,8 @@ class PathTable:
         rows, counts = self.rows(snapshots)
         data = np.stack([getattr(self, name)[rows] for name in _COLUMNS], axis=1).tobytes()
         bounds = (8 * len(_COLUMNS) * np.concatenate(([0], np.cumsum(counts)))).tolist()
-        tags = np.zeros(len(counts)) if tag is None else np.asarray(tag, dtype=float)
-        group_of: dict[tuple, int] = {}
-        group = [
-            group_of.setdefault((t.hex(), data[a:b]), len(group_of))
-            for t, a, b in zip(tags.tolist(), bounds, bounds[1:])
-        ]
+        group_of: dict[bytes, int] = {}
+        group = [group_of.setdefault(data[a:b], len(group_of)) for a, b in zip(bounds, bounds[1:])]
         return np.unique(group, return_index=True)[1], np.array(group, dtype=np.intp)
 
     def coefficients(

@@ -7,12 +7,13 @@ any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import harness, mobility, sequences, sounder, tap_approx
-from .config import PipelineConfig
+from .config import KEYS, PipelineConfig, parse_sequence
 from .config import load as load_config
 from .emulator import (
     EmulatorConfig,
@@ -39,7 +40,9 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_COMMON[flag])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="chansounder",
         description="Generate, emulate, and sound multipath channel scenarios",
@@ -100,14 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate_sequence(args, cfg=None) -> int:
-    if args.family == "glfsr":
-        code = sequences.generate_glfsr(args.degree, args.mask, args.lfsr_seed)
-    elif args.family == "gold":
-        code = sequences.generate_gold(args.degree, args.poly_a, args.poly_b, args.shift)
-    elif args.family == "golay-a":
-        code = sequences.generate_golay_a(args.length)
-    else:
-        code = sequences.generate_ls(args.order)
+    flags = vars(args)  # every key of the section but "seed" has a flag of its name
+    section = {key: flags[key] for key in KEYS["sounding.sequence"] if key in flags}
+    family = args.family.upper().replace("-", "_")  # golay-a is GOLAY_A
+    code = parse_sequence({**section, "family": family, "seed": args.lfsr_seed})
     sequences.write_sequence(code, args.seq_out)
     print(f"{code.family} length {code.length} -> {args.seq_out}")
     return EXIT_OK

@@ -10,9 +10,9 @@ one bounce depth at a time, and every (link, image) path at once. The
 generator and the paths-file reader both give :class:`PathRecords`, one
 columnar table of snapshots; one indexing loop makes it a (node, node,
 sample) channel matrix, so stationary-transmitter reuse and per-node sample
-clamping point at a snapshot instead of copying it. The paths-file writer
-formats each distinct snapshot once, and the reader parses each distinct
-``"paths"`` body once.
+clamping point at a snapshot instead of copying it. The matrix holds each
+distinct snapshot once, so the paths-file writer formats each once; the
+reader parses each distinct ``"paths"`` body once.
 """
 
 from __future__ import annotations
@@ -156,11 +156,13 @@ class Scenario:
 class ChannelMatrix:
     """3-D channel structure: one snapshot per (tx, rx, sample).
 
-    ``paths`` holds each distinct snapshot once. ``index[(tx, rx)]`` is an
-    array of length ``n_samples`` whose entry s - 1 is the snapshot of
-    ``paths`` in force at sample s, so every sample of a stationary
-    transmitter points at its sample 1. ``entries`` shows the same data as
-    {(tx, rx): [ChannelSnapshot at sample 1, 2, ...]}.
+    ``index[(tx, rx)]`` is an array of length ``n_samples`` whose entry
+    s - 1 is the snapshot of ``paths`` in force at sample s. The constructor
+    keeps only the snapshots the index uses, each distinct content (by
+    :meth:`PathTable.distinct`) once, and renumbers the index to match, so
+    entries with equal snapshots (a stationary transmitter's samples, the
+    two directions of a link) hold one number. ``entries`` shows the same
+    data as {(tx, rx): [ChannelSnapshot at sample 1, 2, ...]}.
     """
 
     node_ids: list[int]
@@ -168,6 +170,15 @@ class ChannelMatrix:
     sample_interval_s: float
     paths: PathTable
     index: dict
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=np.intp) for a in self.index.values()]
+        flat = np.concatenate([np.zeros(0, np.intp), *arrays])
+        used, inverse = np.unique(flat, return_inverse=True)
+        firsts, group = self.paths.distinct(used)
+        self.paths = self.paths.take(used[firsts])
+        ends = np.cumsum([len(a) for a in arrays])[:-1]
+        self.index = dict(zip(self.index, np.split(group[inverse], ends)))
 
     @property
     def n_nodes(self) -> int:
@@ -463,7 +474,7 @@ def _synthesize_links(
 class PathRecords(NamedTuple):
     """Ray-path records, read from a paths file or made by the generator:
     ``index[(tx, rx, s)]`` is the snapshot of ``paths`` that the record
-    holds."""
+    holds; records may share one."""
 
     paths: PathTable
     index: dict
@@ -552,20 +563,16 @@ def write_paths_file(matrix: ChannelMatrix, path) -> None:
 
     Each line holds the bytes ``json.dumps`` gives the record
     {"tx", "rx", "s", "t_s", "paths": [{"p_rx_dbm", "phase_rad", "toa_s",
-    and "aoa_deg"/"aod_deg" where given}]}. Only the rows of distinct
-    snapshots (by :meth:`PathTable.distinct`) are formatted, and records
-    whose snapshots are equal share one body string.
+    and "aoa_deg"/"aod_deg" where given}]}. Each snapshot of the matrix
+    (each distinct content) is formatted once, and records that hold it
+    share its body string.
     """
     pairs = [(i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j]
-    ids = np.array([matrix.index[pair] for pair in pairs], dtype=np.intp)
-    snapshots, inverse = np.unique(ids, return_inverse=True)
-    firsts, group = matrix.paths.distinct(snapshots)
-    table = matrix.paths.take(snapshots[firsts])
-    objects = _path_objects(table)
-    bounds = table.offsets.tolist()
+    objects = _path_objects(matrix.paths)
+    bounds = matrix.paths.offsets.tolist()
     bodies = [", ".join(objects[a:b]) for a, b in zip(bounds, bounds[1:])]
-    # per sample, the body of each pair's record
-    series = group[inverse].reshape(len(pairs), matrix.n_samples).T.tolist()
+    # per sample, the snapshot of each pair's record
+    series = np.array([matrix.index[pair] for pair in pairs]).T.tolist()
     with open(path, "w") as fh:
         for s, row in enumerate(series, start=1):
             head = f'"s": {s}, "t_s": {(s - 1) * matrix.sample_interval_s!r}'
@@ -668,20 +675,20 @@ class _Bodies:
 
 
 def read_paths_records(path) -> PathRecords:
-    """Parse a JSON-Lines paths file into one snapshot per record.
+    """Parse a JSON-Lines paths file into records that point at snapshots.
 
     Each record's paths are stably sorted by toa and their phases reduced
     as RayPath reduces them. Each distinct body text of a line of the
-    writer's form is parsed and checked once (:meth:`_Bodies.read_line`); any
-    other line is read whole. Errors name the file and the line: a
-    malformed record, a value that is not finite, a negative toa, and a
-    second record for a (tx, rx, s), which names the line of the first as
-    well.
+    writer's form is parsed and checked once (:meth:`_Bodies.read_line`)
+    and held once in the table, and every record with that body points at
+    it; any other line is read whole and holds a snapshot of its own.
+    Errors name the file and the line: a malformed record, a value that is
+    not finite, a negative toa, and a second record for a (tx, rx, s),
+    which names the line of the first as well.
     """
     index = {}
     from_line = {}
     bodies = _Bodies()
-    body_of_record = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -703,6 +710,5 @@ def read_paths_records(path) -> PathRecords:
                     f"{path}: line {lineno}: second record for (tx, rx, s) = "
                     f"{key}, the first is on line {first}"
                 )
-            index[key] = len(body_of_record)
-            body_of_record.append(b)
-    return PathRecords(bodies.table().take(body_of_record), index)
+            index[key] = b
+    return PathRecords(bodies.table(), index)

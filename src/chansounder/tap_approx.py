@@ -7,9 +7,9 @@ power-weighted 1-D k-means, each cluster is merged coherently (complex sum,
 so the link path loss of the snapshot is preserved), and cluster delays are
 snapped to the nearest grid index. Tap files carry one record per node pair
 per millisecond; in memory a :class:`TapFile` holds its tap lists once each
-(one per distinct snapshot and transmit power when built, one per distinct
-row body when read) and one index array per pair that points every
-millisecond at one.
+(when built, one per (snapshot, transmit power) of a channel matrix, which
+holds each distinct snapshot once; when read, one per distinct row body)
+and one index array per pair that points every millisecond at one.
 """
 
 from __future__ import annotations
@@ -844,13 +844,13 @@ def build_tap_file_from_matrix(
     """Expand a channel matrix into per-millisecond tap records.
 
     Each channel sample's tap set is held for the whole sample interval
-    (records at every millisecond repeat it until the next sample). Every
-    distinct (snapshot content, transmit power), by
-    :meth:`PathTable.distinct`, is pruned (paths below ``prune_floor_dbm``
-    dropped) and given coefficients by :meth:`PathTable.coefficients`, then
-    approximated as by :func:`approximate_taps`, all in one
-    :func:`_segment_taps` pass; it gets one tap list, which each of its
-    records points at. ``tx_power_dbm`` is {node_id: dBm}.
+    (records at every millisecond repeat it until the next sample). The
+    matrix holds each distinct snapshot once, so every distinct (snapshot,
+    transmit power) is pruned (paths below ``prune_floor_dbm`` dropped) and
+    given coefficients by :meth:`PathTable.coefficients`, then approximated
+    as by :func:`approximate_taps`, all in one :func:`_segment_taps` pass;
+    it gets one tap list, which each of its records points at.
+    ``tx_power_dbm`` is {node_id: dBm}.
     """
     _check_build(k, grid_dt_s)
     if pairs is None:
@@ -863,18 +863,14 @@ def build_tap_file_from_matrix(
     samples = sample_of_ms[new_sample] - 1
     list_of_ms = np.cumsum(new_sample) - 1
 
-    snapshots, inverse = np.unique(
-        [matrix.index[pair][samples] for pair in pairs], return_inverse=True
-    )
-    inverse = inverse.reshape(len(pairs), len(samples))
-    # a snapshot number belongs to one pair; equal snapshots of pairs with
-    # other transmitters may not share a tap list, so the power is in the key
-    p_tx = np.empty(len(snapshots))
-    for (tx, _), ids in zip(pairs, inverse):
-        p_tx[ids] = tx_power_dbm[tx]
-    firsts, group = matrix.paths.distinct(snapshots, p_tx)
+    # pairs with other transmitters may share a snapshot but not a tap list
+    shape = (len(pairs), len(samples))
+    snapshots = np.array([matrix.index[pair][samples] for pair in pairs]).reshape(shape)
+    p_tx = np.array([tx_power_dbm[tx] for tx, _ in pairs], dtype=float)
+    keys = np.stack([snapshots, np.broadcast_to(p_tx[:, None], shape)], axis=-1)
+    keys, group = np.unique(keys.reshape(-1, 2), axis=0, return_inverse=True)
     rows, counts, coeffs = matrix.paths.coefficients(
-        snapshots[firsts], p_tx[firsts], prune_floor_dbm
+        keys[:, 0].astype(np.intp), keys[:, 1], prune_floor_dbm
     )
     taps = _segment_taps(
         matrix.paths.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
@@ -886,5 +882,5 @@ def build_tap_file_from_matrix(
         duration_ms=duration_ms,
         offset_db=offset_db,
         tap_lists=taps,
-        index={pair: group[ids][list_of_ms] for pair, ids in zip(pairs, inverse)},
+        index=dict(zip(pairs, group.reshape(shape)[:, list_of_ms])),
     )

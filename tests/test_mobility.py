@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chansounder import config, mobility
-from chansounder.channel_model import PathTable, RadioParams, RayPath
+from chansounder.channel_model import ChannelSnapshot, PathTable, RadioParams, RayPath
 from chansounder.mobility import (
     MPH_TO_MPS,
     SPEED_OF_LIGHT,
@@ -766,10 +766,10 @@ ROW_VALUES = {
 
 
 @st.composite
-def path_matrices(draw):
-    """Matrices of 2-3 nodes whose records share snapshots (by number and
-    by value): paths at equal toa, phases to reduce, angles on some paths,
-    signed zeros, subnormal and huge values."""
+def path_matrix_parts(draw):
+    """The fields of matrices of 2-3 nodes whose records share snapshots (by
+    number and by value): paths at equal toa, phases to reduce, angles on
+    some paths, signed zeros, subnormal and huge values."""
     rows = st.tuples(*(ROW_VALUES[v] for v in ("power", "phase", "toa", "angle", "angle")))
     snapshots = st.lists(rows, max_size=4).map(lambda snap: sorted(snap, key=lambda r: r[2]))
     pool = draw(st.lists(snapshots, min_size=1, max_size=4))
@@ -786,7 +786,11 @@ def path_matrices(draw):
         for i in node_ids for j in node_ids if i != j
     }
     interval = draw(st.sampled_from([1.0, 0.1, 0.04]))
-    return ChannelMatrix(node_ids, n_samples, interval, table, index)
+    return node_ids, n_samples, interval, table, index
+
+
+def path_matrices():
+    return path_matrix_parts().map(lambda parts: ChannelMatrix(*parts))
 
 
 PATHS_MUTATIONS = (
@@ -879,17 +883,53 @@ def mutated_paths(text: str, data) -> str:
 
 
 def records_outcome(read, path):
-    """What a reader makes of a paths file: its index and the bytes of its
-    table, or its error."""
+    """What a reader makes of a paths file: its keys in file order and, per
+    key, the dtypes and bytes of its snapshot's rows; or its error."""
     try:
         records = read(path)
     except Exception as exc:  # the two readers must fail alike
         return type(exc).__name__, str(exc)
-    table = records.paths
     columns = ("offsets", "power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg")
-    return repr(list(records.index.items())), [
-        (getattr(table, name).dtype.str, getattr(table, name).tobytes()) for name in columns
+    snapshots = [records.paths.take([b]) for b in records.index.values()]
+    return repr(list(records.index)), [
+        [(getattr(t, name).dtype.str, getattr(t, name).tobytes()) for name in columns]
+        for t in snapshots
     ]
+
+
+class TestDistinctSnapshots:
+    @settings(max_examples=100, deadline=None)
+    @given(parts=path_matrix_parts())
+    def test_a_matrix_holds_each_distinct_snapshot_once(self, parts, tmp_path_factory):
+        node_ids, n_samples, interval, table, index = parts
+        matrix = ChannelMatrix(*parts)
+        used = np.unique(np.concatenate(list(index.values())))
+        assert len(matrix.paths.offsets) - 1 == len(table.distinct(used)[0])
+        assert repr(matrix.entries) == repr({
+            (i, j): [
+                ChannelSnapshot(i, j, s, (s - 1) * interval, table.ray_paths(b))
+                for s, b in enumerate(snapshots.tolist(), start=1)
+            ]
+            for (i, j), snapshots in index.items()
+        })
+        folder = tmp_path_factory.mktemp("paths")
+        path, want = folder / "paths.jsonl", folder / "want.jsonl"
+        write_paths_file(matrix, path)
+        oracles.write_paths_per_record(matrix, want)
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_a_multi_plane_matrix_and_its_paths_file_hold_equal_snapshots(self, tmp_path):
+        scenario = mixed_scenario()
+        matrix = assemble_channel_matrix(scenario)
+        path = tmp_path / "paths.jsonl"
+        write_paths_file(matrix, path)
+        records = read_paths_records(path)
+        rebuilt = assemble_channel_matrix(scenario, records)
+        # reciprocal links and stationary transmitters share snapshots
+        n_snapshots = len(matrix.paths.offsets) - 1
+        assert len(rebuilt.paths.offsets) - 1 == n_snapshots < len(records.index)
+        # each distinct body once; the matrix adds the diagonal's empty snapshot
+        assert len(records.paths.offsets) - 1 == n_snapshots - 1
 
 
 class TestPathsReaderOracle:
