@@ -250,6 +250,8 @@ def read_iq_sidecar(path) -> float:
         raise FileNotFoundError(f"missing IQ sidecar metadata: {sidecar}")
     try:
         meta = json.loads(sidecar.read_text())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{sidecar}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{sidecar}: not JSON: {exc}") from None
     if not isinstance(meta, dict) or "sample_rate_hz" not in meta:

@@ -682,15 +682,21 @@ def read_paths_records(path) -> PathRecords:
     writer's form is parsed and checked once (:meth:`_Bodies.read_line`)
     and held once in the table, and every record with that body points at
     it; any other line is read whole and holds a snapshot of its own.
-    Errors name the file and the line: a malformed record, a value that is
-    not finite, a negative toa, and a second record for a (tx, rx, s),
-    which names the line of the first as well.
+    Errors name the file and the line: a line that is not UTF-8, a
+    malformed record, a value that is not finite, a negative toa, and a
+    second record for a (tx, rx, s), which names the line of the first as
+    well.
     """
     index = {}
     from_line = {}
     bodies = _Bodies()
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:  # a byte that is not UTF-8 reads as a lone surrogate
+                    line.encode(errors="surrogateescape").decode()
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: not UTF-8: {exc}") from None
             line = line.strip()
             if not line:
                 continue

@@ -14,7 +14,6 @@ and one index array per pair that points every millisecond at one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
@@ -557,26 +556,84 @@ def _parse_row_body(cells: list[str], k: int) -> tuple:
 _BLOCK_BYTES = 1 << 16
 
 
-def _blocks(fh):
-    """The rest of a binary file as blocks of whole lines, each ending in a
-    newline; '\\r\\n' and a lone '\\r' end a line, as in text mode."""
-    while block := fh.read(_BLOCK_BYTES):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        yield block if block.endswith(b"\n") else block + b"\n"
+class _Lines:
+    """The unread part of a binary file, buffered as whole lines.
+
+    ``buf[pos:]`` is unread and ends in a newline; other offsets count from
+    ``pos``. A refill tops the unread bytes up to ``_BLOCK_BYTES`` or more,
+    extended to the next newline, so the buffer holds about one block or
+    one millisecond's rows, whichever is more. '\\r\\n' and a lone '\\r' end
+    a line, as in text mode, and a last line without a newline reads as if
+    it had one.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = b""
+        self.pos = 0
+
+    def more(self, n: int) -> bool:
+        """Whether ``n`` unread bytes are buffered, reading more if need be."""
+        while len(self.buf) - self.pos < n:
+            block = self.fh.read(max(n, _BLOCK_BYTES) - len(self.buf) + self.pos)
+            if not block:
+                return False
+            rest = b"" if block.endswith(b"\n") else self.fh.readline()
+            if b"\r" in block or b"\r" in rest or not (rest or block).endswith(b"\n"):
+                # seldom: line ends to convert, or a last line without one
+                block = (block + rest).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                rest = b"" if block.endswith(b"\n") else b"\n"
+            # one copy of the unread bytes, the block and the rest of its line
+            self.buf = b"".join((memoryview(self.buf)[self.pos :], block, rest))
+            self.pos = 0
+        return True
+
+    def startswith(self, prefix: bytes) -> bool:
+        return self.more(len(prefix)) and self.buf.startswith(prefix, self.pos)
+
+    def take(self, n: int) -> memoryview:
+        """The next ``n`` unread bytes, which are read then."""
+        self.pos += n
+        return memoryview(self.buf)[self.pos - n : self.pos]
+
+    def ms_end(self) -> int:
+        """The end of the run of lines at the head of the buffer whose
+        timestamp cells (the text before the first comma) are equal."""
+        buf, pos = self.buf, self.pos
+        end = buf.index(b"\n", pos) + 1 - pos
+        comma = buf.find(b",", pos, pos + end)
+        if comma < 0:
+            return end
+        head = buf[pos : comma + 1]
+        while True:
+            buf, p = self.buf, self.pos + end
+            while buf.startswith(head, p):
+                p = buf.index(b"\n", p) + 1
+            end = p - self.pos
+            # the buffer ends at p: read on to see the line there
+            if p < len(buf) or not self.more(end + _BLOCK_BYTES):
+                return end
+
+    def block_end(self) -> int:
+        """The end of a block: the line that holds its byte ``_BLOCK_BYTES``,
+        or the last line."""
+        self.more(_BLOCK_BYTES)
+        last = min(self.pos + _BLOCK_BYTES, len(self.buf)) - 1
+        return self.buf.index(b"\n", last) + 1 - self.pos
 
 
 def _line_text(text: np.ndarray, ends: np.ndarray, i: int) -> str:
-    """Line ``i`` of ``text`` (bytes as uint8), whose lines end at ``ends``."""
-    return text[ends[i - 1] + 1 if i else 0 : ends[i]].tobytes().decode()
+    """Line ``i`` of ``text`` (bytes as uint8), whose lines end at ``ends``;
+    a byte that is not UTF-8 reads as a lone surrogate."""
+    return text[ends[i - 1] + 1 if i else 0 : ends[i]].tobytes().decode(
+        errors="surrogateescape"
+    )
 
 
-def _timestamps(cells: list, duration_ms: int) -> np.ndarray:
+def _timestamps(cells: list, duration_ms: int) -> tuple[np.ndarray, int]:
     """The cells as ``int()`` reads their text, each distinct cell once, up
     to the first it cannot read; a value outside 0 <= ms < duration_ms
-    reads as -1."""
+    reads as -1. Also the largest value (-1 if none)."""
     ms_of = {}
     for cell in dict.fromkeys(cells):
         try:
@@ -585,14 +642,15 @@ def _timestamps(cells: list, duration_ms: int) -> np.ndarray:
             cells = cells[: cells.index(cell)]
             break
         ms_of[cell] = ms if 0 <= ms < duration_ms else -1
-    return np.fromiter(map(ms_of.__getitem__, cells), np.int64, len(cells))
+    ms = np.fromiter(map(ms_of.__getitem__, cells), np.int64, len(cells))
+    return ms, max(ms_of.values(), default=-1)
 
 
 def _first_line_of(path, key: tuple[int, int, int]) -> int:
     """The line of the first row of a tap file for ``key``, (timestamp_ms,
     tx, rx); every line before the row asked for is a header line, a blank
     line or a valid row."""
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         return next(
             lineno
             for lineno, line in enumerate(fh, start=1)
@@ -603,15 +661,19 @@ def _first_line_of(path, key: tuple[int, int, int]) -> int:
 
 
 class _RowReader:
-    """A tap file's rows, read block by block into a (pair, ms) index.
+    """A tap file's rows, read millisecond by millisecond into a (pair, ms) index.
 
-    The lines of a block are cut at their newlines and first commas into
+    A millisecond whose bytes are the writer's join of its timestamp with
+    the row tails of the millisecond before is recorded by one comparison
+    (:meth:`_repeat`). Other rows reach :meth:`add` in blocks of whole
+    lines: they are cut at their newlines and first commas into
     timestamp_ms cells and row tails (tx,rx,body). Each distinct tail is
     parsed once, and each distinct body gives one tap list, in the order
     the bodies first appear. The checks run on whole blocks; at the first
     line that breaks a rule, the lines before it are recorded and
     :meth:`_line_error` names the first rule that line breaks, in the order
-    of a per-line reader.
+    of a per-line reader. A millisecond recorded by comparison is one whose
+    rows :meth:`add` would record, so the two give the same result.
     """
 
     def __init__(self, path, n_nodes: int, k: int, duration_ms: int, lineno: int):
@@ -628,10 +690,71 @@ class _RowReader:
         self.tail_list = np.empty(0, dtype=np.int32)
         self.row_of_pair: dict[tuple[int, int], int] = {}
         self.nodes: set[int] = set()  # distinct node ids of the pairs so far
-        # per pair row: the tap list of each ms (-1: none yet)
+        # per pair row: the tap list of each ms (-1: none yet); no record
+        # lies at or after ms `end`
         self.ids = np.full((0, duration_ms), -1, dtype=np.int32)
+        self.end = 0
+        # the rows expected next: those of a whole millisecond that add
+        # recorded (their tails and tail numbers), at next_ms and on, the
+        # first `done` of them recorded at next_ms already
+        self.next_ms = self.done = 0
+        self.last_tails: list[bytes] = []
+        self.last_tid = np.empty(0, dtype=np.intp)
 
-    def add(self, block: bytes) -> None:
+    def read(self, lines: _Lines) -> None:
+        """Record the rows of ``lines``. Each millisecond that repeats the one
+        before is recorded by :meth:`_repeat`; the others reach :meth:`add`,
+        one millisecond (:meth:`_Lines.ms_end`) first and after a run of two
+        or more repeats, else a block (:meth:`_Lines.block_end`), so a file
+        that seldom repeats pays for at most one failed comparison a block."""
+        one_ms = True
+        while True:
+            if self._repeat(lines) > 1:
+                one_ms = True
+            if not lines.more(1):
+                return
+            self.add(lines.take(lines.ms_end() if one_ms else lines.block_end()))
+            one_ms = False
+
+    def _repeat(self, lines: _Lines) -> int:
+        """Record the milliseconds at the head of ``lines`` whose rows are
+        the expected ones, each checked by one comparison of its bytes with
+        the rows as the writer joins them (the timestamp and a comma before
+        each tail) and recorded for every pair at once. The run stops before
+        a millisecond outside the file or with a record already, whose rows
+        :meth:`add` then checks. Returns its length."""
+        ms = first = self.next_ms
+        n, done = len(self.last_tails), self.done
+        if not n or ms >= self.duration_ms:
+            return 0
+        expect = self._rows_of(ms, self.last_tails[done:])
+        if not lines.startswith(expect):
+            return 0
+        rows, lists = self.tail_row[self.last_tid], self.tail_list[self.last_tid]
+        taken = self.ids[rows, first : max(self.end, first + 1)] >= 0
+        taken[:done, 0] = False  # recorded by add, as expected
+        taken = taken.any(axis=0)
+        stop = first + int(taken.argmax()) if taken.any() else self.duration_ms
+        while ms < stop:
+            lines.pos += len(expect)
+            ms += 1
+            expect = self._rows_of(ms, self.last_tails)
+            if not lines.startswith(expect):
+                break
+        if ms > first:
+            self.ids[rows[done:], first] = lists[done:]
+            self.ids[rows, first + 1 : ms] = lists[:, None]
+            self.lineno += (ms - first) * n - done
+            self.next_ms, self.done, self.end = ms, 0, max(self.end, ms)
+        return ms - first
+
+    @staticmethod
+    def _rows_of(ms: int, tails: list) -> bytes:
+        """Rows with these tails at ``ms``, as the writer joins them."""
+        head = b"%d," % ms
+        return head + (b"\n" + head).join(tails) + b"\n"
+
+    def add(self, block) -> None:
         """Record the rows of ``block``: whole lines, each ending in a newline."""
         width = 3 + 3 * self.k
         text = np.frombuffer(block, dtype=np.uint8)
@@ -657,7 +780,8 @@ class _RowReader:
         cut[commas[(width - 1) * np.arange(n)]] = 10  # ends each line's ms cell
         cells = cut.tobytes().split(b"\n")
         stamps, tails = cells[0:-1:2], cells[1::2]
-        ms = _timestamps(stamps, self.duration_ms)
+        ms, top = _timestamps(stamps, self.duration_ms)
+        self.end = max(self.end, top + 1)
         out = np.flatnonzero(ms < 0)
         limit = int(out[0]) if out.size else len(ms)
 
@@ -702,11 +826,41 @@ class _RowReader:
             raise ValueError(
                 f"{self.path}: line {linenos[limit]}: {self._line_error(line)}"
             )
+        if limit:
+            self._expect(ms[:limit], tid, tails)
+
+    def _expect(self, ms: np.ndarray, tid: np.ndarray, tails: list) -> None:
+        """Set up :meth:`_repeat` after a block of rows, all recorded.
+
+        A block of one millisecond is taken as whole, and the next is
+        expected to repeat it. In a longer block, the last run of equal
+        timestamps may be cut short by the block's end; if it repeats the
+        start of the run before it, that run is whole, and the rest of it
+        is expected, then itself again. Otherwise nothing is expected. A
+        block whose last n rows (n the row count of the millisecond last
+        expected) differ from the n before them is taken to end in no
+        repeat, at the cost of one comparison.
+        """
+        self.last_tails = []
+        n = len(self.last_tid)
+        if n and len(tid) >= 2 * n and tid[-n:].tobytes() != tid[-2 * n : -n].tobytes():
+            return
+        starts = np.flatnonzero(ms[1:] != ms[:-1]) + 1
+        f = int(starts[-1]) if starts.size else 0  # the last run: f..
+        g = int(starts[-2]) if starts.size > 1 else 0  # the run before: g..f-1
+        done = len(ms) - f
+        self.next_ms, self.done = int(ms[-1]) + 1, 0
+        if not f:
+            self.last_tails, self.last_tid = tails, tid
+        elif done <= f - g and tid[f:].tobytes() == tid[g : g + done].tobytes():
+            self.last_tails, self.last_tid = tails[g:f], tid[g:f]
+            if done < f - g:
+                self.next_ms, self.done = int(ms[-1]), done
 
     def _add_tail(self, tail: bytes) -> int:
         """Number a new row tail; its tap list, or -1 if it does not parse."""
-        tx, rx, body = tail.decode().rstrip().split(",", 2)
-        try:
+        try:  # a tail that is not UTF-8 does not parse
+            tx, rx, body = tail.decode().rstrip().split(",", 2)
             pair = int(tx), int(rx)
             list_id = self.list_of_body.get(body)
             if list_id is None:
@@ -731,6 +885,10 @@ class _RowReader:
 
     def _line_error(self, line: str) -> str:
         """The first rule a line breaks, given the rows recorded before it."""
+        try:
+            line.encode(errors="surrogateescape").decode()
+        except UnicodeDecodeError as exc:
+            return f"not UTF-8: {exc}"
         line = line.strip()
         n_cells = line.count(",") + 1
         if n_cells > 3 + 3 * self.k:
@@ -765,35 +923,34 @@ class _RowReader:
 def read_tap_file(path) -> TapFile:
     """Parse a tap file; errors name the file and the offending line.
 
-    The header is read line by line and the rows in blocks of whole lines
-    (see :class:`_RowReader`). A row outside 0 <= timestamp_ms <
-    duration_ms, a second row for the same (timestamp_ms, tx, rx), a row
-    with tx == rx and rows naming more distinct node ids than n_nodes are
-    errors; the first offending line of the file is named. The ids
-    themselves are the scenario's and are not bounded by n_nodes. Blank
-    lines are skipped, and a line reads as its text stripped of whitespace.
-    Each tap list is checked once, when its row body is parsed.
+    The header is read line by line and the rows by milliseconds (see
+    :class:`_RowReader`). A line that is not UTF-8, a row outside 0 <=
+    timestamp_ms < duration_ms, a second row for the same (timestamp_ms,
+    tx, rx), a row with tx == rx and rows naming more distinct node ids
+    than n_nodes are errors; the first offending line of the file is
+    named. The ids themselves are the scenario's and are not bounded by
+    n_nodes. Blank lines are skipped, and a line reads as its text stripped
+    of whitespace. Each tap list is checked once, when its row body is
+    parsed.
     """
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
-        blocks = _blocks(fh)
-        rows, lineno = [], 1
-        for block in blocks:
-            start = 0
-            while start < len(block) and block.startswith(b"#", start):
-                end = block.index(b"\n", start) + 1
-                line = block[start:end].decode()
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise ValueError(
-                        f"{path}: malformed header line {lineno}: {line.strip()!r}"
-                    )
-                key, _, value = body.partition("=")
-                header[key.strip()] = value.strip()
-                start, lineno = end, lineno + 1
-            if start < len(block):
-                rows = [block[start:]]
-                break
+        lines = _Lines(fh)
+        lineno = 1
+        while lines.startswith(b"#"):
+            raw = lines.take(lines.buf.index(b"\n", lines.pos) + 1 - lines.pos)
+            try:
+                line = str(raw, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8: {exc}") from None
+            body = line[1:].strip()
+            if "=" not in body:
+                raise ValueError(
+                    f"{path}: malformed header line {lineno}: {line.strip()!r}"
+                )
+            key, _, value = body.partition("=")
+            header[key.strip()] = value.strip()
+            lineno += 1
         required = ("n_nodes", "grid_dt_s", "k", "duration_ms", "offset_db")
         missing = [k for k in required if k not in header]
         if missing:
@@ -811,8 +968,7 @@ def read_tap_file(path) -> TapFile:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}")
         reader = _RowReader(path, n_nodes, k, duration_ms, lineno)
-        for block in itertools.chain(rows, blocks):
-            reader.add(block)
+        reader.read(lines)
 
     try:
         tap_file = TapFile._of_checked(

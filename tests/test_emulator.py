@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -321,6 +322,14 @@ class TestIqFiles:
             with pytest.raises(ValueError, match=error) as info:
                 read(path)
             assert str(info.value).startswith(f"{path}.json: ")
+
+    def test_a_sidecar_that_is_not_utf8_is_an_error_naming_it(self, tmp_path):
+        path = tmp_path / "capture.iq"
+        write_capture(path, rand_stream(3))
+        (tmp_path / "capture.iq.json").write_bytes(b'{"sample_rate_hz": 1e6\xff}')
+        message = f"{path}.json: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_iq_sidecar(path)
 
     def test_streaming_writer_matches_bulk(self, tmp_path):
         stream = rand_stream(1000, seed=9)

@@ -697,6 +697,14 @@ class TestPathsFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
             read_paths_records(path)
 
+    def test_a_byte_that_is_not_utf8_names_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "paths.jsonl"
+        record = b'{"tx": 1, "rx": 2, "s": %d, "t_s": 0.0, "paths": [%s]}\n'
+        path.write_bytes(record % (1, b"") + record % (2, b"\xff"))
+        message = "line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 49"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_paths_records(path)
+
     def test_second_record_for_a_key_names_both_lines(self, tmp_path):
         path = tmp_path / "paths.jsonl"
         record = '{{"tx": 1, "rx": 2, "s": {s}, "t_s": 0.0, "paths": []}}\n'

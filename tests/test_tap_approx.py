@@ -1,6 +1,7 @@
 """Tests for tap clustering, grid snapping, and tap file I/O."""
 
 import cmath
+import itertools
 import math
 import re
 
@@ -643,6 +644,26 @@ class TestTapFileIo:
         ):
             read_tap_file(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (TWO_MS_HEADER.encode() + b"0,1,2,0,1.0,0.0\n1,1,2,0,1.\xff,0.0\n",
+             "line 7: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: "
+             "invalid start byte"),
+            (TWO_MS_HEADER.encode() + b"0,1,2,0,1.0,0.0\n\xe2\x82\n", "line 7: not UTF-8: "),
+            (b"# n_nodes=2\xc3\n" + TWO_MS_HEADER.encode(), "line 1: not UTF-8: "),
+            # the first offending line is named
+            (TWO_MS_HEADER.encode() + b"0,1,2,0,1.0\n1,1,2,0,\xff,0.0\n",
+             "line 6: truncated record"),
+        ],
+        ids=["in-a-row", "a-row-of-its-own", "in-the-header", "after-an-earlier-error"],
+    )
+    def test_a_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "taps.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_tap_file(path)
+
     def test_node_ids_are_not_bounded_by_the_node_count(self, tmp_path):
         # ids come from the scenario: two nodes may be 7 and 9
         path = tmp_path / "taps.csv"
@@ -911,3 +932,152 @@ class TestReaderOracle:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
                 assert read_outcome(read_tap_file, path) == want
+
+
+@st.composite
+def repeating_tap_files(draw):
+    """Tap files whose milliseconds repeat in runs: all pairs share the
+    change points, and at each one every pair draws its tap list again."""
+    k = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 300), st.builds(complex, COEFS, COEFS)),
+                max_size=k,
+                unique_by=lambda t: t[0],
+            ).map(sorted),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    duration_ms = draw(st.integers(1, 40))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    changes = draw(st.sets(st.integers(1, max(duration_ms - 1, 1)), max_size=4))
+    edges = sorted({0, duration_ms} | (changes - {duration_ms}))
+    lists = st.integers(0, len(pool) - 1)
+    index = {
+        pair: [i for a, b in zip(edges, edges[1:]) for i in [draw(lists)] * (b - a)]
+        for pair in pairs
+    }
+    n_nodes = len({i for p in pairs for i in p}) + draw(st.integers(0, 2))
+    return TapFile(n_nodes, 1e-8, k, duration_ms, 0.0, pool, index)
+
+
+RUN_MUTATIONS = ("none", "repeat_ms", "drop_ms", "swap_rows", "zero_pad", "change_byte", "crlf")
+
+
+def mutated_runs(text: str, data) -> str:
+    """``text`` (a written tap file) with one or two milliseconds repeated
+    later, dropped, or with two of their rows swapped, a timestamp written
+    with a leading zero, one byte of a row changed, or CRLF line ends."""
+    lines = text.splitlines()
+    n_header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    ms_rows = [
+        list(rows)
+        for _, rows in itertools.groupby(lines[n_header:], lambda row: row.split(",")[0])
+    ]
+    end = "\n"
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(RUN_MUTATIONS))
+        if kind == "crlf":
+            end = "\r\n"
+        if kind in ("none", "crlf") or not ms_rows:
+            continue
+        i = data.draw(st.integers(0, len(ms_rows) - 1))
+        rows = ms_rows[i]
+        j = data.draw(st.integers(0, len(rows) - 1))
+        if kind == "repeat_ms":
+            ms_rows.insert(data.draw(st.integers(i + 1, len(ms_rows))), list(rows))
+        elif kind == "drop_ms":
+            del ms_rows[i]
+        elif kind == "swap_rows":
+            h = data.draw(st.integers(0, len(rows) - 1))
+            rows[h], rows[j] = rows[j], rows[h]
+        elif kind == "zero_pad":
+            rows[j] = "0" + rows[j]
+        else:  # one byte of the row after its timestamp
+            at = data.draw(st.integers(rows[j].index(","), len(rows[j]) - 1))
+            byte = data.draw(st.sampled_from(["0", "1", "9", ".", "-", "e", ",", "x", " "]))
+            rows[j] = rows[j][:at] + byte + rows[j][at + 1 :]
+    rows = [row for ms in ms_rows for row in ms]
+    return "".join(line + end for line in lines[:n_header] + rows)
+
+
+class TestRepeatedMilliseconds:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tf=repeating_tap_files(),
+        data=st.data(),
+        block_bytes=st.sampled_from([1, 2, 7, 64, 300, 1 << 16]),
+    )
+    def test_reader_equals_the_per_line_reader(self, tf, data, block_bytes, tmp_path_factory):
+        # runs of repeated milliseconds straddle the edges of blocks, and
+        # the mutations break a run where it would be read by comparison
+        path = tmp_path_factory.mktemp("taps") / "taps.csv"
+        write_tap_file(tf, path)
+        path.write_bytes(mutated_runs(path.read_text(), data).encode())
+        want = read_outcome(read_tap_file_per_line, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+            assert read_outcome(read_tap_file, path) == want
+
+    @pytest.mark.parametrize("block_bytes", [7, 300, 1 << 16])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_only_the_changed_milliseconds_reach_the_row_path(
+        self, tmp_path, monkeypatch, block_bytes, end
+    ):
+        pairs = [(tx, rx) for tx in range(1, 5) for rx in range(1, 5) if tx != rx]
+        changes = [0, 17, 50, 53, 123, 190]  # pair (2, 3) changes at each
+        lists = [((0, 1 + 0j),), ((2, 0.5j), (5, -0.25 + 0j)), ()]
+        index = {pair: [0] * 200 for pair in pairs}
+        for n, ms in enumerate(changes):
+            index[(2, 3)][ms:] = [n % 3] * (200 - ms)
+        src = TapFile(4, 1e-8, 2, 200, 0.0, lists, index)
+        path = tmp_path / "taps.csv"
+        write_tap_file(src, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        seen = []
+        add = tap_approx._RowReader.add
+        monkeypatch.setattr(
+            tap_approx._RowReader,
+            "add",
+            lambda self, block: seen.extend(bytes(block).splitlines()) or add(self, block),
+        )
+        monkeypatch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+        back = read_tap_file(path)
+        assert back.records == src.records
+        assert sorted({int(row.split(b",")[0]) for row in seen}) == changes
+        assert len(seen) == len(changes) * len(pairs)
+
+    @pytest.mark.parametrize("block_bytes", range(40, 700, 37))
+    def test_a_block_that_ends_inside_a_repeat_is_finished_by_comparison(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        # ms 0 to 11 all differ, so the rows are read in blocks; the block
+        # that ends inside a repeat is finished, and the rest of the file
+        # read, by comparison
+        lists = [((0, 1 + 0j),), ((2, 0.5j),), ((1, -2.0 + 0j),)]
+        index = {(1, 2): [0] * 100, (2, 1): [n % 3 for n in range(12)] + [2] * 88,
+                 (1, 3): [0] * 100}
+        src = TapFile(3, 1e-8, 1, 100, 0.0, lists, index)
+        path = tmp_path / "taps.csv"
+        write_tap_file(src, path)
+        seen = []
+        add = tap_approx._RowReader.add
+        monkeypatch.setattr(
+            tap_approx._RowReader,
+            "add",
+            lambda self, block: seen.extend(bytes(block).splitlines()) or add(self, block),
+        )
+        monkeypatch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+        assert read_outcome(read_tap_file, path) == read_outcome(read_tap_file_per_line, path)
+        # the rows of ms 0 to 11, then at most a block (rows of 16 bytes or
+        # more) and one millisecond
+        assert len(seen) <= 3 * 12 + block_bytes // 16 + 3
