@@ -163,6 +163,8 @@ def _cmd_sound(args, cfg: PipelineConfig) -> int:
 
 def _cmd_validate(args, cfg: PipelineConfig) -> int:
     tap_file = tap_approx.read_tap_file(args.taps)
+    if not tap_file.pairs():
+        raise ValueError(f"{args.taps}: no tap records to validate against")
     report = sounder.sound_chunked(
         args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
     )

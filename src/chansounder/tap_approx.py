@@ -552,7 +552,7 @@ def _parse_row_body(cells: list[str], k: int) -> tuple:
     return tuple(taps)
 
 
-# Rows are read in blocks of this many bytes, each extended to the next newline.
+# A refill reads at least this many bytes, extended to the next newline.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -560,11 +560,11 @@ class _Lines:
     """The unread part of a binary file, buffered as whole lines.
 
     ``buf[pos:]`` is unread and ends in a newline; other offsets count from
-    ``pos``. A refill tops the unread bytes up to ``_BLOCK_BYTES`` or more,
-    extended to the next newline, so the buffer holds about one block or
-    one millisecond's rows, whichever is more. '\\r\\n' and a lone '\\r' end
-    a line, as in text mode, and a last line without a newline reads as if
-    it had one.
+    ``pos``. A refill reads ``_BLOCK_BYTES`` or as many more bytes as are
+    asked for, whichever is more, extended to the next newline, so the
+    buffer holds at most about one millisecond's rows and one block.
+    '\\r\\n' and a lone '\\r' end a line, as in text mode, and a last line
+    without a newline reads as if it had one.
     """
 
     def __init__(self, fh):
@@ -575,7 +575,7 @@ class _Lines:
     def more(self, n: int) -> bool:
         """Whether ``n`` unread bytes are buffered, reading more if need be."""
         while len(self.buf) - self.pos < n:
-            block = self.fh.read(max(n, _BLOCK_BYTES) - len(self.buf) + self.pos)
+            block = self.fh.read(max(n - len(self.buf) + self.pos, _BLOCK_BYTES))
             if not block:
                 return False
             rest = b"" if block.endswith(b"\n") else self.fh.readline()
@@ -611,39 +611,8 @@ class _Lines:
                 p = buf.index(b"\n", p) + 1
             end = p - self.pos
             # the buffer ends at p: read on to see the line there
-            if p < len(buf) or not self.more(end + _BLOCK_BYTES):
+            if p < len(buf) or not self.more(end + 1):
                 return end
-
-    def block_end(self) -> int:
-        """The end of a block: the line that holds its byte ``_BLOCK_BYTES``,
-        or the last line."""
-        self.more(_BLOCK_BYTES)
-        last = min(self.pos + _BLOCK_BYTES, len(self.buf)) - 1
-        return self.buf.index(b"\n", last) + 1 - self.pos
-
-
-def _line_text(text: np.ndarray, ends: np.ndarray, i: int) -> str:
-    """Line ``i`` of ``text`` (bytes as uint8), whose lines end at ``ends``;
-    a byte that is not UTF-8 reads as a lone surrogate."""
-    return text[ends[i - 1] + 1 if i else 0 : ends[i]].tobytes().decode(
-        errors="surrogateescape"
-    )
-
-
-def _timestamps(cells: list, duration_ms: int) -> tuple[np.ndarray, int]:
-    """The cells as ``int()`` reads their text, each distinct cell once, up
-    to the first it cannot read; a value outside 0 <= ms < duration_ms
-    reads as -1. Also the largest value (-1 if none)."""
-    ms_of = {}
-    for cell in dict.fromkeys(cells):
-        try:
-            ms = int(cell.decode())
-        except ValueError:
-            cells = cells[: cells.index(cell)]
-            break
-        ms_of[cell] = ms if 0 <= ms < duration_ms else -1
-    ms = np.fromiter(map(ms_of.__getitem__, cells), np.int64, len(cells))
-    return ms, max(ms_of.values(), default=-1)
 
 
 def _first_line_of(path, key: tuple[int, int, int]) -> int:
@@ -664,89 +633,72 @@ class _RowReader:
     """A tap file's rows, read millisecond by millisecond into a (pair, ms) index.
 
     A millisecond whose bytes are the writer's join of its timestamp with
-    the row tails of the millisecond before is recorded by one comparison
-    (:meth:`_repeat`). Other rows reach :meth:`add` in blocks of whole
-    lines: they are cut at their newlines and first commas into
-    timestamp_ms cells and row tails (tx,rx,body). Each distinct tail is
-    parsed once, and each distinct body gives one tap list, in the order
-    the bodies first appear. The checks run on whole blocks; at the first
-    line that breaks a rule, the lines before it are recorded and
-    :meth:`_line_error` names the first rule that line breaks, in the order
-    of a per-line reader. A millisecond recorded by comparison is one whose
-    rows :meth:`add` would record, so the two give the same result.
+    the row tails (tx,rx,body) of the millisecond before is recorded by one
+    comparison (:meth:`_repeat`). Any other run of lines with equal
+    timestamp cells reaches :meth:`_ms`, which checks its lines one by one
+    with the rules of a per-line reader and names the first line that
+    breaks one. Each distinct row tail is parsed once, and each distinct
+    body gives one tap list, in the order the bodies first appear. A
+    millisecond recorded by comparison is one whose rows :meth:`_ms` would
+    record, so the two give the same result.
     """
 
     def __init__(self, path, n_nodes: int, k: int, duration_ms: int, lineno: int):
         self.path = path
         self.n_nodes, self.k, self.duration_ms = n_nodes, k, duration_ms
-        self.lineno = lineno  # of the next block's first line
+        self.lineno = lineno  # of the next line
         self.tap_lists: list = []
         self.list_of_body: dict[str, int] = {}
-        self.tail_id: dict[bytes, int] = {}
-        # per tail: its pair (None if it does not parse), the pair's row of
-        # the index and the tail's tap list
-        self.tail_pair: list = []
-        self.tail_row = np.empty(0, dtype=np.intp)
-        self.tail_list = np.empty(0, dtype=np.int32)
+        # per row tail that passed the checks: its pair's row of the index
+        # and its tap list
+        self.tail_of: dict[bytes, tuple[int, int]] = {}
         self.row_of_pair: dict[tuple[int, int], int] = {}
         self.nodes: set[int] = set()  # distinct node ids of the pairs so far
         # per pair row: the tap list of each ms (-1: none yet); no record
         # lies at or after ms `end`
         self.ids = np.full((0, duration_ms), -1, dtype=np.int32)
         self.end = 0
-        # the rows expected next: those of a whole millisecond that add
-        # recorded (their tails and tail numbers), at next_ms and on, the
-        # first `done` of them recorded at next_ms already
-        self.next_ms = self.done = 0
-        self.last_tails: list[bytes] = []
-        self.last_tid = np.empty(0, dtype=np.intp)
+        # the rows expected at next_ms and on: the tails of the millisecond
+        # last recorded, with their rows of the index and tap lists
+        self.next_ms = 0
+        self.tails: list[bytes] = []
+        self.rows = self.lists = np.empty(0, dtype=np.intp)
 
     def read(self, lines: _Lines) -> None:
-        """Record the rows of ``lines``. Each millisecond that repeats the one
-        before is recorded by :meth:`_repeat`; the others reach :meth:`add`,
-        one millisecond (:meth:`_Lines.ms_end`) first and after a run of two
-        or more repeats, else a block (:meth:`_Lines.block_end`), so a file
-        that seldom repeats pays for at most one failed comparison a block."""
-        one_ms = True
+        """Record the rows of ``lines``: each millisecond that repeats the one
+        before by :meth:`_repeat`, any other (:meth:`_Lines.ms_end`) by
+        :meth:`_ms`."""
         while True:
-            if self._repeat(lines) > 1:
-                one_ms = True
+            self._repeat(lines)
             if not lines.more(1):
                 return
-            self.add(lines.take(lines.ms_end() if one_ms else lines.block_end()))
-            one_ms = False
+            self._ms(lines.take(lines.ms_end()))
 
-    def _repeat(self, lines: _Lines) -> int:
+    def _repeat(self, lines: _Lines) -> None:
         """Record the milliseconds at the head of ``lines`` whose rows are
         the expected ones, each checked by one comparison of its bytes with
         the rows as the writer joins them (the timestamp and a comma before
         each tail) and recorded for every pair at once. The run stops before
         a millisecond outside the file or with a record already, whose rows
-        :meth:`add` then checks. Returns its length."""
+        :meth:`_ms` then checks."""
         ms = first = self.next_ms
-        n, done = len(self.last_tails), self.done
-        if not n or ms >= self.duration_ms:
-            return 0
-        expect = self._rows_of(ms, self.last_tails[done:])
+        if not self.tails or ms >= self.duration_ms:
+            return
+        expect = self._rows_of(ms, self.tails)
         if not lines.startswith(expect):
-            return 0
-        rows, lists = self.tail_row[self.last_tid], self.tail_list[self.last_tid]
-        taken = self.ids[rows, first : max(self.end, first + 1)] >= 0
-        taken[:done, 0] = False  # recorded by add, as expected
-        taken = taken.any(axis=0)
+            return
+        taken = (self.ids[self.rows, first : max(self.end, first + 1)] >= 0).any(axis=0)
         stop = first + int(taken.argmax()) if taken.any() else self.duration_ms
         while ms < stop:
             lines.pos += len(expect)
             ms += 1
-            expect = self._rows_of(ms, self.last_tails)
+            expect = self._rows_of(ms, self.tails)
             if not lines.startswith(expect):
                 break
         if ms > first:
-            self.ids[rows[done:], first] = lists[done:]
-            self.ids[rows, first + 1 : ms] = lists[:, None]
-            self.lineno += (ms - first) * n - done
-            self.next_ms, self.done, self.end = ms, 0, max(self.end, ms)
-        return ms - first
+            self.ids[self.rows, first:ms] = self.lists[:, None]
+            self.lineno += (ms - first) * len(self.tails)
+            self.next_ms, self.end = ms, max(self.end, ms)
 
     @staticmethod
     def _rows_of(ms: int, tails: list) -> bytes:
@@ -754,177 +706,111 @@ class _RowReader:
         head = b"%d," % ms
         return head + (b"\n" + head).join(tails) + b"\n"
 
-    def add(self, block) -> None:
-        """Record the rows of ``block``: whole lines, each ending in a newline."""
-        width = 3 + 3 * self.k
-        text = np.frombuffer(block, dtype=np.uint8)
-        ends = np.flatnonzero(text == 10)
-        linenos = self.lineno + np.arange(len(ends))
-        self.lineno += len(ends)
-        while True:
-            commas = np.flatnonzero(text == 44)
-            upto = np.searchsorted(commas, ends)  # commas before each line's end
-            n_cells = upto - np.concatenate(([0], upto[:-1])) + 1
-            odd = np.flatnonzero(n_cells != width).tolist()
-            blank = [i for i in odd if not _line_text(text, ends, i).strip()]
-            if not blank:
-                break
-            keep = np.ones(len(ends), dtype=bool)  # blank lines are skipped
-            keep[blank] = False
-            text = text[np.repeat(keep, np.diff(ends, prepend=-1))]
-            ends = np.flatnonzero(text == 10)
-            linenos = linenos[keep]
-        n = odd[0] if odd else len(ends)  # lines before the first of a wrong width
+    def _ms(self, block) -> None:
+        """Record ``block``, whole lines whose timestamp cells are equal, and
+        expect its rows to repeat next.
 
-        cut = text[: ends[n - 1] + 1 if n else 0].copy()
-        cut[commas[(width - 1) * np.arange(n)]] = 10  # ends each line's ms cell
-        cells = cut.tobytes().split(b"\n")
-        stamps, tails = cells[0:-1:2], cells[1::2]
-        ms, top = _timestamps(stamps, self.duration_ms)
-        self.end = max(self.end, top + 1)
-        out = np.flatnonzero(ms < 0)
-        limit = int(out[0]) if out.size else len(ms)
-
-        tails = tails[:limit]
-        n_old = len(self.tail_pair)
-        try:
-            tid = np.fromiter(map(self.tail_id.__getitem__, tails), np.intp, limit)
-            lists = []
-        except KeyError:  # the block brings new tails
-            lists = [self._add_tail(t) for t in dict.fromkeys(tails) if t not in self.tail_id]
-            tid = np.fromiter(map(self.tail_id.__getitem__, tails), np.intp, limit)
-        if lists:
-            # new tails are numbered as they first appear, above every old one
-            before = np.maximum.accumulate(np.concatenate(([n_old - 1], tid[:-1])))
-            firsts = np.flatnonzero(tid > before).tolist()
-            for pair, line in zip(self.tail_pair[n_old:], firsts):
-                if pair is None or not (pair in self.row_of_pair or self._add_pair(pair)):
-                    limit = line
-                    break
-            rows = [self.row_of_pair.get(p, -1) for p in self.tail_pair[n_old:]]
-            self.tail_row = np.append(self.tail_row, rows)
-            self.tail_list = np.append(self.tail_list, lists).astype(np.int32)
-            if len(self.row_of_pair) > len(self.ids):
-                cap = min(2 * len(self.ids), self.n_nodes * (self.n_nodes - 1))
-                grown = np.full(
-                    (max(cap, len(self.row_of_pair)), self.duration_ms), -1, dtype=np.int32
-                )
-                grown[: len(self.ids)] = self.ids
-                self.ids = grown
-
-        tid = tid[:limit]
-        key = self.tail_row[tid] * self.duration_ms + ms[:limit]
-        flat_ids = self.ids.reshape(-1)
-        again = flat_ids[key] >= 0  # recorded by an earlier block
-        order = np.argsort(key, kind="stable")
-        again[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-        if again.any():
-            limit = int(again.argmax())
-        flat_ids[key[:limit]] = self.tail_list[tid[:limit]]
-        if limit < len(ends):
-            line = _line_text(text, ends, limit)
-            raise ValueError(
-                f"{self.path}: line {linenos[limit]}: {self._line_error(line)}"
-            )
-        if limit:
-            self._expect(ms[:limit], tid, tails)
-
-    def _expect(self, ms: np.ndarray, tid: np.ndarray, tails: list) -> None:
-        """Set up :meth:`_repeat` after a block of rows, all recorded.
-
-        A block of one millisecond is taken as whole, and the next is
-        expected to repeat it. In a longer block, the last run of equal
-        timestamps may be cut short by the block's end; if it repeats the
-        start of the run before it, that run is whole, and the rest of it
-        is expected, then itself again. Otherwise nothing is expected. A
-        block whose last n rows (n the row count of the millisecond last
-        expected) differ from the n before them is taken to end in no
-        repeat, at the cost of one comparison.
+        The first line, and each line whose row tail is new, goes through
+        :meth:`_check`; a line with a tail that passed before needs only the
+        duplicate check, as its timestamp is the first line's.
         """
-        self.last_tails = []
-        n = len(self.last_tid)
-        if n and len(tid) >= 2 * n and tid[-n:].tobytes() != tid[-2 * n : -n].tobytes():
+        lines = bytes(block).split(b"\n")[:-1]
+        cut = lines[0].find(b",") + 1  # where the row tails begin
+        ms = None  # the timestamp, once the first row is checked
+        tails, rows, lists = [], [], []
+        for lineno, line in enumerate(lines, self.lineno):
+            tail = line[cut:]
+            known = self.tail_of.get(tail)
+            if known is None or ms is None:
+                try:
+                    checked = self._check(line)
+                except ValueError as exc:
+                    raise ValueError(f"{self.path}: line {lineno}: {exc}") from None
+                if checked is None:
+                    continue  # a blank line, alone in its block
+                if ms is None:
+                    ms = checked[0]
+                    column = self.ids[:, ms].tolist()
+                known = self.tail_of[tail] = checked[1:]
+                column += [-1] * (len(self.row_of_pair) - len(column))
+            row, list_id = known
+            if column[row] >= 0:
+                tx, rx = list(self.row_of_pair)[row]
+                raise ValueError(
+                    f"{self.path}: line {lineno}: second record for ({ms},{tx},{rx}), "
+                    f"the first is on line {_first_line_of(self.path, (ms, tx, rx))}"
+                )
+            column[row] = list_id
+            tails.append(tail)
+            rows.append(row)
+            lists.append(list_id)
+        self.lineno += len(lines)
+        if ms is None:
             return
-        starts = np.flatnonzero(ms[1:] != ms[:-1]) + 1
-        f = int(starts[-1]) if starts.size else 0  # the last run: f..
-        g = int(starts[-2]) if starts.size > 1 else 0  # the run before: g..f-1
-        done = len(ms) - f
-        self.next_ms, self.done = int(ms[-1]) + 1, 0
-        if not f:
-            self.last_tails, self.last_tid = tails, tid
-        elif done <= f - g and tid[f:].tobytes() == tid[g : g + done].tobytes():
-            self.last_tails, self.last_tid = tails[g:f], tid[g:f]
-            if done < f - g:
-                self.next_ms, self.done = int(ms[-1]), done
+        if len(self.row_of_pair) > len(self.ids):
+            cap = min(2 * len(self.ids), self.n_nodes * (self.n_nodes - 1))
+            grown = np.full(
+                (max(cap, len(self.row_of_pair)), self.duration_ms), -1, dtype=np.int32
+            )
+            grown[: len(self.ids)] = self.ids
+            self.ids = grown
+        self.ids[rows, ms] = lists
+        self.tails, self.rows, self.lists = tails, np.array(rows), np.array(lists)
+        self.next_ms, self.end = ms + 1, max(self.end, ms + 1)
 
-    def _add_tail(self, tail: bytes) -> int:
-        """Number a new row tail; its tap list, or -1 if it does not parse."""
-        try:  # a tail that is not UTF-8 does not parse
-            tx, rx, body = tail.decode().rstrip().split(",", 2)
-            pair = int(tx), int(rx)
-            list_id = self.list_of_body.get(body)
-            if list_id is None:
-                taps = _checked_taps(_parse_row_body(body.split(","), self.k))
-                self.tap_lists.append(taps)
-                list_id = self.list_of_body[body] = len(self.tap_lists) - 1
-        except ValueError:
-            pair, list_id = None, -1
-        self.tail_id[tail] = len(self.tail_pair)
-        self.tail_pair.append(pair)
-        return list_id
-
-    def _add_pair(self, pair: tuple[int, int]) -> bool:
-        """Give a new pair a row of the index; False if it is no node pair
-        or brings the distinct node ids past n_nodes."""
-        nodes = self.nodes | set(pair)
-        if pair[0] == pair[1] or len(nodes) > self.n_nodes:
-            return False
-        self.nodes = nodes
-        self.row_of_pair[pair] = len(self.row_of_pair)
-        return True
-
-    def _line_error(self, line: str) -> str:
-        """The first rule a line breaks, given the rows recorded before it."""
+    def _check(self, line: bytes) -> Optional[tuple[int, int, int]]:
+        """A row's timestamp, its pair's row of the index and its tap list,
+        or None for a blank line. The rules are a per-line reader's, in its
+        order; the first the line breaks raises, and a new pair of a row
+        that breaks none gets a row of the index."""
         try:
-            line.encode(errors="surrogateescape").decode()
+            text = line.decode().strip()
         except UnicodeDecodeError as exc:
-            return f"not UTF-8: {exc}"
-        line = line.strip()
-        n_cells = line.count(",") + 1
+            raise ValueError(f"not UTF-8: {exc}") from None
+        if not text:
+            return None
+        n_cells = text.count(",") + 1
         if n_cells > 3 + 3 * self.k:
-            return f"{(n_cells - 3) // 3} taps exceed K={self.k}"
+            raise ValueError(f"{(n_cells - 3) // 3} taps exceed K={self.k}")
         if n_cells < 3 + 3 * self.k:
-            return "truncated record"
-        cells = line.split(",", 3)
+            raise ValueError("truncated record")
+        cells = text.split(",", 3)
+        body = cells[3]
         try:
             ms, tx, rx = int(cells[0]), int(cells[1]), int(cells[2])
-            taps = _parse_row_body(cells[3].split(","), self.k)
+            list_id = self.list_of_body.get(body)
+            if list_id is None:
+                taps = _parse_row_body(body.split(","), self.k)
         except ValueError as exc:
-            return f"bad field: {exc}"
-        try:
-            _checked_taps(taps)
-        except ValueError as exc:
-            return str(exc)
+            raise ValueError(f"bad field: {exc}") from None
+        if list_id is None:
+            self.tap_lists.append(_checked_taps(taps))
+            list_id = self.list_of_body[body] = len(self.tap_lists) - 1
         if not 0 <= ms < self.duration_ms:
-            return f"timestamp {ms} ms outside the file's 0..{self.duration_ms - 1} ms"
-        if (tx, rx) not in self.row_of_pair:
-            if tx == rx:
-                return f"tx and rx are both node {tx}, not a node pair"
-            return (
-                f"pair ({tx},{rx}) brings the distinct node ids to "
-                f"{len(self.nodes | {tx, rx})}, more than n_nodes={self.n_nodes}"
+            raise ValueError(
+                f"timestamp {ms} ms outside the file's 0..{self.duration_ms - 1} ms"
             )
-        return (
-            f"second record for ({ms},{tx},{rx}), the first is on line "
-            f"{_first_line_of(self.path, (ms, tx, rx))}"
-        )
+        row = self.row_of_pair.get((tx, rx))
+        if row is None:
+            if tx == rx:
+                raise ValueError(f"tx and rx are both node {tx}, not a node pair")
+            nodes = self.nodes | {tx, rx}
+            if len(nodes) > self.n_nodes:
+                raise ValueError(
+                    f"pair ({tx},{rx}) brings the distinct node ids to "
+                    f"{len(nodes)}, more than n_nodes={self.n_nodes}"
+                )
+            self.nodes = nodes
+            row = self.row_of_pair[(tx, rx)] = len(self.row_of_pair)
+        return ms, row, list_id
 
 
 def read_tap_file(path) -> TapFile:
     """Parse a tap file; errors name the file and the offending line.
 
-    The header is read line by line and the rows by milliseconds (see
-    :class:`_RowReader`). A line that is not UTF-8, a row outside 0 <=
+    The header is read line by line and the rows one millisecond at a time:
+    by one byte comparison where it repeats the millisecond before, else
+    line by line (see :class:`_RowReader`). A line that is not UTF-8, a row outside 0 <=
     timestamp_ms < duration_ms, a second row for the same (timestamp_ms,
     tx, rx), a row with tx == rx and rows naming more distinct node ids
     than n_nodes are errors; the first offending line of the file is

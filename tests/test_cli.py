@@ -201,6 +201,23 @@ class TestValidateReadsConfig:
         assert report["gain_tol_db"] == tol
         assert rc == expected
 
+    def test_a_tap_file_without_records_is_an_error(self, synthetic_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(synthetic_cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        taps = out / "taps.csv"
+        taps.write_text("".join(
+            line for line in taps.read_text().splitlines(keepends=True)
+            if line.startswith("#")
+        ))
+        capsys.readouterr()
+        rc = main(["validate", "--config", str(synthetic_cfg), "--taps", str(taps),
+                   "--capture", str(out / "capture_1-2.iq"), "--out-dir", str(out)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {taps}: no tap records to validate against\n"
+        )
+
     def test_gain_tol_flag_is_gone(self, synthetic_cfg, tmp_path):
         with pytest.raises(SystemExit):
             main(["validate", "--config", str(synthetic_cfg), "--taps", "t.csv",

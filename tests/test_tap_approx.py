@@ -1028,6 +1028,18 @@ class TestRepeatedMilliseconds:
             patch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
             assert read_outcome(read_tap_file, path) == want
 
+    @staticmethod
+    def _row_path_calls(monkeypatch) -> list:
+        """The lines of each call of the row path, as a list per call."""
+        calls = []
+        row_path = tap_approx._RowReader._ms
+        monkeypatch.setattr(
+            tap_approx._RowReader,
+            "_ms",
+            lambda self, block: calls.append(bytes(block).splitlines()) or row_path(self, block),
+        )
+        return calls
+
     @pytest.mark.parametrize("block_bytes", [7, 300, 1 << 16])
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_only_the_changed_milliseconds_reach_the_row_path(
@@ -1043,41 +1055,59 @@ class TestRepeatedMilliseconds:
         path = tmp_path / "taps.csv"
         write_tap_file(src, path)
         path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
-        seen = []
-        add = tap_approx._RowReader.add
-        monkeypatch.setattr(
-            tap_approx._RowReader,
-            "add",
-            lambda self, block: seen.extend(bytes(block).splitlines()) or add(self, block),
-        )
+        calls = self._row_path_calls(monkeypatch)
         monkeypatch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
         back = read_tap_file(path)
         assert back.records == src.records
+        seen = [row for call in calls for row in call]
         assert sorted({int(row.split(b",")[0]) for row in seen}) == changes
         assert len(seen) == len(changes) * len(pairs)
 
-    @pytest.mark.parametrize("block_bytes", range(40, 700, 37))
-    def test_a_block_that_ends_inside_a_repeat_is_finished_by_comparison(
-        self, tmp_path, monkeypatch, block_bytes
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("duration_ms", [1, 9])
+    def test_each_changed_millisecond_reaches_the_row_path_in_one_call(
+        self, tmp_path, monkeypatch, block_bytes, duration_ms
     ):
-        # ms 0 to 11 all differ, so the rows are read in blocks; the block
-        # that ends inside a repeat is finished, and the rest of the file
-        # read, by comparison
-        lists = [((0, 1 + 0j),), ((2, 0.5j),), ((1, -2.0 + 0j),)]
-        index = {(1, 2): [0] * 100, (2, 1): [n % 3 for n in range(12)] + [2] * 88,
-                 (1, 3): [0] * 100}
-        src = TapFile(3, 1e-8, 1, 100, 0.0, lists, index)
+        # the rows of each millisecond are longer than those before, so no
+        # comparison reads ahead past them; a file of one millisecond ends
+        # less than 64 bytes after the first refill
+        lists = [((0, complex(0.5**ms, 0)),) for ms in range(duration_ms)]
+        pairs = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        src = TapFile(3, 1e-8, 1, duration_ms, 0.0, lists,
+                      {pair: list(range(duration_ms)) for pair in pairs})
         path = tmp_path / "taps.csv"
         write_tap_file(src, path)
-        seen = []
-        add = tap_approx._RowReader.add
-        monkeypatch.setattr(
-            tap_approx._RowReader,
-            "add",
-            lambda self, block: seen.extend(bytes(block).splitlines()) or add(self, block),
-        )
+        calls = self._row_path_calls(monkeypatch)
+        monkeypatch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
+        assert read_tap_file(path).records == src.records
+        assert [[int(row.split(b",")[0]) for row in call] for call in calls] == [
+            [ms] * len(pairs) for ms in range(duration_ms)
+        ]
+
+    @pytest.mark.parametrize(
+        "n_nodes,block_bytes",
+        [(3, block_bytes) for block_bytes in range(40, 700, 37)]
+        + [(n_nodes, 1 << 16) for n_nodes in (10, 15, 21)],
+    )
+    def test_only_the_changed_milliseconds_reach_the_row_path_at_any_size(
+        self, tmp_path, monkeypatch, n_nodes, block_bytes
+    ):
+        # refills from less than a row to more than a millisecond; with 90,
+        # 210 and 420 pairs a millisecond's rows fill from a quarter of a
+        # 64 KiB refill to more than one
+        pairs = [(tx, rx) for tx in range(1, n_nodes + 1)
+                 for rx in range(1, n_nodes + 1) if tx != rx]
+        lists = [
+            tuple((4 * i + t, complex(0.123456789012345 * (t + 1), -0.98765432101234 / (i + 2)))
+                  for t in range(4))
+            for i in range(3)
+        ]
+        index = {pair: [2] * 200 for pair in pairs}
+        index[pairs[0]] = [n % 2 for n in range(12)] + [1] * 188  # ms 0 to 11 change
+        src = TapFile(n_nodes, 1e-8, 4, 200, 0.0, lists, index)
+        path = tmp_path / "taps.csv"
+        write_tap_file(src, path)
+        calls = self._row_path_calls(monkeypatch)
         monkeypatch.setattr(tap_approx, "_BLOCK_BYTES", block_bytes)
         assert read_outcome(read_tap_file, path) == read_outcome(read_tap_file_per_line, path)
-        # the rows of ms 0 to 11, then at most a block (rows of 16 bytes or
-        # more) and one millisecond
-        assert len(seen) <= 3 * 12 + block_bytes // 16 + 3
+        assert sum(map(len, calls)) == 12 * len(pairs)
