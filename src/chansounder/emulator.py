@@ -18,9 +18,11 @@ without the samples before it, by any thread.
 ``apply_channel`` filters an in-memory stream and is the reference for
 ``emulate_blocks``, which streams a repeated sounding reference through a
 link as bounded complex64 blocks: the exact contents of a capture. A
-block's noise chunks are a ``helper.WorkQueue``, drawn on either thread
-while the calling thread filters the block; the output is the same byte for
-byte whichever thread draws a chunk.
+block's noise chunks are the pieces of a ``helper.WorkQueue``; each piece
+draws its noise, filters and casts its samples on whichever thread claims
+it, in that thread's ``helper.scratch``, so a block step allocates nothing
+of the block's size but the block it yields. The output is the same byte
+for byte whichever thread runs a piece.
 
 IQ captures are raw interleaved 32-bit little-endian floats (I then Q per
 sample, no header) with a JSON sidecar carrying only ``sample_rate_hz``.
@@ -143,23 +145,28 @@ def _noise_sigma(floor_db: Optional[float]) -> Optional[float]:
 
 
 def _draw_noise(out: np.ndarray, key: tuple, start: int, sigma: float) -> None:
-    """Fill interleaved I/Q ``out`` with the keyed noise from sample ``start``.
+    """Fill interleaved I/Q ``out`` with the keyed noise from sample ``start``."""
+    chunk = NOISE_CHUNK_SAMPLES
+    n, stop = start, start + len(out) // 2
+    while n < stop:
+        end = min((n // chunk + 1) * chunk, stop)
+        part = out[2 * (n - start) : 2 * (end - start)]
+        _chunk_rng(key, n).standard_normal(out=part)
+        part *= sigma
+        n = end
+
+
+def _chunk_rng(key: tuple, n: int) -> np.random.Generator:
+    """The generator of the noise chunk that holds sample n, at sample n.
 
     A window that starts inside a chunk draws and drops that chunk's head:
     interleaved draws split anywhere equal one bulk draw from the same state.
     """
-    chunk = NOISE_CHUNK_SAMPLES
-    n, stop = start, start + len(out) // 2
-    while n < stop:
-        c, head = divmod(n, chunk)
-        end = min((c + 1) * chunk, stop)
-        rng = np.random.default_rng((*key, c))
-        if head:
-            rng.standard_normal(2 * head)
-        part = out[2 * (n - start) : 2 * (end - start)]
-        rng.standard_normal(out=part)
-        part *= sigma
-        n = end
+    c, head = divmod(n, NOISE_CHUNK_SAMPLES)
+    rng = np.random.default_rng((*key, c))
+    if head:
+        rng.standard_normal(2 * head)
+    return rng
 
 
 def noise_floor_db_for_dynamic_range(
@@ -279,12 +286,24 @@ def iq_file_sample_count(path) -> int:
 def read_iq_file(path) -> np.ndarray:
     """The samples of a complete capture (one with its sidecar), as stored."""
     read_iq_sidecar(path)
-    return _read_iq_samples(path, 0, iq_file_sample_count(path))
+    return np.fromfile(path, dtype="<c8", count=iq_file_sample_count(path))
 
 
-def _read_iq_samples(path, start_sample: int, count: int) -> np.ndarray:
-    """A sample range of a capture as stored: complex64, no metadata."""
-    return np.fromfile(path, dtype="<c8", count=count, offset=8 * start_sample)
+def _read_iq_blocks(path, total: int, block: int) -> Iterator[np.ndarray]:
+    """The first ``total`` samples of a capture as stored, ``block`` at a time.
+
+    Every block is read into one buffer, so a block is valid only until the
+    next is asked for. A file that ends early is an error naming it.
+    """
+    buf = np.empty(min(block, total), dtype="<c8")
+    with open(path, "rb") as fh:
+        for start in range(0, total, block):
+            view = buf[: min(block, total - start)]
+            if fh.readinto(view) != view.nbytes:
+                raise ValueError(
+                    f"IQ capture {path} ended before sample {start + len(view)}"
+                )
+            yield view
 
 
 class IqFileWriter:
@@ -345,15 +364,20 @@ def emulate_blocks(
     The blocks concatenate to apply_channel on the infinitely repeated
     reference, truncated to ``total_samples`` and cast to complex64: the
     exact bytes of a capture. Every block holds ``block_samples`` samples
-    but the last. The input is tiled on the fly and filter history is
-    carried across block edges. Each run of samples that one tap list
-    drives (``TapFile.sample_runs``) is filtered with that list's taps, in
-    spans of at most ``_FILTER_SPAN`` samples; a sample past the tap file
-    raises before the first block is made. Noise is the keyed stream of
-    ``make_noise``, drawn per block a chunk at a time, so the output does
-    not depend on the block size. A block's chunks are a ``helper.WorkQueue``
-    that starts while the consumer still handles the previous block; closing
-    the generator early waits only for the chunk in flight.
+    but the last, and is a new array that the caller owns. A sample past the
+    tap file raises before the first block is made.
+
+    A block's noise chunks are the pieces of a ``helper.WorkQueue``, and a
+    piece does the whole step for its samples on whichever thread claims
+    it, in spans of at most ``_FILTER_SPAN`` samples inside one run of a tap
+    list (``TapFile.sample_runs``): it filters the tiled reference, scales,
+    adds the keyed noise of ``make_noise`` and casts into the block. Those
+    are the operations of ``apply_channel`` in its order, and split noise
+    draws equal one bulk draw, so the output depends neither on the block
+    size nor on the thread. A piece works in its thread's ``helper.scratch``,
+    so a step allocates no block-sized array but the block. The next
+    block's queue starts before a block is yielded; closing the generator
+    early waits only for the piece in flight.
     """
     tx, rx = pair
     if pair not in taps.pairs():
@@ -365,6 +389,11 @@ def emulate_blocks(
     frame = len(ref)
     max_idx = max((i for t in taps.used_tap_lists(pair) for i, _ in t), default=0)
     d_max = max_idx * step
+    # tiled[m + d_max] is input sample m: d_max zeros of history, then the
+    # reference repeated, long enough that every span's inputs are a slice
+    tiled = np.concatenate(
+        [np.zeros(d_max, dtype=np.complex128), np.resize(ref, frame + _FILTER_SPAN + d_max)]
+    )
     scale = 10.0 ** (-pair_base_loss_db(config, tx, rx) / 20.0)
     key = (config.seed, tx, rx)
     sigma = _noise_sigma(config.noise_floor_db)
@@ -376,65 +405,55 @@ def emulate_blocks(
     filters = {
         tid: [(i * step, c) for i, c in taps.tap_lists[tid]] for tid in set(run_ids)
     }
-    # buffers reused by every block: input with d_max samples of filter
-    # history in front, filtered output, interleaved noise draws
-    size = max(min(block_samples, total_samples), 0)
-    xp = np.zeros(d_max + size, dtype=np.complex128)
-    y = np.empty(size, dtype=np.complex128)
-    z = np.empty(2 * size)
 
-    def draw(start, n0, n1):
-        _draw_noise(z[2 * (n0 - start) : 2 * (n1 - start)], key, n0, sigma)
+    def piece(out, pos, n0, n1):
+        # samples [n0, n1), inside one noise chunk, into `out` from `pos` on
+        rng = None if sigma is None else _chunk_rng(key, n0)
+        span = min(_FILTER_SPAN, n1 - n0)
+        fir = helper.scratch("emulator.fir", span, np.complex128)
+        products = helper.scratch("emulator.product", span, np.complex128)
+        draws = helper.scratch("emulator.noise", 2 * span, np.float64)
+        for r in range(bisect_right(edges, n0) - 1, bisect_left(edges, n1)):
+            stop = min(edges[r + 1], n1)
+            for a in range(max(edges[r], n0), stop, _FILTER_SPAN):
+                n = min(a + _FILTER_SPAN, stop) - a
+                y, product = fir[:n], products[:n]
+                # inputs from sample a - d_max on: in the zero history, or at
+                # their phase of the reference
+                base = a if a < d_max else d_max + (a - d_max) % frame
+                y[...] = 0
+                for d, c in filters[run_ids[r]]:
+                    x = tiled[base + d_max - d : base + d_max - d + n]
+                    y += np.multiply(c, x, out=product)
+                y *= scale
+                if rng is not None:
+                    z = draws[: 2 * n]
+                    rng.standard_normal(out=z)
+                    z *= sigma
+                    y += z.view(np.complex128)
+                out[a - pos : a - pos + n] = y
 
-    def start_noise(start):
-        # the block from `start` on, cut at noise chunk edges
-        if sigma is None:
-            return None
-        stop = min(start + size, total_samples)
-        cuts = [start, *range(start - start % chunk + chunk, stop, chunk), stop]
-        return helper.WorkQueue(zip(cuts, cuts[1:]), partial(draw, start))
+    def start(pos):
+        # the block from `pos` on, cut at noise chunk edges
+        stop = min(pos + block_samples, total_samples)
+        out = np.empty(stop - pos, dtype=np.complex64)
+        cuts = [pos, *range(pos - pos % chunk + chunk, stop, chunk), stop]
+        return out, helper.WorkQueue(zip(cuts, cuts[1:]), partial(piece, out, pos))
 
     pos = 0
-    noise = start_noise(0)
+    queue = None
     try:
-        while pos < total_samples:
-            count = min(size, total_samples - pos)
-            if pos and d_max:  # every block before this one held `size` samples
-                xp[:d_max] = xp[size : size + d_max]
-            _tile_into(xp[d_max : d_max + count], ref, pos % frame)
-            end = pos + count
-            # the runs that meet this block, a span at a time: a product over
-            # a whole block would be a 4 MiB temporary per tap
-            for r in range(bisect_right(edges, pos) - 1, bisect_left(edges, end)):
-                stop = min(edges[r + 1], end)
-                for n0 in range(max(edges[r], pos), stop, _FILTER_SPAN):
-                    n1 = min(n0 + _FILTER_SPAN, stop)
-                    seg = y[n0 - pos : n1 - pos]
-                    seg[...] = 0
-                    for d, c in filters[run_ids[r]]:
-                        a = d_max + (n0 - pos) - d
-                        seg += c * xp[a : a + (n1 - n0)]
-            y[:count] *= scale
-            if noise is not None:
-                noise.finish()
-                y[:count] += z[: 2 * count].view(np.complex128)
-                # z is free again: the helper starts on the next block's noise
-                noise = start_noise(pos + count)
-            yield y[:count].astype(np.complex64)
-            pos += count
+        if total_samples > 0:
+            out, queue = start(0)
+        while queue is not None:
+            queue.finish()
+            block, pos, queue = out, pos + len(out), None
+            if pos < total_samples:
+                out, queue = start(pos)  # runs on the helper while we yield
+            yield block
     finally:  # also when the consumer stops early: leave nothing running
-        if noise is not None:
-            noise.cancel()
-
-
-def _tile_into(out: np.ndarray, ref: np.ndarray, phase: int) -> None:
-    """Fill ``out`` with the reference repeated from ``phase`` on."""
-    frame = len(ref)
-    head = min(frame - phase, len(out))
-    out[:head] = ref[phase : phase + head]
-    periods, rest = divmod(len(out) - head, frame)
-    out[head : head + periods * frame].reshape(periods, frame)[...] = ref
-    out[head + periods * frame :] = ref[:rest]
+        if queue is not None:
+            queue.cancel()
 
 
 def emulate_repeated_reference_to_file(

@@ -182,6 +182,8 @@ def compare_to_ground_truth(
     """
     pairs = taps.pairs()
     if pair is None:
+        if not pairs:
+            raise ValueError("tap file has no records to compare against")
         if len(pairs) != 1:
             raise ValueError("tap file has multiple pairs; specify one")
         pair = pairs[0]

@@ -10,17 +10,25 @@ calling thread; ``split`` cuts whole units, such as frames, into pieces of
 about that size. The callers' pieces write disjoint outputs, so which thread
 runs a piece never changes the result. There is one helper per process,
 started on first use; a forked child starts its own.
+
+A piece works in ``scratch``: per-thread arrays, one per name, that only
+grow and are reused by every later request on that thread. So a step that
+has warmed up allocates no array of its own size, and two threads never
+share a scratch array. A piece returns nothing that points into scratch.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import deque
 from queue import SimpleQueue
 from typing import Callable, Iterable
 
-__all__ = ["HANDOFF_SAMPLES", "WorkQueue", "split"]
+import numpy as np
+
+__all__ = ["HANDOFF_SAMPLES", "WorkQueue", "scratch", "split"]
 
 HANDOFF_SAMPLES = 1 << 15  # smallest step (samples) worth handing off
 
@@ -40,6 +48,25 @@ def split(start: int, stop: int, unit: int) -> list[tuple[int, int]]:
     runs = max(runs, min(n, 1))
     edges = [start + n * k // runs * unit for k in range(runs + 1)] if n else []
     return list(zip(edges, edges[1:]))
+
+
+_scratch = threading.local()  # name -> this thread's byte buffer
+
+
+def scratch(name: str, shape, dtype) -> np.ndarray:
+    """An uninitialized ``shape`` array of ``dtype`` in this thread's buffer ``name``.
+
+    The buffer grows to the largest request so far, and a request that fits
+    gets the same memory again. So the array is valid only until this
+    thread's next request for ``name``; use distinct names for arrays that
+    are live together.
+    """
+    dtype = np.dtype(dtype)
+    size = (shape if isinstance(shape, int) else math.prod(shape)) * dtype.itemsize
+    buf = _scratch.__dict__.get(name)
+    if buf is None or buf.size < size:
+        buf = _scratch.__dict__[name] = np.empty(size, dtype=np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 class WorkQueue:

@@ -10,10 +10,14 @@ the direct-sum definition at 1e-9 relative.
 Every sounding path runs through one block consumer, ``sound_blocks``:
 long streams arrive in blocks of any size, and chunked and single-pass
 runs produce identical detections while peak memory stays bounded by one
-block. Frame 0 is sounded first, alone, for the anchor and the floor; the
-other frames go in runs through a ``helper.WorkQueue``, which may split a
-block between two threads. Frames are independent once the anchor and
-floor are set, so the detections are identical to a single-threaded run.
+block. Each block is copied after the carried partial frame into one frame
+buffer per call, and ``sound_chunked`` reads a capture into one reused
+block buffer. Frame 0 is sounded first, alone, for the anchor and the
+floor; the other frames go in runs through a ``helper.WorkQueue``, which
+may split a block between two threads. A run's correlation, magnitudes and
+gains are computed in place in its thread's ``helper.scratch``. Frames are
+independent once the anchor and floor are set, so the detections are
+identical to a single-threaded run.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from . import helper
 from .emulator import (
     DEFAULT_BLOCK_SAMPLES,
-    _read_iq_samples,
+    _read_iq_blocks,
     iq_file_sample_count,
     read_iq_sidecar,
 )
@@ -187,6 +191,10 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Circular cross-correlation of each frame row with the reference.
 
     h[f, k] = sum_n r_f(n) * ref((n - k) mod L) / sum_n ref(n)^2
+
+    The frames are upcast into the thread's ``helper.scratch`` and
+    transformed there in place, so ``h`` is valid only until the thread's
+    next call.
     """
     frame_len = len(ref)
     n_frames = len(samples) // frame_len
@@ -194,22 +202,25 @@ def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"
         )
-    frames = np.asarray(samples[: n_frames * frame_len], dtype=np.complex128)
+    h = helper.scratch("sounder.cir", (n_frames, frame_len), np.complex128)
+    h.reshape(-1)[...] = samples[: n_frames * frame_len]
     energy = float(np.sum(ref * ref))
-    spectra = np.fft.fft(frames.reshape(n_frames, frame_len), axis=1)
-    del frames  # free the upcast before ifft allocates its output
-    spectra *= np.conj(np.fft.fft(ref))
-    h = np.fft.ifft(spectra, axis=1)
+    np.fft.fft(h, axis=1, out=h)
+    h *= np.conj(np.fft.fft(ref))
+    np.fft.ifft(h, axis=1, out=h)
     # numpy divides complex by complex; a real scale on the float view is
     # the same multiply by 1/energy that division by a real comes to
     h.view(np.float64)[...] *= 1.0 / energy
     return h
 
 
-def _gains_from_abs(h_abs: np.ndarray) -> np.ndarray:
-    """Per-lag path gains 20*log10 |h|; a zero magnitude maps to _MIN_GAIN_DB."""
+def _gains_from_abs(h_abs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-lag path gains 20*log10 |h|; a zero magnitude maps to _MIN_GAIN_DB.
+
+    ``out``, which may be ``h_abs`` itself, receives the gains.
+    """
     with np.errstate(divide="ignore"):
-        g = np.log10(h_abs)
+        g = np.log10(h_abs, out=out)
     g *= 20.0
     g[~np.isfinite(g)] = _MIN_GAIN_DB
     return g
@@ -293,22 +304,26 @@ def sound_blocks(
 ) -> SoundingReport:
     """Sound a received stream delivered as consecutive sample blocks.
 
-    Blocks may have any length: a partial frame is carried into the next
-    block, and a trailing partial frame is dropped. Samples are upcast to
-    complex128 before correlation. The anchor lag and noise floor come from
-    frame 0 and hold for every frame, so delays stay on one reference and
-    the detections do not depend on how the stream was split, nor on which
-    thread sounded which frames.
+    Blocks may have any length: each is copied, after the partial frame
+    carried from the one before, into one frame buffer, so the producer may
+    reuse a block's memory once the next is asked for; a trailing partial
+    frame is dropped. Samples are upcast to complex128 before correlation.
+    The anchor lag and noise floor come from frame 0 and hold for every
+    frame, so delays stay on one reference and the detections do not depend
+    on how the stream was split, nor on which thread sounded which frames.
     """
     ref = bpsk_modulate(sequence, samples_per_chip)
     frame_len = len(ref)
-    carry = np.empty(0, dtype=np.complex128)
+    buf = np.empty(0, dtype=np.complex64)  # the carry, then the block
+    carry = 0
     anchor = floor = None
     parts: list[Detections] = []
 
     def detect(h):
+        g = helper.scratch("sounder.gains", h.shape, np.float64)
+        np.abs(h, out=g)
         return _detect_in_gain_matrix(
-            _gains_from_abs(np.abs(h)), anchor, floor,
+            _gains_from_abs(g, out=g), anchor, floor,
             config.detection_threshold_db, config.guard_samples, fs,
         )
 
@@ -316,11 +331,18 @@ def sound_blocks(
         found[a] = detect(_cir_matrix(x[a:b], ref))
 
     for block in blocks:
-        x = np.asarray(block)
-        if carry.size:
-            x = np.concatenate([carry, x])
-        end = len(x) // frame_len * frame_len
-        carry = x[end:].copy()
+        block = np.asarray(block)
+        n = carry + len(block)
+        dtype = np.result_type(buf, block)
+        if n > len(buf) or dtype != buf.dtype:
+            # a frame of headroom: the carry differs from block to block
+            grown = np.empty(n + frame_len, dtype=dtype)
+            grown[:carry] = buf[:carry]
+            buf = grown
+        buf[carry:n] = block
+        end = n // frame_len * frame_len
+        carry = n - end
+        x = buf[:end]
         if end and anchor is None:
             # frame 0 alone first: every frame is detected on its anchor and floor
             h = _cir_matrix(x[:frame_len], ref)
@@ -328,11 +350,12 @@ def sound_blocks(
             anchor = int(np.argmax(h_abs))
             floor = estimate_noise_floor_gain_db(h_abs)
             parts.append(detect(h))
-            x, end = x[frame_len:], end - frame_len
-        runs = helper.split(0, end, frame_len)  # each run fills its own slot
+            x = x[frame_len:]
+        runs = helper.split(0, len(x), frame_len)  # each run fills its own slot
         found = {}
         helper.WorkQueue(runs, partial(sound_frames, x, found)).finish()
         parts += [found[a] for a, _ in runs]
+        buf[:carry] = buf[end:n]
     if anchor is None:
         raise ValueError(
             f"received stream shorter than one frame ({frame_len} samples)"
@@ -357,8 +380,9 @@ def sound_chunked(
     """Sound a capture file read in blocks.
 
     A block is ``chunk_duration_s`` long but at most ``DEFAULT_BLOCK_SAMPLES``
-    samples. Gives exactly the detections of single-pass sounding while peak
-    memory stays bounded by one block.
+    samples, and every block is read into one buffer. Gives exactly the
+    detections of single-pass sounding while peak memory stays bounded by
+    one block.
     """
     fs = read_iq_sidecar(capture_path)
     if config.sample_rate_hz and abs(config.sample_rate_hz - fs) > 1e-6 * fs:
@@ -368,10 +392,7 @@ def sound_chunked(
         )
     total = iq_file_sample_count(capture_path)
     block = max(1, min(int(config.chunk_duration_s * fs), DEFAULT_BLOCK_SAMPLES))
-    blocks = (
-        _read_iq_samples(capture_path, start, min(block, total - start))
-        for start in range(0, total, block)
-    )
+    blocks = _read_iq_blocks(capture_path, total, block)
     return sound_blocks(blocks, config, sequence, fs, samples_per_chip)
 
 

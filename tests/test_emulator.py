@@ -472,6 +472,44 @@ class TestStreamingEmulation:
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("handoff", [1, 1 << 15, 1 << 62])
+    @pytest.mark.parametrize(
+        "case, chunk",
+        [
+            ("delays longer than a frame", None),
+            ("pieces inside the zero history", None),
+            ("pieces inside the zero history", 3000),  # below _FILTER_SPAN
+        ],
+    )
+    def test_blocks_equal_oracle_at_every_hand_off(
+        self, monkeypatch, case, chunk, handoff
+    ):
+        ref = np.sign(np.random.default_rng(2).standard_normal(255) + 0.1)
+        if case == "delays longer than a frame":
+            # d_max is 700 samples, of a 255-sample frame; blocks of a bit
+            # more than the hand-off size start inside noise chunks
+            records = [[(0, 0.7 + 0.1j), (700, 0.2j)]] * 40 + [
+                [(3, 1.0 + 0j), (300, -0.2 + 0j)]
+            ] * 50
+            total, block = 77_881, (1 << 15) + 1000
+        else:
+            # d_max is 50,000 samples: the second block, and its pieces,
+            # start inside the zero history, and a filter span crosses its end
+            records = [[(0, 0.8 + 0.1j), (50_000, 0.3j)]] * 60 + [
+                [(7, 1.0 + 0j), (50_000, -0.2 + 0j)]
+            ] * 60
+            total, block = 120_000, 40_000
+        assert 3000 < emulator._FILTER_SPAN
+        if chunk is not None:
+            monkeypatch.setattr(emulator, "NOISE_CHUNK_SAMPLES", chunk)
+        monkeypatch.setattr(helper, "HANDOFF_SAMPLES", handoff)
+        taps = tap_file_from(records)
+        cfg = quiet_config(base_loss_db=4.0, noise_floor_db=-25.0, seed=3)
+        blocks = list(emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block))
+        expected = emulate_oracle(taps, cfg, ref, total)
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
     def test_stream_beyond_tap_file_is_an_error(self):
         taps = tap_file_from([[(0, 1 + 0j)]])
         with pytest.raises(KeyError, match="duration"):
@@ -636,6 +674,32 @@ class TestHelperThread:
 
 def on_helper():
     return threading.current_thread().name == "chansounder-helper"
+
+
+class TestScratch:
+    def test_a_later_request_that_fits_gets_the_same_memory(self):
+        first = helper.scratch("test.scratch", (4, 8), np.complex128)
+        assert first.shape == (4, 8) and first.dtype == np.complex128
+        again = helper.scratch("test.scratch", 10, np.float64)
+        assert again.shape == (10,) and again.dtype == np.float64
+        assert again.ctypes.data == first.ctypes.data
+        grown = helper.scratch("test.scratch", 100, np.complex128)
+        assert grown.size == 100
+        assert helper.scratch("test.scratch", 3, np.int8).ctypes.data == grown.ctypes.data
+        other = helper.scratch("test.scratch-other", 3, np.int8)
+        assert not np.shares_memory(other, grown)
+
+    def test_each_thread_has_its_own(self):
+        here = helper.scratch("test.scratch", 16, np.float64)
+
+        def on_a_thread():
+            mine = helper.scratch("test.scratch", 16, np.float64)
+            return mine, helper.scratch("test.scratch", 8, np.float64)
+
+        there, again = wait_or_fail(on_a_thread)
+        assert again.ctypes.data == there.ctypes.data
+        assert not np.shares_memory(here, there)
+        assert helper.scratch("test.scratch", 16, np.float64).ctypes.data == here.ctypes.data
 
 
 class TestWorkQueue:

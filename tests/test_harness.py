@@ -132,6 +132,17 @@ class TestCompareToGroundTruth:
         validation = compare_to_ground_truth(report, taps, 0.0, 0.0, pair=(1, 2))
         assert validation.passed
 
+    def test_a_tap_file_without_records_is_an_error_saying_so(self):
+        report = SoundingReport(
+            detections=Detections(np.array([0, 0]), np.empty(0), np.empty(0)),
+            frame_duration_s=len(REF) / FS,
+            sample_rate_hz=FS,
+            noise_floor_gain_db=-60,
+            anchor_lag=0,
+        )
+        with pytest.raises(ValueError, match="^tap file has no records"):
+            compare_to_ground_truth(report, TapFile(2, GRID, 4, 3), 0.0, 0.0)
+
 
 @st.composite
 def scored_reports(draw):

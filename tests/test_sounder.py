@@ -243,6 +243,22 @@ class TestSoundChunked:
         assert chunked.anchor_lag == single.anchor_lag
         assert chunked.detections == single.detections
 
+    def test_chunked_equals_single_pass_while_the_carry_grows(self, tmp_path):
+        # blocks of 4 frames and 3 samples: the partial frame carried into
+        # the next block grows by 3 samples a block, over 6 blocks
+        x = np.tile(REF, 26)[: 6 * 1023 + 100].astype(complex)
+        rx = 0.8 * x + (0.2 - 0.1j) * np.roll(x, 9) + make_noise(len(x), -40.0, 2)
+        path = tmp_path / "capture.iq"
+        write_capture(path, rx)
+        cfg = SoundingConfig(chunk_duration_s=1023.5 / FS, discard_frames=1)
+        assert int(cfg.chunk_duration_s * FS) == 1023 == 4 * N + 3
+        chunked = sound_chunked(path, cfg, CODE, 1)
+        single = sound(read_iq_file(path), cfg)
+        assert chunked.n_frames == single.n_frames == 24 - 1
+        assert chunked.anchor_lag == single.anchor_lag
+        assert chunked.noise_floor_gain_db == single.noise_floor_gain_db
+        assert chunked.detections == single.detections
+
     @settings(max_examples=60, deadline=None)
     @given(
         cuts=st.lists(st.integers(0, 40 * N + 100), max_size=12),
