@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, mobility, sequences, sounder, tap_approx
+from . import harness, helper, mobility, sequences, sounder, tap_approx
 from .config import KEYS, PipelineConfig, parse_sequence
 from .config import load as load_config
 from .emulator import (
@@ -126,8 +126,12 @@ def _cmd_build_scenario(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_approximate_taps(args, cfg: PipelineConfig) -> int:
+    scenario = cfg.require_scenario()
     records = mobility.read_paths_records(args.paths_file) if args.paths_file else None
-    matrix = mobility.assemble_channel_matrix(cfg.require_scenario(), records)
+    try:
+        matrix = mobility.assemble_channel_matrix(scenario, records)
+    except ValueError as exc:  # records that do not cover the scenario
+        raise ValueError(f"{args.paths_file}: {exc}") from None
     tap_file = cfg.build_tap_file(matrix)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     tap_path = args.out_dir / "taps.csv"
@@ -180,7 +184,8 @@ def _cmd_validate(args, cfg: PipelineConfig) -> int:
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "validation.json"
-    out.write_text(json.dumps(validation.to_dict(), indent=2))
+    with helper.output(out) as fh:
+        json.dump(validation.to_dict(), fh, indent=2)
     status = "PASS" if validation.passed else "FAIL"
     print(
         f"{status}: max gain err "
@@ -209,7 +214,8 @@ def _cmd_heatmap(args, cfg=None) -> int:
     csv_path = args.out_dir / "heatmap.csv"
     heatmap.write_csv(csv_path)
     stats = {"mean_db": heatmap.mean_db, "sd_db": heatmap.sd_db}
-    (args.out_dir / "heatmap_stats.json").write_text(json.dumps(stats, indent=2))
+    with helper.output(args.out_dir / "heatmap_stats.json") as fh:
+        json.dump(stats, fh, indent=2)
     print(f"heatmap mean {heatmap.mean_db:.2f} dB sd {heatmap.sd_db:.2f} dB -> {csv_path}")
     return EXIT_OK
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -309,11 +310,10 @@ def _read_iq_blocks(path, total: int, block: int) -> Iterator[np.ndarray]:
 class IqFileWriter:
     """Streaming capture writer: append sample blocks, sidecar on close.
 
-    Opening removes any old capture and its sidecar. Samples go to a
-    ``.partial`` file that close renames into place before writing the
-    sidecar; if the ``with`` block raises, the partial file is deleted. So
-    an unfinished capture never looks valid. A sample rate that is not a
-    finite number > 0 is refused before any file is touched.
+    Opening removes any old capture and its sidecar. The samples and then
+    the sidecar are written through :func:`helper.output`, so an unfinished
+    capture never looks valid. A sample rate that is not a finite number > 0
+    is refused before any file is touched.
     """
 
     def __init__(self, path, sample_rate_hz: float):
@@ -325,19 +325,16 @@ class IqFileWriter:
             )
         self.sample_rate_hz = sample_rate_hz
         _sidecar_path(self.path).unlink(missing_ok=True)
-        self.path.unlink(missing_ok=True)
-        self._partial = self.path.with_name(self.path.name + ".partial")
-        self._fh = open(self._partial, "wb")
+        self._output = ExitStack()
+        self._fh = self._output.enter_context(helper.output(self.path, "wb"))
 
     def append(self, samples: np.ndarray) -> None:
         np.asarray(samples, dtype="<c8").tofile(self._fh)
 
     def close(self) -> None:
-        self._fh.close()
-        self._partial.replace(self.path)
-        _sidecar_path(self.path).write_text(
-            json.dumps({"sample_rate_hz": self.sample_rate_hz})
-        )
+        self._output.close()
+        with helper.output(_sidecar_path(self.path)) as fh:
+            json.dump({"sample_rate_hz": self.sample_rate_hz}, fh)
 
     def __enter__(self):
         return self
@@ -346,8 +343,7 @@ class IqFileWriter:
         if exc_type is None:
             self.close()
         else:
-            self._fh.close()
-            self._partial.unlink(missing_ok=True)
+            self._output.__exit__(exc_type, exc, tb)
 
 
 def emulate_blocks(

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import helper
 from . import mobility as mob
 from . import sequences as seq
 from .channel_model import coherent_loss_db
@@ -124,7 +125,7 @@ class PathLossHeatmap:
     sd_db: float
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with helper.output(path) as fh:
             fh.write("tx\\rx," + ",".join(str(i) for i in self.node_ids) + "\n")
             for r, tx in enumerate(self.node_ids):
                 cells = [
@@ -476,7 +477,7 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
             else float("nan")
         )
         series_path = out_dir / f"pathloss_series_{tag}.csv"
-        with open(series_path, "w") as fh:
+        with helper.output(series_path) as fh:
             fh.write("time_s,truth_loss_db,sounded_loss_db\n")
             _write_rows(
                 fh, "%.9f,%.6f,%.6f\n",
@@ -487,7 +488,8 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
         vpath = out_dir / f"validation_{tag}.json"
         payload = validation.to_dict()
         payload["rmse_strongest_vs_truth_db"] = rmse[pair]
-        vpath.write_text(json.dumps(payload, indent=2))
+        with helper.output(vpath) as fh:
+            json.dump(payload, fh, indent=2)
         artifacts[f"validation_{tag}"] = str(vpath)
 
     return PipelineResult(out_dir, artifacts, validations, rmse, passed)

@@ -15,6 +15,9 @@ A piece works in ``scratch``: per-thread arrays, one per name, that only
 grow and are reused by every later request on that thread. So a step that
 has warmed up allocates no array of its own size, and two threads never
 share a scratch array. A piece returns nothing that points into scratch.
+
+Every file the package writes goes through ``output``, so an output appears
+whole under its name or not at all.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ import math
 import os
 import threading
 from collections import deque
+from contextlib import contextmanager
+from pathlib import Path
 from queue import SimpleQueue
 from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["HANDOFF_SAMPLES", "WorkQueue", "scratch", "split"]
+__all__ = ["HANDOFF_SAMPLES", "WorkQueue", "output", "scratch", "split"]
 
 HANDOFF_SAMPLES = 1 << 15  # smallest step (samples) worth handing off
 
@@ -147,3 +152,20 @@ def _get_helper() -> SimpleQueue:
                 target=_serve, args=(_helper,), name="chansounder-helper", daemon=True
             ).start()
         return _helper
+
+
+@contextmanager
+def output(path, mode: str = "w", **open_kwargs):
+    """``open(<path>.partial, mode, **open_kwargs)``, renamed to ``path`` when
+    the block ends; any old file at ``path`` is removed first, and the
+    partial file is deleted if the block raises."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    path.unlink(missing_ok=True)
+    try:
+        with open(partial, mode, **open_kwargs) as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(path)

@@ -9,10 +9,10 @@ It works on arrays: the images of every transmitter of a sample are built
 one bounce depth at a time, and every (link, image) path at once. The
 generator and the paths-file reader both give :class:`PathRecords`, one
 columnar table of snapshots; one indexing loop makes it a (node, node,
-sample) channel matrix, so stationary-transmitter reuse and per-node sample
-clamping point at a snapshot instead of copying it. The matrix holds each
-distinct snapshot once, so the paths-file writer formats each once; the
-reader parses each distinct ``"paths"`` body once.
+sample) channel matrix, so stationary-transmitter reuse points at a
+snapshot instead of copying it. The matrix holds each distinct snapshot
+once, so the paths-file writer formats each once; the reader parses each
+distinct ``"paths"`` body once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import helper
 from .channel_model import TWO_PI, ChannelSnapshot, PathTable, RadioParams, RayPath
 
 __all__ = [
@@ -506,40 +507,28 @@ def assemble_channel_matrix(
     """Build the (node, node, sample) channel matrix.
 
     ``records`` are read from a paths file; when omitted the synthetic
-    generator makes them. Either way a stationary transmitter's entries
-    point at its sample 1 for every later sample, and per-node sample
-    indices are clamped to the node's last sample in the records.
+    generator makes them. Either way a moving transmitter's sample s takes
+    its record for sample s, and a stationary one's every sample takes its
+    record for sample 1; a missing record is an error.
     """
     n_s = num_samples(scenario.t_total_s, scenario.sample_interval_s)
     if records is None:
         records = _synthesize_records(scenario, n_s)
     ids = scenario.node_ids
-    last_tx, last_rx = {}, {}
-    for tx, rx, s in records.index:
-        last_tx[tx] = max(last_tx.get(tx, 0), s)
-        last_rx[rx] = max(last_rx.get(rx, 0), s)
-    for i in ids:
-        # with two nodes or more every node sends and receives
-        if len(ids) > 1 and (i not in last_tx or i not in last_rx):
-            raise ValueError(f"paths records missing node {i}")
     # the last snapshot is the empty one of the diagonal
     paths = PathTable.concat([records.paths, PathTable.of_columns([0], [], [], [])])
     index = {
         (i, j): np.full(n_s, len(paths.offsets) - 2, dtype=np.intp) for i in ids for j in ids
     }
     moving = {n.node_id for n in scenario.nodes if n.speed_mps != 0}
+    pairs = [(i, j) for i in ids for j in ids if i != j]
     for s in range(1, n_s + 1):
-        for i in ids:
-            for j in ids:
-                if i == j:
-                    continue
-                s_eff = min(s if i in moving else 1, last_tx[i], last_rx[j])
-                try:
-                    index[(i, j)][s - 1] = records.index[(i, j, s_eff)]
-                except KeyError:
-                    raise ValueError(
-                        f"paths records missing sample {s_eff} for pair ({i},{j})"
-                    )
+        for i, j in pairs:
+            s_eff = s if i in moving else 1
+            try:
+                index[(i, j)][s - 1] = records.index[(i, j, s_eff)]
+            except KeyError:
+                raise ValueError(f"paths records missing sample {s_eff} for pair ({i},{j})")
     return ChannelMatrix(ids, n_s, scenario.sample_interval_s, paths, index)
 
 
@@ -573,7 +562,7 @@ def write_paths_file(matrix: ChannelMatrix, path) -> None:
     bodies = [", ".join(objects[a:b]) for a, b in zip(bounds, bounds[1:])]
     # per sample, the snapshot of each pair's record
     series = np.array([matrix.index[pair] for pair in pairs]).T.tolist()
-    with open(path, "w") as fh:
+    with helper.output(path) as fh:
         for s, row in enumerate(series, start=1):
             head = f'"s": {s}, "t_s": {(s - 1) * matrix.sample_interval_s!r}'
             fh.write(

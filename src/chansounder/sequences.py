@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import helper
+
 __all__ = [
     "CodeSequence",
     "CorrelationProfile",
@@ -355,7 +357,7 @@ def periodic_correlation(a: CodeSequence, b: CodeSequence) -> CorrelationProfile
 
 def write_sequence(code: CodeSequence, path) -> None:
     """Export chips as a one-chip-per-line signed-integer text file."""
-    with open(path, "w") as fh:
+    with helper.output(path) as fh:
         for chip in code.chips:
             fh.write(f"{int(chip)}\n")
 

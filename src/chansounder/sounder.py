@@ -423,7 +423,7 @@ def write_report_json(report: SoundingReport, path) -> None:
             "mean_delay_s": float(np.mean(delays[valid])) if valid.any() else None,
         },
     }
-    with open(path, "w") as fh:
+    with helper.output(path) as fh:
         json.dump(payload, fh, indent=2)
 
 
@@ -436,7 +436,7 @@ def write_report_csv(report: SoundingReport, path) -> None:
     """
     det = report.detections
     times = report.frame_times_s()
-    with open(path, "w", newline="") as fh:
+    with helper.output(path, newline="") as fh:
         for a in range(0, len(det), _WRITE_BATCH_ROWS):
             b = min(a + _WRITE_BATCH_ROWS, len(det))
             lo, hi = int(det.offsets[a]), int(det.offsets[b])

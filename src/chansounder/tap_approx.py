@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import helper
 from .channel_model import ChannelSnapshot, PathTable
 
 __all__ = [
@@ -519,7 +520,7 @@ def write_tap_file(tap_file: TapFile, path) -> None:
     """
     tap_file.validate()
     pairs = tap_file.pairs()
-    with open(path, "wb") as fh:
+    with helper.output(path, "wb") as fh:
         fh.write(
             f"# n_nodes={tap_file.n_nodes}\n# grid_dt_s={tap_file.grid_dt_s!r}\n"
             f"# k={tap_file.k}\n# duration_ms={tap_file.duration_ms}\n"

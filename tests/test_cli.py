@@ -1,10 +1,13 @@
 """End-to-end CLI tests: every subcommand plus exit-code conventions."""
 
 import json
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chansounder import helper
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from chansounder.harness import build_synthetic_tap_file
 from chansounder.tap_approx import write_tap_file
@@ -127,6 +130,24 @@ class TestStageCommands:
                      "--paths-file", str(out / "paths.jsonl")]) == EXIT_OK
         assert (out / "taps.csv").exists()
 
+    def test_a_paths_file_that_does_not_cover_the_scenario_is_named(
+        self, mobility_cfg, tmp_path, capsys
+    ):
+        assert main(["build-scenario", "--config", str(mobility_cfg),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        # samples 1 and 2 of both pairs; node 1 moves, so (1, 2, 3) is missing
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join((tmp_path / "paths.jsonl").read_text().splitlines(True)[:4]))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["approximate-taps", "--config", str(mobility_cfg),
+                   "--paths-file", str(cut), "--out-dir", str(out)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {cut}: paths records missing sample 3 for pair (1,2)\n"
+        )
+        assert not (out / "taps.csv").exists()
+
     def test_emulate_sound_validate_chain(self, synthetic_cfg, tmp_path):
         out = tmp_path / "out"
         rc = main(["pipeline", "--config", str(synthetic_cfg),
@@ -222,6 +243,100 @@ class TestValidateReadsConfig:
         with pytest.raises(SystemExit):
             main(["validate", "--config", str(synthetic_cfg), "--taps", "t.csv",
                   "--capture", "c.iq", "--gain-tol-db", "2"])
+
+
+class _FailsAfterFirstWrite:
+    """A file whose second write raises. numpy's ``tofile`` flushes the
+    file before it writes to the descriptor, so a flush counts as a write."""
+
+    def __init__(self, fh):
+        self._fh, self.writes = fh, 0
+
+    def _count(self):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("injected write failure")
+
+    def write(self, data):
+        self._count()
+        return self._fh.write(data)
+
+    def flush(self):
+        self._count()
+        self._fh.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestEveryOutput:
+    """Every file the commands write appears whole or not at all."""
+
+    @pytest.fixture
+    def fail_output(self, monkeypatch):
+        """``fail_output(path)``: the output to ``path`` raises after its
+        first write, or as it ends if it made only one. Returns the list
+        that the armed file is put in."""
+        real = helper.output
+        armed = []
+
+        def arm(target):
+            @contextmanager
+            def output(path, mode="w", **kwargs):
+                with real(path, mode, **kwargs) as fh:
+                    if Path(path) != target:
+                        yield fh
+                        return
+                    armed.append(_FailsAfterFirstWrite(fh))
+                    yield armed[-1]
+                    raise OSError("injected write failure")
+
+            monkeypatch.setattr(helper, "output", output)
+            return armed
+
+        return arm
+
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            ("build-scenario", "mobility_cfg", "paths.jsonl"),
+            ("approximate-taps", "mobility_cfg", "taps.csv"),
+            ("pipeline", "synthetic_cfg", "capture_1-2.iq"),
+            ("pipeline", "synthetic_cfg", "capture_1-2.iq.json"),
+            ("pipeline", "synthetic_cfg", "sounding_1-2.json"),
+            ("pipeline", "synthetic_cfg", "sounding_1-2.csv"),
+            ("pipeline", "synthetic_cfg", "pathloss_series_1-2.csv"),
+            ("pipeline", "synthetic_cfg", "validation_1-2.json"),
+            ("validate", "synthetic_cfg", "validation.json"),
+            ("heatmap", None, "heatmap.csv"),
+            ("heatmap", None, "heatmap_stats.json"),
+            ("generate-sequence", None, "seq.txt"),
+        ],
+    )
+    def test_a_writer_that_raises_leaves_nothing(
+        self, request, tmp_path, capsys, fail_output, command, cfg, name
+    ):
+        out = tmp_path / "out"
+        config = ["--config", str(request.getfixturevalue(cfg))] if cfg else []
+        argv = [command, *config, "--out-dir", str(out)]
+        if command == "validate":
+            inputs = tmp_path / "inputs"
+            assert main(["pipeline", *config, "--out-dir", str(inputs)]) == EXIT_OK
+            argv += ["--taps", str(inputs / "taps.csv"),
+                     "--capture", str(inputs / "capture_1-2.iq")]
+        if command == "heatmap":
+            argv += ["--nodes", "3", "--window-s", "0.004", "--seed", "1"]
+        if command == "generate-sequence":
+            argv = [command, "--seq-out", str(out / name)]
+        out.mkdir()
+        (out / name).write_text("an old file\n")
+        armed = fail_output(out / name)
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        assert "injected write failure" in capsys.readouterr().err
+        assert [f.writes for f in armed] in ([1], [2])
+        assert not (out / name).exists()
+        assert list(tmp_path.rglob("*.partial")) == []
 
 
 class TestHeatmapCommand:

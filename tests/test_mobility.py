@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from chansounder.mobility import (
 )
 
 RADIO = RadioParams()
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def static_node(node_id, x, y, height=2.0, kind="STATIC"):
@@ -576,23 +578,40 @@ class TestPathsFile:
                 want = getattr(matrix.paths, name)[rows]
                 assert getattr(rebuilt.paths, name)[rows_again].tobytes() == want.tobytes()
 
-    def test_a_file_that_ends_early_holds_its_last_sample(self, tmp_path):
+    def test_a_file_of_a_shorter_run_is_an_error_naming_the_missing_sample(self, tmp_path):
         def scenario(t_total_s):
             nodes = (mobile_node(1, [(10, 0), (60, 0)], speed=10.0), static_node(2, 0, 5))
             return Scenario(nodes=nodes, t_total_s=t_total_s, sample_interval_s=1.0)
 
-        short = assemble_channel_matrix(scenario(3.0))
         path = tmp_path / "paths.jsonl"
-        write_paths_file(short, path)
+        write_paths_file(assemble_channel_matrix(scenario(3.0)), path)
         records = read_paths_records(path)
-        matrix = assemble_channel_matrix(scenario(6.0), records)
-        assert matrix.n_samples == 6
-        for pair in ((1, 2), (2, 1)):
-            want = [records.index[(*pair, min(s, 3))] for s in range(1, 7)]
-            if pair[0] == 2:  # a stationary transmitter's samples
-                want = [records.index[(2, 1, 1)]] * 6
-            assert matrix.index[pair].tolist() == want
-        assert matrix.snapshot(1, 2, 6).paths == short.snapshot(1, 2, 3).paths
+        message = "paths records missing sample 4 for pair (1,2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assemble_channel_matrix(scenario(6.0), records)
+
+    @pytest.mark.parametrize("name", ["canyon", "moving-first"])
+    def test_a_file_cut_at_a_line_break_is_an_error_or_the_whole_file(self, tmp_path, name):
+        # a cut file rebuilds the whole file's matrix only if the records it
+        # lost are of a stationary transmitter's later samples; in the
+        # two-node scenario the first transmitter is the moving one
+        if name == "canyon":
+            scenario = config.load(CONFIG_DIR / "canyon.json").require_scenario()
+        else:
+            nodes = (mobile_node(1, [(10, 0), (60, 0)], speed=10.0), static_node(2, 0, 5))
+            scenario = Scenario(nodes=nodes, t_total_s=6.0, sample_interval_s=1.0)
+        full, cut, again = (tmp_path / f for f in ("full.jsonl", "cut.jsonl", "again.jsonl"))
+        write_paths_file(assemble_channel_matrix(scenario), full)
+        data = full.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        for end in ends:
+            cut.write_bytes(data[:end])
+            try:
+                matrix = assemble_channel_matrix(scenario, read_paths_records(cut))
+            except ValueError:
+                continue
+            write_paths_file(matrix, again)
+            assert again.read_bytes() == data, f"the cut after byte {end} reads as valid"
 
     def test_record_layout(self, tmp_path):
         matrix = assemble_channel_matrix(two_node_scenario(t_total=2))
