@@ -19,6 +19,7 @@ from chansounder.emulator import (  # noqa: E402
     noise_floor_db_for_dynamic_range,
 )
 from chansounder.harness import pathloss_heatmap  # noqa: E402
+from chansounder.helper import output  # noqa: E402
 from chansounder.sequences import generate_glfsr  # noqa: E402
 
 
@@ -49,11 +50,11 @@ def main() -> int:
         config,
         generate_glfsr(8),
         args.sample_rate_hz,
-        out_dir=args.out_dir,
     )
     heatmap.write_csv(args.out_dir / "heatmap.csv")
     stats = {"mean_db": heatmap.mean_db, "sd_db": heatmap.sd_db}
-    (args.out_dir / "heatmap_stats.json").write_text(json.dumps(stats, indent=2))
+    with output(args.out_dir / "heatmap_stats.json") as fh:
+        json.dump(stats, fh, indent=2)
     print(
         f"{args.nodes} nodes: mean {heatmap.mean_db:.2f} dB, "
         f"sd {heatmap.sd_db:.2f} dB -> {args.out_dir / 'heatmap.csv'}"

@@ -5,8 +5,8 @@ each carrying received power (dBm), phase, and time of arrival. From these
 the module derives complex path coefficients and coherent link path loss.
 A :class:`PathTable` holds the paths of many snapshots as columns, and
 :meth:`PathTable.coefficients` is the one prune-and-coefficient step that
-the tap build and the truth series share; :class:`RayPath` and
-:class:`ChannelSnapshot` are the per-snapshot view of the table.
+the tap build and the truth series share; :func:`checked_phase` checks one
+path. :class:`RayPath` and :class:`ChannelSnapshot` view one snapshot.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "RayPath",
     "ChannelSnapshot",
     "PathTable",
+    "checked_phase",
     "RadioParams",
     "noise_floor_dbm",
     "path_coefficient",
@@ -45,13 +46,8 @@ class RayPath:
     aod_deg: Optional[float] = None
 
     def __post_init__(self):
-        for name in _PATH_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.toa_s < 0:
-            raise ValueError(f"toa_s must be >= 0, got {self.toa_s}")
-        object.__setattr__(self, "phase_rad", self.phase_rad % TWO_PI)
+        values = (getattr(self, name) for name in _PATH_FIELDS)
+        object.__setattr__(self, "phase_rad", checked_phase(*values))
 
     @classmethod
     def _of_checked(cls, *values) -> "RayPath":
@@ -63,6 +59,17 @@ class RayPath:
 
 
 _PATH_FIELDS = ("received_power_dbm", "phase_rad", "toa_s", "aoa_deg", "aod_deg")
+
+
+def checked_phase(power_dbm, phase_rad, toa_s, aoa_deg=None, aod_deg=None):
+    """One path's phase reduced with ``%`` 2*pi, once every value given (not
+    None) is finite and toa >= 0; the first value to break a rule raises."""
+    for name, value in zip(_PATH_FIELDS, (power_dbm, phase_rad, toa_s, aoa_deg, aod_deg)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if toa_s < 0:
+        raise ValueError(f"toa_s must be >= 0, got {toa_s}")
+    return phase_rad % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,6 @@ class ChannelSnapshot:
         paths = tuple(sorted(self.paths, key=lambda p: p.toa_s))
         object.__setattr__(self, "paths", paths)
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
 
 @dataclass(frozen=True, eq=False)
 class PathTable:
@@ -90,9 +93,9 @@ class PathTable:
 
     Snapshot ``b`` owns rows ``offsets[b]:offsets[b + 1]`` of the columns
     ``power_dbm``, ``phase_rad``, ``toa_s``, ``aoa_deg`` and ``aod_deg``, in
-    toa order (stable). The values obey :class:`RayPath`'s rules: finite,
-    toa >= 0, and phases reduced with ``%`` 2*pi by whoever fills the table.
-    An angle is NaN where a path carries none.
+    toa order (stable). The values obey :func:`checked_phase`'s rules:
+    finite, toa >= 0, and phases reduced with ``%`` 2*pi by whoever fills
+    the table. An angle is NaN where a path carries none.
     """
 
     offsets: np.ndarray
@@ -105,8 +108,8 @@ class PathTable:
     @classmethod
     def of_columns(cls, counts, power_dbm, phase_rad, toa_s, aoa_deg=None, aod_deg=None):
         """A table of ``len(counts)`` snapshots from rows already in order;
-        angles default to none. A value that breaks RayPath's rules raises
-        the ValueError that RayPath would."""
+        angles default to none. A value that breaks a path's rules raises
+        the ValueError of :func:`checked_phase`, checked column by column."""
         columns = [np.asarray(c, dtype=float) for c in (power_dbm, phase_rad, toa_s)]
         n = len(columns[0])
         columns += [

@@ -119,7 +119,7 @@ def _cmd_build_scenario(args, cfg: PipelineConfig) -> int:
     paths_path = args.out_dir / "paths.jsonl"
     mobility.write_paths_file(matrix, paths_path)
     print(
-        f"scenario '{scenario.name}': {matrix.n_nodes} nodes, "
+        f"scenario '{scenario.name}': {len(matrix.node_ids)} nodes, "
         f"{matrix.n_samples} samples -> {paths_path}"
     )
     return EXIT_OK
@@ -140,9 +140,17 @@ def _cmd_approximate_taps(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _read_taps(path, pair=None) -> tap_approx.TapFile:
+    """The tap file at ``path``; with ``pair``, one that has that pair's records."""
+    tap_file = tap_approx.read_tap_file(path)
+    if pair is not None and pair not in tap_file.pairs():
+        raise ValueError(f"{path}: pair {pair} not present in tap file")
+    return tap_file
+
+
 def _cmd_emulate(args, cfg: PipelineConfig) -> int:
-    tap_file = tap_approx.read_tap_file(args.taps)
     pair = tuple(int(x) for x in args.pair.split(","))
+    tap_file = _read_taps(args.taps, pair)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     capture = args.out_dir / f"capture_{pair[0]}-{pair[1]}.iq"
     emulate_repeated_reference_to_file(
@@ -166,13 +174,13 @@ def _cmd_sound(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_validate(args, cfg: PipelineConfig) -> int:
-    tap_file = tap_approx.read_tap_file(args.taps)
+    pair = tuple(int(x) for x in args.pair.split(",")) if args.pair else None
+    tap_file = _read_taps(args.taps, pair)
     if not tap_file.pairs():
         raise ValueError(f"{args.taps}: no tap records to validate against")
     report = sounder.sound_chunked(
         args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
     )
-    pair = tuple(int(x) for x in args.pair.split(",")) if args.pair else None
     base = args.base_loss_db
     if base is None:
         base = pair_base_loss_db(
@@ -255,7 +263,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
     except (ValueError, OSError, KeyError, harness.PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -53,7 +52,7 @@ __all__ = [
     "read_iq_file",
     "read_iq_sidecar",
     "iq_file_sample_count",
-    "IqFileWriter",
+    "write_iq_file",
     "emulate_blocks",
     "emulate_repeated_reference_to_file",
 ]
@@ -307,43 +306,22 @@ def _read_iq_blocks(path, total: int, block: int) -> Iterator[np.ndarray]:
             yield view
 
 
-class IqFileWriter:
-    """Streaming capture writer: append sample blocks, sidecar on close.
-
-    Opening removes any old capture and its sidecar. The samples and then
-    the sidecar are written through :func:`helper.output`, so an unfinished
-    capture never looks valid. A sample rate that is not a finite number > 0
-    is refused before any file is touched.
-    """
-
-    def __init__(self, path, sample_rate_hz: float):
-        self.path = Path(path)
-        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-            raise ValueError(
-                f"{self.path}: sample_rate_hz {sample_rate_hz!r} is not a finite "
-                "number > 0"
-            )
-        self.sample_rate_hz = sample_rate_hz
-        _sidecar_path(self.path).unlink(missing_ok=True)
-        self._output = ExitStack()
-        self._fh = self._output.enter_context(helper.output(self.path, "wb"))
-
-    def append(self, samples: np.ndarray) -> None:
-        np.asarray(samples, dtype="<c8").tofile(self._fh)
-
-    def close(self) -> None:
-        self._output.close()
-        with helper.output(_sidecar_path(self.path)) as fh:
-            json.dump({"sample_rate_hz": self.sample_rate_hz}, fh)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self._output.__exit__(exc_type, exc, tb)
+def write_iq_file(path, blocks, sample_rate_hz: float) -> None:
+    """Write sample blocks as a capture, then its sidecar, each through
+    :func:`helper.output`, so an unfinished capture never looks valid. A bad
+    sample rate is refused before any file is touched; the old sidecar goes
+    first."""
+    path = Path(path)
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(
+            f"{path}: sample_rate_hz {sample_rate_hz!r} is not a finite number > 0"
+        )
+    _sidecar_path(path).unlink(missing_ok=True)
+    with helper.output(path, "wb") as fh:
+        for block in blocks:
+            np.asarray(block, dtype="<c8").tofile(fh)
+    with helper.output(_sidecar_path(path)) as fh:
+        json.dump({"sample_rate_hz": sample_rate_hz}, fh)
 
 
 def emulate_blocks(
@@ -463,8 +441,7 @@ def emulate_repeated_reference_to_file(
     chunk_samples: int = DEFAULT_BLOCK_SAMPLES,
 ) -> None:
     """Write :func:`emulate_blocks` to a capture file with its sidecar."""
-    with IqFileWriter(out_path, sample_rate_hz) as writer:
-        for block in emulate_blocks(
-            taps, pair, config, reference, sample_rate_hz, total_samples, chunk_samples
-        ):
-            writer.append(block)
+    blocks = emulate_blocks(
+        taps, pair, config, reference, sample_rate_hz, total_samples, chunk_samples
+    )
+    write_iq_file(out_path, blocks, sample_rate_hz)

@@ -158,14 +158,17 @@ def _get_helper() -> SimpleQueue:
 def output(path, mode: str = "w", **open_kwargs):
     """``open(<path>.partial, mode, **open_kwargs)``, renamed to ``path`` when
     the block ends; any old file at ``path`` is removed first, and the
-    partial file is deleted if the block raises."""
+    partial file is deleted if the block raises. An error that names the
+    partial file names ``path`` instead."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     path.unlink(missing_ok=True)
     try:
         with open(partial, mode, **open_kwargs) as fh:
             yield fh
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(partial):
+            exc.filename = str(path)
         raise
     partial.replace(path)

@@ -12,7 +12,8 @@ columnar table of snapshots; one indexing loop makes it a (node, node,
 sample) channel matrix, so stationary-transmitter reuse points at a
 snapshot instead of copying it. The matrix holds each distinct snapshot
 once, so the paths-file writer formats each once; the reader parses each
-distinct ``"paths"`` body once.
+distinct ``"paths"`` body once. ``ChannelMatrix.entries`` is the one
+object view of the paths, built on access.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import helper
-from .channel_model import TWO_PI, ChannelSnapshot, PathTable, RadioParams, RayPath
+from .channel_model import TWO_PI, ChannelSnapshot, PathTable, RadioParams, checked_phase
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -41,7 +42,6 @@ __all__ = [
     "num_samples",
     "sample_trajectory",
     "free_space_loss_db",
-    "synthesize_pair_paths",
     "assemble_channel_matrix",
     "write_paths_file",
     "read_paths_records",
@@ -181,31 +181,22 @@ class ChannelMatrix:
         ends = np.cumsum([len(a) for a in arrays])[:-1]
         self.index = dict(zip(self.index, np.split(group[inverse], ends)))
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
     def sample_of(self, times_s) -> np.ndarray:
         """The 1-based sample in force at each time: floor(t / T_s) + 1,
         clipped to the last sample."""
         s = np.floor(np.asarray(times_s, dtype=float) / self.sample_interval_s)
         return np.minimum(s.astype(np.int64) + 1, self.n_samples)
 
-    def snapshot(self, tx_id: int, rx_id: int, s: int) -> ChannelSnapshot:
-        """Snapshot for a pair at 1-based sample index s."""
-        if not 1 <= s <= self.n_samples:
-            raise IndexError(f"sample index {s} outside 1..{self.n_samples}")
-        b = self.index[(tx_id, rx_id)][s - 1]
-        return ChannelSnapshot(
-            tx_id, rx_id, s, (s - 1) * self.sample_interval_s, self.paths.ray_paths(b)
-        )
-
     @property
     def entries(self) -> dict:
         """Every snapshot, built on access: {(tx, rx): [sample 1, 2, ...]}."""
+        t_s = self.sample_interval_s
         return {
-            pair: [self.snapshot(*pair, s) for s in range(1, self.n_samples + 1)]
-            for pair in self.index
+            (tx, rx): [
+                ChannelSnapshot(tx, rx, s, (s - 1) * t_s, self.paths.ray_paths(b))
+                for s, b in enumerate(ids.tolist(), start=1)
+            ]
+            for (tx, rx), ids in self.index.items()
         }
 
 
@@ -364,10 +355,12 @@ def _ray_paths(
 
     ``tx_pos`` and ``rx_pos`` are (m, 3); link i transmits with ``radios[i]``
     and receives with gain ``rx_gains_dbi[i]``. Only the images a ray can
-    take get a path. Every step is the IEEE operation of the per-path
-    formula, in its order, with the FSPL through ``math.log10`` and the
-    phase through ``np.remainder`` (Python's ``%``), applied a second time
-    as RayPath applies it.
+    take get a path: power P_tx + G_t + G_r - FSPL(d) - bounces * reflection
+    loss, delay d/c, phase -2*pi*d/lambda with a pi flip per bounce; paths
+    at or below the ray-source cutoff (-250 dBm) are dropped. Every step is
+    the IEEE operation of the per-path formula, in its order, with the FSPL
+    through ``math.log10`` and the phase through ``np.remainder`` (Python's
+    ``%``), applied a second time as ``checked_phase`` applies it.
     """
     d, visible = _image_distances(tx_pos, rx_pos, table)
     if (d == 0.0).any():
@@ -401,32 +394,6 @@ def _ray_paths(
         np.remainder(phase[order], TWO_PI),
         toa[order],
     )
-
-
-def synthesize_pair_paths(
-    tx_pos: np.ndarray,
-    rx_pos: np.ndarray,
-    radio: RadioParams,
-    rx_gain_dbi: float,
-    reflectors: tuple[ReflectorPlane, ...] = (),
-    reflection_loss_db: float = 6.0,
-    max_bounces: int = 4,
-) -> tuple[RayPath, ...]:
-    """LOS plus image-method specular paths between two positions.
-
-    Received power is P_tx + G_t + G_r - FSPL(d) - bounces * reflection
-    loss; delay is d/c and the phase is the carrier phase -2*pi*d/lambda
-    with a pi flip per bounce. Paths weaker than the ray-source cutoff
-    (-250 dBm) are discarded here, before any noise-floor pruning.
-    """
-    return _ray_paths(
-        np.asarray(tx_pos, dtype=float).reshape(1, 3),
-        np.asarray(rx_pos, dtype=float).reshape(1, 3),
-        [radio],
-        [rx_gain_dbi],
-        _image_table(tuple(reflectors), max_bounces),
-        reflection_loss_db,
-    ).ray_paths(0)
 
 
 def _node_positions(scenario: Scenario) -> dict:
@@ -597,20 +564,14 @@ def _plain(columns: tuple) -> bool:
 
 def _parsed_record(line: str) -> tuple:
     """A record's (tx, rx, s) key and path columns, by ``json.loads`` of
-    the whole line; RayPath raises the error of the first bad path."""
+    the whole line; ``checked_phase`` raises the error of the first bad
+    path."""
     rec = json.loads(line)
-    try:
-        cols = _path_columns(rec["paths"])
-        plain = _plain(cols)
-    except (KeyError, TypeError):
-        plain = False
-    if not plain:
-        for p in rec["paths"]:
-            RayPath(
-                p["p_rx_dbm"], p["phase_rad"], p["toa_s"], p.get("aoa_deg"), p.get("aod_deg")
-            )
-        cols = _path_columns(rec["paths"])
-    return (rec["tx"], rec["rx"], rec["s"]), cols
+    for p in rec["paths"]:
+        checked_phase(
+            p["p_rx_dbm"], p["phase_rad"], p["toa_s"], p.get("aoa_deg"), p.get("aod_deg")
+        )
+    return (rec["tx"], rec["rx"], rec["s"]), _path_columns(rec["paths"])
 
 
 class _Bodies:
@@ -652,7 +613,7 @@ class _Bodies:
 
     def table(self) -> PathTable:
         """One snapshot per body, its paths stably sorted by toa and their
-        phases reduced as RayPath reduces them."""
+        phases reduced as ``checked_phase`` reduces them."""
         power, phase, toa, aoa, aod = (np.array(c, dtype=float) for c in self.columns)
         order = np.lexsort((toa, np.repeat(np.arange(len(self.counts)), self.counts)))
         return PathTable.of_columns(
@@ -667,7 +628,7 @@ def read_paths_records(path) -> PathRecords:
     """Parse a JSON-Lines paths file into records that point at snapshots.
 
     Each record's paths are stably sorted by toa and their phases reduced
-    as RayPath reduces them. Each distinct body text of a line of the
+    as ``checked_phase`` reduces them. Each distinct body text of a line of the
     writer's form is parsed and checked once (:meth:`_Bodies.read_line`)
     and held once in the table, and every record with that body points at
     it; any other line is read whole and holds a snapshot of its own.

@@ -9,7 +9,9 @@ snapped to the nearest grid index. Tap files carry one record per node pair
 per millisecond; in memory a :class:`TapFile` holds its tap lists once each
 (when built, one per (snapshot, transmit power) of a channel matrix, which
 holds each distinct snapshot once; when read, one per distinct row body)
-and one index array per pair that points every millisecond at one.
+and one index array per pair that points every millisecond at one. A tap
+list is a tuple of (delay index, coefficient); ``TapFile.records`` of
+:class:`TapSet` is the one per-record view.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import helper
-from .channel_model import ChannelSnapshot, PathTable
+from .channel_model import PathTable, checked_phase
 
 __all__ = [
     "TapSet",
@@ -83,17 +85,6 @@ class TapSet:
         object.__setattr__(ts, "grid_dt_s", grid_dt_s)
         object.__setattr__(ts, "timestamp_ms", timestamp_ms)
         return ts
-
-    @property
-    def delay_indices(self) -> list[int]:
-        return [i for i, _ in self.taps]
-
-    @property
-    def coefficients(self) -> list[complex]:
-        return [c for _, c in self.taps]
-
-    def coherent_sum(self) -> complex:
-        return sum((c for _, c in self.taps), 0j)
 
 
 @dataclass(eq=False)
@@ -171,26 +162,11 @@ class TapFile:
         used = set().union(*(ids.tolist() for ids in arrays)) - {-1}
         return [self.tap_lists[i] for i in sorted(used)]
 
-    def tapset(self, timestamp_ms: int, tx: int, rx: int) -> TapSet:
-        try:
-            return self.records[(timestamp_ms, tx, rx)]
-        except KeyError:
-            raise KeyError(
-                f"no tap record for pair ({tx},{rx}) at {timestamp_ms} ms"
-            )
-
-    def active_tapset(self, time_s: float, tx: int, rx: int) -> TapSet:
-        """Record active at a capture time (zero-order hold per millisecond)."""
-        ms = int(_ms_of(time_s))
-        if not 0 <= ms < self.duration_ms:
-            raise KeyError(f"time {time_s} s outside tap file duration")
-        return self.tapset(ms, tx, rx)
-
     def tap_ids(self, times_s: np.ndarray, tx: int, rx: int) -> np.ndarray:
         """Position in ``tap_lists`` of the record active at each time.
 
-        Times map to milliseconds as in :meth:`active_tapset`, and the first
-        time without a record raises the KeyError that it would raise.
+        A record holds from its millisecond until the next; the first time
+        without a record raises a KeyError naming it.
         """
         times_s = np.asarray(times_s, dtype=float)
         ms = _ms_of(times_s)
@@ -463,37 +439,32 @@ def _segment_taps(
 
 
 def approximate_taps(
-    snapshot: ChannelSnapshot,
-    p_tx_dbm: float,
-    k: int = DEFAULT_MAX_TAPS,
-    grid_dt_s: float = 1e-8,
-    dyn_range_db: float = DEFAULT_DYN_RANGE_DB,
+    toa_s, power_dbm, phase_rad, p_tx_dbm: float, k: int = DEFAULT_MAX_TAPS,
+    grid_dt_s: float = 1e-8, dyn_range_db: float = DEFAULT_DYN_RANGE_DB,
     offset_db: float = 0.0,
-) -> TapSet:
-    """Approximate a (pruned) snapshot by <= k grid-aligned complex taps.
+) -> tuple:
+    """The tap list of one (pruned) snapshot, given as path columns.
 
+    Each path must pass :func:`~chansounder.channel_model.checked_phase`,
+    which reduces its phase; then the paths are stably sorted by toa.
     Paths are clustered over delay by power-weighted k-means (seeded with
     the k strongest paths), each cluster is summed coherently, and the
     power-weighted cluster delay is snapped to the nearest grid index;
     clusters landing on the same index merge. After the dB offset is
     applied, taps more than ``dyn_range_db`` below the strongest tap are
-    dropped. An empty snapshot is a valid deep-fade instant and yields an
-    empty tap set. The record's timestamp is the snapshot's millisecond.
-    This is the tap build on a table of one snapshot.
+    dropped. An empty snapshot is a valid deep-fade instant and yields no
+    taps. This is the tap build on a table of one snapshot.
     """
     _check_build(k, grid_dt_s)
-    paths = snapshot.paths
-    table = PathTable.of_columns(
-        [len(paths)],
-        [p.received_power_dbm for p in paths],
-        [p.phase_rad for p in paths],
-        [p.toa_s for p in paths],
-    )
+    toa, power, phase = (np.asarray(c, dtype=float) for c in (toa_s, power_dbm, phase_rad))
+    paths = zip(power.tolist(), phase.tolist(), toa.tolist())
+    reduced = np.array([checked_phase(*path) for path in paths], dtype=float)
+    order = np.argsort(toa, kind="stable")
+    table = PathTable.of_columns([len(order)], power[order], reduced[order], toa[order])
     rows, counts, coeffs = table.coefficients([0], [p_tx_dbm])
-    taps = _segment_taps(
+    return _segment_taps(
         table.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
     )[0]
-    return TapSet(taps, grid_dt_s, int(round(snapshot.time_s * 1000.0)))
 
 
 def _check_build(k: int, grid_dt_s: float) -> None:
@@ -919,7 +890,7 @@ def build_tap_file_from_matrix(
         matrix.paths.toa_s[rows], coeffs, counts, k, grid_dt_s, dyn_range_db, offset_db
     )
     return TapFile(
-        n_nodes=matrix.n_nodes,
+        n_nodes=len(matrix.node_ids),
         grid_dt_s=grid_dt_s,
         k=k,
         duration_ms=duration_ms,

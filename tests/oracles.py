@@ -30,6 +30,24 @@ from chansounder.harness import TapErrorStats, ValidationReport
 from chansounder.tap_approx import TapFile, TapSet, _checked_taps, _parse_row_body
 
 
+def snapshot_at(matrix, tx, rx, s):
+    """``matrix.entries[(tx, rx)][s - 1]`` without building the other entries."""
+    b = int(matrix.index[(tx, rx)][s - 1])
+    t = (s - 1) * matrix.sample_interval_s
+    return ChannelSnapshot(tx, rx, s, t, matrix.paths.ray_paths(b))
+
+
+def columns_of(snapshot):
+    """The toa, power and phase columns of a snapshot's paths, the first
+    arguments of ``tap_approx.approximate_taps``."""
+    paths = snapshot.paths
+    return (
+        [p.toa_s for p in paths],
+        [p.received_power_dbm for p in paths],
+        [p.phase_rad for p in paths],
+    )
+
+
 def prune_paths(snapshot, floor_dbm):
     """Drop paths weaker than the noise floor; a path exactly at it is kept."""
     kept = tuple(p for p in snapshot.paths if p.received_power_dbm >= floor_dbm)
@@ -101,7 +119,8 @@ def pair_paths_per_path(
     tx_pos, rx_pos, radio, rx_gain_dbi, reflectors=(), reflection_loss_db=6.0,
     max_bounces=4,
 ):
-    """``mobility.synthesize_pair_paths`` as one image and one path at a time.
+    """The generator's paths of one link (``mobility._ray_paths`` on one
+    transmitter and receiver) as one image and one path at a time.
 
     Every image is checked for zero distance, but only the sequences a ray
     can take yield a path.
@@ -238,7 +257,7 @@ def write_paths_per_record(matrix, path):
                 for j in matrix.node_ids:
                     if i == j:
                         continue
-                    snap = matrix.snapshot(i, j, s)
+                    snap = snapshot_at(matrix, i, j, s)
                     paths = []
                     for p in snap.paths:
                         rec = {
@@ -371,10 +390,10 @@ def write_csv_per_frame(report, path):
 
 
 def _truth_taps_at(taps, pair, time_s, offset_db):
-    ts = taps.active_tapset(time_s, pair[0], pair[1])
+    tap_list = taps.tap_lists[taps.tap_ids([time_s], pair[0], pair[1])[0]]
     return [
         (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
-        for idx, c in ts.taps
+        for idx, c in tap_list
         if abs(c) > 0
     ]
 
@@ -491,7 +510,7 @@ def truth_series_per_frame(matrix, scenario, pair, frame_times):
     for i, t in enumerate(frame_times):
         s = min(int(math.floor(t / t_s)) + 1, matrix.n_samples)
         if s not in cache:
-            snap = matrix.snapshot(pair[0], pair[1], s)
+            snap = snapshot_at(matrix, pair[0], pair[1], s)
             snap = prune_paths(snap, min(floors.values()))
             cache[s] = (
                 link_path_loss_db(snap, tx_power[pair[0]])

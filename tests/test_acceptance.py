@@ -17,20 +17,18 @@ import pytest
 from chansounder import config
 from chansounder import mobility as mob
 from chansounder.channel_model import (
-    ChannelSnapshot,
     RadioParams,
-    RayPath,
     noise_floor_dbm,
     path_coefficient,
 )
 from chansounder.emulator import (
     EmulatorConfig,
-    IqFileWriter,
     apply_channel,
     emulate_repeated_reference_to_file,
     noise_floor_db_for_dynamic_range,
     read_iq_file,
     read_iq_sidecar,
+    write_iq_file,
 )
 from chansounder.harness import (
     build_synthetic_tap_file,
@@ -232,10 +230,8 @@ class TestCriterion5MobilityScenario:
         floor = min(noise_floor_dbm(n.radio) for n in scenario.nodes)
         gain = -np.array(
             [
-                link_path_loss_db(
-                    prune_paths(matrix.snapshot(2, 1, s), floor), 20.0
-                )
-                for s in range(1, matrix.n_samples + 1)
+                link_path_loss_db(prune_paths(snap, floor), 20.0)
+                for snap in matrix.entries[(2, 1)]
             ]
         )
         smoothed = np.convolve(gain, np.ones(10) / 10, mode="valid")
@@ -283,25 +279,17 @@ class TestCriterion6TapApproximation:
             delays = rng.uniform(0, 8 * grid, n)
             losses = rng.uniform(0, 30, n)
             phases = rng.uniform(0, 2 * math.pi, n)
-            snap = ChannelSnapshot(
-                1, 2, 1, 0.0,
-                tuple(
-                    RayPath(p_tx - l, ph, d)
-                    for d, l, ph in zip(delays, losses, phases)
-                ),
+            taps = approximate_taps(
+                delays, p_tx - losses, phases, p_tx, k=4, grid_dt_s=grid,
+                dyn_range_db=math.inf,
             )
-            ts = approximate_taps(
-                snap, p_tx, k=4, grid_dt_s=grid, dyn_range_db=math.inf
-            )
-            assert len(ts.taps) <= 4
-            assert all(
-                b > a for a, b in zip(ts.delay_indices, ts.delay_indices[1:])
-            )
+            assert len(taps) <= 4
+            indices = [i for i, _ in taps]
+            assert all(b > a for a, b in zip(indices, indices[1:]))
             truth = sum(
-                path_coefficient(p.received_power_dbm, p_tx, p.phase_rad)
-                for p in snap.paths
+                path_coefficient(p_tx - l, p_tx, ph) for l, ph in zip(losses, phases)
             )
-            got = ts.coherent_sum()
+            got = sum(c for _, c in taps)
             if abs(truth) < 1e-9:
                 continue
             worst = max(worst, abs(20 * math.log10(abs(got) / abs(truth))))
@@ -322,23 +310,17 @@ class TestCriterion6TapApproximation:
             idx = sorted(rng.choice(200, size=n, replace=False))
             losses = rng.uniform(0, 30, n)
             phases = rng.uniform(0, 2 * math.pi, n)
-            snap = ChannelSnapshot(
-                1, 2, 1, 0.0,
-                tuple(
-                    RayPath(p_tx - l, ph, int(i) * grid)
-                    for i, l, ph in zip(idx, losses, phases)
-                ),
+            delays = [int(i) * grid for i in idx]
+            taps = approximate_taps(
+                delays, p_tx - losses, phases, p_tx, k=4, grid_dt_s=grid,
+                dyn_range_db=math.inf,
             )
-            ts = approximate_taps(
-                snap, p_tx, k=4, grid_dt_s=grid, dyn_range_db=math.inf
-            )
-            if ts.delay_indices != [int(i) for i in idx]:
+            if [i for i, _ in taps] != [int(i) for i in idx]:
                 return False
             expected = [
-                path_coefficient(p.received_power_dbm, p_tx, p.phase_rad)
-                for p in snap.paths
+                path_coefficient(p_tx - l, p_tx, ph) for l, ph in zip(losses, phases)
             ]
-            if not np.allclose(ts.coefficients, expected, rtol=1e-9):
+            if not np.allclose([c for _, c in taps], expected, rtol=1e-9):
                 return False
         return True
 
@@ -452,10 +434,11 @@ class TestCriterion8InvariantSuites:
             sample_interval_s=1.0,
         )
         matrix = mob.assemble_channel_matrix(scenario)
-        static_row = [matrix.snapshot(2, 1, s).paths for s in range(1, 11)]
+        entries = matrix.entries
+        static_row = [snap.paths for snap in entries[(2, 1)]]
         if any(p != static_row[0] for p in static_row[1:]):
             failures.append("stationary constancy")
-        clamped = [matrix.snapshot(1, 2, s).paths for s in range(5, 11)]
+        clamped = [snap.paths for snap in entries[(1, 2)][4:10]]
         if any(p != clamped[0] for p in clamped[1:]):
             failures.append("trajectory clamping")
 
@@ -466,14 +449,13 @@ class TestCriterion8InvariantSuites:
         if back.records != tf.records:
             failures.append("tap file round trip")
         stream = rng.standard_normal(64) + 0j
-        with IqFileWriter(tmp_path / "x.iq", 1e6) as writer:
-            writer.append(stream)
+        write_iq_file(tmp_path / "x.iq", [stream], 1e6)
         if not np.allclose(read_iq_file(tmp_path / "x.iq"), stream, atol=1e-6):
             failures.append("iq file round trip")
         mob.write_paths_file(matrix, tmp_path / "p.jsonl")
         records = mob.read_paths_records(tmp_path / "p.jsonl")
         rebuilt = mob.assemble_channel_matrix(scenario, records)
-        if rebuilt.snapshot(1, 2, 3).paths != matrix.snapshot(1, 2, 3).paths:
+        if rebuilt.entries[(1, 2)][2].paths != entries[(1, 2)][2].paths:
             failures.append("paths file round trip")
 
         report(

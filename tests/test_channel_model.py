@@ -27,7 +27,7 @@ def table_of(snapshots):
     """A PathTable of ``snapshots``, one after another."""
     paths = [p for snap in snapshots for p in snap.paths]
     return PathTable.of_columns(
-        [snap.n_paths for snap in snapshots],
+        [len(snap.paths) for snap in snapshots],
         [p.received_power_dbm for p in paths],
         [p.phase_rad for p in paths],
         [p.toa_s for p in paths],

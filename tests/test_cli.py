@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansounder import helper
+from chansounder import helper, tap_approx
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from chansounder.harness import build_synthetic_tap_file
 from chansounder.tap_approx import write_tap_file
@@ -87,6 +87,14 @@ class TestGenerateSequence:
         )
         assert rc == EXIT_ERROR
 
+    def test_a_missing_directory_is_an_error_naming_the_output(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.txt"
+        assert main(["generate-sequence", "--seq-out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestPipelineCommand:
     def test_pass_exit_zero(self, synthetic_cfg, tmp_path):
@@ -165,6 +173,35 @@ class TestStageCommands:
                    "--capture", str(out / "capture_1-2.iq"),
                    "--out-dir", str(out)])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["emulate", "validate"])
+    def test_a_pair_without_records_is_an_error_naming_the_tap_file(
+        self, synthetic_cfg, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(synthetic_cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        taps = out / "taps.csv"
+        argv = [command, "--config", str(synthetic_cfg), "--taps", str(taps),
+                "--pair", "2,1", "--out-dir", str(tmp_path / command)]
+        if command == "validate":
+            argv += ["--capture", str(out / "capture_1-2.iq")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {taps}: pair (2, 1) not present in tap file\n"
+        )
+        assert not (tmp_path / command).exists()
+
+    def test_a_key_error_prints_its_message(self, synthetic_cfg, monkeypatch, capsys):
+        def read_tap_file(path):
+            raise KeyError(f"no tap record in {path}")
+
+        monkeypatch.setattr(tap_approx, "read_tap_file", read_tap_file)
+        argv = ["emulate", "--config", str(synthetic_cfg), "--taps", "t.csv",
+                "--pair", "1,2"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: no tap record in t.csv\n"
 
     def test_validate_tolerance_failure_exit_two(self, synthetic_cfg, tmp_path):
         out = tmp_path / "out"

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from chansounder import emulator, helper
 from chansounder.emulator import (
     EmulatorConfig,
-    IqFileWriter,
     apply_channel,
     emulate_blocks,
     emulate_repeated_reference_to_file,
@@ -26,6 +25,7 @@ from chansounder.emulator import (
     pair_base_loss_db,
     read_iq_file,
     read_iq_sidecar,
+    write_iq_file,
 )
 from chansounder.tap_approx import TapFile
 
@@ -56,8 +56,7 @@ def rand_stream(n, seed=0):
 
 
 def write_capture(path, samples):
-    with IqFileWriter(path, FS) as w:
-        w.append(samples)
+    write_iq_file(path, [samples], FS)
 
 
 class TestApplyChannel:
@@ -275,7 +274,7 @@ class TestIqFiles:
         write_capture(path, rand_stream(3))
         before = sorted(p.name for p in tmp_path.iterdir())
         with pytest.raises(ValueError, match=f"{path}: sample_rate_hz"):
-            IqFileWriter(path, rate)
+            write_iq_file(path, [rand_stream(4)], rate)
         # the old capture and its sidecar stand, and no .partial was opened
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert np.allclose(read_iq_file(path), rand_stream(3), atol=1e-6)
@@ -336,30 +335,35 @@ class TestIqFiles:
         bulk = tmp_path / "bulk.iq"
         streamed = tmp_path / "streamed.iq"
         write_capture(bulk, stream)
-        with IqFileWriter(streamed, FS) as w:
-            w.append(stream[:300])
-            w.append(stream[300:])
+        write_iq_file(streamed, iter([stream[:300], stream[300:]]), FS)
         assert bulk.read_bytes() == streamed.read_bytes()
         assert iq_file_sample_count(streamed) == 1000
 
     def test_aborted_writer_leaves_nothing(self, tmp_path):
         path = tmp_path / "capture.iq"
+
+        def blocks():
+            yield rand_stream(100)
+            raise RuntimeError("emulation failed")
+
         with pytest.raises(RuntimeError, match="emulation failed"):
-            with IqFileWriter(path, FS) as w:
-                w.append(rand_stream(100))
-                raise RuntimeError("emulation failed")
+            write_iq_file(path, blocks(), FS)
         assert list(tmp_path.iterdir()) == []
 
     def test_open_writer_hides_the_old_capture(self, tmp_path):
         path = tmp_path / "capture.iq"
         write_capture(path, rand_stream(500, seed=1))
         new = rand_stream(200, seed=2)
-        with IqFileWriter(path, FS) as w:
-            w.append(new[:100])
+
+        def blocks():
+            yield new[:100]
             assert not path.exists()
+            assert not (tmp_path / "capture.iq.json").exists()
             with pytest.raises(FileNotFoundError):
                 read_iq_file(path)
-            w.append(new[100:])
+            yield new[100:]
+
+        write_iq_file(path, blocks(), FS)
         assert np.array_equal(read_iq_file(path), new.astype(np.complex64))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "capture.iq", "capture.iq.json"

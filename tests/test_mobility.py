@@ -27,12 +27,26 @@ from chansounder.mobility import (
     num_samples,
     read_paths_records,
     sample_trajectory,
-    synthesize_pair_paths,
     write_paths_file,
 )
 
 RADIO = RadioParams()
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def pair_paths(
+    tx_pos, rx_pos, radio, rx_gain_dbi, reflectors=(), reflection_loss_db=6.0, max_bounces=4
+):
+    """The generator's paths between two positions as RayPaths: ``_ray_paths``
+    on one link."""
+    return mobility._ray_paths(
+        np.asarray(tx_pos, dtype=float).reshape(1, 3),
+        np.asarray(rx_pos, dtype=float).reshape(1, 3),
+        [radio],
+        [rx_gain_dbi],
+        mobility._image_table(tuple(reflectors), max_bounces),
+        reflection_loss_db,
+    ).ray_paths(0)
 
 
 def static_node(node_id, x, y, height=2.0, kind="STATIC"):
@@ -119,7 +133,7 @@ class TestSampleTrajectory:
 class TestSynthesizePairPaths:
     def test_los_at_100m(self):
         radio = RadioParams(tx_power_dbm=20)
-        paths = synthesize_pair_paths(
+        paths = pair_paths(
             np.array([0.0, 0, 2]), np.array([100.0, 0, 2]), radio, 5.0
         )
         assert len(paths) == 1
@@ -132,10 +146,10 @@ class TestSynthesizePairPaths:
 
     def test_doubling_distance_adds_6db_and_doubles_delay(self):
         radio = RadioParams()
-        near = synthesize_pair_paths(
+        near = pair_paths(
             np.array([0.0, 0, 2]), np.array([100.0, 0, 2]), radio, 5.0
         )[0]
-        far = synthesize_pair_paths(
+        far = pair_paths(
             np.array([0.0, 0, 2]), np.array([200.0, 0, 2]), radio, 5.0
         )[0]
         assert near.received_power_dbm - far.received_power_dbm == pytest.approx(
@@ -145,7 +159,7 @@ class TestSynthesizePairPaths:
 
     def test_ground_reflection_arrives_later(self):
         radio = RadioParams()
-        paths = synthesize_pair_paths(
+        paths = pair_paths(
             np.array([0.0, 0, 2]),
             np.array([50.0, 0, 2]),
             radio,
@@ -157,12 +171,12 @@ class TestSynthesizePairPaths:
 
     def test_zero_distance_link_rejected(self):
         with pytest.raises(ValueError, match="zero-distance"):
-            synthesize_pair_paths(
+            pair_paths(
                 np.array([1.0, 2, 3]), np.array([1.0, 2, 3]), RadioParams(), 5.0
             )
 
     def test_source_cutoff_drops_buried_reflections(self):
-        paths = synthesize_pair_paths(
+        paths = pair_paths(
             np.array([0.0, 0, 2]),
             np.array([50.0, 0, 2]),
             RadioParams(),
@@ -186,7 +200,7 @@ CANYON = (GROUND, Y_MINUS, Y_PLUS)
 
 
 def paths_equal_to_the_oracle(*args):
-    got = synthesize_pair_paths(*args)
+    got = pair_paths(*args)
     assert path_bytes(got) == path_bytes(oracles.pair_paths_per_path(*args))
     return got
 
@@ -293,9 +307,9 @@ class TestImageMethodOracle:
             want = oracles.pair_paths_per_path(*args)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                synthesize_pair_paths(*args)
+                pair_paths(*args)
             return
-        got = synthesize_pair_paths(*args)
+        got = pair_paths(*args)
         assert len(got) == len(want)
         assert path_bytes(got) == path_bytes(want)
 
@@ -306,7 +320,7 @@ class TestImageMethodOracle:
         rx = oracles.mirror(planes[1], oracles.mirror(planes[0], tx))
         if axis == "z":  # z then z is no sequence; the image is one bounce
             rx = oracles.mirror(planes[1], tx)
-        for synthesize in (oracles.pair_paths_per_path, synthesize_pair_paths):
+        for synthesize in (oracles.pair_paths_per_path, pair_paths):
             with pytest.raises(ValueError, match="zero-distance"):
                 synthesize(tx, rx, RadioParams(), 5.0, planes, 6.0, 2)
 
@@ -321,7 +335,7 @@ class TestImageMethodOracle:
             above = math.nextafter(above, math.inf)
         for power, kept in ((tx_power, 0), (above, 1)):
             radio = RadioParams(tx_power_dbm=power, antenna_gain_tx_dbi=0.0)
-            for synthesize in (oracles.pair_paths_per_path, synthesize_pair_paths):
+            for synthesize in (oracles.pair_paths_per_path, pair_paths):
                 assert len(synthesize(tx, rx, radio, 0.0)) == kept
 
     def test_no_reflected_path_lands_at_the_los_delay(self):
@@ -467,9 +481,9 @@ class TestAssembleChannelMatrix:
     def test_static_scenario_constant_over_samples(self):
         matrix = assemble_channel_matrix(two_node_scenario())
         assert matrix.n_samples == 10
-        first = matrix.snapshot(1, 2, 1)
+        first = oracles.snapshot_at(matrix, 1, 2, 1)
         for s in range(2, 11):
-            snap = matrix.snapshot(1, 2, s)
+            snap = oracles.snapshot_at(matrix, 1, 2, s)
             assert snap.paths == first.paths
             assert snap.time_s == (s - 1) * 1.0
 
@@ -493,12 +507,12 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        ref = matrix.snapshot(1, 2, 5)
+        ref = oracles.snapshot_at(matrix, 1, 2, 5)
         for s in range(6, 11):
-            snap = matrix.snapshot(1, 2, s)
+            snap = oracles.snapshot_at(matrix, 1, 2, s)
             assert snap.paths == ref.paths
             assert snap.time_s == (s - 1) * 1.0
-        assert matrix.snapshot(1, 2, 4).paths != ref.paths
+        assert oracles.snapshot_at(matrix, 1, 2, 4).paths != ref.paths
 
     def test_four_nodes_have_sixteen_entries_per_sample(self):
         scenario = Scenario(
@@ -512,7 +526,7 @@ class TestAssembleChannelMatrix:
 
     def test_diagonal_entries_are_empty_snapshots(self):
         matrix = assemble_channel_matrix(two_node_scenario())
-        assert matrix.snapshot(1, 1, 1).paths == ()
+        assert oracles.snapshot_at(matrix, 1, 1, 1).paths == ()
 
     def test_stationary_tx_reuses_sample_one_even_for_mobile_rx(self):
         # The reuse branch keys on the transmitter speed only.
@@ -525,12 +539,12 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        first = matrix.snapshot(1, 2, 1)
+        first = oracles.snapshot_at(matrix, 1, 2, 1)
         assert all(
-            matrix.snapshot(1, 2, s).paths == first.paths for s in range(2, 7)
+            oracles.snapshot_at(matrix, 1, 2, s).paths == first.paths for s in range(2, 7)
         )
         # the reverse direction has a moving transmitter and does vary
-        delays = [matrix.snapshot(2, 1, s).paths[0].toa_s for s in range(1, 7)]
+        delays = [oracles.snapshot_at(matrix, 2, 1, s).paths[0].toa_s for s in range(1, 7)]
         assert len(set(delays)) > 1
 
     def test_out_and_back_los_delays_are_palindrome(self):
@@ -543,14 +557,14 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        delays = [matrix.snapshot(1, 2, s).paths[0].toa_s for s in range(1, 10)]
+        delays = [oracles.snapshot_at(matrix, 1, 2, s).paths[0].toa_s for s in range(1, 10)]
         assert delays == pytest.approx(delays[::-1])
 
     def test_times_follow_sample_index(self):
         matrix = assemble_channel_matrix(two_node_scenario(t_total=5, t_s=0.5))
         assert matrix.n_samples == 9
         for s in range(1, matrix.n_samples + 1):
-            assert matrix.snapshot(1, 2, s).time_s == (s - 1) * 0.5
+            assert oracles.snapshot_at(matrix, 1, 2, s).time_s == (s - 1) * 0.5
 
 
 class TestPathsFile:
@@ -689,7 +703,7 @@ class TestPathsFile:
             )
         )
         # the table holds floats, so -61 reads -61.0
-        assert matrix.snapshot(1, 2, 1).paths == want
+        assert oracles.snapshot_at(matrix, 1, 2, 1).paths == want
         again, want_file = tmp_path / "again.jsonl", tmp_path / "want.jsonl"
         write_paths_file(matrix, again)
         oracles.write_paths_per_record(matrix, want_file)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansounder import helper, sounder
-from chansounder.emulator import IqFileWriter, make_noise, read_iq_file
+from chansounder.emulator import make_noise, read_iq_file, write_iq_file
 from chansounder.sequences import bpsk_modulate, generate_glfsr
 from chansounder.sounder import (
     Detections,
@@ -37,8 +37,7 @@ def sound(samples, cfg):
 
 
 def write_capture(path, samples):
-    with IqFileWriter(path, FS) as w:
-        w.append(samples)
+    write_iq_file(path, [samples], FS)
 
 
 def direct_cir(received, ref):

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from chansounder.tap_approx import (
 )
 from chansounder.tap_approx import _kmeans_labels, _run_sums
 from oracles import (
+    columns_of,
     kmeans_per_centroid,
     prune_paths,
     read_tap_file_per_line,
     read_tap_file_per_record,
+    snapshot_at,
     taps_per_snapshot,
     write_tap_file_per_record,
 )
@@ -47,6 +50,19 @@ def kmeans_clusters(delays, weights, k, tol):
 
 def snapshot_from(paths):
     return ChannelSnapshot(1, 2, 1, 0.0, tuple(paths))
+
+
+def taps_of(snapshot, p_tx_dbm, **kwargs):
+    """``approximate_taps`` on the columns of a snapshot's paths."""
+    return approximate_taps(*columns_of(snapshot), p_tx_dbm, **kwargs)
+
+
+def delay_indices(taps):
+    return [i for i, _ in taps]
+
+
+def coefficients(taps):
+    return [c for _, c in taps]
 
 
 def coherent_path_sum(snapshot):
@@ -247,13 +263,13 @@ class TestSegmentedBuild:
         )
         for pair in ((1, 2), (2, 1)):
             for ms, s in enumerate(matrix.sample_of(np.arange(matrix.n_samples) / 1000.0)):
-                snap = matrix.snapshot(*pair, int(s))
+                snap = snapshot_at(matrix, *pair, int(s))
                 if prune_floor_dbm is not None:
                     snap = prune_paths(snap, prune_floor_dbm)
                 got = built.tap_lists[built.index[pair][ms]]
-                alone = approximate_taps(
+                alone = taps_of(
                     snap, power[pair[0]], k=k, grid_dt_s=GRID, offset_db=offset_db
-                ).taps
+                )
                 want = taps_per_snapshot(
                     snap, power[pair[0]], k, GRID, 43.0, offset_db
                 )
@@ -280,8 +296,8 @@ class TestSegmentedBuild:
         assert built.index[(1, 2)].tolist() == [0, 0, 0]
         assert built.index[(2, 1)].tolist() == [1, 1, 1]
         for pair in ((1, 2), (2, 1)):
-            alone = approximate_taps(matrix.snapshot(*pair, 1), power[pair[0]], grid_dt_s=GRID)
-            assert repr(built.tap_lists[built.index[pair][0]]) == repr(alone.taps)
+            alone = taps_of(snapshot_at(matrix, *pair, 1), power[pair[0]], grid_dt_s=GRID)
+            assert repr(built.tap_lists[built.index[pair][0]]) == repr(alone)
 
     @pytest.mark.parametrize("column", range(3))
     def test_snapshots_one_ulp_apart_get_their_own_lists(self, column):
@@ -309,13 +325,13 @@ class TestApproximateTaps:
                 RayPath(P_TX - 6, 1.0, 9 * grid),
             ]
         )
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=grid)
-        assert ts.delay_indices == [0, 5, 9]
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=grid)
+        assert delay_indices(ts) == [0, 5, 9]
         expected = [
             path_coefficient(p.received_power_dbm, P_TX, p.phase_rad)
             for p in snap.paths
         ]
-        assert np.allclose(ts.coefficients, expected, rtol=1e-12)
+        assert np.allclose(coefficients(ts), expected, rtol=1e-12)
 
     def test_four_tap_synthetic_channel_grid_indices(self):
         delays_us = [0.0, 1.28, 2.0, 4.0]
@@ -324,8 +340,8 @@ class TestApproximateTaps:
             RayPath(P_TX - loss, 0.0, d * 1e-6)
             for d, loss in zip(delays_us, losses)
         )
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=20e-9)
-        assert ts.delay_indices == [0, 64, 100, 200]
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=20e-9)
+        assert delay_indices(ts) == [0, 64, 100, 200]
 
     def test_dense_paths_collapse_to_one_coherent_tap(self):
         rng = np.random.default_rng(7)
@@ -334,20 +350,20 @@ class TestApproximateTaps:
         snap = snapshot_from(
             RayPath(P_TX - 10, ph, d) for d, ph in zip(delays, phases)
         )
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-6)
-        assert ts.delay_indices == [0]
-        assert ts.coefficients[0] == pytest.approx(coherent_path_sum(snap))
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=1e-6)
+        assert delay_indices(ts) == [0]
+        assert coefficients(ts)[0] == pytest.approx(coherent_path_sum(snap))
 
     def test_empty_snapshot_is_a_silent_instant(self):
-        ts = approximate_taps(snapshot_from([]), P_TX, k=4, grid_dt_s=1e-8)
-        assert ts.taps == ()
+        ts = taps_of(snapshot_from([]), P_TX, k=4, grid_dt_s=1e-8)
+        assert ts == ()
 
     @settings(max_examples=60, deadline=None)
     @given(snap=random_snapshots())
     def test_tap_count_bounded_and_indices_increasing(self, snap):
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-8)
-        assert len(ts.taps) <= 4
-        idx = ts.delay_indices
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=1e-8)
+        assert len(ts) <= 4
+        idx = delay_indices(ts)
         assert all(b > a for a, b in zip(idx, idx[1:]))
 
     @settings(max_examples=60, deadline=None)
@@ -355,11 +371,11 @@ class TestApproximateTaps:
     def test_coherent_sum_preserved_within_1db(self, snap):
         # Before dynamic-range dropping the clustered taps partition the
         # paths, so their coherent sum matches the brute-force path sum.
-        ts = approximate_taps(
+        ts = taps_of(
             snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf
         )
         truth = coherent_path_sum(snap)
-        got = ts.coherent_sum()
+        got = sum(coefficients(ts), 0j)
         if abs(truth) < 1e-9:
             return
         assert abs(20 * math.log10(abs(got) / abs(truth))) <= 1.0
@@ -373,11 +389,11 @@ class TestApproximateTaps:
                 (20.0, 20.0, 20.0, 18.0, 18.125), (0.0, 0.0, 0.0, 0.0, 5e-324)
             )
         )
-        ts = approximate_taps(
+        ts = taps_of(
             snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf
         )
-        assert ts.delay_indices == [0]
-        assert ts.coefficients[0] == pytest.approx(coherent_path_sum(snap))
+        assert delay_indices(ts) == [0]
+        assert coefficients(ts)[0] == pytest.approx(coherent_path_sum(snap))
 
     @pytest.mark.parametrize("shift_db", [0.0, 0.5])
     def test_one_path_cluster_snaps_its_own_delay(self, shift_db):
@@ -388,8 +404,8 @@ class TestApproximateTaps:
             RayPath(P_TX - loss + shift_db, 0.0, d)
             for loss, d in ((0.5, 0.0), (19.5, 5e-9))
         )
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf)
-        assert ts.delay_indices == [0]
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf)
+        assert delay_indices(ts) == [0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -399,8 +415,8 @@ class TestApproximateTaps:
     def test_snapping_moves_delay_at_most_half_grid(self, delay, loss):
         grid = 1e-8
         snap = snapshot_from([RayPath(P_TX - loss, 0.0, delay)])
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=grid)
-        assert abs(ts.delay_indices[0] * grid - delay) <= grid / 2 + 1e-15
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=grid)
+        assert abs(delay_indices(ts)[0] * grid - delay) <= grid / 2 + 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -431,15 +447,15 @@ class TestApproximateTaps:
             RayPath(p.received_power_dbm + shift, p.phase_rad, p.toa_s)
             for p in snap.paths
         )
-        a = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf)
-        b = approximate_taps(
+        a = taps_of(snap, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf)
+        b = taps_of(
             shifted, P_TX, k=4, grid_dt_s=1e-8, dyn_range_db=math.inf
         )
-        assert a.delay_indices == b.delay_indices
+        assert delay_indices(a) == delay_indices(b)
         scale = 10 ** (shift / 20)
         assert np.allclose(
-            np.array(b.coefficients),
-            np.array(a.coefficients) * scale,
+            np.array(coefficients(b)),
+            np.array(coefficients(a)) * scale,
             rtol=1e-9,
         )
 
@@ -452,18 +468,18 @@ class TestApproximateTaps:
                 RayPath(P_TX - 8, 4.0, 15 * grid),
             ]
         )
-        first = approximate_taps(snap, P_TX, k=4, grid_dt_s=grid)
+        first = taps_of(snap, P_TX, k=4, grid_dt_s=grid)
         as_paths = snapshot_from(
             RayPath(
                 P_TX + 20 * math.log10(abs(c)),
                 cmath.phase(c) % (2 * math.pi),
                 idx * grid,
             )
-            for idx, c in first.taps
+            for idx, c in first
         )
-        second = approximate_taps(as_paths, P_TX, k=4, grid_dt_s=grid)
-        assert second.delay_indices == first.delay_indices
-        assert np.allclose(second.coefficients, first.coefficients, rtol=1e-9)
+        second = taps_of(as_paths, P_TX, k=4, grid_dt_s=grid)
+        assert delay_indices(second) == delay_indices(first)
+        assert np.allclose(coefficients(second), coefficients(first), rtol=1e-9)
 
     def test_dynamic_range_dropping(self):
         grid = 1e-8
@@ -473,20 +489,84 @@ class TestApproximateTaps:
                 RayPath(P_TX - 60, 0.0, 5 * grid),  # 57 dB below the strongest
             ]
         )
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=grid, dyn_range_db=43.0)
-        assert ts.delay_indices == [0]
+        ts = taps_of(snap, P_TX, k=4, grid_dt_s=grid, dyn_range_db=43.0)
+        assert delay_indices(ts) == [0]
 
     @pytest.mark.parametrize("grid", [math.nan, math.inf, -math.inf, 0.0])
     def test_grid_must_be_finite_and_positive(self, grid):
         with pytest.raises(ValueError, match="grid_dt_s must be finite and > 0"):
             TapSet((), grid)
         with pytest.raises(ValueError, match="grid_dt_s must be finite and > 0"):
-            approximate_taps(snapshot_from([]), P_TX, grid_dt_s=grid)
+            taps_of(snapshot_from([]), P_TX, grid_dt_s=grid)
 
-    def test_timestamp_defaults_to_snapshot_time(self):
-        snap = ChannelSnapshot(1, 2, 5, 1.788, (RayPath(0.0, 0.0, 0.0),))
-        ts = approximate_taps(snap, P_TX, k=4, grid_dt_s=1e-8)
-        assert ts.timestamp_ms == 1788
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 8).map(lambda i: i * 1e-8),
+                    st.floats(min_value=0.0, max_value=8e-8),
+                ),
+                st.floats(min_value=-10.0, max_value=30.0),
+                st.floats(min_value=-10.0, max_value=10.0),
+            ),
+            max_size=32,
+        ),
+        k=st.integers(min_value=1, max_value=4),
+        as_arrays=st.booleans(),
+    )
+    @example(
+        rows=[(3e-8, 1.0, -7.5), (0.0, 0.0, 9.0), (3e-8, 2.0, 6.5), (1e-8, 4.0, -0.1),
+              (0.0, 3.0, 2 * math.pi)],
+        k=2, as_arrays=False,
+    )
+    def test_unsorted_unreduced_columns_equal_the_oracle(self, rows, k, as_arrays):
+        toa, power, phase = ([d for d, _, _ in rows], [P_TX - l for _, l, _ in rows],
+                             [ph for _, _, ph in rows])
+        snap = snapshot_from(RayPath(p, ph, d) for d, p, ph in zip(toa, power, phase))
+        columns = [np.array(c) for c in (toa, power, phase)] if as_arrays else [toa, power, phase]
+        got = approximate_taps(*columns, P_TX, k=k, grid_dt_s=1e-8)
+        # repr tells signed zeros apart
+        assert repr(got) == repr(taps_per_snapshot(snap, P_TX, k, 1e-8, 43.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "toa, power, phase",
+        [
+            ([0.0, math.inf], [-50.0, -60.0], [0.5, 7.0]),
+            ([0.0, -1e-9], [-50.0, -60.0], [0.5, 7.0]),
+            ([0.0, 1e-8], [-50.0, math.nan], [0.5, 7.0]),
+            ([0.0, 1e-8], [-50.0, -math.inf], [0.5, 7.0]),
+            ([0.0, 1e-8], [-50.0, -60.0], [0.5, math.inf]),
+            ([0.0, 1e-8], [-50.0, -60.0], [math.nan, 7.0]),
+            # the first bad path is named, not the first bad column
+            ([-1e-9, 1e-8], [-50.0, math.nan], [0.5, 7.0]),
+            ([1e-8, 0.0], [-50.0, -60.0], [math.inf, math.nan]),
+        ],
+    )
+    def test_bad_columns_raise_the_error_of_the_first_bad_path(self, toa, power, phase):
+        with pytest.raises(ValueError) as first:
+            for p, ph, d in zip(power, phase, toa):
+                RayPath(p, ph, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                approximate_taps(toa, power, phase, P_TX)
+            with pytest.raises(ValueError) as from_arrays:
+                approximate_taps(*map(np.array, (toa, power, phase)), P_TX)
+        assert str(err.value) == str(from_arrays.value) == str(first.value)
+
+    def test_a_snapshot_drives_the_records_from_its_time_on(self):
+        # sample 2 of a 1.788 s grid holds from ms 1788; its tap list is the
+        # snapshot's taps alone
+        table = PathTable.of_columns([1, 1, 0], [0.0, -6.0], [0.0, 0.0], [0.0, 0.0])
+        index = {(1, 2): [0, 1], (2, 1): [0, 1], (1, 1): [2, 2], (2, 2): [2, 2]}
+        matrix = ChannelMatrix([1, 2], 2, 1.788, table, index)
+        built = build_tap_file_from_matrix(matrix, {1: P_TX, 2: P_TX}, 1790)
+        ids = built.index[(1, 2)]
+        assert ids[0] == ids[1787] != ids[1788] == ids[1789]
+        snap = snapshot_at(matrix, 1, 2, 2)
+        assert snap.time_s == 1.788
+        assert repr(built.tap_lists[ids[1788]]) == repr(taps_of(snap, P_TX))
 
 
 def small_tap_file(offset_db=0.0):
@@ -583,7 +663,7 @@ class TestTapFileIo:
         path = tmp_path / "taps.csv"
         write_tap_file(src, path)
         back = read_tap_file(path)
-        assert back.tapset(1, 1, 2).taps == ()
+        assert back.records[(1, 1, 2)].taps == ()
 
     def test_incomplete_coverage_rejected(self):
         tf = TapFile(2, 1e-8, 4, 2, 0.0, [((0, 1 + 0j),)], {(1, 2): [0, -1]})
@@ -706,8 +786,8 @@ class TestTapRecordsView:
         assert tf.records[(1, 2, 1)] == TapSet(((1, 2 + 0j),), 1e-8, 1)
         assert (1, 1, 2) not in tf.records and (3, 2, 1) not in tf.records
         tf.records[(1, 1, 2)] = TapSet(((0, -1j),), 1e-8, 1)
-        assert tf.tapset(1, 1, 2).taps == ((0, -1j),)
-        assert tf.tapset(0, 1, 2).taps == ((0, 1j),)  # only one entry repointed
+        assert tf.records[(1, 1, 2)].taps == ((0, -1j),)
+        assert tf.records[(0, 1, 2)].taps == ((0, 1j),)  # only one entry repointed
         tf.validate()
         del tf.records[(2, 2, 1)]
         with pytest.raises(ValueError, match="missing record for pair \\(2, 1\\) at 2"):
@@ -717,12 +797,13 @@ class TestTapRecordsView:
 
     def test_lookups_by_time(self):
         tf = TapFile(2, 1e-8, 2, 2, 0.0, [((0, 1j),), ((1, 2 + 0j),)], {(1, 2): [1, 0]})
-        assert tf.active_tapset(0.0015, 1, 2).taps == ((0, 1j),)
+        assert tf.tap_lists[tf.tap_ids([0.0015], 1, 2)[0]] == ((0, 1j),)
         times = [0.0, 0.00099, 0.0009999999999, 0.001, 0.0019]  # 1e-9 ms of slack
         ids = tf.tap_ids(np.array(times), 1, 2).tolist()
         assert ids == [1, 1, 0, 0, 0]
+        assert ids == [tf.tap_ids([t], 1, 2)[0] for t in times]
         assert [tf.tap_lists[i] for i in ids] == [
-            tf.active_tapset(t, 1, 2).taps for t in times
+            tf.records[(ms, 1, 2)].taps for ms in (0, 0, 1, 1, 1)
         ]
         with pytest.raises(KeyError, match="outside tap file duration"):
             tf.tap_ids(np.array([0.0, 0.002]), 1, 2)
