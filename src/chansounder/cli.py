@@ -140,17 +140,10 @@ def _cmd_approximate_taps(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _read_taps(path, pair=None) -> tap_approx.TapFile:
-    """The tap file at ``path``; with ``pair``, one that has that pair's records."""
-    tap_file = tap_approx.read_tap_file(path)
-    if pair is not None and pair not in tap_file.pairs():
-        raise ValueError(f"{path}: pair {pair} not present in tap file")
-    return tap_file
-
-
 def _cmd_emulate(args, cfg: PipelineConfig) -> int:
     pair = tuple(int(x) for x in args.pair.split(","))
-    tap_file = _read_taps(args.taps, pair)
+    tap_file = tap_approx.read_tap_file(args.taps)
+    tap_file.require_pair(pair, f"{args.taps}: ")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     capture = args.out_dir / f"capture_{pair[0]}-{pair[1]}.iq"
     emulate_repeated_reference_to_file(
@@ -175,7 +168,9 @@ def _cmd_sound(args, cfg: PipelineConfig) -> int:
 
 def _cmd_validate(args, cfg: PipelineConfig) -> int:
     pair = tuple(int(x) for x in args.pair.split(",")) if args.pair else None
-    tap_file = _read_taps(args.taps, pair)
+    tap_file = tap_approx.read_tap_file(args.taps)
+    if pair is not None:
+        tap_file.require_pair(pair, f"{args.taps}: ")
     if not tap_file.pairs():
         raise ValueError(f"{args.taps}: no tap records to validate against")
     report = sounder.sound_chunked(

@@ -217,8 +217,7 @@ def apply_channel(
     ``TapFile.tap_ids`` gives for t_n.
     """
     tx, rx = pair
-    if pair not in taps.pairs():
-        raise ValueError(f"pair {pair} not present in tap file")
+    taps.require_pair(pair)
     step = _grid_step_samples(taps.grid_dt_s, fs)
     x = np.asarray(samples, dtype=np.complex128)
     n = len(x)
@@ -354,8 +353,7 @@ def emulate_blocks(
     early waits only for the piece in flight.
     """
     tx, rx = pair
-    if pair not in taps.pairs():
-        raise ValueError(f"pair {pair} not present in tap file")
+    taps.require_pair(pair)
     if block_samples < 1:
         raise ValueError("block_samples must be >= 1")
     step = _grid_step_samples(taps.grid_dt_s, fs)

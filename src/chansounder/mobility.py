@@ -564,14 +564,21 @@ def _plain(columns: tuple) -> bool:
 
 def _parsed_record(line: str) -> tuple:
     """A record's (tx, rx, s) key and path columns, by ``json.loads`` of
-    the whole line; ``checked_phase`` raises the error of the first bad
-    path."""
+    the whole line; if a value is not plain, ``checked_phase`` raises the
+    error of the first bad path."""
     rec = json.loads(line)
-    for p in rec["paths"]:
-        checked_phase(
-            p["p_rx_dbm"], p["phase_rad"], p["toa_s"], p.get("aoa_deg"), p.get("aod_deg")
-        )
-    return (rec["tx"], rec["rx"], rec["s"]), _path_columns(rec["paths"])
+    try:
+        cols = _path_columns(rec["paths"])
+        plain = _plain(cols)
+    except (KeyError, TypeError):
+        plain = False
+    if not plain:
+        for p in rec["paths"]:
+            checked_phase(
+                p["p_rx_dbm"], p["phase_rad"], p["toa_s"], p.get("aoa_deg"), p.get("aod_deg")
+            )
+        cols = _path_columns(rec["paths"])
+    return (rec["tx"], rec["rx"], rec["s"]), cols
 
 
 class _Bodies:

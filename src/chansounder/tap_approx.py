@@ -109,12 +109,7 @@ class TapFile:
     index: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.grid_dt_s) and self.grid_dt_s > 0):
-            raise ValueError(
-                f"grid_dt_s must be finite and > 0, got {self.grid_dt_s}"
-            )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_grid_and_k(self.grid_dt_s, self.k)
         for name in ("duration_ms", "n_nodes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -155,6 +150,11 @@ class TapFile:
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p, ids in self.index.items() if (ids >= 0).any())
+
+    def require_pair(self, pair: tuple[int, int], where: str = "") -> None:
+        """Raise a ValueError, its message led by ``where``, unless ``pair`` has records."""
+        if pair not in self.pairs():
+            raise ValueError(f"{where}pair {pair} not present in tap file")
 
     def used_tap_lists(self, pair: Optional[tuple[int, int]] = None) -> list:
         """The tap lists that records point at (of one pair, or of all), once each."""
@@ -445,8 +445,9 @@ def approximate_taps(
 ) -> tuple:
     """The tap list of one (pruned) snapshot, given as path columns.
 
-    Each path must pass :func:`~chansounder.channel_model.checked_phase`,
-    which reduces its phase; then the paths are stably sorted by toa.
+    The three columns must be equal in length, and each path must pass
+    :func:`~chansounder.channel_model.checked_phase`, which reduces its
+    phase; then the paths are stably sorted by toa.
     Paths are clustered over delay by power-weighted k-means (seeded with
     the k strongest paths), each cluster is summed coherently, and the
     power-weighted cluster delay is snapped to the nearest grid index;
@@ -455,8 +456,10 @@ def approximate_taps(
     dropped. An empty snapshot is a valid deep-fade instant and yields no
     taps. This is the tap build on a table of one snapshot.
     """
-    _check_build(k, grid_dt_s)
+    _check_grid_and_k(grid_dt_s, k)
     toa, power, phase = (np.asarray(c, dtype=float) for c in (toa_s, power_dbm, phase_rad))
+    if not len(toa) == len(power) == len(phase):
+        raise ValueError(f"path columns differ in length: {len(toa)}, {len(power)}, {len(phase)}")
     paths = zip(power.tolist(), phase.tolist(), toa.tolist())
     reduced = np.array([checked_phase(*path) for path in paths], dtype=float)
     order = np.argsort(toa, kind="stable")
@@ -467,11 +470,11 @@ def approximate_taps(
     )[0]
 
 
-def _check_build(k: int, grid_dt_s: float) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _check_grid_and_k(grid_dt_s: float, k: int) -> None:
     if not (math.isfinite(grid_dt_s) and grid_dt_s > 0):
         raise ValueError(f"grid_dt_s must be finite and > 0, got {grid_dt_s}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _row_body(taps, k: int) -> str:
@@ -866,7 +869,7 @@ def build_tap_file_from_matrix(
     it gets one tap list, which each of its records points at.
     ``tx_power_dbm`` is {node_id: dBm}.
     """
-    _check_build(k, grid_dt_s)
+    _check_grid_and_k(grid_dt_s, k)
     if pairs is None:
         pairs = [
             (i, j) for i in matrix.node_ids for j in matrix.node_ids if i != j

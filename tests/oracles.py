@@ -30,13 +30,6 @@ from chansounder.harness import TapErrorStats, ValidationReport
 from chansounder.tap_approx import TapFile, TapSet, _checked_taps, _parse_row_body
 
 
-def snapshot_at(matrix, tx, rx, s):
-    """``matrix.entries[(tx, rx)][s - 1]`` without building the other entries."""
-    b = int(matrix.index[(tx, rx)][s - 1])
-    t = (s - 1) * matrix.sample_interval_s
-    return ChannelSnapshot(tx, rx, s, t, matrix.paths.ray_paths(b))
-
-
 def columns_of(snapshot):
     """The toa, power and phase columns of a snapshot's paths, the first
     arguments of ``tap_approx.approximate_taps``."""
@@ -251,13 +244,14 @@ def taps_per_snapshot(snapshot, p_tx_dbm, k, grid_dt_s, dyn_range_db, offset_db)
 
 def write_paths_per_record(matrix, path):
     """``mobility.write_paths_file`` as one ``json.dumps`` per record."""
+    entries = matrix.entries
     with open(path, "w") as fh:
         for s in range(1, matrix.n_samples + 1):
             for i in matrix.node_ids:
                 for j in matrix.node_ids:
                     if i == j:
                         continue
-                    snap = snapshot_at(matrix, i, j, s)
+                    snap = entries[(i, j)][s - 1]
                     paths = []
                     for p in snap.paths:
                         rec = {
@@ -506,12 +500,12 @@ def truth_series_per_frame(matrix, scenario, pair, frame_times):
     floors = {n.node_id: noise_floor_dbm(n.radio) for n in scenario.nodes}
     t_s = matrix.sample_interval_s
     losses = np.empty(len(frame_times))
+    snapshots = matrix.entries[pair]
     cache = {}
     for i, t in enumerate(frame_times):
         s = min(int(math.floor(t / t_s)) + 1, matrix.n_samples)
         if s not in cache:
-            snap = snapshot_at(matrix, pair[0], pair[1], s)
-            snap = prune_paths(snap, min(floors.values()))
+            snap = prune_paths(snapshots[s - 1], min(floors.values()))
             cache[s] = (
                 link_path_loss_db(snap, tx_power[pair[0]])
                 if snap.paths

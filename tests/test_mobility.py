@@ -481,9 +481,8 @@ class TestAssembleChannelMatrix:
     def test_static_scenario_constant_over_samples(self):
         matrix = assemble_channel_matrix(two_node_scenario())
         assert matrix.n_samples == 10
-        first = oracles.snapshot_at(matrix, 1, 2, 1)
-        for s in range(2, 11):
-            snap = oracles.snapshot_at(matrix, 1, 2, s)
+        first, *rest = matrix.entries[(1, 2)]
+        for s, snap in enumerate(rest, start=2):
             assert snap.paths == first.paths
             assert snap.time_s == (s - 1) * 1.0
 
@@ -507,12 +506,12 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        ref = oracles.snapshot_at(matrix, 1, 2, 5)
+        snapshots = matrix.entries[(1, 2)]
+        ref = snapshots[4]
         for s in range(6, 11):
-            snap = oracles.snapshot_at(matrix, 1, 2, s)
-            assert snap.paths == ref.paths
-            assert snap.time_s == (s - 1) * 1.0
-        assert oracles.snapshot_at(matrix, 1, 2, 4).paths != ref.paths
+            assert snapshots[s - 1].paths == ref.paths
+            assert snapshots[s - 1].time_s == (s - 1) * 1.0
+        assert snapshots[3].paths != ref.paths
 
     def test_four_nodes_have_sixteen_entries_per_sample(self):
         scenario = Scenario(
@@ -526,7 +525,7 @@ class TestAssembleChannelMatrix:
 
     def test_diagonal_entries_are_empty_snapshots(self):
         matrix = assemble_channel_matrix(two_node_scenario())
-        assert oracles.snapshot_at(matrix, 1, 1, 1).paths == ()
+        assert matrix.entries[(1, 1)][0].paths == ()
 
     def test_stationary_tx_reuses_sample_one_even_for_mobile_rx(self):
         # The reuse branch keys on the transmitter speed only.
@@ -539,12 +538,10 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        first = oracles.snapshot_at(matrix, 1, 2, 1)
-        assert all(
-            oracles.snapshot_at(matrix, 1, 2, s).paths == first.paths for s in range(2, 7)
-        )
+        first, *rest = matrix.entries[(1, 2)]
+        assert all(snap.paths == first.paths for snap in rest)
         # the reverse direction has a moving transmitter and does vary
-        delays = [oracles.snapshot_at(matrix, 2, 1, s).paths[0].toa_s for s in range(1, 7)]
+        delays = [snap.paths[0].toa_s for snap in matrix.entries[(2, 1)]]
         assert len(set(delays)) > 1
 
     def test_out_and_back_los_delays_are_palindrome(self):
@@ -557,14 +554,14 @@ class TestAssembleChannelMatrix:
             sample_interval_s=1.0,
         )
         matrix = assemble_channel_matrix(scenario)
-        delays = [oracles.snapshot_at(matrix, 1, 2, s).paths[0].toa_s for s in range(1, 10)]
+        delays = [snap.paths[0].toa_s for snap in matrix.entries[(1, 2)]]
         assert delays == pytest.approx(delays[::-1])
 
     def test_times_follow_sample_index(self):
         matrix = assemble_channel_matrix(two_node_scenario(t_total=5, t_s=0.5))
         assert matrix.n_samples == 9
-        for s in range(1, matrix.n_samples + 1):
-            assert oracles.snapshot_at(matrix, 1, 2, s).time_s == (s - 1) * 0.5
+        for s, snap in enumerate(matrix.entries[(1, 2)], start=1):
+            assert snap.time_s == (s - 1) * 0.5
 
 
 class TestPathsFile:
@@ -703,12 +700,26 @@ class TestPathsFile:
             )
         )
         # the table holds floats, so -61 reads -61.0
-        assert oracles.snapshot_at(matrix, 1, 2, 1).paths == want
+        assert matrix.entries[(1, 2)][0].paths == want
         again, want_file = tmp_path / "again.jsonl", tmp_path / "want.jsonl"
         write_paths_file(matrix, again)
         oracles.write_paths_per_record(matrix, want_file)
         assert again.read_bytes() == want_file.read_bytes()
         assert '"aoa_deg": -0.0' in again.read_text()
+
+    def test_a_compact_file_reads_as_the_writers(self, tmp_path):
+        # compact separators and sorted keys: no line is of the writer's
+        # form, so each is read whole
+        scenario = mixed_scenario()
+        path, compact = tmp_path / "paths.jsonl", tmp_path / "compact.jsonl"
+        write_paths_file(assemble_channel_matrix(scenario), path)
+        compact.write_text("".join(
+            json.dumps(json.loads(line), separators=(",", ":"), sort_keys=True) + "\n"
+            for line in path.read_text().splitlines()
+        ))
+        again = tmp_path / "again.jsonl"
+        write_paths_file(assemble_channel_matrix(scenario, read_paths_records(compact)), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_stationary_samples_point_at_sample_one(self):
         matrix = assemble_channel_matrix(mixed_scenario())

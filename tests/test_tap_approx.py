@@ -34,7 +34,6 @@ from oracles import (
     prune_paths,
     read_tap_file_per_line,
     read_tap_file_per_record,
-    snapshot_at,
     taps_per_snapshot,
     write_tap_file_per_record,
 )
@@ -262,8 +261,9 @@ class TestSegmentedBuild:
             offset_db=offset_db, prune_floor_dbm=prune_floor_dbm,
         )
         for pair in ((1, 2), (2, 1)):
+            snapshots = matrix.entries[pair]
             for ms, s in enumerate(matrix.sample_of(np.arange(matrix.n_samples) / 1000.0)):
-                snap = snapshot_at(matrix, *pair, int(s))
+                snap = snapshots[s - 1]
                 if prune_floor_dbm is not None:
                     snap = prune_paths(snap, prune_floor_dbm)
                 got = built.tap_lists[built.index[pair][ms]]
@@ -296,7 +296,7 @@ class TestSegmentedBuild:
         assert built.index[(1, 2)].tolist() == [0, 0, 0]
         assert built.index[(2, 1)].tolist() == [1, 1, 1]
         for pair in ((1, 2), (2, 1)):
-            alone = taps_of(snapshot_at(matrix, *pair, 1), power[pair[0]], grid_dt_s=GRID)
+            alone = taps_of(matrix.entries[pair][0], power[pair[0]], grid_dt_s=GRID)
             assert repr(built.tap_lists[built.index[pair][0]]) == repr(alone)
 
     @pytest.mark.parametrize("column", range(3))
@@ -555,6 +555,23 @@ class TestApproximateTaps:
                 approximate_taps(*map(np.array, (toa, power, phase)), P_TX)
         assert str(err.value) == str(from_arrays.value) == str(first.value)
 
+    @pytest.mark.parametrize(
+        "toa, power, phase",
+        [
+            ([0.0], [-50.0, -60.0], [0.5, 7.0]),
+            ([0.0, 1e-8, 2e-8], [-50.0, -60.0], [0.5, 7.0]),
+            ([0.0, 1e-8], [-50.0], [0.5, 7.0]),
+            ([0.0, 1e-8], [-50.0, -60.0], []),
+            # a bad value in the columns' common prefix is not reached first
+            ([0.0, math.inf], [-50.0, -60.0], [0.5]),
+        ],
+    )
+    def test_columns_of_unequal_length_raise(self, toa, power, phase):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^path columns differ in length: "):
+                approximate_taps(toa, power, phase, P_TX)
+
     def test_a_snapshot_drives_the_records_from_its_time_on(self):
         # sample 2 of a 1.788 s grid holds from ms 1788; its tap list is the
         # snapshot's taps alone
@@ -564,7 +581,7 @@ class TestApproximateTaps:
         built = build_tap_file_from_matrix(matrix, {1: P_TX, 2: P_TX}, 1790)
         ids = built.index[(1, 2)]
         assert ids[0] == ids[1787] != ids[1788] == ids[1789]
-        snap = snapshot_at(matrix, 1, 2, 2)
+        snap = matrix.entries[(1, 2)][1]
         assert snap.time_s == 1.788
         assert repr(built.tap_lists[ids[1788]]) == repr(taps_of(snap, P_TX))
 
@@ -794,6 +811,16 @@ class TestTapRecordsView:
             tf.validate()
         with pytest.raises(KeyError):
             tf.records[(3, 1, 2)] = TapSet((), 1e-8, 3)
+
+    def test_a_pair_without_records_is_refused(self):
+        # (2, 1) has an index of -1 entries only, (1, 1) no index at all
+        tf = TapFile(2, 1e-8, 2, 2, 0.0, [((0, 1j),)], {(1, 2): [0, 0], (2, 1): [-1, -1]})
+        tf.require_pair((1, 2))
+        for pair in ((2, 1), (1, 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'pair {pair}')} not present"):
+                tf.require_pair(pair)
+        with pytest.raises(ValueError, match=r"^t\.csv: pair \(2, 1\) not present"):
+            tf.require_pair((2, 1), "t.csv: ")
 
     def test_lookups_by_time(self):
         tf = TapFile(2, 1e-8, 2, 2, 0.0, [((0, 1j),), ((1, 2 + 0j),)], {(1, 2): [1, 0]})
