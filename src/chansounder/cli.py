@@ -10,7 +10,10 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from . import harness, helper, mobility, sequences, sounder, tap_approx
 from .config import KEYS, PipelineConfig, parse_sequence
@@ -38,6 +41,17 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
     """Give a command those of the shared flags that it reads."""
     for flag in flags:
         parser.add_argument(flag, **_COMMON[flag])
+
+
+def _pair(text: str) -> tuple[int, int]:
+    """The ``--pair`` value: two comma-separated node ids."""
+    try:
+        tx, rx = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two node ids 'tx,rx', not {text!r}"
+        ) from None
+    return tx, rx
 
 
 @functools.cache
@@ -75,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emulate", help="run one link's capture through the channel")
     _add_common(p, "--config", "--seed", "--out-dir")
     p.add_argument("--taps", type=Path, required=True)
-    p.add_argument("--pair", type=str, required=True, help="tx,rx node ids")
+    p.add_argument("--pair", type=_pair, required=True, help="tx,rx node ids")
 
     p = sub.add_parser("sound", help="estimate CIR taps from a capture")
     _add_common(p, "--config", "--out-dir")
@@ -85,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--config", "--seed", "--out-dir")
     p.add_argument("--capture", type=Path, required=True)
     p.add_argument("--taps", type=Path, required=True)
-    p.add_argument("--pair", type=str, default=None)
+    p.add_argument("--pair", type=_pair, default=None, help="tx,rx node ids")
     p.add_argument("--base-loss-db", type=float, default=None)
 
     p = sub.add_parser("heatmap", help="all-pairs base-loss heatmap")
@@ -141,16 +155,15 @@ def _cmd_approximate_taps(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_emulate(args, cfg: PipelineConfig) -> int:
-    pair = tuple(int(x) for x in args.pair.split(","))
     tap_file = tap_approx.read_tap_file(args.taps)
-    tap_file.require_pair(pair, f"{args.taps}: ")
+    tap_file.require_pair(args.pair, f"{args.taps}: ")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    capture = args.out_dir / f"capture_{pair[0]}-{pair[1]}.iq"
+    capture = args.out_dir / "capture_{}-{}.iq".format(*args.pair)
     emulate_repeated_reference_to_file(
-        tap_file, pair, cfg.emulator_config(tap_file, args.seed), cfg.reference(),
+        tap_file, args.pair, cfg.emulator_config(tap_file, args.seed), cfg.reference(),
         cfg.sounding.sample_rate_hz, cfg.total_samples, capture,
     )
-    print(f"emulated {cfg.duration_s} s for pair {pair} -> {capture}")
+    print(f"emulated {cfg.duration_s} s for pair {args.pair} -> {capture}")
     return EXIT_OK
 
 
@@ -167,20 +180,24 @@ def _cmd_sound(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_validate(args, cfg: PipelineConfig) -> int:
-    pair = tuple(int(x) for x in args.pair.split(",")) if args.pair else None
     tap_file = tap_approx.read_tap_file(args.taps)
-    if pair is not None:
-        tap_file.require_pair(pair, f"{args.taps}: ")
-    if not tap_file.pairs():
+    pairs = tap_file.pairs()
+    if args.pair is not None:
+        tap_file.require_pair(args.pair, f"{args.taps}: ")
+        pairs = [args.pair]
+    if not pairs:
         raise ValueError(f"{args.taps}: no tap records to validate against")
+    if len(pairs) > 1:
+        raise ValueError(
+            f"{args.taps}: tap file has multiple pairs; specify one with --pair"
+        )
+    (pair,) = pairs
     report = sounder.sound_chunked(
         args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
     )
     base = args.base_loss_db
     if base is None:
-        base = pair_base_loss_db(
-            cfg.emulator_config(tap_file, args.seed), *(pair or tap_file.pairs()[0])
-        )
+        base = pair_base_loss_db(cfg.emulator_config(tap_file, args.seed), *pair)
     validation = harness.compare_to_ground_truth(
         report, tap_file, base_loss_db=base, offset_db=tap_file.offset_db, pair=pair,
         gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
@@ -223,16 +240,39 @@ def _cmd_heatmap(args, cfg=None) -> int:
     return EXIT_OK
 
 
-def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
-    result = harness.run_scenario_pipeline(cfg, args.out_dir, seed=args.seed)
-    for pair, validation in result.validations.items():
-        status = "PASS" if validation.passed else "FAIL"
+def _print_summary(result: harness.PipelineResult, runtime_s: float) -> None:
+    """Per link: frames, RMSE vs truth, the sounded strongest-tap loss swing
+    and SD, spurious and missed counts; then a row per truth tap slot with its
+    gain errors, and the link's largest delay error."""
+    for (tx, rx), validation in result.validations.items():
+        losses = validation.strongest_loss_db
+        swing = sd = float("nan")
+        if not np.isnan(losses).all():  # a link without detections has no swing
+            swing, sd = np.nanmax(losses) - np.nanmin(losses), np.nanstd(losses)
         print(
-            f"link {pair[0]}->{pair[1]}: {status}, "
-            f"rmse {result.rmse_db[pair]:.3f} dB, "
+            f"link {tx}->{rx}: {'PASS' if validation.passed else 'FAIL'}, "
+            f"{validation.n_frames} frames, rmse {result.rmse_db[(tx, rx)]:.3f} dB, "
+            f"loss swing {swing:.2f} dB, sd {sd:.3f} dB, "
             f"spurious {validation.spurious}, missed {validation.missed}"
         )
-    print(f"artifacts in {result.out_dir}")
+        print("  tap  truth delay  truth gain   mean err     sd        max err")
+        for t in validation.tap_stats:
+            print(
+                f"    {t.slot}   {t.truth_delay_s * 1e6:7.2f} us  "
+                f"{t.truth_gain_db:+8.2f} dB  {t.gain_error_mean_db:+8.4f}  "
+                f"{t.gain_error_sd_db:8.4f}  {t.gain_error_max_db:8.4f} dB"
+            )
+        print(f"  max delay err {validation.max_abs_delay_error_s() * 1e9:.1f} ns")
+    print(
+        f"{'PASS' if result.passed else 'FAIL'} in {runtime_s:.1f} s; "
+        f"artifacts in {result.out_dir}"
+    )
+
+
+def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
+    t0 = time.monotonic()
+    result = harness.run_scenario_pipeline(cfg, args.out_dir, seed=args.seed)
+    _print_summary(result, time.monotonic() - t0)
     return EXIT_OK if result.passed else EXIT_TOLERANCE
 
 

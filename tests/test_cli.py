@@ -1,13 +1,14 @@
 """End-to-end CLI tests: every subcommand plus exit-code conventions."""
 
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chansounder import helper, tap_approx
+from chansounder import helper, sounder, tap_approx
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from chansounder.harness import build_synthetic_tap_file
 from chansounder.tap_approx import write_tap_file
@@ -126,6 +127,58 @@ class TestPipelineCommand:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_ERROR
 
+    def test_summary_prints_the_validation_of_each_tap_slot(
+        self, synthetic_cfg, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(synthetic_cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        report = json.loads((out / "validation_1-2.json").read_text())
+        number = r"[-+]?(?:\d+\.?\d*|nan)"
+
+        link = re.fullmatch(
+            rf"link 1->2: PASS, (\d+) frames, rmse ({number}) dB, "
+            rf"loss swing {number} dB, sd {number} dB, spurious (\d+), missed (\d+)",
+            lines[0],
+        )
+        assert link is not None, lines[0]
+        assert [int(link[1]), int(link[3]), int(link[4])] == [
+            report["n_frames"], report["spurious"], report["missed"]
+        ]
+        assert float(link[2]) == pytest.approx(report["rmse_strongest_vs_truth_db"], abs=5e-4)
+
+        rows = [
+            [float(x) for x in re.findall(number, line)]
+            for line in lines if re.match(r"\s+\d+\s.* us ", line)
+        ]
+        assert len(rows) == len(report["taps"]) == 2
+        for row, tap in zip(rows, report["taps"]):
+            assert row[0] == tap["slot"]
+            assert row[1:3] == pytest.approx(
+                [tap["truth_delay_s"] * 1e6, tap["truth_gain_db"]], abs=5e-3
+            )
+            assert row[3:] == pytest.approx(
+                [tap["gain_error_mean_db"], tap["gain_error_sd_db"],
+                 tap["gain_error_max_db"]], abs=5e-5
+            )
+        delay_max_ns = max(tap["delay_error_max_s"] for tap in report["taps"]) * 1e9
+        assert f"  max delay err {delay_max_ns:.1f} ns" in lines
+        assert lines[-1].startswith("PASS in ") and lines[-1].endswith(f"; artifacts in {out}")
+
+    def test_summary_of_a_link_without_detections(self, synthetic_cfg, tmp_path, capsys):
+        cfg = json.loads(synthetic_cfg.read_text())
+        cfg["synthetic_taps"]["losses_db"] = [60.0, 70.0]  # far under the noise
+        cfg["emulator"]["dyn_range_db"] = 0.0
+        synthetic_cfg.write_text(json.dumps(cfg))
+        rc = main(["pipeline", "--config", str(synthetic_cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_TOLERANCE
+        assert capsys.readouterr().out.startswith(
+            "link 1->2: FAIL, 22 frames, rmse nan dB, loss swing nan dB, sd nan dB, "
+            "spurious 0, missed 44\n"
+        )
+
 
 class TestStageCommands:
     def test_build_scenario_then_taps(self, mobility_cfg, tmp_path):
@@ -192,6 +245,54 @@ class TestStageCommands:
             f"error: {taps}: pair (2, 1) not present in tap file\n"
         )
         assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("command", ["emulate", "validate"])
+    @pytest.mark.parametrize("value", ["2", "1,2,3", "1,x"])
+    def test_a_pair_that_is_not_two_node_ids_is_a_usage_error(self, capsys, command, value):
+        argv = [command, "--config", "c.json", "--taps", "t.csv", "--pair", value]
+        if command == "validate":
+            argv += ["--capture", "c.iq"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (
+            f"argument --pair: expected two node ids 'tx,rx', not {value!r}"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["emulate", "validate"])
+    def test_a_pair_may_have_spaces(self, synthetic_cfg, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(synthetic_cfg),
+                     "--out-dir", str(out)]) == EXIT_OK
+        argv = [command, "--config", str(synthetic_cfg), "--taps", str(out / "taps.csv"),
+                "--pair", " 1, 2", "--out-dir", str(tmp_path / command)]
+        if command == "validate":
+            argv += ["--capture", str(out / "capture_1-2.iq")]
+        assert main(argv) == EXIT_OK
+
+    def test_validate_without_pair_on_several_pairs_stops_before_sounding(
+        self, synthetic_cfg, tmp_path, monkeypatch, capsys
+    ):
+        taps = tmp_path / "taps.csv"
+        ids = np.zeros(6, dtype=np.int32)
+        write_tap_file(
+            tap_approx.TapFile(2, 1e-6, 4, 6, 0.0, [((0, 1 + 0j),)], {(1, 2): ids, (2, 1): ids}),
+            taps,
+        )
+
+        def sound_chunked(*args, **kwargs):
+            raise AssertionError("the capture was sounded")
+
+        monkeypatch.setattr(sounder, "sound_chunked", sound_chunked)
+        out = tmp_path / "out"
+        rc = main(["validate", "--config", str(synthetic_cfg), "--taps", str(taps),
+                   "--capture", str(tmp_path / "c.iq"), "--out-dir", str(out)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {taps}: tap file has multiple pairs; specify one with --pair\n"
+        )
+        assert not out.exists()
 
     def test_a_key_error_prints_its_message(self, synthetic_cfg, monkeypatch, capsys):
         def read_tap_file(path):
