@@ -60,7 +60,7 @@ __all__ = [
 DEFAULT_BASE_LOSS_DB = 57.55
 DEFAULT_BASE_LOSS_SD_DB = 1.23
 DEFAULT_DYNAMIC_RANGE_DB = 43.0
-DEFAULT_BLOCK_SAMPLES = 1 << 18
+DEFAULT_BLOCK_SAMPLES = 1 << 17
 NOISE_CHUNK_SAMPLES = 1 << 16  # noise samples drawn from one generator key
 
 _GRID_TOL = 1e-6
@@ -309,7 +309,8 @@ def write_iq_file(path, blocks, sample_rate_hz: float) -> None:
     """Write sample blocks as a capture, then its sidecar, each through
     :func:`helper.output`, so an unfinished capture never looks valid. A bad
     sample rate is refused before any file is touched; the old sidecar goes
-    first."""
+    first. Each block is let go once written, before the next is asked for,
+    so a producer of fresh blocks can reuse its memory for the one after."""
     path = Path(path)
     if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
         raise ValueError(
@@ -319,6 +320,7 @@ def write_iq_file(path, blocks, sample_rate_hz: float) -> None:
     with helper.output(path, "wb") as fh:
         for block in blocks:
             np.asarray(block, dtype="<c8").tofile(fh)
+            del block
     with helper.output(_sidecar_path(path)) as fh:
         json.dump({"sample_rate_hz": sample_rate_hz}, fh)
 

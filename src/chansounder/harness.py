@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 
+_MATCH_BATCH_ROWS = 1 << 12  # detections matched per batch in validation
+
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage and cause."""
@@ -180,6 +182,11 @@ def compare_to_ground_truth(
     in the accuracy figures it mirrors); per-frame noise dispersion is
     reported via the SD fields. Delay errors must stay inside the tolerance
     on every frame.
+
+    Detections are matched ``_MATCH_BATCH_ROWS`` rows at a time, which
+    bounds the (rows, truth slots) temporaries of a long run; the matched
+    columns are reduced once, in frame order, so the statistics do not
+    depend on the batch size.
     """
     pairs = taps.pairs()
     if pair is None:
@@ -209,28 +216,37 @@ def compare_to_ground_truth(
             truth_delay[r, : len(truth)], truth_gain[r, : len(truth)] = zip(*truth)
     n_truth = np.array([len(r) for r in runs])
 
+    # each frame's strongest-tap loss, made before the matching's columns
+    strongest = np.full(n_frames, np.nan)
+    strongest[np.diff(det.offsets) > 0] = -(
+        det.gain_db[det.strongest_rows()] + base_loss_db - offset_db
+    )
     frame = det.frame_of_rows()
     delay = det.delay_s
     gain = det.gain_db + base_loss_db - offset_db
 
-    # nearest truth slot within tolerance; argmin takes the lowest slot on ties
-    run = frame_run[frame]
-    err = np.abs(delay[:, None] - truth_delay[run])
-    in_tol = err <= delay_tol_s + 1e-15
-    matched = in_tol.any(axis=1)
-    slot = np.argmin(np.where(in_tol, err, np.inf), axis=1)[matched]
+    # nearest truth slot within tolerance; argmin takes the lowest slot on
+    # ties; rows go in batches, so the (rows, k) temporaries stay small
+    matched = np.empty(delay.size, dtype=bool)
+    slot = np.empty(delay.size, dtype=np.intp)
+    for a in range(0, delay.size, _MATCH_BATCH_ROWS):
+        b = a + _MATCH_BATCH_ROWS
+        err = np.abs(delay[a:b, None] - truth_delay[frame_run[frame[a:b]]])
+        in_tol = err <= delay_tol_s + 1e-15
+        matched[a:b] = in_tol.any(axis=1)
+        slot[a:b] = np.argmin(np.where(in_tol, err, np.inf), axis=1)
+    slot = slot[matched]
+    frame = frame[matched]
     spurious = int(delay.size - np.count_nonzero(matched))
-    run = run[matched]
+    run = frame_run[frame]
     td = truth_delay[run, slot]
     tg = truth_gain[run, slot]
     d_err = delay[matched] - td
     g_err = gain[matched] - tg
     hit = np.zeros((n_frames, k), dtype=bool)
-    hit[frame[matched], slot] = True
+    hit[frame, slot] = True
     missed = int(np.sum(n_truth[frame_run]) - np.count_nonzero(hit))
 
-    strongest = np.full(n_frames, np.nan)
-    strongest[np.diff(det.offsets) > 0] = -gain[det.strongest_rows()]
     run_strongest = np.array([-max(g for _, g in r) if r else np.nan for r in runs])
 
     tap_stats = []
@@ -434,65 +450,75 @@ def run_scenario_pipeline(config_path, out_dir, seed: Optional[int] = None) -> P
 
     validations: dict = {}
     rmse: dict = {}
-    passed = True
     for pair in cfg.sounded_links:
-        tag = f"{pair[0]}-{pair[1]}"
-        capture = out_dir / f"capture_{tag}.iq"
-        with _stage("emulate"):
-            emulate_repeated_reference_to_file(
-                tap_file, pair, emulator_config, ref, cfg.sounding.sample_rate_hz,
-                cfg.total_samples, capture,
-            )
-        artifacts[f"capture_{tag}"] = str(capture)
-
-        report_json = out_dir / f"sounding_{tag}.json"
-        with _stage("sound"):
-            report = sound_chunked(capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip)
-            write_report_json(report, report_json)
-            write_report_csv(report, out_dir / f"sounding_{tag}.csv")
-        artifacts[f"sounding_{tag}"] = str(report_json)
-
-        with _stage("validate"):
-            validation = compare_to_ground_truth(
-                report, tap_file, base_loss_db=pair_base_loss_db(emulator_config, *pair),
-                offset_db=cfg.taps.offset_db, pair=pair,
-                gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
-            )
-        validations[pair] = validation
-        passed = passed and validation.passed
-
-        # Ground-truth coherent (all-path) loss series vs sounded strongest tap.
-        truth = validation.truth_strongest_loss_db
-        if matrix is not None:
-            build = cfg.tap_build_kwargs()  # the tap build's powers and floor
-            truth = _truth_series_from_matrix(
-                matrix, pair, validation.frame_times_s,
-                build["tx_power_dbm"], build["prune_floor_dbm"],
-            )
-        sounded = validation.strongest_loss_db
-        ok = ~(np.isnan(truth) | np.isnan(sounded))
-        rmse[pair] = (
-            float(np.sqrt(np.mean((truth[ok] - sounded[ok]) ** 2)))
-            if ok.any()
-            else float("nan")
+        validations[pair], rmse[pair] = _run_link(
+            cfg, tap_file, matrix, emulator_config, ref, pair, out_dir, artifacts
         )
-        series_path = out_dir / f"pathloss_series_{tag}.csv"
-        with helper.output(series_path) as fh:
-            fh.write("time_s,truth_loss_db,sounded_loss_db\n")
-            _write_rows(
-                fh, "%.9f,%.6f,%.6f\n",
-                np.column_stack((validation.frame_times_s, truth, sounded)),
-            )
-        artifacts[f"pathloss_series_{tag}"] = str(series_path)
-
-        vpath = out_dir / f"validation_{tag}.json"
-        payload = validation.to_dict()
-        payload["rmse_strongest_vs_truth_db"] = rmse[pair]
-        with helper.output(vpath) as fh:
-            json.dump(payload, fh, indent=2)
-        artifacts[f"validation_{tag}"] = str(vpath)
-
+    passed = all(v.passed for v in validations.values())
     return PipelineResult(out_dir, artifacts, validations, rmse, passed)
+
+
+def _run_link(cfg, tap_file, matrix, emulator_config, ref, pair, out_dir, artifacts):
+    """Emulate, sound and validate one link; its validation and RMSE.
+
+    Each link runs in a call of its own, so its report, truth series and
+    payloads are freed before the next link starts. Adds the link's outputs
+    to ``artifacts``.
+    """
+    tag = f"{pair[0]}-{pair[1]}"
+    capture = out_dir / f"capture_{tag}.iq"
+    with _stage("emulate"):
+        emulate_repeated_reference_to_file(
+            tap_file, pair, emulator_config, ref, cfg.sounding.sample_rate_hz,
+            cfg.total_samples, capture,
+        )
+    artifacts[f"capture_{tag}"] = str(capture)
+
+    report_json = out_dir / f"sounding_{tag}.json"
+    with _stage("sound"):
+        report = sound_chunked(capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip)
+        write_report_json(report, report_json)
+        write_report_csv(report, out_dir / f"sounding_{tag}.csv")
+    artifacts[f"sounding_{tag}"] = str(report_json)
+
+    with _stage("validate"):
+        validation = compare_to_ground_truth(
+            report, tap_file, base_loss_db=pair_base_loss_db(emulator_config, *pair),
+            offset_db=cfg.taps.offset_db, pair=pair,
+            gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
+        )
+
+    # Ground-truth coherent (all-path) loss series vs sounded strongest tap.
+    truth = validation.truth_strongest_loss_db
+    if matrix is not None:
+        build = cfg.tap_build_kwargs()  # the tap build's powers and floor
+        truth = _truth_series_from_matrix(
+            matrix, pair, validation.frame_times_s,
+            build["tx_power_dbm"], build["prune_floor_dbm"],
+        )
+    sounded = validation.strongest_loss_db
+    ok = ~(np.isnan(truth) | np.isnan(sounded))
+    rmse = (
+        float(np.sqrt(np.mean((truth[ok] - sounded[ok]) ** 2)))
+        if ok.any()
+        else float("nan")
+    )
+    series_path = out_dir / f"pathloss_series_{tag}.csv"
+    with helper.output(series_path) as fh:
+        fh.write("time_s,truth_loss_db,sounded_loss_db\n")
+        _write_rows(
+            fh, "%.9f,%.6f,%.6f\n",
+            np.column_stack((validation.frame_times_s, truth, sounded)),
+        )
+    artifacts[f"pathloss_series_{tag}"] = str(series_path)
+
+    vpath = out_dir / f"validation_{tag}.json"
+    payload = validation.to_dict()
+    payload["rmse_strongest_vs_truth_db"] = rmse
+    with helper.output(vpath) as fh:
+        json.dump(payload, fh, indent=2)
+    artifacts[f"validation_{tag}"] = str(vpath)
+    return validation, rmse
 
 
 def _truth_series_from_matrix(matrix, pair, frame_times, tx_power_dbm, prune_floor_dbm):

@@ -54,7 +54,7 @@ DEFAULT_DETECTION_THRESHOLD_DB = 6.0
 DEFAULT_GUARD_SAMPLES = 2
 
 _MIN_GAIN_DB = -400.0  # stands in for -inf when taking log of zero
-_WRITE_BATCH_ROWS = 1 << 16  # frames per formatting batch; bounds writer memory
+_WRITE_BATCH_ROWS = 1 << 12  # frames per formatting batch; bounds writer memory
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,16 @@ def estimate_noise_floor_gain_db(h_abs: np.ndarray) -> float:
 
     The median of |h| estimates the Rayleigh noise scale robustly against a
     few strong taps; the band top is the expected maximum over the frame,
-    sigma * sqrt(ln(frame_len)).
+    sigma * sqrt(ln(frame_len)). The median is taken with ``np.partition``,
+    as ``np.median`` takes it and to the same bits (the middle element, or
+    the two middle ones as ``(a + b) / 2.0``), without the lazy import of
+    ``numpy.ma`` that ``np.median`` makes.
     """
     frame_len = len(h_abs)
-    sigma = float(np.median(h_abs)) / math.sqrt(math.log(2.0))
+    lo, hi = (frame_len - 1) // 2, frame_len // 2
+    mid = np.partition(h_abs, [lo, hi])
+    median = mid[hi] if lo == hi else (mid[lo] + mid[hi]) / 2.0
+    sigma = float(median) / math.sqrt(math.log(2.0))
     band_top = sigma * math.sqrt(math.log(frame_len))
     if band_top <= 0:
         return _MIN_GAIN_DB
@@ -399,7 +405,9 @@ def sound_chunked(
 def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
     """Write each row of a 2-D float table through one printf-style format.
 
-    Rows are formatted in batches, one ``%`` per batch, which bounds memory.
+    Rows are formatted in batches of ``_WRITE_BATCH_ROWS``, one ``%`` per
+    batch, so the batch's values, format and text are all the writer holds
+    beyond the table; the bytes do not depend on the batch size.
     """
     for a in range(0, len(table), _WRITE_BATCH_ROWS):
         rows = table[a : a + _WRITE_BATCH_ROWS]

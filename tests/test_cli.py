@@ -1,13 +1,17 @@
 """End-to-end CLI tests: every subcommand plus exit-code conventions."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chansounder
 from chansounder import helper, sounder, tap_approx
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
 from chansounder.harness import build_synthetic_tap_file
@@ -107,6 +111,23 @@ class TestPipelineCommand:
         assert (tmp_path / "out" / "taps.csv").exists()
         assert (tmp_path / "out" / "capture_1-2.iq").exists()
         assert (tmp_path / "out" / "validation_1-2.json").exists()
+
+    def test_a_run_does_not_import_numpy_ma(self, synthetic_cfg, tmp_path):
+        # in a fresh process: numpy.ma costs about 10 ms and 1.3 MB to import
+        code = (
+            "import sys; from chansounder.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)"
+        )
+        argv = ["pipeline", "--config", str(synthetic_cfg), "--out-dir", str(tmp_path)]
+        src = str(Path(chansounder.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
     def test_non_finite_value_exits_one_before_any_output(
         self, synthetic_cfg, tmp_path, capsys

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -338,6 +339,25 @@ class TestIqFiles:
         write_iq_file(streamed, iter([stream[:300], stream[300:]]), FS)
         assert bulk.read_bytes() == streamed.read_bytes()
         assert iq_file_sample_count(streamed) == 1000
+
+    def test_writer_lets_go_of_a_block_before_it_asks_for_the_next(self, tmp_path):
+        stream = rand_stream(1000, seed=4).astype(np.complex64)
+        checked = []
+
+        def blocks():
+            before = None
+            for a in range(0, 1000, 250):
+                block = stream[a : a + 250].copy()  # fresh, as emulate_blocks yields
+                if before is not None:
+                    assert before() is None, "the block before is still alive"
+                    checked.append(a)
+                before = weakref.ref(block)
+                yield block
+
+        path = tmp_path / "capture.iq"
+        write_iq_file(path, blocks(), FS)
+        assert checked == [250, 500, 750]
+        assert np.array_equal(read_iq_file(path), stream)
 
     def test_aborted_writer_leaves_nothing(self, tmp_path):
         path = tmp_path / "capture.iq"

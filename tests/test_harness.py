@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chansounder import harness
 from chansounder import mobility as mob
 from chansounder.channel_model import noise_floor_dbm
 from chansounder.emulator import (
@@ -227,6 +228,48 @@ class TestValidationOracle:
         for name in ("spurious", "missed", "n_frames", "delay_tol_s",
                      "gain_tol_db", "strict", "passed"):
             assert getattr(got, name) == getattr(expected, name), name
+
+
+class TestBatchedMatching:
+    @pytest.mark.parametrize("batch", [1, 3, 1 << 62])
+    def test_any_batch_size_equals_one_batch(self, monkeypatch, batch):
+        grid = 1e-7
+        taps = TapFile(
+            2, grid, 4, 4, 0.0,
+            [((0, 1 + 0j), (3, 0.5j), (7, 0.25 + 0j)), ((0, 0.8 + 0j), (5, 0.1 + 0j))],
+            {(1, 2): np.array([0, 0, 1, 1])},
+        )
+        truth = [[0.0, 3 * grid, 7 * grid], [0.0, 5 * grid]]
+        rng = np.random.default_rng(8)
+        n_frames = 2400  # 600 a millisecond
+        offsets, delays, gains = [0], [], []
+        for f in range(n_frames):
+            slots = truth[f * 4 // n_frames // 2]
+            n = 0 if f % 50 == 7 else int(rng.integers(1, 6))  # some frames empty
+            # frame 0 holds spurious detections only; a spurious one has no slot
+            pick = rng.integers(0, len(slots) + 1, n) if f else np.full(n, len(slots))
+            d = [slots[p] + rng.uniform(-0.4, 0.4) * grid if p < len(slots)
+                 else 40 * grid + rng.uniform(0, 10) * grid for p in pick.tolist()]
+            delays += sorted(max(0.0, x) for x in d)
+            gains += rng.normal(-30.0, 3.0, n).tolist()
+            offsets.append(len(delays))
+        counts = np.diff(offsets)
+        assert counts[0] > 0 and counts.max() > 3  # more detections than slots
+        report = SoundingReport(
+            Detections(np.array(offsets), np.array(delays), np.array(gains)),
+            1e-3 / 600, 1e7, -80.0, 0,
+        )
+        monkeypatch.setattr(harness, "_MATCH_BATCH_ROWS", 1 << 62)
+        whole = compare_to_ground_truth(report, taps, 20.0, 0.0, strict=False)
+        monkeypatch.setattr(harness, "_MATCH_BATCH_ROWS", batch)
+        got = compare_to_ground_truth(report, taps, 20.0, 0.0, strict=False)
+        assert whole.spurious > 0 and whole.missed > 0
+        assert repr(got.tap_stats) == repr(whole.tap_stats)
+        for name in ("frame_times_s", "strongest_loss_db", "truth_strongest_loss_db"):
+            assert np.array_equal(getattr(got, name), getattr(whole, name), equal_nan=True)
+        assert (got.spurious, got.missed, got.passed) == (
+            whole.spurious, whole.missed, whole.passed
+        )
 
 
 TRUTH_SCENARIO = mob.Scenario(

@@ -224,6 +224,28 @@ class TestDetectTaps:
         assert (rd.anchor_lag - r0.anchor_lag) % N == d
 
 
+def floor_with_np_median(h_abs):
+    """``estimate_noise_floor_gain_db`` written with ``np.median``."""
+    sigma = float(np.median(h_abs)) / math.sqrt(math.log(2.0))
+    band_top = sigma * math.sqrt(math.log(len(h_abs)))
+    return 20.0 * math.log10(band_top) if band_top > 0 else sounder._MIN_GAIN_DB
+
+
+class TestNoiseFloor:
+    @pytest.mark.parametrize("length", [1, 2, 255, 510])
+    def test_equals_the_np_median_formula_bit_for_bit(self, length):
+        rng = np.random.default_rng(length)
+        for case in range(300):
+            h = np.abs(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+            if case % 3 == 1:  # ties, the middle two among them
+                h = rng.integers(0, 4, length) * 1e-3
+            elif case % 3 == 2:  # a run of ties up to the middle
+                h[: length // 2] = h[0]
+            expected = floor_with_np_median(h)
+            got = estimate_noise_floor_gain_db(h)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 class TestSoundChunked:
     def build_capture(self, tmp_path, n_frames=686, noise_db=-45.0, seed=4):
         rx = np.tile(REF * 0.9, n_frames).astype(complex)
@@ -471,3 +493,36 @@ class TestColumnarDetections:
         write_report_csv(report, tmp_path / "new.csv")
         write_csv_per_frame(report, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 4096, 65536])
+    def test_writers_give_the_same_bytes_at_any_batch_size(
+        self, tmp_path, monkeypatch, batch
+    ):
+        # 5,000 frames: the last batch is not full at 7 and 4096, and
+        # frames without detections sit inside and at the ends of batches
+        rng = np.random.default_rng(23)
+        counts = rng.integers(0, 4, 5000)
+        counts[:3] = counts[-3:] = 0
+        n = int(counts.sum())
+        det = Detections(
+            np.r_[0, np.cumsum(counts)],
+            rng.integers(0, 255, n) / 1e7,
+            rng.normal(-60.0, 20.0, n),
+        )
+        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, 2)
+        table = np.column_stack(
+            (report.frame_times_s(), rng.normal(90.0, 5.0, 5000), rng.normal(90.0, 5.0, 5000))
+        )
+        table[::11, 1] = np.nan
+        row_format = "%.9f,%.6f,%.6f\n"
+        monkeypatch.setattr(sounder, "_WRITE_BATCH_ROWS", batch)
+        write_report_csv(report, tmp_path / "report.csv")
+        with open(tmp_path / "rows.csv", "w") as fh:
+            sounder._write_rows(fh, row_format, table)
+
+        write_csv_per_frame(report, tmp_path / "per_frame.csv")
+        per_row = "".join(row_format % tuple(row) for row in table.tolist())
+        assert (tmp_path / "report.csv").read_bytes() == (
+            tmp_path / "per_frame.csv"
+        ).read_bytes()
+        assert (tmp_path / "rows.csv").read_text() == per_row
