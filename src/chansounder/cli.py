@@ -168,9 +168,7 @@ def _cmd_emulate(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_sound(args, cfg: PipelineConfig) -> int:
-    report = sounder.sound_chunked(
-        args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
-    )
+    report = sounder.sound_chunked(args.capture, cfg.sounding, cfg.reference())
     args.out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.capture).stem
     sounder.write_report_json(report, args.out_dir / f"sounding_{stem}.json")
@@ -192,14 +190,12 @@ def _cmd_validate(args, cfg: PipelineConfig) -> int:
             f"{args.taps}: tap file has multiple pairs; specify one with --pair"
         )
     (pair,) = pairs
-    report = sounder.sound_chunked(
-        args.capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip
-    )
+    report = sounder.sound_chunked(args.capture, cfg.sounding, cfg.reference())
     base = args.base_loss_db
     if base is None:
         base = pair_base_loss_db(cfg.emulator_config(tap_file, args.seed), *pair)
     validation = harness.compare_to_ground_truth(
-        report, tap_file, base_loss_db=base, offset_db=tap_file.offset_db, pair=pair,
+        report, tap_file, base, pair=pair,
         gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,19 +212,17 @@ def _cmd_validate(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_heatmap(args, cfg=None) -> int:
+    code = sequences.generate_glfsr(8)
     config = EmulatorConfig(
         base_loss_db=args.base_loss_db,
         base_loss_sd_db=args.base_loss_sd_db,
         noise_floor_db=noise_floor_db_for_dynamic_range(
-            10.0 ** (-args.base_loss_db / 20.0), 255, 1
+            10.0 ** (-args.base_loss_db / 20.0), code.length
         ),
         seed=args.seed if args.seed is not None else 0,
     )
     heatmap = harness.pathloss_heatmap(
-        list(range(1, args.nodes + 1)),
-        args.window_s,
-        config,
-        sample_rate_hz=args.sample_rate_hz,
+        list(range(1, args.nodes + 1)), args.window_s, config, code, args.sample_rate_hz
     )
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "heatmap.csv"

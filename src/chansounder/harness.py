@@ -3,9 +3,9 @@
 Ties the toolchain together: scenario configs are expanded into channel
 matrices and tap files, captures are emulated and sounded, and detections
 are scored against the tap-file ground truth. Detected gains are corrected
-by adding back the emulation base loss and removing any dB offset applied
-when the tap file was installed, then matched to ground-truth taps by
-nearest delay within one grid step.
+by adding back the emulation base loss and removing the dB offset the tap
+file records, then matched to ground-truth taps by nearest delay within
+one grid step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import helper
 from . import mobility as mob
-from . import sequences as seq
 from .channel_model import coherent_loss_db
 from .config import PipelineConfig
 from .config import load as load_config
@@ -32,6 +31,7 @@ from .emulator import (
     emulate_repeated_reference_to_file,
     pair_base_loss_db,
 )
+from .sequences import CodeSequence, bpsk_modulate
 from .sounder import (
     SoundingConfig,
     SoundingReport,
@@ -138,22 +138,20 @@ class PathLossHeatmap:
 
 
 def _truth_runs(
-    taps: TapFile,
-    pair: tuple[int, int],
-    times_s: np.ndarray,
-    offset_db: float,
+    taps: TapFile, pair: tuple[int, int], times_s: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Ground truth at each frame time, built once per run of one tap list.
 
     Returns each frame's run number and, per run, the sorted (delay_s,
-    original gain_db) list of its nonzero taps. ``TapFile.tap_ids`` picks
-    each frame's record and reports a time outside the file.
+    original gain_db) list of its nonzero taps, the file's offset removed.
+    ``TapFile.tap_ids`` picks each frame's record and reports a time
+    outside the file.
     """
     ids = taps.tap_ids(times_s, pair[0], pair[1])
     starts = np.r_[True, ids[1:] != ids[:-1]]
     runs = [
         sorted(
-            (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
+            (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - taps.offset_db)
             for idx, c in taps.tap_lists[tid]
             if abs(c) > 0
         )
@@ -166,38 +164,35 @@ def compare_to_ground_truth(
     report: SoundingReport,
     taps: TapFile,
     base_loss_db: float,
-    offset_db: float,
-    pair: Optional[tuple[int, int]] = None,
+    *,
+    pair: tuple[int, int],
     delay_tol_s: Optional[float] = None,
     gain_tol_db: float = 0.5,
     strict: bool = True,
 ) -> ValidationReport:
-    """Score detections against the tap file that drove the emulation.
+    """Score the detections of link ``pair`` against the tap file that drove
+    its emulation.
 
-    Detected gains are corrected by +base_loss and -offset; each detection
-    is matched to the nearest ground-truth tap within one grid step (or
-    ``delay_tol_s``). Unmatched detections count as spurious and unmatched
-    truth taps as missed; in strict mode either fails the report. The gain
-    tolerance applies to each tap's measured gain (its mean over frames, as
-    in the accuracy figures it mirrors); per-frame noise dispersion is
-    reported via the SD fields. Delay errors must stay inside the tolerance
-    on every frame.
+    Detected gains are corrected by +base_loss and by -``taps.offset_db``,
+    the offset the tap file was installed with; each detection is matched
+    to the nearest ground-truth tap within one grid step (or
+    ``delay_tol_s``). A frame time at which ``pair`` has no record is a
+    KeyError naming the pair and the millisecond. Unmatched detections
+    count as spurious and unmatched truth taps as missed; in strict mode
+    either fails the report. The gain tolerance applies to each tap's
+    measured gain (its mean over frames, as in the accuracy figures it
+    mirrors); per-frame noise dispersion is reported via the SD fields.
+    Delay errors must stay inside the tolerance on every frame.
 
     Detections are matched ``_MATCH_BATCH_ROWS`` rows at a time, which
     bounds the (rows, truth slots) temporaries of a long run; the matched
     columns are reduced once, in frame order, so the statistics do not
     depend on the batch size.
     """
-    pairs = taps.pairs()
-    if pair is None:
-        if not pairs:
-            raise ValueError("tap file has no records to compare against")
-        if len(pairs) != 1:
-            raise ValueError("tap file has multiple pairs; specify one")
-        pair = pairs[0]
     if delay_tol_s is None:
         delay_tol_s = taps.grid_dt_s
     duration_s = taps.duration_ms / 1000.0
+    offset_db = taps.offset_db
 
     # frames are in time order, so the ones inside the tap file are a prefix
     times = report.frame_times_s()
@@ -206,7 +201,7 @@ def compare_to_ground_truth(
         raise ValueError("no frames overlap the tap file time axis")
     times = times[:n_frames]
     det = report.detections.frames(0, n_frames)
-    frame_run, runs = _truth_runs(taps, pair, times, offset_db)
+    frame_run, runs = _truth_runs(taps, pair, times)
 
     k = max(1, *(len(r) for r in runs))  # one empty slot keeps argmin defined
     truth_delay = np.full((len(runs), k), np.nan)
@@ -330,25 +325,22 @@ def pathloss_heatmap(
     node_ids: Sequence[int],
     window_s: float,
     emulator_config: EmulatorConfig,
-    sequence=None,
+    sequence: CodeSequence,
     sample_rate_hz: float = 1e6,
-    samples_per_chip: int = 1,
     out_dir: Optional[Path] = None,
 ) -> PathLossHeatmap:
     """Mean sounded path loss for every ordered pair in a 0 dB scenario.
 
-    Each link gets a unit tap at delay zero; the cell value is the mean
-    strongest-tap loss over ``window_s`` of reception, so an ideal chain
-    reproduces the configured base loss in every cell. Links are emulated
-    and sounded in memory; ``out_dir`` is accepted for compatibility and
-    unused.
+    Each link sends ``sequence`` at one sample per chip through a unit tap
+    at delay zero; the cell value is the mean strongest-tap loss over
+    ``window_s`` of reception, so an ideal chain reproduces the configured
+    base loss in every cell. Links are emulated and sounded in memory;
+    ``out_dir`` is accepted for compatibility and unused.
     """
     node_ids = list(node_ids)
     if len(node_ids) < 2:
         raise ValueError("heatmap needs at least 2 nodes")
-    if sequence is None:
-        sequence = seq.generate_glfsr(8)
-    ref = seq.bpsk_modulate(sequence, samples_per_chip)
+    ref = bpsk_modulate(sequence)
     frame_len = len(ref)
     total_samples = max(frame_len * 2, int(round(window_s * sample_rate_hz)))
     duration_ms = int(math.ceil(total_samples / sample_rate_hz * 1000.0)) + 1
@@ -368,12 +360,8 @@ def pathloss_heatmap(
             blocks = emulate_blocks(
                 taps, (tx, rx), emulator_config, ref, sample_rate_hz, total_samples
             )
-            report = sound_blocks(
-                blocks, sconfig, sequence, sample_rate_hz, samples_per_chip
-            )
-            _, _, gains = report.strongest_tap_series()
-            valid = ~np.isnan(gains)
-            matrix[r, c] = -float(np.mean(gains[valid]))
+            det = sound_blocks(blocks, sconfig, ref, sample_rate_hz).detections
+            matrix[r, c] = -float(np.mean(det.gain_db[det.strongest_rows()]))
 
     off_diag = matrix[~np.isnan(matrix)]
     return PathLossHeatmap(
@@ -476,15 +464,14 @@ def _run_link(cfg, tap_file, matrix, emulator_config, ref, pair, out_dir, artifa
 
     report_json = out_dir / f"sounding_{tag}.json"
     with _stage("sound"):
-        report = sound_chunked(capture, cfg.sounding, cfg.sequence, cfg.samples_per_chip)
+        report = sound_chunked(capture, cfg.sounding, ref)
         write_report_json(report, report_json)
         write_report_csv(report, out_dir / f"sounding_{tag}.csv")
     artifacts[f"sounding_{tag}"] = str(report_json)
 
     with _stage("validate"):
         validation = compare_to_ground_truth(
-            report, tap_file, base_loss_db=pair_base_loss_db(emulator_config, *pair),
-            offset_db=cfg.taps.offset_db, pair=pair,
+            report, tap_file, pair_base_loss_db(emulator_config, *pair), pair=pair,
             gain_tol_db=cfg.validation.gain_tol_db, strict=cfg.validation.strict,
         )
 

@@ -37,7 +37,6 @@ from .emulator import (
     iq_file_sample_count,
     read_iq_sidecar,
 )
-from .sequences import CodeSequence, bpsk_modulate
 
 __all__ = [
     "Detections",
@@ -171,21 +170,6 @@ class SoundingReport:
         first = self.first_frame_index
         return np.arange(first, first + len(self.detections)) * self.frame_duration_s
 
-    def strongest_tap_series(self):
-        """(times, delays, gains) of the strongest detected tap per frame.
-
-        Frames with no detection carry NaN entries; among equal gains the
-        first (smallest delay) wins.
-        """
-        det = self.detections
-        delays = np.full(len(det), np.nan)
-        gains = np.full(len(det), np.nan)
-        best = det.strongest_rows()
-        frames = np.flatnonzero(np.diff(det.offsets))
-        delays[frames] = det.delay_s[best]
-        gains[frames] = det.gain_db[best]
-        return self.frame_times_s(), delays, gains
-
 
 def _cir_matrix(samples: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Circular cross-correlation of each frame row with the reference.
@@ -304,21 +288,27 @@ def _greedy_guard(
 def sound_blocks(
     blocks: Iterable[np.ndarray],
     config: SoundingConfig,
-    sequence: CodeSequence,
+    reference: np.ndarray,
     fs: float,
-    samples_per_chip: int = 1,
 ) -> SoundingReport:
     """Sound a received stream delivered as consecutive sample blocks.
 
-    Blocks may have any length: each is copied, after the partial frame
-    carried from the one before, into one frame buffer, so the producer may
-    reuse a block's memory once the next is asked for; a trailing partial
-    frame is dropped. Samples are upcast to complex128 before correlation.
+    Each frame is one ``reference`` long and is correlated against it:
+    the real waveform of one code period that the emulator sent, as
+    ``PipelineConfig.reference()`` gives it; any other reference than a
+    non-empty, finite, 1-D real array is a ValueError. Blocks may have any
+    length: each is copied, after the partial frame carried from the one
+    before, into one frame buffer, so the producer may reuse a block's
+    memory once the next is asked for; a trailing partial frame is
+    dropped. Samples are upcast to complex128 before correlation.
     The anchor lag and noise floor come from frame 0 and hold for every
     frame, so delays stay on one reference and the detections do not depend
     on how the stream was split, nor on which thread sounded which frames.
     """
-    ref = bpsk_modulate(sequence, samples_per_chip)
+    ref = np.asarray(reference)
+    if not (ref.ndim == 1 and ref.size and ref.dtype.kind in "iuf" and np.isfinite(ref).all()):
+        raise ValueError("reference must be a non-empty, finite, 1-D real array")
+    ref = ref.astype(np.float64, copy=False)
     frame_len = len(ref)
     buf = np.empty(0, dtype=np.complex64)  # the carry, then the block
     carry = 0
@@ -378,12 +368,9 @@ def sound_blocks(
 
 
 def sound_chunked(
-    capture_path,
-    config: SoundingConfig,
-    sequence: CodeSequence,
-    samples_per_chip: int = 1,
+    capture_path, config: SoundingConfig, reference: np.ndarray
 ) -> SoundingReport:
-    """Sound a capture file read in blocks.
+    """Sound a capture file read in blocks, against ``reference``.
 
     A block is ``chunk_duration_s`` long but at most ``DEFAULT_BLOCK_SAMPLES``
     samples, and every block is read into one buffer. Gives exactly the
@@ -399,7 +386,7 @@ def sound_chunked(
     total = iq_file_sample_count(capture_path)
     block = max(1, min(int(config.chunk_duration_s * fs), DEFAULT_BLOCK_SAMPLES))
     blocks = _read_iq_blocks(capture_path, total, block)
-    return sound_blocks(blocks, config, sequence, fs, samples_per_chip)
+    return sound_blocks(blocks, config, reference, fs)
 
 
 def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
@@ -415,9 +402,14 @@ def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
 
 
 def write_report_json(report: SoundingReport, path) -> None:
-    """Summary JSON: capture metadata plus strongest-tap statistics."""
-    times, delays, gains = report.strongest_tap_series()
-    valid = ~np.isnan(gains)
+    """Summary JSON: capture metadata plus strongest-tap statistics.
+
+    The statistics run over the strongest tap of each frame that has one,
+    ``Detections.strongest_rows``, in frame order.
+    """
+    det = report.detections
+    best = det.strongest_rows()
+    gains, delays = det.gain_db[best], det.delay_s[best]
     payload = {
         "n_frames": report.n_frames,
         "frame_duration_s": report.frame_duration_s,
@@ -426,9 +418,9 @@ def write_report_json(report: SoundingReport, path) -> None:
         "anchor_lag": report.anchor_lag,
         "first_frame_index": report.first_frame_index,
         "strongest_tap": {
-            "mean_gain_db": float(np.mean(gains[valid])) if valid.any() else None,
-            "sd_gain_db": float(np.std(gains[valid])) if valid.any() else None,
-            "mean_delay_s": float(np.mean(delays[valid])) if valid.any() else None,
+            "mean_gain_db": float(np.mean(gains)) if best.size else None,
+            "sd_gain_db": float(np.std(gains)) if best.size else None,
+            "mean_delay_s": float(np.mean(delays)) if best.size else None,
         },
     }
     with helper.output(path) as fh:

@@ -371,6 +371,22 @@ def per_frame_lists(detections):
     ]
 
 
+def strongest_tap_series(report):
+    """(times, delays, gains) of the strongest detected tap per frame.
+
+    Frames with no detection carry NaN entries; among equal gains the
+    first (smallest delay) wins.
+    """
+    det = report.detections
+    delays = np.full(len(det), np.nan)
+    gains = np.full(len(det), np.nan)
+    best = det.strongest_rows()
+    frames = np.flatnonzero(np.diff(det.offsets))
+    delays[frames] = det.delay_s[best]
+    gains[frames] = det.gain_db[best]
+    return report.frame_times_s(), delays, gains
+
+
 def write_csv_per_frame(report, path):
     """``write_report_csv`` as one csv.writer row per frame."""
     with open(path, "w", newline="") as fh:
@@ -393,18 +409,14 @@ def _truth_taps_at(taps, pair, time_s, offset_db):
 
 
 def compare_per_frame(
-    report, taps, base_loss_db, offset_db, pair=None, delay_tol_s=None,
-    gain_tol_db=0.5, strict=True,
+    report, taps, base_loss_db, *, pair, delay_tol_s=None, gain_tol_db=0.5,
+    strict=True,
 ):
     """``compare_to_ground_truth`` as a loop over frames and detections."""
-    pairs = taps.pairs()
-    if pair is None:
-        if len(pairs) != 1:
-            raise ValueError("tap file has multiple pairs; specify one")
-        pair = pairs[0]
     if delay_tol_s is None:
         delay_tol_s = taps.grid_dt_s
     duration_s = taps.duration_ms / 1000.0
+    offset_db = taps.offset_db
 
     per_slot = {}
     spurious = 0

@@ -113,9 +113,9 @@ class TestCriterion1SyntheticFourTapLoop:
 class TestCriterion2GainStability:
     def test_tap_gain_dispersion_under_noise(self, synth_run):
         result, _, out = synth_run
-        code = generate_glfsr(8)
         rep = sound_chunked(
-            out / "capture_1-2.iq", SoundingConfig(discard_frames=1), code, 1
+            out / "capture_1-2.iq", SoundingConfig(discard_frames=1),
+            bpsk_modulate(generate_glfsr(8)),
         )
         fs = 5e7
         det = rep.detections
@@ -349,12 +349,11 @@ class TestCriterion7OracleEquivalences:
         result, _, out = synth_run
         capture = out / "capture_1-2.iq"
         chunky = sound_chunked(
-            capture, SoundingConfig(chunk_duration_s=0.002, discard_frames=1),
-            code, 1,
+            capture, SoundingConfig(chunk_duration_s=0.002, discard_frames=1), ref
         )
         single = sound_blocks(
-            [read_iq_file(capture)], SoundingConfig(discard_frames=1), code,
-            read_iq_sidecar(capture), 1,
+            [read_iq_file(capture)], SoundingConfig(discard_frames=1), ref,
+            read_iq_sidecar(capture),
         )
         chunk_ok = (
             chunky.n_frames == single.n_frames > 0

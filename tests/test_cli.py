@@ -112,6 +112,19 @@ class TestPipelineCommand:
         assert (tmp_path / "out" / "capture_1-2.iq").exists()
         assert (tmp_path / "out" / "validation_1-2.json").exists()
 
+    def test_two_samples_per_chip_pass(self, synthetic_cfg, tmp_path):
+        cfg = json.loads(synthetic_cfg.read_text())
+        cfg["sounding"]["samples_per_chip"] = 2
+        path = tmp_path / "spc2.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_OK
+        sounding = json.loads((out / "sounding_1-2.json").read_text())
+        assert sounding["frame_duration_s"] == 510 / 1e6  # two samples per chip
+        validation = json.loads((out / "validation_1-2.json").read_text())
+        assert validation["passed"] and validation["spurious"] == validation["missed"] == 0
+        assert validation["rmse_strongest_vs_truth_db"] < 0.1
+
     def test_a_run_does_not_import_numpy_ma(self, synthetic_cfg, tmp_path):
         # in a fresh process: numpy.ma costs about 10 ms and 1.3 MB to import
         code = (
@@ -235,18 +248,29 @@ class TestStageCommands:
         rc = main(["pipeline", "--config", str(synthetic_cfg),
                    "--out-dir", str(out)])
         assert rc == EXIT_OK
-        # re-emulate and re-sound from the written tap file
+        # re-emulate, re-sound and re-validate from the written tap file
+        stages = tmp_path / "stages"
         assert main(["emulate", "--config", str(synthetic_cfg),
                      "--taps", str(out / "taps.csv"), "--pair", "1,2",
-                     "--out-dir", str(out)]) == EXIT_OK
+                     "--out-dir", str(stages)]) == EXIT_OK
         assert main(["sound", "--config", str(synthetic_cfg),
-                     "--capture", str(out / "capture_1-2.iq"),
-                     "--out-dir", str(out)]) == EXIT_OK
+                     "--capture", str(stages / "capture_1-2.iq"),
+                     "--out-dir", str(stages)]) == EXIT_OK
         rc = main(["validate", "--config", str(synthetic_cfg),
                    "--taps", str(out / "taps.csv"),
-                   "--capture", str(out / "capture_1-2.iq"),
-                   "--out-dir", str(out)])
+                   "--capture", str(stages / "capture_1-2.iq"),
+                   "--out-dir", str(stages)])
         assert rc == EXIT_OK
+        # the stage chain reproduces the pipeline's outputs byte for byte
+        for suffix in ("iq", "iq.json"):
+            name = f"capture_1-2.{suffix}"
+            assert (stages / name).read_bytes() == (out / name).read_bytes(), name
+        for suffix in ("json", "csv"):
+            got = (stages / f"sounding_capture_1-2.{suffix}").read_bytes()
+            assert got == (out / f"sounding_1-2.{suffix}").read_bytes(), suffix
+        payload = json.loads((out / "validation_1-2.json").read_text())
+        del payload["rmse_strongest_vs_truth_db"]
+        assert (stages / "validation.json").read_text() == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize("command", ["emulate", "validate"])
     def test_a_pair_without_records_is_an_error_naming_the_tap_file(

@@ -1,5 +1,6 @@
 """Tests for validation scoring, heatmaps, and the scenario pipeline."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -50,16 +51,14 @@ def run_loop(tmp_path, tap_file, pair=(1, 2), base_loss_db=0.0, noise=None,
     emulate_repeated_reference_to_file(
         tap_file, pair, config, REF, FS, int(duration_s * FS), capture
     )
-    return sound_chunked(
-        capture, SoundingConfig(discard_frames=1), CODE, 1
-    )
+    return sound_chunked(capture, SoundingConfig(discard_frames=1), REF)
 
 
 class TestCompareToGroundTruth:
     def test_noise_free_single_tap_closed_loop(self, tmp_path):
         taps = build_synthetic_tap_file([0.0], [0.0], GRID, 12)
         report = run_loop(tmp_path, taps)
-        validation = compare_to_ground_truth(report, taps, 0.0, 0.0)
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
         assert validation.passed
         assert validation.spurious == 0 and validation.missed == 0
         assert validation.max_abs_delay_error_s() == 0.0
@@ -71,7 +70,7 @@ class TestCompareToGroundTruth:
         )
         base = 40.0
         report = run_loop(tmp_path, taps, base_loss_db=base)
-        validation = compare_to_ground_truth(report, taps, base, 20.0)
+        validation = compare_to_ground_truth(report, taps, base, pair=(1, 2))
         assert validation.passed
         # residual bias comes from the code's -1/N correlation sidelobes of
         # the other tap sitting under each peak, so it is not exactly zero
@@ -82,10 +81,10 @@ class TestCompareToGroundTruth:
     def test_offset_invariance(self, tmp_path):
         taps = build_synthetic_tap_file([0.0], [3.0], GRID, 12)
         report = run_loop(tmp_path, taps)
-        v0 = compare_to_ground_truth(report, taps, 0.0, 0.0)
+        v0 = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
         shifted = build_synthetic_tap_file([0.0], [3.0], GRID, 12, offset_db=6.0)
         report6 = run_loop(tmp_path, shifted)
-        v6 = compare_to_ground_truth(report6, shifted, 0.0, 6.0)
+        v6 = compare_to_ground_truth(report6, shifted, 0.0, pair=(1, 2))
         a = v0.tap_stats[0]
         b = v6.tap_stats[0]
         assert b.gain_error_mean_db == pytest.approx(a.gain_error_mean_db, abs=1e-6)
@@ -93,7 +92,7 @@ class TestCompareToGroundTruth:
     def test_spurious_detection_fails_strict_mode(self, tmp_path):
         taps = build_synthetic_tap_file([0.0], [0.0], GRID, 12)
         report = run_loop(tmp_path, taps)
-        clean = compare_to_ground_truth(report, taps, 0.0, 0.0)
+        clean = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
         assert clean.spurious == 0 and clean.passed
         # inject a detection far from any ground-truth tap at the end of the
         # first frame
@@ -104,7 +103,7 @@ class TestCompareToGroundTruth:
             np.insert(det.delay_s, end, 50e-6),
             np.insert(det.gain_db, end, -3.0),
         )
-        validation = compare_to_ground_truth(report, taps, 0.0, 0.0)
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
         assert validation.spurious == 1
         assert validation.missed == 0
         assert not validation.passed
@@ -120,7 +119,7 @@ class TestCompareToGroundTruth:
             first_frame_index=10,  # first frame starts at 5 s, file is 1 ms
         )
         with pytest.raises(ValueError, match="overlap"):
-            compare_to_ground_truth(report, taps, 0.0, 0.0)
+            compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
 
     def test_multi_pair_file_needs_explicit_pair(self, tmp_path):
         taps = TapFile(
@@ -128,9 +127,9 @@ class TestCompareToGroundTruth:
             {(1, 2): [0, 0], (2, 1): [0, 0]},
         )
         report = run_loop(tmp_path, taps, pair=(1, 2), duration_s=0.002)
-        with pytest.raises(ValueError, match="pair"):
-            compare_to_ground_truth(report, taps, 0.0, 0.0)
-        validation = compare_to_ground_truth(report, taps, 0.0, 0.0, pair=(1, 2))
+        with pytest.raises(TypeError, match="pair"):
+            compare_to_ground_truth(report, taps, 0.0)
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
         assert validation.passed
 
     def test_a_tap_file_without_records_is_an_error_saying_so(self):
@@ -141,8 +140,8 @@ class TestCompareToGroundTruth:
             noise_floor_gain_db=-60,
             anchor_lag=0,
         )
-        with pytest.raises(ValueError, match="^tap file has no records"):
-            compare_to_ground_truth(report, TapFile(2, GRID, 4, 3), 0.0, 0.0)
+        with pytest.raises(KeyError, match=r"^'no tap record for pair \(1,2\) at 0 ms'$"):
+            compare_to_ground_truth(report, TapFile(2, GRID, 4, 3), 0.0, pair=(1, 2))
 
 
 @st.composite
@@ -211,8 +210,8 @@ class TestValidationOracle:
     )
     def test_equals_per_frame_oracle(self, case, base, offset, tol, strict):
         report, taps = case
-        args = (report, taps, base, offset)
-        kwargs = dict(delay_tol_s=tol, gain_tol_db=1.0, strict=strict)
+        args = (report, dataclasses.replace(taps, offset_db=offset), base)
+        kwargs = dict(pair=(1, 2), delay_tol_s=tol, gain_tol_db=1.0, strict=strict)
         try:
             expected = compare_per_frame(*args, **kwargs)
         except ValueError as exc:
@@ -260,9 +259,9 @@ class TestBatchedMatching:
             1e-3 / 600, 1e7, -80.0, 0,
         )
         monkeypatch.setattr(harness, "_MATCH_BATCH_ROWS", 1 << 62)
-        whole = compare_to_ground_truth(report, taps, 20.0, 0.0, strict=False)
+        whole = compare_to_ground_truth(report, taps, 20.0, pair=(1, 2), strict=False)
         monkeypatch.setattr(harness, "_MATCH_BATCH_ROWS", batch)
-        got = compare_to_ground_truth(report, taps, 20.0, 0.0, strict=False)
+        got = compare_to_ground_truth(report, taps, 20.0, pair=(1, 2), strict=False)
         assert whole.spurious > 0 and whole.missed > 0
         assert repr(got.tap_stats) == repr(whole.tap_stats)
         for name in ("frame_times_s", "strongest_loss_db", "truth_strongest_loss_db"):
@@ -320,7 +319,7 @@ class TestPathlossHeatmap:
 
     def test_single_node_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2 nodes"):
-            pathloss_heatmap([1], 0.005, EmulatorConfig(), out_dir=tmp_path)
+            pathloss_heatmap([1], 0.005, EmulatorConfig(), CODE, out_dir=tmp_path)
 
     def test_reciprocal_configuration_is_symmetric(self, tmp_path):
         config = EmulatorConfig(

@@ -23,7 +23,12 @@ from chansounder.sounder import (
     sound_chunked,
     write_report_csv,
 )
-from oracles import detect_per_frame, per_frame_lists, write_csv_per_frame
+from oracles import (
+    detect_per_frame,
+    per_frame_lists,
+    strongest_tap_series,
+    write_csv_per_frame,
+)
 
 CODE = generate_glfsr(8)
 REF = bpsk_modulate(CODE, 1)
@@ -33,7 +38,7 @@ FS = 1e6
 
 def sound(samples, cfg):
     """Single-pass sounding of an in-memory stream."""
-    return sound_blocks([samples], cfg, CODE, FS, 1)
+    return sound_blocks([samples], cfg, REF, FS)
 
 
 def write_capture(path, samples):
@@ -258,7 +263,7 @@ class TestSoundChunked:
         path, _ = self.build_capture(tmp_path)
         # 0.06 s chunks over a 0.175 s capture: three chunks
         cfg = SoundingConfig(chunk_duration_s=0.06)
-        chunked = sound_chunked(path, cfg, CODE, 1)
+        chunked = sound_chunked(path, cfg, REF)
         single = sound(read_iq_file(path), cfg)
         assert chunked.n_frames == single.n_frames == 686
         assert chunked.anchor_lag == single.anchor_lag
@@ -273,7 +278,7 @@ class TestSoundChunked:
         write_capture(path, rx)
         cfg = SoundingConfig(chunk_duration_s=1023.5 / FS, discard_frames=1)
         assert int(cfg.chunk_duration_s * FS) == 1023 == 4 * N + 3
-        chunked = sound_chunked(path, cfg, CODE, 1)
+        chunked = sound_chunked(path, cfg, REF)
         single = sound(read_iq_file(path), cfg)
         assert chunked.n_frames == single.n_frames == 24 - 1
         assert chunked.anchor_lag == single.anchor_lag
@@ -300,7 +305,7 @@ class TestSoundChunked:
         cfg = SoundingConfig(discard_frames=1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
-            split = sound_blocks(blocks, cfg, CODE, FS, 1)
+            split = sound_blocks(blocks, cfg, REF, FS)
         single = sound(rx, cfg)
         assert split.detections == single.detections
         assert split.n_frames == single.n_frames == 39
@@ -344,7 +349,7 @@ class TestSoundChunked:
         monkeypatch.setattr(sounder, "_cir_matrix", recording)
         monkeypatch.setattr(helper, "HANDOFF_SAMPLES", N)
         cfg = SoundingConfig(discard_frames=1)
-        split = sound_blocks(blocks, cfg, CODE, FS, 1)
+        split = sound_blocks(blocks, cfg, REF, FS)
         monkeypatch.undo()
         single = sound(rx[: edges[-1]], cfg)
         assert split.detections == single.detections
@@ -378,41 +383,51 @@ class TestSoundChunked:
         monkeypatch.setattr(helper, "HANDOFF_SAMPLES", 1)
         blocks = [np.tile(REF, 3), np.tile(REF, 4)]
         with pytest.raises(FloatingPointError, match="raised on the helper"):
-            sound_blocks(blocks, SoundingConfig(), CODE, FS, 1)
+            sound_blocks(blocks, SoundingConfig(), REF, FS)
 
     def test_stream_shorter_than_one_frame_is_an_error(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
-            sound_blocks([REF[:100], REF[100:200]], SoundingConfig(), CODE, FS, 1)
+            sound_blocks([REF[:100], REF[100:200]], SoundingConfig(), REF, FS)
+
+    @pytest.mark.parametrize(
+        "reference",
+        [REF.astype(complex), np.vstack([REF, REF]), np.empty(0),
+         np.r_[REF[:-1], np.nan], np.r_[REF[:-1], np.inf]],
+        ids=["complex", "2-D", "empty", "nan", "inf"],
+    )
+    def test_a_reference_that_is_not_a_finite_real_vector_is_an_error(self, reference):
+        with pytest.raises(ValueError, match="^reference must be a non-empty, finite, 1-D real"):
+            sound_blocks([np.tile(REF, 3)], SoundingConfig(), reference, FS)
 
     def test_capture_shorter_than_chunk(self, tmp_path):
         path, _ = self.build_capture(tmp_path, n_frames=3)
         cfg = SoundingConfig(chunk_duration_s=60.0)
-        report = sound_chunked(path, cfg, CODE, 1)
+        report = sound_chunked(path, cfg, REF)
         assert report.n_frames == 3
 
     def test_sample_rate_mismatch_rejected(self, tmp_path):
         path, _ = self.build_capture(tmp_path, n_frames=2)
         cfg = SoundingConfig(sample_rate_hz=2e6)
         with pytest.raises(ValueError, match="sample rate"):
-            sound_chunked(path, cfg, CODE, 1)
+            sound_chunked(path, cfg, REF)
 
     def test_bad_sidecar_rate_is_an_error_naming_it(self, tmp_path):
         # not sounded into a later "shorter than one frame" error
         path, _ = self.build_capture(tmp_path, n_frames=2)
         (tmp_path / "capture.iq.json").write_text('{"sample_rate_hz": -5}')
         with pytest.raises(ValueError, match="capture.iq.json: sample_rate_hz -5"):
-            sound_chunked(path, SoundingConfig(), CODE, 1)
+            sound_chunked(path, SoundingConfig(), REF)
 
     def test_unreadable_capture_is_an_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            sound_chunked(tmp_path / "nope.iq", SoundingConfig(), CODE, 1)
+            sound_chunked(tmp_path / "nope.iq", SoundingConfig(), REF)
 
     def test_noise_free_gain_is_frame_stable(self, tmp_path):
         rx = np.tile(REF * 10 ** (-20 / 20), 50).astype(complex)
         path = tmp_path / "clean.iq"
         write_capture(path, rx)
-        report = sound_chunked(path, SoundingConfig(), CODE, 1)
-        _, _, gains = report.strongest_tap_series()
+        report = sound_chunked(path, SoundingConfig(), REF)
+        _, _, gains = strongest_tap_series(report)
         assert np.std(gains) < 1e-6
         # absolute level limited by float32 capture quantization
         assert np.mean(gains) == pytest.approx(-20.0, abs=1e-5)
@@ -448,7 +463,7 @@ class TestColumnarDetections:
 
         # the strongest tap per frame is the first maximum, as max() picks it
         report = SoundingReport(det, 1e-3, fs, floor, anchor)
-        _, delays, strongest = report.strongest_tap_series()
+        _, delays, strongest = strongest_tap_series(report)
         for taps, d, g in zip(expected, delays, strongest):
             if taps:
                 assert (d, g) == max(taps, key=lambda t: t[1])
