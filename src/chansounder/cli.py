@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, helper, mobility, sequences, sounder, tap_approx
-from .config import KEYS, PipelineConfig, parse_sequence
+from .config import PipelineConfig
 from .config import load as load_config
 from .emulator import (
     EmulatorConfig,
@@ -63,21 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate-sequence", help="emit a sounding code sequence")
-    p.add_argument(
-        "--family",
-        choices=["glfsr", "gold", "golay-a", "ls"],
-        default="glfsr",
-    )
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--mask", type=lambda s: int(s, 0), default=0)
-    p.add_argument("--lfsr-seed", type=lambda s: int(s, 0), default=1)
-    p.add_argument("--poly-a", type=lambda s: int(s, 0), default=None)
-    p.add_argument("--poly-b", type=lambda s: int(s, 0), default=None)
-    p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--length", type=int, default=128, help="Golay length")
-    p.add_argument("--order", type=int, default=5, help="LS construction order")
-    p.add_argument("--seq-out", type=Path, required=True)
+    p = sub.add_parser("generate-sequence", help="write the config's sounding code")
+    _add_common(p, "--config", "--out-dir")
 
     p = sub.add_parser("build-scenario", help="sample mobility into a paths file")
     _add_common(p, "--config", "--out-dir")
@@ -116,13 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate_sequence(args, cfg=None) -> int:
-    flags = vars(args)  # every key of the section but "seed" has a flag of its name
-    section = {key: flags[key] for key in KEYS["sounding.sequence"] if key in flags}
-    family = args.family.upper().replace("-", "_")  # golay-a is GOLAY_A
-    code = parse_sequence({**section, "family": family, "seed": args.lfsr_seed})
-    sequences.write_sequence(code, args.seq_out)
-    print(f"{code.family} length {code.length} -> {args.seq_out}")
+def _cmd_generate_sequence(args, cfg: PipelineConfig) -> int:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    seq_path = args.out_dir / "sequence.txt"
+    sequences.write_sequence(cfg.sequence, seq_path)
+    print(f"{cfg.sequence.family} length {cfg.sequence.length} -> {seq_path}")
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from .mobility import DEFAULT_COHERENCE_DISTANCE_M, MPH_TO_MPS
 from .mobility import NodeSpec, ReflectorPlane, Scenario, Trajectory
 from .sounder import SoundingConfig
 
-__all__ = ["KEYS", "PipelineConfig", "load", "parse_sequence"]
+__all__ = ["KEYS", "PipelineConfig", "load"]
 
 # Every accepted key and its default, by section; a value must have the JSON
 # type of a bool, int, float or str default. None: absent unless given ("name" is
@@ -228,7 +228,7 @@ def _scenario(cfg: dict, path: Path) -> Optional[Scenario]:
     )
 
 
-def parse_sequence(raw) -> seq.CodeSequence:
+def _sequence(raw) -> seq.CodeSequence:
     """The code a ``sounding.sequence`` section names, by family."""
     s = _section(raw, "sounding.sequence", KEYS["sounding.sequence"])
     family = s["family"].upper()
@@ -273,7 +273,7 @@ def _parse(raw, path: Path) -> PipelineConfig:
     duration_s = cfg["duration_s"]
     if duration_s is None:
         duration_s = 1.0 if cfg["t_total_s"] is None else cfg["t_total_s"]
-    sequence, samples_per_chip = parse_sequence(snd.pop("sequence")), snd.pop("samples_per_chip")
+    sequence, samples_per_chip = _sequence(snd.pop("sequence")), snd.pop("samples_per_chip")
     return PipelineConfig(
         path=path,
         scenario=scenario,

@@ -8,8 +8,7 @@ and Gold codes the three-valued cross-correlation spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +97,10 @@ _LS_MAX_ORDER = 8
 
 @dataclass(frozen=True)
 class CodeSequence:
-    """A bipolar chip sequence plus the parameters that generated it."""
+    """A bipolar chip sequence; its config section records how it was made."""
 
     chips: np.ndarray
     family: str
-    generator_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         chips = np.asarray(self.chips, dtype=np.int8)
@@ -212,10 +210,7 @@ def generate_glfsr(degree: int, mask: int = 0, seed: int = 1) -> CodeSequence:
         poly = default_polynomial(degree)
         mask = poly >> 1  # x*M(x) + 1 = poly, so M = (poly - 1)/x
     bits = _glfsr_bits(mask, seed, degree, (1 << degree) - 1)
-    chips = (1 - 2 * bits).astype(np.int8)
-    return CodeSequence(
-        chips, "GLFSR", {"degree": degree, "mask": mask, "seed": seed}
-    )
+    return CodeSequence(1 - 2 * bits, "GLFSR")
 
 
 def _fibonacci_mseq_bits(poly: int, degree: int, seed: int = 1) -> np.ndarray:
@@ -257,12 +252,7 @@ def generate_gold(
     bits_a = _fibonacci_mseq_bits(poly_a, degree)
     bits_b = _fibonacci_mseq_bits(poly_b, degree)
     bits = bits_a ^ np.roll(bits_b, -shift)
-    chips = (1 - 2 * bits).astype(np.int8)
-    return CodeSequence(
-        chips,
-        "GOLD",
-        {"degree": degree, "poly_a": poly_a, "poly_b": poly_b, "shift": shift},
-    )
+    return CodeSequence(1 - 2 * bits, "GOLD")
 
 
 def generate_golay_pair(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +279,7 @@ def generate_golay_pair(length: int) -> tuple[np.ndarray, np.ndarray]:
 def generate_golay_a(length: int) -> CodeSequence:
     """Ga sequence of the complementary Golay pair, lengths 32/64/128."""
     ga, _ = generate_golay_pair(length)
-    return CodeSequence(ga, "GOLAY_A", {"length": length})
+    return CodeSequence(ga, "GOLAY_A")
 
 
 def _basic_golay_pair(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +314,7 @@ def generate_ls(order: int) -> CodeSequence:
     """First LS codeset member with the interference-free window removed."""
     codes = ls_codeset_with_gap(order)
     chips = codes[0][codes[0] != 0]
-    return CodeSequence(chips, "LS", {"order": order, "codeset_index": 0})
+    return CodeSequence(chips, "LS")
 
 
 def bpsk_modulate(code: CodeSequence, samples_per_chip: int = 1) -> np.ndarray:
@@ -366,6 +356,6 @@ def read_sequence(path, family: str = "IMPORTED") -> CodeSequence:
     """Load a one-chip-per-line sequence file; errors name the file."""
     try:
         chips = np.loadtxt(path, dtype=np.int8, ndmin=1)
-        return CodeSequence(chips, family, {"source": str(path)})
+        return CodeSequence(chips, family)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -399,10 +399,24 @@ def write_csv_per_frame(report, path):
             writer.writerow(row)
 
 
-def _truth_taps_at(taps, pair, time_s, offset_db):
+def _anchor_index(taps, pair):
+    """Grid index of the strongest nonzero tap at t = 0, the lowest on ties;
+    0 without one."""
+    best = None
+    for idx, c in taps.tap_lists[taps.tap_ids([0.0], pair[0], pair[1])[0]]:
+        if abs(c) > 0 and (best is None or (abs(c), -idx) > (abs(best[1]), -best[0])):
+            best = (idx, c)
+    return 0 if best is None else best[0]
+
+
+def _truth_taps_at(taps, pair, time_s, offset_db, fs, frame_len):
+    """The nonzero taps at ``time_s``: delay in whole samples after the
+    anchor tap's, wrapped modulo the frame, over ``fs``; gain in dB."""
+    step = round(taps.grid_dt_s * fs)
+    anchor = _anchor_index(taps, pair) * step
     tap_list = taps.tap_lists[taps.tap_ids([time_s], pair[0], pair[1])[0]]
     return [
-        (idx * taps.grid_dt_s, 20.0 * math.log10(abs(c)) - offset_db)
+        ((idx * step - anchor) % frame_len / fs, 20.0 * math.log10(abs(c)) - offset_db)
         for idx, c in tap_list
         if abs(c) > 0
     ]
@@ -414,7 +428,9 @@ def compare_per_frame(
 ):
     """``compare_to_ground_truth`` as a loop over frames and detections."""
     if delay_tol_s is None:
-        delay_tol_s = taps.grid_dt_s
+        delay_tol_s = taps.grid_dt_s / 2
+    fs = report.sample_rate_hz
+    frame_len = round(report.frame_duration_s * fs)
     duration_s = taps.duration_ms / 1000.0
     offset_db = taps.offset_db
 
@@ -430,7 +446,7 @@ def compare_per_frame(
         t = (report.first_frame_index + i) * report.frame_duration_s
         if t >= duration_s:
             break
-        truth = sorted(_truth_taps_at(taps, pair, t, offset_db))
+        truth = sorted(_truth_taps_at(taps, pair, t, offset_db, fs, frame_len))
         n_frames += 1
         frame_times.append(t)
         corrected = [
@@ -450,7 +466,7 @@ def compare_per_frame(
             best = None
             for slot, (td, tg) in enumerate(truth):
                 err = abs(delay - td)
-                if err <= delay_tol_s + 1e-15 and (best is None or err < best[0]):
+                if err <= delay_tol_s and (best is None or err < best[0]):
                     best = (err, slot, td, tg)
             if best is None:
                 spurious += 1

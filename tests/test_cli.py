@@ -14,8 +14,11 @@ import pytest
 import chansounder
 from chansounder import helper, sounder, tap_approx
 from chansounder.cli import EXIT_ERROR, EXIT_OK, EXIT_TOLERANCE, main
+from chansounder.config import load as load_config
 from chansounder.harness import build_synthetic_tap_file
 from chansounder.tap_approx import write_tap_file
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -69,36 +72,54 @@ def mobility_cfg(tmp_path):
 
 class TestGenerateSequence:
     @pytest.mark.parametrize(
-        "argv,expected_len",
+        "section,expected_len",
         [
-            (["--family", "glfsr", "--degree", "8"], 255),
-            (["--family", "gold", "--degree", "5", "--shift", "2"], 31),
-            (["--family", "golay-a", "--length", "64"], 64),
-            (["--family", "ls", "--order", "4"], 32),
+            ({"family": "GLFSR", "degree": 8}, 255),
+            ({"family": "GOLD", "degree": 5, "shift": 2}, 31),
+            ({"family": "GOLAY_A", "length": 64}, 64),
+            ({"family": "LS", "order": 4}, 32),
         ],
+        ids=["glfsr", "gold", "golay-a", "ls"],
     )
-    def test_families(self, tmp_path, argv, expected_len):
-        out = tmp_path / "seq.txt"
-        rc = main(["generate-sequence", *argv, "--seq-out", str(out)])
-        assert rc == EXIT_OK
-        chips = np.loadtxt(out)
+    def test_families(self, tmp_path, section, expected_len):
+        config = tmp_path / "code.json"
+        config.write_text(json.dumps({"sounding": {"sequence": section}}))
+        out = tmp_path / "new" / "out"  # made by the command
+        argv = ["generate-sequence", "--config", str(config), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        chips = np.loadtxt(out / "sequence.txt")
         assert len(chips) == expected_len
         assert set(np.unique(chips)) <= {-1.0, 1.0}
 
-    def test_bad_parameters_exit_1(self, tmp_path):
-        rc = main(
-            ["generate-sequence", "--family", "glfsr", "--degree", "8",
-             "--lfsr-seed", "0", "--seq-out", str(tmp_path / "x.txt")]
-        )
-        assert rc == EXIT_ERROR
+    @pytest.mark.parametrize("name", ["outandback", "canyon", "synthetic4tap"])
+    def test_writes_the_code_the_config_sounds_with(self, tmp_path, name):
+        config = CONFIG_DIR / f"{name}.json"
+        argv = ["generate-sequence", "--config", str(config), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        chips = np.loadtxt(tmp_path / "sequence.txt", dtype=np.int8)
+        cfg = load_config(config)
+        assert np.array_equal(chips, cfg.sequence.chips)
+        assert np.array_equal(np.repeat(chips, cfg.samples_per_chip), cfg.reference())
 
-    def test_a_missing_directory_is_an_error_naming_the_output(self, tmp_path, capsys):
-        out = tmp_path / "nodir" / "x.txt"
-        assert main(["generate-sequence", "--seq-out", str(out)]) == EXIT_ERROR
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: '{out}'\n"
-        )
-        assert not (tmp_path / "nodir").exists()
+    def test_bad_parameters_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "code.json"
+        config.write_text(json.dumps({"sounding": {"sequence": {"seed": 0}}}))
+        out = tmp_path / "out"
+        argv = ["generate-sequence", "--config", str(config), "--out-dir", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {config}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--family", "--degree", "--mask", "--lfsr-seed", "--poly-a", "--poly-b",
+         "--shift", "--length", "--order", "--seq-out"],
+    )
+    def test_a_code_flag_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate-sequence", "--config", "c.json", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPipelineCommand:
@@ -455,6 +476,14 @@ class _FailsAfterFirstWrite:
 class TestEveryOutput:
     """Every file the commands write appears whole or not at all."""
 
+    def test_a_missing_directory_is_an_error_naming_the_output(self, tmp_path):
+        out = tmp_path / "nodir" / "x.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with helper.output(out):
+                pass
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{out}'"
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.fixture
     def fail_output(self, monkeypatch):
         """``fail_output(path)``: the output to ``path`` raises after its
@@ -493,7 +522,7 @@ class TestEveryOutput:
             ("validate", "synthetic_cfg", "validation.json"),
             ("heatmap", None, "heatmap.csv"),
             ("heatmap", None, "heatmap_stats.json"),
-            ("generate-sequence", None, "seq.txt"),
+            ("generate-sequence", "synthetic_cfg", "sequence.txt"),
         ],
     )
     def test_a_writer_that_raises_leaves_nothing(
@@ -509,8 +538,6 @@ class TestEveryOutput:
                      "--capture", str(inputs / "capture_1-2.iq")]
         if command == "heatmap":
             argv += ["--nodes", "3", "--window-s", "0.004", "--seed", "1"]
-        if command == "generate-sequence":
-            argv = [command, "--seq-out", str(out / name)]
         out.mkdir()
         (out / name).write_text("an old file\n")
         armed = fail_output(out / name)
@@ -536,9 +563,7 @@ class TestSharedFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["generate-sequence", "--seq-out", "s.txt", "--config", "c.json"],
-            ["generate-sequence", "--seq-out", "s.txt", "--seed", "1"],
-            ["generate-sequence", "--seq-out", "s.txt", "--out-dir", "out"],
+            ["generate-sequence", "--config", "c.json", "--seed", "1"],
             ["heatmap", "--config", "c.json"],
             ["build-scenario", "--config", "c.json", "--seed", "1"],
             ["approximate-taps", "--config", "c.json", "--seed", "1"],

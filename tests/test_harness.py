@@ -43,15 +43,15 @@ GRID = 1.0 / FS
 
 
 def run_loop(tmp_path, tap_file, pair=(1, 2), base_loss_db=0.0, noise=None,
-             duration_s=0.01, seed=1):
+             duration_s=0.01, seed=1, ref=REF):
     config = EmulatorConfig(
         base_loss_db=base_loss_db, noise_floor_db=noise, seed=seed
     )
     capture = tmp_path / "loop.iq"
     emulate_repeated_reference_to_file(
-        tap_file, pair, config, REF, FS, int(duration_s * FS), capture
+        tap_file, pair, config, ref, FS, int(duration_s * FS), capture
     )
-    return sound_chunked(capture, SoundingConfig(discard_frames=1), REF)
+    return sound_chunked(capture, SoundingConfig(discard_frames=1), ref)
 
 
 class TestCompareToGroundTruth:
@@ -63,6 +63,53 @@ class TestCompareToGroundTruth:
         assert validation.spurious == 0 and validation.missed == 0
         assert validation.max_abs_delay_error_s() == 0.0
         assert validation.max_abs_gain_error_db() < 1e-6
+
+    def test_a_tap_off_delay_zero_is_matched_on_the_anchor_reference(self, tmp_path):
+        taps = build_synthetic_tap_file([3 * GRID], [0.0], GRID, 12)
+        report = run_loop(tmp_path, taps)
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
+        assert validation.passed
+        assert validation.spurious == 0 and validation.missed == 0
+        (stat,) = validation.tap_stats
+        assert stat.truth_delay_s == 0.0 and stat.n_matched == validation.n_frames
+        assert stat.delay_error_mean_s == stat.delay_error_max_s == 0.0
+
+    def test_a_weak_tap_before_the_anchor_tap_wraps_modulo_the_frame(self, tmp_path):
+        taps = build_synthetic_tap_file([2 * GRID, 5 * GRID], [10.0, 0.0], GRID, 12)
+        report = run_loop(tmp_path, taps)
+        assert report.anchor_lag == 5
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
+        assert validation.passed
+        assert validation.spurious == 0 and validation.missed == 0
+        assert [t.truth_delay_s for t in validation.tap_stats] == pytest.approx([0.0, 252 / FS])
+        assert all(t.delay_error_max_s == 0.0 for t in validation.tap_stats)
+
+    @pytest.mark.parametrize(
+        "grid_samples, samples_per_chip, indices",
+        [(2, 1, [1, 4]), (1, 2, [2, 8])],
+        ids=["grid-step-2-samples", "2-samples-per-chip"],
+    )
+    def test_delays_score_zero_in_whole_samples(
+        self, tmp_path, grid_samples, samples_per_chip, indices
+    ):
+        grid = grid_samples / FS
+        taps = build_synthetic_tap_file([i * grid for i in indices], [0.0, 6.0], grid, 12)
+        report = run_loop(tmp_path, taps, ref=bpsk_modulate(CODE, samples_per_chip))
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
+        assert validation.passed and validation.delay_tol_s == grid / 2
+        assert validation.spurious == 0 and validation.missed == 0
+        assert [t.truth_delay_s for t in validation.tap_stats] == pytest.approx([0.0, 6 / FS])
+        assert all(t.delay_error_max_s == 0.0 for t in validation.tap_stats)
+
+    def test_a_detection_one_step_off_its_tap_is_spurious(self, tmp_path):
+        sent = build_synthetic_tap_file([0.0, 4 * GRID], [0.0, 6.0], GRID, 12)
+        truth = build_synthetic_tap_file([0.0, 3 * GRID], [0.0, 6.0], GRID, 12)
+        report = run_loop(tmp_path, sent)
+        validation = compare_to_ground_truth(report, truth, 0.0, pair=(1, 2))
+        n = validation.n_frames
+        assert validation.spurious == n and validation.missed == n
+        assert [t.slot for t in validation.tap_stats] == [0]
+        assert not validation.passed
 
     def test_corrections_restore_original_gains(self, tmp_path):
         taps = build_synthetic_tap_file(
@@ -148,12 +195,14 @@ class TestCompareToGroundTruth:
 def scored_reports(draw):
     """A report and a tap file whose truth changes every millisecond.
 
-    On a grid of 1 s every delay is exact, so detections land exactly on
-    the tolerance or halfway between two truth taps. Records may be empty or
-    hold zero taps, repeat the previous record, and frames may run past the
-    end of the file.
+    At 4096 S/s on a one-sample grid every delay is exact, so detections
+    land exactly on the tolerance or halfway between two truth taps. Frames
+    of 3 to 8 samples make truth taps before the anchor tap, and taps past
+    the frame, wrap. Records may be empty or hold zero taps, repeat the
+    previous record, and frames may run past the end of the file.
     """
-    grid = 1.0
+    fs = 4096.0
+    grid = 1.0 / fs
     duration_ms = draw(st.integers(1, 5))
     coefs = st.sampled_from([0j, 1 + 0j, 0.5j, -0.25 + 0j, 2 + 2j, 1e-3 + 0j])
     # one tap list per ms, so equal taps also sit in different lists
@@ -176,7 +225,7 @@ def scored_reports(draw):
     n = sum(counts)
     steps = st.sampled_from([0.0, 0.5, 1.0, -1.0, 0.25, 1.5, 3.0])
     delays = [
-        max(0.0, draw(st.integers(0, 7)) + draw(steps)) for _ in range(n)
+        max(0.0, draw(st.integers(0, 7)) + draw(steps)) * grid for _ in range(n)
     ]
     gains = draw(
         st.lists(
@@ -190,8 +239,8 @@ def scored_reports(draw):
             np.array(delays, dtype=float),
             np.array(gains, dtype=float),
         ),
-        frame_duration_s=draw(st.sampled_from([2.5e-4, 1e-3, 1.5e-3, 2.55e-5])),
-        sample_rate_hz=1e6,
+        frame_duration_s=draw(st.sampled_from([3, 4, 6, 8])) / fs,
+        sample_rate_hz=fs,
         noise_floor_gain_db=-60.0,
         anchor_lag=0,
         first_frame_index=draw(st.sampled_from([0, 1, 2, 400])),
@@ -205,7 +254,7 @@ class TestValidationOracle:
         case=scored_reports(),
         base=st.sampled_from([0.0, 57.55]),
         offset=st.sampled_from([0.0, 45.0]),
-        tol=st.sampled_from([None, 0.5, 2.0]),
+        tol=st.sampled_from([None, 0.5 / 4096, 2.0 / 4096]),
         strict=st.booleans(),
     )
     def test_equals_per_frame_oracle(self, case, base, offset, tol, strict):
