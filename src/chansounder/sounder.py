@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_DETECTION_THRESHOLD_DB = 6.0
-DEFAULT_GUARD_SAMPLES = 2
 
 _MIN_GAIN_DB = -400.0  # stands in for -inf when taking log of zero
 _WRITE_BATCH_ROWS = 1 << 12  # frames per formatting batch; bounds writer memory
@@ -67,7 +66,6 @@ class SoundingConfig:
     sample_rate_hz: float = 0.0
     detection_threshold_db: float = DEFAULT_DETECTION_THRESHOLD_DB
     chunk_duration_s: float = 60.0
-    guard_samples: int = DEFAULT_GUARD_SAMPLES
     discard_frames: int = 0
 
     def __post_init__(self):
@@ -75,9 +73,8 @@ class SoundingConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("guard_samples", "discard_frames"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.discard_frames < 0:
+            raise ValueError(f"discard_frames must be >= 0, got {self.discard_frames}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +233,13 @@ def _detect_in_gain_matrix(
     anchor: int,
     floor_db: float,
     threshold_db: float,
-    guard: int,
     sample_rate_hz: float,
 ) -> Detections:
-    """Local maxima above the detection level over a (frames, lags) matrix.
+    """Taps detected over a (frames, lags) gain matrix.
 
-    A peak is a strict circular local maximum at or above floor_db +
-    threshold_db. Peaks closer than ``guard`` lags clash and the stronger
-    wins, greedily from the strongest down; two strict local maxima are
-    never adjacent, so only ``guard > 2`` can drop one and run the greedy
-    pass. Delays are taken relative to ``anchor``.
+    A detection is a strict circular local maximum at or above floor_db +
+    threshold_db, so two detections of one frame are at least 2 lags
+    apart. Delays are taken relative to ``anchor``.
     """
     n_frames, frame_len = gains.shape
     # the level test first: few lags pass it, so only they meet the
@@ -254,12 +248,6 @@ def _detect_in_gain_matrix(
     g = gains[frame, lag]
     is_max = (g > gains[frame, lag - 1]) & (g > gains[frame, (lag + 1) % frame_len])
     frame, lag = frame[is_max], lag[is_max]
-    if guard > 2:
-        keep = np.ones(frame.size, dtype=bool)
-        bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
-        for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            keep[a:b] = _greedy_guard(lag[a:b], gains[f, lag[a:b]], guard, frame_len)
-        frame, lag = frame[keep], lag[keep]
     rel = (lag - anchor) % frame_len
     order = np.lexsort((rel, frame))
     frame, lag, rel = frame[order], lag[order], rel[order]
@@ -268,21 +256,6 @@ def _detect_in_gain_matrix(
         delay_s=rel / sample_rate_hz,
         gain_db=gains[frame, lag],
     )
-
-
-def _greedy_guard(
-    lags: np.ndarray, g: np.ndarray, guard: int, frame_len: int
-) -> np.ndarray:
-    """Keep mask of one frame's peaks: strongest first, skip any within guard."""
-    kept: list[int] = []
-    for o in np.argsort(g)[::-1]:
-        lag = int(lags[o])
-        if not any(
-            min((lag - kl) % frame_len, (kl - lag) % frame_len) < guard
-            for kl in kept
-        ):
-            kept.append(lag)
-    return np.isin(lags, kept)
 
 
 def sound_blocks(
@@ -320,7 +293,7 @@ def sound_blocks(
         np.abs(h, out=g)
         return _detect_in_gain_matrix(
             _gains_from_abs(g, out=g), anchor, floor,
-            config.detection_threshold_db, config.guard_samples, fs,
+            config.detection_threshold_db, fs,
         )
 
     def sound_frames(x, found, a, b):

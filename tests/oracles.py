@@ -327,37 +327,23 @@ def read_paths_records_per_line(path):
     return mob.PathRecords(table, index)
 
 
-def detect_per_frame(gains, anchor, floor_db, threshold_db, guard, sample_rate_hz):
-    """Per-frame lists of (delay_s, gain_db), one frame at a time."""
+def detect_per_frame(gains, anchor, floor_db, threshold_db, sample_rate_hz):
+    """Per-frame lists of (delay_s, gain_db) of every strict circular local
+    maximum at or above the level, one frame at a time."""
     level = floor_db + threshold_db
     is_max = (
         (gains > np.roll(gains, 1, axis=1))
         & (gains > np.roll(gains, -1, axis=1))
         & (gains >= level)
     )
-    n_frames, frame_len = gains.shape
-    detections = [[] for _ in range(n_frames)]
-    frame_idx, lag_idx = np.nonzero(is_max)
-    boundaries = np.searchsorted(frame_idx, np.arange(n_frames + 1))
-    for f in range(n_frames):
-        lags = lag_idx[boundaries[f] : boundaries[f + 1]]
-        if lags.size == 0:
-            continue
-        g = gains[f, lags]
-        order = np.argsort(g)[::-1]
-        kept = []
-        for o in order:
-            lag = int(lags[o])
-            clash = any(
-                min((lag - kl) % frame_len, (kl - lag) % frame_len) < guard
-                for kl in kept
-            )
-            if not clash:
-                kept.append(lag)
-        detections[f] = [
+    frame_len = gains.shape[1]
+    detections = []
+    for f, row in enumerate(is_max):
+        lags = sorted(np.flatnonzero(row).tolist(), key=lambda l: (l - anchor) % frame_len)
+        detections.append([
             (((lag - anchor) % frame_len) / sample_rate_hz, float(gains[f, lag]))
-            for lag in sorted(kept, key=lambda l: (l - anchor) % frame_len)
-        ]
+            for lag in lags
+        ])
     return detections
 
 

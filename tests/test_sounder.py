@@ -145,11 +145,11 @@ class TestPathGains:
         assert np.argmax(h1) == np.argmax(h2)
 
 
-def detect(frames, floor, guard=2, fs=FS):
+def detect(frames, floor, fs=FS):
     """Columnar detections of frames' |h| rows, anchored on frame 0's peak."""
     gains = np.stack([_gains_from_abs(h) for h in frames])
     anchor = int(np.argmax(frames[0]))
-    return _detect_in_gain_matrix(gains, anchor, floor, 6.0, guard, fs)
+    return _detect_in_gain_matrix(gains, anchor, floor, 6.0, fs)
 
 
 class TestDetectTaps:
@@ -184,20 +184,15 @@ class TestDetectTaps:
         assert det.offsets.tolist() == [0, 0]
         assert det.delay_s.size == det.gain_db.size == 0
 
-    def test_guard_suppresses_close_weaker_peak(self):
+    def test_peaks_three_lags_apart_are_both_kept(self):
         frames = self.make_frames([(100, 1.0), (103, 0.5)], 1)
-        floor = estimate_noise_floor_gain_db(frames[0])
-        det = detect(frames, floor, guard=4)
-        lags = np.round(det.delay_s * FS)
-        assert lags.tolist() == [0]  # only the anchor peak survives the guard
-
-        det = detect(frames, floor, guard=2)
+        det = detect(frames, estimate_noise_floor_gain_db(frames[0]))
         lags = np.round(det.delay_s * FS + 100) % N
         assert lags.tolist() == [100, 103]
 
     def test_adjacent_weaker_sample_is_not_a_local_maximum(self):
         frames = self.make_frames([(100, 1.0), (101, 0.8)], 1)
-        det = detect(frames, estimate_noise_floor_gain_db(frames[0]), guard=4)
+        det = detect(frames, estimate_noise_floor_gain_db(frames[0]))
         assert det.offsets.tolist() == [0, 1]
 
     def test_threshold_must_be_positive(self):
@@ -212,11 +207,10 @@ class TestDetectTaps:
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             SoundingConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["guard_samples", "discard_frames"])
-    def test_negative_guard_and_discard_are_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
-            SoundingConfig(**{field: -1})
-        assert getattr(SoundingConfig(**{field: 0}), field) == 0
+    def test_negative_discard_is_rejected(self):
+        with pytest.raises(ValueError, match="discard_frames must be >= 0, got -1"):
+            SoundingConfig(discard_frames=-1)
+        assert SoundingConfig(discard_frames=0).discard_frames == 0
 
     def test_delay_covariance_under_stream_delay(self):
         d = 17
@@ -453,12 +447,11 @@ class TestColumnarDetections:
     @given(gains=gain_matrices(), data=st.data())
     def test_detector_equals_per_frame_oracle(self, gains, data):
         anchor = data.draw(st.integers(0, gains.shape[1] - 1))
-        guard = data.draw(st.integers(1, 6))
         floor = data.draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.5]))
         threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
         fs = data.draw(st.sampled_from([1.0, 1e6, 3e7]))
-        det = _detect_in_gain_matrix(gains, anchor, floor, threshold, guard, fs)
-        expected = detect_per_frame(gains, anchor, floor, threshold, guard, fs)
+        det = _detect_in_gain_matrix(gains, anchor, floor, threshold, fs)
+        expected = detect_per_frame(gains, anchor, floor, threshold, fs)
         assert per_frame_lists(det) == expected
 
         # the strongest tap per frame is the first maximum, as max() picks it
@@ -469,16 +462,6 @@ class TestColumnarDetections:
                 assert (d, g) == max(taps, key=lambda t: t[1])
             else:
                 assert math.isnan(d) and math.isnan(g)
-
-    def test_guard_clash_across_the_frame_wrap(self):
-        # lags 10 and 1 are 3 apart around the circle; no neighbours in lag
-        # order are closer than the guard of 4
-        gains = np.zeros((2, 12))
-        gains[1, [1, 5, 10]] = [5.0, 4.0, 3.0]
-        det = _detect_in_gain_matrix(gains, 0, 0.0, 1.0, 4, 1.0)
-        assert det.offsets.tolist() == [0, 0, 2]
-        assert det.delay_s.tolist() == [1.0, 5.0]
-        assert per_frame_lists(det) == detect_per_frame(gains, 0, 0.0, 1.0, 4, 1.0)
 
     def test_container_iterates_frames_and_compares_columns(self):
         det = Detections(
