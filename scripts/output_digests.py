@@ -8,7 +8,8 @@ manifests make byte-equal outputs on all of these inputs:
   ``taps.csv`` built directly and from the paths file;
 * ``configs/outandback.json`` and ``configs/canyon.json`` the same way;
 * every ``run_scenario_pipeline`` output of bench outandback seeds 1 and
-  4242 and of ``configs/synthetic4tap.json``;
+  4242, of ``configs/synthetic4tap.json`` and of ``configs/canyon.json``
+  (20 multi-tap links: about 3 s and 0.4 GB of temporary captures);
 * the path-loss heatmap CSV of bench heatmap seed 1.
 
 The bench inputs come from ``bench/workloads.py`` at its full size.
@@ -104,9 +105,10 @@ def manifest(work: Path) -> dict:
                 s["config"], out, seed=s["noise_seed"]
             )
         )
-    runs["configs/synthetic4tap.json pipeline"] = lambda out: (
-        harness.run_scenario_pipeline(REPO / "configs" / "synthetic4tap.json", out)
-    )
+    for name in ("synthetic4tap", "canyon"):
+        runs[f"configs/{name}.json pipeline"] = lambda out, n=name: (
+            harness.run_scenario_pipeline(REPO / "configs" / f"{n}.json", out)
+        )
     runs[f"bench heatmap seed {HEATMAP_SEED}"] = lambda out: heatmap(
         HEATMAP_SEED, work / f"heatmap-{HEATMAP_SEED}", out
     )

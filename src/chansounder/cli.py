@@ -221,8 +221,8 @@ def _cmd_heatmap(args, cfg=None) -> int:
 
 def _print_summary(result: harness.PipelineResult, runtime_s: float) -> None:
     """Per link: frames, RMSE vs truth, the sounded strongest-tap loss swing
-    and SD, spurious and missed counts; then a row per truth tap slot with its
-    gain errors, and the link's largest delay error."""
+    and SD, spurious, missed and mixed-frame counts; then a row per truth tap
+    slot with its gain errors, and the link's largest delay error."""
     for (tx, rx), validation in result.validations.items():
         losses = validation.strongest_loss_db
         swing = sd = float("nan")
@@ -232,7 +232,8 @@ def _print_summary(result: harness.PipelineResult, runtime_s: float) -> None:
             f"link {tx}->{rx}: {'PASS' if validation.passed else 'FAIL'}, "
             f"{validation.n_frames} frames, rmse {result.rmse_db[(tx, rx)]:.3f} dB, "
             f"loss swing {swing:.2f} dB, sd {sd:.3f} dB, "
-            f"spurious {validation.spurious}, missed {validation.missed}"
+            f"spurious {validation.spurious}, missed {validation.missed}, "
+            f"mixed {validation.mixed_frames}"
         )
         print("  tap  truth delay  truth gain   mean err     sd        max err")
         for t in validation.tap_stats:

@@ -274,12 +274,9 @@ def _parse(raw, path: Path) -> PipelineConfig:
     if duration_s is None:
         duration_s = 1.0 if cfg["t_total_s"] is None else cfg["t_total_s"]
     sequence, samples_per_chip = _sequence(snd.pop("sequence")), snd.pop("samples_per_chip")
-    # a retired key: strict local maxima are already 2 lags apart
-    if snd.pop("guard_samples") > 2:
-        raise ValueError(
-            "'sounding.guard_samples' above 2 is not supported: a detection is a "
-            "strict local maximum, so detections are always at least 2 lags apart"
-        )
+    if snd.pop("guard_samples") > 2:  # unused; accepted while bench configs set it
+        raise ValueError("'sounding.guard_samples' above 2 is not supported: detections "
+                         "are strict local maxima, always at least 2 lags apart")
     return PipelineConfig(
         path=path,
         scenario=scenario,

@@ -42,7 +42,7 @@ from .sounder import (
     write_report_csv,
     write_report_json,
 )
-from .tap_approx import TapFile, write_tap_file
+from .tap_approx import TapFile, _ms_of, write_tap_file
 
 __all__ = [
     "PipelineError",
@@ -88,6 +88,7 @@ class ValidationReport:
     spurious: int
     missed: int
     n_frames: int
+    mixed_frames: int
     frame_times_s: np.ndarray
     strongest_loss_db: np.ndarray
     truth_strongest_loss_db: np.ndarray
@@ -112,6 +113,7 @@ class ValidationReport:
             "spurious": self.spurious,
             "missed": self.missed,
             "n_frames": self.n_frames,
+            "mixed_frames": self.mixed_frames,
             "delay_tol_s": self.delay_tol_s,
             "gain_tol_db": self.gain_tol_db,
             "taps": [dataclasses.asdict(t) for t in self.tap_stats],
@@ -139,22 +141,28 @@ class PathLossHeatmap:
 
 
 def _truth_runs(
-    taps: TapFile, pair: tuple[int, int], times_s: np.ndarray, fs: float, frame_len: int
-) -> tuple[np.ndarray, list]:
+    taps: TapFile, pair: tuple[int, int], times_s: np.ndarray, last_s: np.ndarray,
+    fs: float, frame_len: int,
+) -> tuple[np.ndarray, list, np.ndarray]:
     """Ground truth at each frame time, built once per run of one tap list.
 
-    Returns each frame's run number and, per run, the sorted (delay_s,
-    original gain_db) list of its nonzero taps, the file's offset removed.
+    Returns each frame's run number; per run, the sorted (delay_s,
+    original gain_db) list of its nonzero taps, the file's offset removed;
+    and whether each frame is mixed: its last sample, at time ``last_s``,
+    takes another record than its start, or lies past the file.
     A delay is as the sounder reports it: in whole samples after the anchor
     tap (the strongest nonzero tap at t = 0, the lowest index on ties, as
     ``np.argmax`` picks the anchor lag; delay 0 without one), wrapped modulo
     the ``frame_len``-sample frame, over ``fs``. ``TapFile.tap_ids`` picks
-    each frame's record and reports a time outside the file.
+    each frame's record and reports a frame start outside the file.
     """
     step = _grid_step_samples(taps.grid_dt_s, fs)
     first = taps.tap_lists[taps.tap_ids([0.0], *pair)[0]]
     anchor = -max(((abs(c), -i) for i, c in first if abs(c) > 0), default=(0, 0))[1]
     ids = taps.tap_ids(times_s, pair[0], pair[1])
+    last_ids = np.full_like(ids, -1)
+    inside = _ms_of(last_s) < taps.duration_ms
+    last_ids[inside] = taps.tap_ids(last_s[inside], pair[0], pair[1])
     starts = np.r_[True, ids[1:] != ids[:-1]]
     runs = [
         sorted(
@@ -165,7 +173,7 @@ def _truth_runs(
         )
         for tid in ids[starts].tolist()
     ]
-    return np.cumsum(starts) - 1, runs
+    return np.cumsum(starts) - 1, runs, last_ids != ids
 
 
 def compare_to_ground_truth(
@@ -189,7 +197,11 @@ def compare_to_ground_truth(
     default), so every matched frame is inside the delay tolerance. A frame
     time at which ``pair`` has no record is a KeyError naming the pair and
     the millisecond. Unmatched detections count as spurious and unmatched
-    truth taps as missed; in strict mode either fails the report. The gain
+    truth taps as missed; in strict mode either fails the report. A mixed
+    frame, whose last sample (at n / fs, as the emulator times sample n)
+    takes another record than its start or lies past the file, was sounded
+    through two channels: it counts in ``mixed_frames`` and ``n_frames``
+    and the loss series, but its detections and truth taps go unscored. The gain
     tolerance applies to each tap's measured gain (its mean over frames, as
     in the accuracy figures it mirrors); per-frame noise dispersion is
     reported via the SD fields.
@@ -212,7 +224,9 @@ def compare_to_ground_truth(
     times = times[:n_frames]
     det = report.detections.frames(0, n_frames)
     fs = report.sample_rate_hz
-    frame_run, runs = _truth_runs(taps, pair, times, fs, round(report.frame_duration_s * fs))
+    frame_len = round(report.frame_duration_s * fs)
+    last = ((report.first_frame_index + np.arange(1, n_frames + 1)) * frame_len - 1) / fs
+    frame_run, runs, mixed = _truth_runs(taps, pair, times, last, fs, frame_len)
 
     k = max(1, *(len(r) for r in runs))  # one empty slot keeps argmin defined
     truth_delay = np.full((len(runs), k), np.nan)
@@ -228,8 +242,9 @@ def compare_to_ground_truth(
         det.gain_db[det.strongest_rows()] + base_loss_db - offset_db
     )
     frame = det.frame_of_rows()
-    delay = det.delay_s
-    gain = det.gain_db + base_loss_db - offset_db
+    scored = ~mixed[frame]
+    frame, delay = frame[scored], det.delay_s[scored]
+    gain = (det.gain_db + base_loss_db - offset_db)[scored]
 
     # nearest truth slot within tolerance; argmin takes the lowest slot on
     # ties; rows go in batches, so the (rows, k) temporaries stay small
@@ -251,7 +266,7 @@ def compare_to_ground_truth(
     g_err = gain[matched] - tg
     hit = np.zeros((n_frames, k), dtype=bool)
     hit[frame, slot] = True
-    missed = int(np.sum(n_truth[frame_run]) - np.count_nonzero(hit))
+    missed = int(np.sum(n_truth[frame_run[~mixed]]) - np.count_nonzero(hit))
 
     run_strongest = np.array([-max(g for _, g in r) if r else np.nan for r in runs])
 
@@ -284,6 +299,7 @@ def compare_to_ground_truth(
         spurious=spurious,
         missed=missed,
         n_frames=n_frames,
+        mixed_frames=int(np.count_nonzero(mixed)),
         frame_times_s=times,
         strongest_loss_db=strongest,
         truth_strongest_loss_db=run_strongest[frame_run],
@@ -357,7 +373,7 @@ def pathloss_heatmap(
 
     n = len(node_ids)
     matrix = np.full((n, n), np.nan)
-    sconfig = SoundingConfig(sample_rate_hz=sample_rate_hz, discard_frames=1)
+    sconfig = SoundingConfig(sample_rate_hz=sample_rate_hz)
     for r, tx in enumerate(node_ids):
         for c, rx in enumerate(node_ids):
             if tx == rx:

@@ -60,13 +60,15 @@ class SoundingConfig:
     """Sounder processing parameters.
 
     ``chunk_duration_s`` caps the block length :func:`sound_chunked` reads
-    from a capture, which bounds its memory.
+    from a capture, which bounds its memory. The first ``discard_frames``
+    frames are left out of the report once frame 0 has set the anchor and
+    the floor; the default 1 drops the emulator's zero-history warm-up frame.
     """
 
     sample_rate_hz: float = 0.0
     detection_threshold_db: float = DEFAULT_DETECTION_THRESHOLD_DB
     chunk_duration_s: float = 60.0
-    discard_frames: int = 0
+    discard_frames: int = 1
 
     def __post_init__(self):
         for name in ("chunk_duration_s", "detection_threshold_db"):

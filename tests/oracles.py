@@ -412,7 +412,11 @@ def compare_per_frame(
     report, taps, base_loss_db, *, pair, delay_tol_s=None, gain_tol_db=0.5,
     strict=True,
 ):
-    """``compare_to_ground_truth`` as a loop over frames and detections."""
+    """``compare_to_ground_truth`` as a loop over frames and detections.
+
+    A frame whose last sample takes another tap record than its start, or
+    lies past the file, is mixed: it is counted, and its detections and
+    truth taps are left out of the matching."""
     if delay_tol_s is None:
         delay_tol_s = taps.grid_dt_s / 2
     fs = report.sample_rate_hz
@@ -423,6 +427,7 @@ def compare_per_frame(
     per_slot = {}
     spurious = 0
     missed = 0
+    mixed = 0
     n_frames = 0
     frame_times = []
     strongest = []
@@ -447,6 +452,12 @@ def compare_per_frame(
         else:
             truth_strongest.append(float("nan"))
 
+        last = ((report.first_frame_index + i + 1) * frame_len - 1) / fs
+        if math.floor(last * 1000.0 + 1e-9) >= taps.duration_ms or (
+            taps.tap_ids([last], *pair)[0] != taps.tap_ids([t], *pair)[0]
+        ):
+            mixed += 1
+            continue
         matched_truth = set()
         for delay, gain in corrected:
             best = None
@@ -498,6 +509,7 @@ def compare_per_frame(
         spurious=spurious,
         missed=missed,
         n_frames=n_frames,
+        mixed_frames=mixed,
         frame_times_s=np.asarray(frame_times),
         strongest_loss_db=np.asarray(strongest),
         truth_strongest_loss_db=np.asarray(truth_strongest),

@@ -114,7 +114,7 @@ class TestCriterion2GainStability:
     def test_tap_gain_dispersion_under_noise(self, synth_run):
         result, _, out = synth_run
         rep = sound_chunked(
-            out / "capture_1-2.iq", SoundingConfig(discard_frames=1),
+            out / "capture_1-2.iq", SoundingConfig(),
             bpsk_modulate(generate_glfsr(8)),
         )
         fs = 5e7
@@ -349,10 +349,10 @@ class TestCriterion7OracleEquivalences:
         result, _, out = synth_run
         capture = out / "capture_1-2.iq"
         chunky = sound_chunked(
-            capture, SoundingConfig(chunk_duration_s=0.002, discard_frames=1), ref
+            capture, SoundingConfig(chunk_duration_s=0.002), ref
         )
         single = sound_blocks(
-            [read_iq_file(capture)], SoundingConfig(discard_frames=1), ref,
+            [read_iq_file(capture)], SoundingConfig(), ref,
             read_iq_sidecar(capture),
         )
         chunk_ok = (

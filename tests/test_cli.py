@@ -194,12 +194,13 @@ class TestPipelineCommand:
 
         link = re.fullmatch(
             rf"link 1->2: PASS, (\d+) frames, rmse ({number}) dB, "
-            rf"loss swing {number} dB, sd {number} dB, spurious (\d+), missed (\d+)",
+            rf"loss swing {number} dB, sd {number} dB, spurious (\d+), missed (\d+), "
+            rf"mixed (\d+)",
             lines[0],
         )
         assert link is not None, lines[0]
-        assert [int(link[1]), int(link[3]), int(link[4])] == [
-            report["n_frames"], report["spurious"], report["missed"]
+        assert [int(link[1]), int(link[3]), int(link[4]), int(link[5])] == [
+            report["n_frames"], report["spurious"], report["missed"], report["mixed_frames"]
         ]
         assert float(link[2]) == pytest.approx(report["rmse_strongest_vs_truth_db"], abs=5e-4)
 
@@ -231,7 +232,7 @@ class TestPipelineCommand:
         assert rc == EXIT_TOLERANCE
         assert capsys.readouterr().out.startswith(
             "link 1->2: FAIL, 22 frames, rmse nan dB, loss swing nan dB, sd nan dB, "
-            "spurious 0, missed 44\n"
+            "spurious 0, missed 44, mixed 0\n"
         )
 
 

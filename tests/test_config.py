@@ -202,20 +202,14 @@ def test_bad_values_name_the_file(tmp_path, edit, match):
     assert str(err.value).startswith(str(path))
 
 
-@pytest.mark.parametrize("value", [0, 1, 2])
-def test_guard_samples_up_to_two_is_accepted_and_dropped(tmp_path, value):
+def test_guard_samples_above_two_fails_by_name(tmp_path):
+    # detections are strict local maxima, always at least 2 lags apart
     raw = json.loads((CONFIG_DIR / "outandback.json").read_text())
-    raw["sounding"]["guard_samples"] = value
     path = tmp_path / "guard.json"
+    raw["sounding"]["guard_samples"] = 2
     path.write_text(json.dumps(raw))
     assert config.load(path).sounding == config.load(CONFIG_DIR / "outandback.json").sounding
-
-
-def test_guard_samples_above_two_fails_by_name(tmp_path):
-    # the detector keeps every strict local maximum, which no wider guard fits
-    raw = json.loads((CONFIG_DIR / "outandback.json").read_text())
     raw["sounding"]["guard_samples"] = 4
-    path = tmp_path / "guard.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="'sounding.guard_samples' above 2") as err:
         config.load(path)

@@ -51,7 +51,7 @@ def run_loop(tmp_path, tap_file, pair=(1, 2), base_loss_db=0.0, noise=None,
     emulate_repeated_reference_to_file(
         tap_file, pair, config, ref, FS, int(duration_s * FS), capture
     )
-    return sound_chunked(capture, SoundingConfig(discard_frames=1), ref)
+    return sound_chunked(capture, SoundingConfig(), ref)
 
 
 class TestCompareToGroundTruth:
@@ -100,6 +100,30 @@ class TestCompareToGroundTruth:
         assert validation.spurious == 0 and validation.missed == 0
         assert [t.truth_delay_s for t in validation.tap_stats] == pytest.approx([0.0, 6 / FS])
         assert all(t.delay_error_max_s == 0.0 for t in validation.tap_stats)
+
+    def test_a_frame_across_a_record_change_is_mixed_not_scored(self, tmp_path):
+        # the record changes at 1 ms, inside frame 3 (samples 765 to 1019):
+        # that frame is sounded through both tap lists
+        taps = TapFile(
+            2, GRID, 4, 12, 0.0, [((0, 1 + 0j),), ((0, 1 + 0j), (4, 0.5 + 0j))],
+            {(1, 2): np.array([0] + [1] * 11, dtype=np.int32)},
+        )
+        report = run_loop(tmp_path, taps)
+        validation = compare_to_ground_truth(report, taps, 0.0, pair=(1, 2))
+        assert validation.n_frames == report.n_frames == 38
+        assert (validation.spurious, validation.missed, validation.mixed_frames) == (0, 0, 1)
+        assert validation.passed
+        assert [t.n_matched for t in validation.tap_stats] == [37, 35]
+        assert validation.to_dict()["mixed_frames"] == 1
+
+    def test_a_frame_that_ends_past_the_tap_file_is_mixed(self, tmp_path):
+        taps = build_synthetic_tap_file([0.0], [0.0], GRID, 12)
+        report = run_loop(tmp_path, taps)
+        # 9 ms of truth: frame 35 starts at 8925 us and ends at 9179 us
+        truth = dataclasses.replace(taps, duration_ms=9, index={(1, 2): taps.index[(1, 2)][:9]})
+        validation = compare_to_ground_truth(report, truth, 0.0, pair=(1, 2))
+        assert validation.n_frames == 35 and validation.mixed_frames == 1
+        assert validation.spurious == validation.missed == 0 and validation.passed
 
     def test_a_detection_one_step_off_its_tap_is_spurious(self, tmp_path):
         sent = build_synthetic_tap_file([0.0, 4 * GRID], [0.0, 6.0], GRID, 12)
@@ -273,7 +297,7 @@ class TestValidationOracle:
                 getattr(got, name), getattr(expected, name), equal_nan=True
             ), name
         assert got.tap_stats == expected.tap_stats
-        for name in ("spurious", "missed", "n_frames", "delay_tol_s",
+        for name in ("spurious", "missed", "mixed_frames", "n_frames", "delay_tol_s",
                      "gain_tol_db", "strict", "passed"):
             assert getattr(got, name) == getattr(expected, name), name
 

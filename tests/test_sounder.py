@@ -207,6 +207,12 @@ class TestDetectTaps:
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             SoundingConfig(**{field: value})
 
+    def test_default_drops_the_warm_up_frame(self):
+        # frame 0 is the emulator's zero-history warm-up frame
+        report = sound(np.tile(REF, 3), SoundingConfig())
+        assert report.first_frame_index == 1 and report.n_frames == 2
+        assert report.frame_times_s().tolist() == pytest.approx([N / FS, 2 * N / FS])
+
     def test_negative_discard_is_rejected(self):
         with pytest.raises(ValueError, match="discard_frames must be >= 0, got -1"):
             SoundingConfig(discard_frames=-1)
@@ -256,7 +262,7 @@ class TestSoundChunked:
     def test_chunked_equals_unchunked(self, tmp_path):
         path, _ = self.build_capture(tmp_path)
         # 0.06 s chunks over a 0.175 s capture: three chunks
-        cfg = SoundingConfig(chunk_duration_s=0.06)
+        cfg = SoundingConfig(chunk_duration_s=0.06, discard_frames=0)
         chunked = sound_chunked(path, cfg, REF)
         single = sound(read_iq_file(path), cfg)
         assert chunked.n_frames == single.n_frames == 686
@@ -270,7 +276,7 @@ class TestSoundChunked:
         rx = 0.8 * x + (0.2 - 0.1j) * np.roll(x, 9) + make_noise(len(x), -40.0, 2)
         path = tmp_path / "capture.iq"
         write_capture(path, rx)
-        cfg = SoundingConfig(chunk_duration_s=1023.5 / FS, discard_frames=1)
+        cfg = SoundingConfig(chunk_duration_s=1023.5 / FS)
         assert int(cfg.chunk_duration_s * FS) == 1023 == 4 * N + 3
         chunked = sound_chunked(path, cfg, REF)
         single = sound(read_iq_file(path), cfg)
@@ -296,7 +302,7 @@ class TestSoundChunked:
         rx = rx.astype(np.complex64)
         edges = [0, *sorted(c for c in cuts if c < len(rx)), len(rx)]
         blocks = [rx[a:b] for a, b in zip(edges, edges[1:])]
-        cfg = SoundingConfig(discard_frames=1)
+        cfg = SoundingConfig()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(helper, "HANDOFF_SAMPLES", handoff)
             split = sound_blocks(blocks, cfg, REF, FS)
@@ -342,7 +348,7 @@ class TestSoundChunked:
 
         monkeypatch.setattr(sounder, "_cir_matrix", recording)
         monkeypatch.setattr(helper, "HANDOFF_SAMPLES", N)
-        cfg = SoundingConfig(discard_frames=1)
+        cfg = SoundingConfig()
         split = sound_blocks(blocks, cfg, REF, FS)
         monkeypatch.undo()
         single = sound(rx[: edges[-1]], cfg)
@@ -395,7 +401,7 @@ class TestSoundChunked:
 
     def test_capture_shorter_than_chunk(self, tmp_path):
         path, _ = self.build_capture(tmp_path, n_frames=3)
-        cfg = SoundingConfig(chunk_duration_s=60.0)
+        cfg = SoundingConfig(chunk_duration_s=60.0, discard_frames=0)
         report = sound_chunked(path, cfg, REF)
         assert report.n_frames == 3
 
