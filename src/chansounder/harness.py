@@ -242,9 +242,8 @@ def compare_to_ground_truth(
         det.gain_db[det.strongest_rows()] + base_loss_db - offset_db
     )
     frame = det.frame_of_rows()
-    scored = ~mixed[frame]
-    frame, delay = frame[scored], det.delay_s[scored]
-    gain = (det.gain_db + base_loss_db - offset_db)[scored]
+    delay = det.delay_s
+    gain = det.gain_db + base_loss_db - offset_db
 
     # nearest truth slot within tolerance; argmin takes the lowest slot on
     # ties; rows go in batches, so the (rows, k) temporaries stay small
@@ -256,9 +255,11 @@ def compare_to_ground_truth(
         in_tol = err <= delay_tol_s
         matched[a:b] = in_tol.any(axis=1)
         slot[a:b] = np.argmin(np.where(in_tol, err, np.inf), axis=1)
+    scored = ~mixed[frame]  # a mixed frame's rows are neither matched nor spurious
+    matched &= scored
     slot = slot[matched]
     frame = frame[matched]
-    spurious = int(delay.size - np.count_nonzero(matched))
+    spurious = int(np.count_nonzero(scored) - np.count_nonzero(matched))
     run = frame_run[frame]
     td = truth_delay[run, slot]
     tg = truth_gain[run, slot]
