@@ -141,29 +141,37 @@ class PathLossHeatmap:
 
 
 def _truth_runs(
-    taps: TapFile, pair: tuple[int, int], times_s: np.ndarray, last_s: np.ndarray,
-    fs: float, frame_len: int,
+    taps: TapFile, pair: tuple[int, int], report: SoundingReport, n_frames: int
 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """Ground truth at each frame time, built once per run of one tap list.
+    """Ground truth of ``report``'s first ``n_frames`` frames, once per tap list.
 
-    Returns each frame's run number; per run, the sorted (delay_s,
+    Returns each frame's truth number; per truth, the sorted (delay_s,
     original gain_db) list of its nonzero taps, the file's offset removed;
-    and whether each frame is mixed: its last sample, at time ``last_s``,
-    takes another record than its start, or lies past the file.
-    A delay is as the sounder reports it: in whole samples after the anchor
-    tap (the strongest nonzero tap at t = 0, the lowest index on ties, as
-    ``np.argmax`` picks the anchor lag; delay 0 without one), wrapped modulo
-    the ``frame_len``-sample frame, over ``fs``. ``TapFile.tap_ids`` picks
-    each frame's record and reports a frame start outside the file.
+    and whether each frame is mixed: its last sample takes another tap list
+    than its first in the emulator's runs (``TapFile.sample_runs``), or lies
+    past the file. A delay is as the sounder reports it: in whole samples
+    after the anchor tap (the strongest nonzero tap at t = 0, the lowest
+    index on ties, as ``np.argmax`` picks the anchor lag; delay 0 without
+    one), wrapped modulo the frame, over the sample rate.
     """
+    fs, frame_len = report.sample_rate_hz, report.frame_len
     step = _grid_step_samples(taps.grid_dt_s, fs)
     first = taps.tap_lists[taps.tap_ids([0.0], *pair)[0]]
     anchor = -max(((abs(c), -i) for i, c in first if abs(c) > 0), default=(0, 0))[1]
-    ids = taps.tap_ids(times_s, pair[0], pair[1])
-    last_ids = np.full_like(ids, -1)
-    inside = _ms_of(last_s) < taps.duration_ms
-    last_ids[inside] = taps.tap_ids(last_s[inside], pair[0], pair[1])
-    starts = np.r_[True, ids[1:] != ids[:-1]]
+    start = report.first_frame_index * frame_len
+    stop = start + n_frames * frame_len
+    # frames are consecutive, so only the last can end past the file
+    past = _ms_of((stop - 1) / fs) >= taps.duration_ms
+    edges, ids = taps.sample_runs(pair, fs, start, stop - past * (frame_len - 1))
+    tids, which = np.unique(ids, return_inverse=True)
+    rel = edges - start
+    frame_run = np.repeat(which, np.diff(-(-rel // frame_len)))
+    # a frame with a run edge after its first sample: look up its last sample
+    cut = rel[1:-1][rel[1:-1] % frame_len > 0] // frame_len
+    last = np.searchsorted(rel, (cut + 1) * frame_len - 1, side="right") - 1
+    mixed = np.zeros(n_frames, dtype=bool)
+    mixed[cut] = ids[last] != tids[frame_run[cut]]
+    mixed[-1] |= past
     runs = [
         sorted(
             ((idx - anchor) * step % frame_len / fs,
@@ -171,9 +179,9 @@ def _truth_runs(
             for idx, c in taps.tap_lists[tid]
             if abs(c) > 0
         )
-        for tid in ids[starts].tolist()
+        for tid in tids.tolist()
     ]
-    return np.cumsum(starts) - 1, runs, last_ids != ids
+    return frame_run, runs, mixed
 
 
 def compare_to_ground_truth(
@@ -194,17 +202,16 @@ def compare_to_ground_truth(
     sounder's anchor reference (``_truth_runs``), so a detection on its tap
     has delay error 0.0. Each detection is matched to the nearest truth tap
     whose delay error is at most ``delay_tol_s`` (half a grid step by
-    default), so every matched frame is inside the delay tolerance. A frame
-    time at which ``pair`` has no record is a KeyError naming the pair and
-    the millisecond. Unmatched detections count as spurious and unmatched
-    truth taps as missed; in strict mode either fails the report. A mixed
-    frame, whose last sample (at n / fs, as the emulator times sample n)
-    takes another record than its start or lies past the file, was sounded
-    through two channels: it counts in ``mixed_frames`` and ``n_frames``
-    and the loss series, but its detections and truth taps go unscored. The gain
-    tolerance applies to each tap's measured gain (its mean over frames, as
-    in the accuracy figures it mirrors); per-frame noise dispersion is
-    reported via the SD fields.
+    default), so every matched frame is inside the delay tolerance. Frame f
+    is samples f * L to (f + 1) * L - 1, L = ``report.frame_len``; a sample
+    at which ``pair`` has no record is a KeyError naming the pair and the
+    millisecond. Unmatched detections count as spurious and unmatched truth
+    taps as missed; in strict mode either fails the report. A mixed frame
+    (``_truth_runs``) was sounded through two channels: it counts in
+    ``mixed_frames`` and ``n_frames`` and the loss series, but its
+    detections and truth taps go unscored. The gain tolerance applies to
+    each tap's measured gain (its mean over frames, as in the accuracy
+    figures it mirrors); per-frame noise dispersion is in the SD fields.
 
     Detections are matched ``_MATCH_BATCH_ROWS`` rows at a time, which
     bounds the (rows, truth slots) temporaries of a long run; the matched
@@ -213,37 +220,29 @@ def compare_to_ground_truth(
     """
     if delay_tol_s is None:
         delay_tol_s = taps.grid_dt_s / 2
-    duration_s = taps.duration_ms / 1000.0
-    offset_db = taps.offset_db
-
     # frames are in time order, so the ones inside the tap file are a prefix
     times = report.frame_times_s()
-    n_frames = int(np.count_nonzero(times < duration_s))
+    n_frames = int(np.count_nonzero(times < taps.duration_ms / 1000.0))
     if n_frames == 0:
         raise ValueError("no frames overlap the tap file time axis")
     times = times[:n_frames]
     det = report.detections.frames(0, n_frames)
-    fs = report.sample_rate_hz
-    frame_len = round(report.frame_duration_s * fs)
-    last = ((report.first_frame_index + np.arange(1, n_frames + 1)) * frame_len - 1) / fs
-    frame_run, runs, mixed = _truth_runs(taps, pair, times, last, fs, frame_len)
+    frame_run, runs, mixed = _truth_runs(taps, pair, report, n_frames)
 
     k = max(1, *(len(r) for r in runs))  # one empty slot keeps argmin defined
-    truth_delay = np.full((len(runs), k), np.nan)
-    truth_gain = np.full((len(runs), k), np.nan)
+    truth_delay, truth_gain = np.full((2, len(runs), k), np.nan)
     for r, truth in enumerate(runs):
-        if truth:
-            truth_delay[r, : len(truth)], truth_gain[r, : len(truth)] = zip(*truth)
+        truth_delay[r, : len(truth)], truth_gain[r, : len(truth)] = np.reshape(truth, (-1, 2)).T
     n_truth = np.array([len(r) for r in runs])
 
     # each frame's strongest-tap loss, made before the matching's columns
     strongest = np.full(n_frames, np.nan)
     strongest[np.diff(det.offsets) > 0] = -(
-        det.gain_db[det.strongest_rows()] + base_loss_db - offset_db
+        det.gain_db[det.strongest_rows()] + base_loss_db - taps.offset_db
     )
     frame = det.frame_of_rows()
     delay = det.delay_s
-    gain = det.gain_db + base_loss_db - offset_db
+    gain = det.gain_db + base_loss_db - taps.offset_db
 
     # nearest truth slot within tolerance; argmin takes the lowest slot on
     # ties; rows go in batches, so the (rows, k) temporaries stay small

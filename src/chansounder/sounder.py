@@ -153,7 +153,7 @@ class SoundingReport:
     """Detections and statistics for one sounded capture."""
 
     detections: Detections
-    frame_duration_s: float
+    frame_len: int
     sample_rate_hz: float
     noise_floor_gain_db: float
     anchor_lag: int
@@ -163,6 +163,10 @@ class SoundingReport:
     def n_frames(self) -> int:
         """Number of kept frames."""
         return len(self.detections)
+
+    @property
+    def frame_duration_s(self) -> float:
+        return self.frame_len / self.sample_rate_hz
 
     def frame_times_s(self) -> np.ndarray:
         """Start time of every kept frame."""
@@ -334,7 +338,7 @@ def sound_blocks(
     detections = Detections.concatenate(parts).frames(config.discard_frames)
     return SoundingReport(
         detections=detections,
-        frame_duration_s=frame_len / fs,
+        frame_len=frame_len,
         sample_rate_hz=fs,
         noise_floor_gain_db=floor,
         anchor_lag=anchor,

@@ -183,7 +183,7 @@ class TestCompareToGroundTruth:
         taps = build_synthetic_tap_file([0.0], [0.0], GRID, 1)
         report = SoundingReport(
             detections=Detections(np.array([0, 0]), np.empty(0), np.empty(0)),
-            frame_duration_s=0.5,
+            frame_len=500_000,  # 0.5 s
             sample_rate_hz=FS,
             noise_floor_gain_db=-60,
             anchor_lag=0,
@@ -206,7 +206,7 @@ class TestCompareToGroundTruth:
     def test_a_tap_file_without_records_is_an_error_saying_so(self):
         report = SoundingReport(
             detections=Detections(np.array([0, 0]), np.empty(0), np.empty(0)),
-            frame_duration_s=len(REF) / FS,
+            frame_len=len(REF),
             sample_rate_hz=FS,
             noise_floor_gain_db=-60,
             anchor_lag=0,
@@ -263,7 +263,7 @@ def scored_reports(draw):
             np.array(delays, dtype=float),
             np.array(gains, dtype=float),
         ),
-        frame_duration_s=draw(st.sampled_from([3, 4, 6, 8])) / fs,
+        frame_len=draw(st.sampled_from([3, 4, 6, 8])),
         sample_rate_hz=fs,
         noise_floor_gain_db=-60.0,
         anchor_lag=0,
@@ -305,7 +305,8 @@ class TestValidationOracle:
 class TestBatchedMatching:
     @pytest.mark.parametrize("batch", [1, 3, 1 << 62])
     def test_any_batch_size_equals_one_batch(self, monkeypatch, batch):
-        grid = 1e-7
+        fs = 6e6
+        grid = 1 / fs
         taps = TapFile(
             2, grid, 4, 4, 0.0,
             [((0, 1 + 0j), (3, 0.5j), (7, 0.25 + 0j)), ((0, 0.8 + 0j), (5, 0.1 + 0j))],
@@ -313,7 +314,7 @@ class TestBatchedMatching:
         )
         truth = [[0.0, 3 * grid, 7 * grid], [0.0, 5 * grid]]
         rng = np.random.default_rng(8)
-        n_frames = 2400  # 600 a millisecond
+        n_frames = 2400  # 10-sample frames, 600 a millisecond
         offsets, delays, gains = [0], [], []
         for f in range(n_frames):
             slots = truth[f * 4 // n_frames // 2]
@@ -329,7 +330,7 @@ class TestBatchedMatching:
         assert counts[0] > 0 and counts.max() > 3  # more detections than slots
         report = SoundingReport(
             Detections(np.array(offsets), np.array(delays), np.array(gains)),
-            1e-3 / 600, 1e7, -80.0, 0,
+            10, fs, -80.0, 0,
         )
         monkeypatch.setattr(harness, "_MATCH_BATCH_ROWS", 1 << 62)
         whole = compare_to_ground_truth(report, taps, 20.0, pair=(1, 2), strict=False)

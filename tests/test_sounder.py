@@ -461,7 +461,7 @@ class TestColumnarDetections:
         assert per_frame_lists(det) == expected
 
         # the strongest tap per frame is the first maximum, as max() picks it
-        report = SoundingReport(det, 1e-3, fs, floor, anchor)
+        report = SoundingReport(det, gains.shape[1], fs, floor, anchor)
         _, delays, strongest = strongest_tap_series(report)
         for taps, d, g in zip(expected, delays, strongest):
             if taps:
@@ -493,7 +493,7 @@ class TestColumnarDetections:
             rng.integers(0, 255, n) / 1e7,
             rng.normal(-60.0, 20.0, n),
         )
-        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, 1)
+        report = SoundingReport(det, 255, 1e7, -80.0, 3, 1)
         write_report_csv(report, tmp_path / "new.csv")
         write_csv_per_frame(report, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -513,7 +513,7 @@ class TestColumnarDetections:
             rng.integers(0, 255, n) / 1e7,
             rng.normal(-60.0, 20.0, n),
         )
-        report = SoundingReport(det, 255 / 1e7, 1e7, -80.0, 3, 2)
+        report = SoundingReport(det, 255, 1e7, -80.0, 3, 2)
         table = np.column_stack(
             (report.frame_times_s(), rng.normal(90.0, 5.0, 5000), rng.normal(90.0, 5.0, 5000))
         )
