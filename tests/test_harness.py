@@ -221,13 +221,16 @@ def scored_reports(draw):
 
     At 4096 S/s on a one-sample grid every delay is exact, so detections
     land exactly on the tolerance or halfway between two truth taps. Frames
-    of 3 to 8 samples make truth taps before the anchor tap, and taps past
+    of 3 to 12 samples make truth taps before the anchor tap, and taps past
     the frame, wrap. Records may be empty or hold zero taps, repeat the
-    previous record, and frames may run past the end of the file.
+    previous record or take an earlier record's tap list back (ids A, B, A),
+    and frames may run past the end of the file. A 12-sample frame spans
+    about 3 ms, so its first and last samples may take one tap list with
+    another between them.
     """
     fs = 4096.0
     grid = 1.0 / fs
-    duration_ms = draw(st.integers(1, 5))
+    duration_ms = draw(st.integers(1, 12))
     coefs = st.sampled_from([0j, 1 + 0j, 0.5j, -0.25 + 0j, 2 + 2j, 1e-3 + 0j])
     # one tap list per ms, so equal taps also sit in different lists
     tap_lists = []
@@ -240,9 +243,9 @@ def scored_reports(draw):
             taps = tuple((i, draw(coefs)) for i in sorted(idx))
         tap_lists.append(taps)
         prev = taps
-    tap_file = TapFile(
-        2, grid, 4, duration_ms, 0.0, tap_lists, {(1, 2): np.arange(duration_ms)}
-    )
+    # a record may take the tap list of one of the two before it
+    index = [draw(st.integers(max(0, ms - 2), ms)) for ms in range(duration_ms)]
+    tap_file = TapFile(2, grid, 4, duration_ms, 0.0, tap_lists, {(1, 2): np.array(index)})
 
     n_frames = draw(st.integers(1, 16))
     counts = draw(st.lists(st.integers(0, 5), min_size=n_frames, max_size=n_frames))
@@ -263,7 +266,7 @@ def scored_reports(draw):
             np.array(delays, dtype=float),
             np.array(gains, dtype=float),
         ),
-        frame_len=draw(st.sampled_from([3, 4, 6, 8])),
+        frame_len=draw(st.sampled_from([3, 4, 6, 8, 10, 12])),
         sample_rate_hz=fs,
         noise_floor_gain_db=-60.0,
         anchor_lag=0,
