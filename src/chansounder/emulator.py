@@ -438,10 +438,7 @@ def emulate_repeated_reference_to_file(
     sample_rate_hz: float,
     total_samples: int,
     out_path,
-    chunk_samples: int = DEFAULT_BLOCK_SAMPLES,
 ) -> None:
     """Write :func:`emulate_blocks` to a capture file with its sidecar."""
-    blocks = emulate_blocks(
-        taps, pair, config, reference, sample_rate_hz, total_samples, chunk_samples
-    )
+    blocks = emulate_blocks(taps, pair, config, reference, sample_rate_hz, total_samples)
     write_iq_file(out_path, blocks, sample_rate_hz)

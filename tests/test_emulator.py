@@ -19,7 +19,6 @@ from chansounder.emulator import (
     EmulatorConfig,
     apply_channel,
     emulate_blocks,
-    emulate_repeated_reference_to_file,
     iq_file_sample_count,
     make_noise,
     noise_floor_db_for_dynamic_range,
@@ -422,9 +421,8 @@ class TestStreamingEmulation:
         cfg = quiet_config(base_loss_db=7.0, noise_floor_db=-40.0, seed=5)
         out = tmp_path / "capture.iq"
         # tiny chunks force several boundary crossings
-        emulate_repeated_reference_to_file(
-            taps, (1, 2), cfg, ref, FS, total, out, chunk_samples=611
-        )
+        blocks = emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block_samples=611)
+        write_iq_file(out, blocks, FS)
         assert out.read_bytes() == emulate_oracle(taps, cfg, ref, total).tobytes()
 
     def test_every_sample_takes_its_own_milliseconds_record(self):
@@ -587,9 +585,8 @@ class TestHelperThread:
         for handoff in (1, 1 << 62):
             monkeypatch.setattr(helper, "HANDOFF_SAMPLES", handoff)
             path = tmp_path / f"handoff-{handoff}.iq"
-            emulate_repeated_reference_to_file(
-                taps, (1, 2), cfg, ref, FS, total, path, chunk_samples=2500
-            )
+            blocks = emulate_blocks(taps, (1, 2), cfg, ref, FS, total, block_samples=2500)
+            write_iq_file(path, blocks, FS)
             captures.append(path.read_bytes())
         assert captures[0] == captures[1]
         assert captures[0] == emulate_oracle(taps, cfg, ref, total).tobytes()
