@@ -165,7 +165,7 @@ def _truth_runs(
     edges, ids = taps.sample_runs(pair, fs, start, stop - past * (frame_len - 1))
     tids, which = np.unique(ids, return_inverse=True)
     rel = edges - start
-    frame_run = np.repeat(which, np.diff(-(-rel // frame_len)))
+    frame_run = np.repeat(which, np.diff(-(-rel // frame_len)))  # by first sample
     # a frame with a run edge after its first sample: look up its last sample
     cut = rel[1:-1][rel[1:-1] % frame_len > 0] // frame_len
     last = np.searchsorted(rel, (cut + 1) * frame_len - 1, side="right") - 1
